@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import channel
-from .scenario import AntennaId, CellId, Scenario, Scheme
+from .scenario import SELECTION_SCHEMES, AntennaId, CellId, Scenario
 from .statfun import (
     Quadrature,
     gaussian_hazard,
@@ -25,8 +25,6 @@ from .statfun import (
     q_function,
     std_normal_cdf,
 )
-
-_SELECTION_SCHEMES = (Scheme.PROPOSED, Scheme.DAS_SINGLE)
 
 # Conditional metrics are undefined once the conditioning event is this rare.
 TRIGGER_FLOOR = 1e-12
@@ -49,6 +47,8 @@ class PositionGrid:
     step: float
 
     def __post_init__(self) -> None:
+        # plain floats keep the grid hashable, so link tables can be cached by it
+        object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
         if not (self.step > 0.0):
             raise ValueError(f"step must be > 0, got {self.step}")
         if len(self.positions) < 1:
@@ -120,7 +120,7 @@ def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     """
     _check_antenna(sc, antenna)
     serving, target = channel.trigger_pair(sc, front_x, antenna)
-    if sc.scheme in _SELECTION_SCHEMES:
+    if sc.scheme in SELECTION_SCHEMES:
         return trigger_prob_closed_form(serving, target, sc.hysteresis)
     return trigger_prob_integral(serving, target, sc.hysteresis, quadrature)
 
@@ -159,11 +159,17 @@ def occurrence_prob(sc: Scenario, grid: PositionGrid,
     a probability mass (it is not normalized and can exceed 1) and is
     emitted for comparison only.
     """
-    p = trigger_curve(sc, grid, antenna, quadrature)
+    return occurrence_masses(trigger_curve(sc, grid, antenna, quadrature), grid.step, mode)
+
+
+def occurrence_masses(trigger_probs: np.ndarray, step: float,
+                      mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
+    """occurrence_prob from an already evaluated trigger curve."""
+    p = np.asarray(trigger_probs, dtype=float)
     if mode is MetricMode.REDERIVED:
         return first_crossing_masses(p)
     running = np.concatenate(([0.0], np.cumsum(p)[:-1]))
-    return p * (grid.step * running)
+    return p * (step * running)
 
 
 # === Failure probability ===

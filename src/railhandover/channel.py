@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special as _sci_special
 
 from .scenario import (
+    SELECTION_SCHEMES,
     AntennaId,
     CellId,
     Scenario,
@@ -41,7 +43,15 @@ from .statfun import (
     std_normal_pdf,
 )
 
-_SELECTION_SCHEMES = (Scheme.PROPOSED, Scheme.DAS_SINGLE)
+if TYPE_CHECKING:
+    from .analytics import PositionGrid
+
+# Cell order along the table's cell axis.
+CELLS = (CellId.SERVING, CellId.TARGET)
+
+# The target cell counts as the better one only when its mean RSS beats
+# the serving cell's by more than this (dB); exact ties stay on SERVING.
+BETTER_CELL_MARGIN = 1e-9
 
 
 def path_loss(sc: Scenario, distance: float) -> float:
@@ -134,7 +144,7 @@ def trigger_pair(sc: Scenario, front_x: float, antenna: AntennaId) -> tuple[Link
     handover). Blanket and traditional schemes compare their per-cell
     RSS variables directly.
     """
-    if sc.scheme in _SELECTION_SCHEMES:
+    if sc.scheme in SELECTION_SCHEMES:
         serving = link_stat(sc, front_x, sc.n_raus, antenna, CellId.SERVING)
         target = link_stat(sc, front_x, 1, antenna, CellId.TARGET)
         return serving, target
@@ -154,64 +164,128 @@ def cdf(dist: RssDistribution, r: float) -> float:
     return out
 
 
-def pdf(dist: RssDistribution, r: float) -> float:
-    """Density of the distribution at r.
-
-    For the max of independent Gaussians: sum over components of that
-    component's density times the probability every other component is
-    below r.
-    """
-    total = 0.0
-    for n, cn in enumerate(dist.components):
-        term = std_normal_pdf((r - cn.mu) / cn.sigma) / cn.sigma
-        for j, cj in enumerate(dist.components):
-            if j != n:
-                term *= std_normal_cdf((r - cj.mu) / cj.sigma)
-        total += term
-    return total
-
-
-def cdf_array(dist: RssDistribution, r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    out = np.ones_like(r)
-    for c in dist.components:
-        out *= _sci_special.ndtr((r - c.mu) / c.sigma)
-    return out
-
-
-def support(dists: "RssDistribution | list[RssDistribution]",
-            n_sigma: float = 10.0) -> tuple[float, float]:
-    """Interval outside which the distributions' mass is negligible."""
-    if isinstance(dists, RssDistribution):
-        dists = [dists]
-    comps = [c for d in dists for c in d.components]
-    sig = max(c.sigma for c in comps)
-    return (min(c.mu for c in comps) - n_sigma * sig,
-            max(c.mu for c in comps) + n_sigma * sig)
-
-
 def distribution_mean(dist: RssDistribution, quadrature: Quadrature | None = None) -> float:
-    """Mean RSS in dBm; numeric for the max distribution, exact otherwise."""
-    if len(dist.components) == 1:
-        return dist.components[0].mu
-    lo, hi = support(dist)
-    return integrate(lambda r: r * pdf(dist, r), lo, hi, quadrature).require()
+    """Mean RSS in dBm; numeric for the max distribution, exact otherwise.
+
+    E[max] = sum_n integral over z in [-10, 10] of (mu_n + sigma_n z) phi(z)
+    prod_{j != n} Phi((mu_n - mu_j)/sigma_j + (sigma_n/sigma_j) z), z being
+    component n's standardized draw. Unlike an integral over r, this keeps
+    unit width and loses no digits to r - mu_j even at sigma = 1e-9.
+    """
+    comps = dist.components
+    if len(comps) == 1:
+        return comps[0].mu
+    terms = [(cn.mu, cn.sigma, [((cn.mu - cj.mu) / cj.sigma, cn.sigma / cj.sigma)
+                                for j, cj in enumerate(comps) if j != n])
+             for n, cn in enumerate(comps)]
+
+    def integrand(z: float) -> float:
+        total = 0.0
+        for mu, sigma, others in terms:
+            term = mu + sigma * z
+            for offset, scale in others:
+                term *= std_normal_cdf(offset + scale * z)
+            total += term
+        return total * std_normal_pdf(z)
+
+    return integrate(integrand, -10.0, 10.0, quadrature).require()
 
 
-# === Sampling ===
+# === Link table ===
 
 
-def sample_rss(dist: RssDistribution, rng: np.random.Generator) -> float:
-    """One RSS draw: an independent Gaussian per component, then the max."""
-    draws = [c.mu + c.sigma * rng.standard_normal() for c in dist.components]
-    return max(draws)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def sample_rss_block(dist: RssDistribution, rng: np.random.Generator,
-                     n: int) -> np.ndarray:
-    """n independent RSS draws as an array (vectorized form of sample_rss)."""
-    k = len(dist.components)
-    z = rng.standard_normal((n, k))
-    mus = np.array([c.mu for c in dist.components])
-    sigmas = np.array([c.sigma for c in dist.components])
-    return np.max(mus + sigmas * z, axis=1)
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """Link statistics of one scheme at every position of one grid.
+
+    mu and sigma have shape (positions, antennas, cells, components):
+    one component per RAU under RAU selection, else the cell's single
+    Gaussian. Antennas follow `antennas`, cells follow CELLS. A cell's
+    RSS is the maximum over its components, or under mean-pathloss
+    selection the component cell_column[position, antenna, cell] (the
+    best mean link). The handover rule compares component
+    trigger_column[cell] of each cell: the facing boundary RAUs under
+    RAU selection, the cell RSS otherwise.
+    """
+
+    antennas: tuple[AntennaId, ...]
+    kind: DistributionKind
+    mu: np.ndarray
+    sigma: np.ndarray
+    cell_column: np.ndarray | None
+    trigger_column: tuple[int, int]
+
+    def cell_distribution(self, j: int, a: int, c: int) -> RssDistribution:
+        """The cell RSS distribution at position index j, antenna a, cell c."""
+        if self.cell_column is None:
+            columns = range(self.mu.shape[-1])
+        else:
+            columns = (int(self.cell_column[j, a, c]),)
+        return RssDistribution(self.kind, tuple(
+            LinkStat(float(self.mu[j, a, c, n]), float(self.sigma[j, a, c, n]))
+            for n in columns))
+
+    def sample(self, rows: slice, a: int, c: int, rng: np.random.Generator,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n shadowed draws of every link of antenna a, cell c at the grid rows.
+
+        rows selects either one position (its links broadcast over n
+        trials) or n positions (one draw each). Returns the cell RSS and
+        the trigger comparand, both of length n, from the same draws.
+        """
+        rss = self.mu[rows, a, c] + self.sigma[rows, a, c] * rng.standard_normal(
+            (n, self.mu.shape[-1]))
+        if self.cell_column is None:
+            cell = np.max(rss, axis=1)
+        else:
+            cell = rss[np.arange(n), self.cell_column[rows, a, c]]
+        return cell, rss[:, self.trigger_column[c]]
+
+
+@lru_cache(maxsize=32)
+def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
+    """The scenario's link statistics over the grid, built once per pair.
+
+    Every value comes from link_stat / rss_distribution, so the table
+    matches the scalar path bitwise.
+    """
+    selection = sc.scheme in SELECTION_SCHEMES
+
+    def links(x: float, antenna: AntennaId, cell: CellId) -> tuple[LinkStat, ...]:
+        if selection:
+            return tuple(link_stat(sc, x, n, antenna, cell)
+                         for n in range(1, sc.n_raus + 1))
+        return rss_distribution(sc, x, antenna, cell).components
+
+    stats = np.array([[[[(l.mu, l.sigma) for l in links(x, antenna, cell)] for cell in CELLS]
+                       for antenna in sc.antennas()] for x in grid.positions])
+    mu, sigma = _frozen(stats[..., 0]), _frozen(stats[..., 1])
+    picky = selection and sc.selection is SelectionRule.MEAN_PATHLOSS
+    kind = (DistributionKind.MAX_OF_GAUSSIANS if selection and not picky
+            else DistributionKind.SINGLE_GAUSSIAN)
+    return LinkTable(
+        antennas=sc.antennas(), kind=kind, mu=mu, sigma=sigma,
+        cell_column=_frozen(np.argmax(mu, axis=-1)) if picky else None,
+        trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
+
+
+@lru_cache(maxsize=32)
+def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarray]:
+    """Mean RSS of every cell distribution of the link table, and the better cell.
+
+    Returns the means, shape (positions, antennas, cells), and a boolean
+    array of shape (positions, antennas) that is True where the target
+    cell's mean exceeds the serving cell's by more than BETTER_CELL_MARGIN.
+    """
+    table = link_table(sc, grid)
+    positions, antennas = table.mu.shape[:2]
+    means = np.array([[[distribution_mean(table.cell_distribution(j, a, c))
+                        for c in range(len(CELLS))] for a in range(antennas)]
+                      for j in range(positions)])
+    target_better = means[..., 1] - means[..., 0] > BETTER_CELL_MARGIN
+    return _frozen(means), _frozen(target_better)

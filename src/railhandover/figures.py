@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as _sci_stats
 
-from . import analytics
+from . import analytics, channel
 from ._version import __version__
 from .analytics import MetricMode, PositionGrid, UndefinedConditionalError
 from .montecarlo import (
@@ -171,6 +171,10 @@ class ResultTable:
         return cls(columns, rows, provenance)
 
 
+# Metrics every pointwise sweep computes; mean RSS is added on request.
+_SWEEP_METRICS = frozenset({Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION})
+
+
 def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
 
@@ -178,16 +182,18 @@ def _tag(scheme: Scheme) -> str:
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
-    Monte Carlo draws are substream-keyed by (domain, position), so a
-    cached sweep extended with more metrics reproduces the earlier
-    columns exactly; analytic curves are cached per (scheme, mode).
+    Each scheme gets one Monte Carlo pointwise sweep computing every
+    position-wise metric, mean RSS included only once a figure asks for
+    it; draws are substream-keyed by (domain, position), so a sweep
+    rerun with mean RSS reproduces the earlier columns exactly. Analytic
+    curves are cached per (scheme, mode).
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.grid = PositionGrid.over(config.scenario.ds, config.step)
         self.seed = SeedPolicy(config.master_seed)
-        self._pointwise: dict[Scheme, tuple[frozenset, list[SweepEstimate]]] = {}
+        self._pointwise: dict[Scheme, tuple[bool, list[SweepEstimate]]] = {}
         self._crossing: dict[Scheme, FirstCrossingEstimate] = {}
         self._analytic: dict[tuple, object] = {}
 
@@ -196,21 +202,19 @@ class FigureRunner:
 
     # --- Monte Carlo caches ---
 
-    def pointwise(self, scheme: Scheme, metrics: frozenset) -> list[SweepEstimate]:
+    def pointwise(self, scheme: Scheme, mean_rss: bool) -> list[SweepEstimate]:
         cached = self._pointwise.get(scheme)
-        if cached is not None and metrics <= cached[0]:
-            have = cached[0]
-        else:
-            have = metrics | (cached[0] if cached else frozenset())
+        if cached is None or (mean_rss and not cached[0]):
+            metrics = _SWEEP_METRICS | ({Metric.MEAN_RSS} if mean_rss else frozenset())
             rows = estimate_pointwise(self.scenario_for(scheme), self.grid,
                                       self.config.trials, self.seed,
-                                      jobs=self.config.jobs, metrics=have)
-            self._pointwise[scheme] = (have, rows)
+                                      jobs=self.config.jobs, metrics=metrics)
+            self._pointwise[scheme] = (mean_rss, rows)
         return self._pointwise[scheme][1]
 
     def mc_rows(self, scheme: Scheme, metric: Metric,
                 antenna: AntennaId | None) -> list[SweepEstimate]:
-        rows = [e for e in self.pointwise(scheme, frozenset({metric}))
+        rows = [e for e in self.pointwise(scheme, metric is Metric.MEAN_RSS)
                 if e.metric is metric and e.antenna is antenna]
         if len(rows) != len(self.grid.positions):
             raise RuntimeError("sweep rows misaligned with the grid")
@@ -236,9 +240,8 @@ class FigureRunner:
 
     def occurrence_values(self, scheme: Scheme, mode: MetricMode) -> np.ndarray:
         return self._cached(("occurrence", scheme, mode),
-                            lambda: analytics.occurrence_prob(
-                                self.scenario_for(scheme), self.grid,
-                                AntennaId.FRONT, mode))
+                            lambda: analytics.occurrence_masses(
+                                self.trigger_values(scheme), self.grid.step, mode))
 
     def failure_values(self, scheme: Scheme, mode: MetricMode) -> list:
         def compute():
@@ -260,10 +263,10 @@ class FigureRunner:
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
         def compute():
             sc = self.scenario_for(scheme)
-            per = {a: [analytics.mean_rss(sc, x, a) for x in self.grid.positions]
-                   for a in sc.antennas()}
-            front = per[AntennaId.FRONT]
-            rear = per.get(AntennaId.REAR)
+            # better-cell mean per antenna, as analytics.mean_rss gives it
+            per = channel.cell_means(sc, self.grid)[0].max(axis=2).T.tolist()
+            front = per[0]
+            rear = per[1] if len(per) == 2 else None
             n = len(self.grid.positions)
             best = [max(front[i], rear[i]) if rear else front[i] for i in range(n)]
             if rear:

@@ -13,13 +13,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import channel, protocol
 from .analytics import PositionGrid
-from .scenario import AntennaId, CellId, Scenario, Scheme
+from .scenario import AntennaId, Scenario
 
 # Substream domain tags; part of the documented seed derivation.
 DOMAIN_POINTWISE = 0
@@ -29,8 +29,6 @@ DOMAIN_PROTOCOL = 2
 # Trials are drawn in blocks of this size inside the first-crossing
 # estimator; the block index is part of the substream key.
 _BLOCK = 8192
-
-_SELECTION_SCHEMES = (Scheme.PROPOSED, Scheme.DAS_SINGLE)
 
 
 @dataclass(frozen=True)
@@ -104,121 +102,78 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
 # === Pointwise sweep ===
 
 
-def _draw_cells(sc: Scenario, front_x: float, rng: np.random.Generator,
-                trials: int) -> dict[AntennaId, dict]:
-    """Fresh shadowing for every link at one position.
-
-    Returns, per antenna: per-cell sample arrays plus the trigger
-    comparands (boundary-RAU columns under RAU selection, the cell
-    samples otherwise). Draw order is fixed: front antenna first,
-    serving cell first.
-    """
-    out: dict[AntennaId, dict] = {}
-    for antenna in sc.antennas():
-        rec = {"cell": {}, "trig": {}}
-        for cell in (CellId.SERVING, CellId.TARGET):
-            dist = channel.rss_distribution(sc, front_x, antenna, cell)
-            k = len(dist.components)
-            z = rng.standard_normal((trials, k))
-            mus = np.array([c.mu for c in dist.components])
-            sigmas = np.array([c.sigma for c in dist.components])
-            rss = mus + sigmas * z
-            rec["cell"][cell] = np.max(rss, axis=1)
-            if sc.scheme in _SELECTION_SCHEMES:
-                column = sc.n_raus - 1 if cell is CellId.SERVING else 0
-                rec["trig"][cell] = rss[:, column]
-            else:
-                rec["trig"][cell] = rec["cell"][cell]
-        out[antenna] = rec
-    return out
-
-
 def estimate_pointwise(sc: Scenario, grid: PositionGrid, trials: int,
                        seed: SeedPolicy, jobs: int = 1,
                        metrics: Iterable[Metric] | None = None) -> list[SweepEstimate]:
     """Independent per-position estimates of the position-wise metrics.
 
     Every (position) gets its own substream; within it each trial draws
-    fresh shadowing for all links. Emits, per position: trigger, failure
-    (conditional on trigger, NaN when no trial triggered), per-antenna
-    and scheme-level interruption, and mean best-cell RSS per antenna
-    plus a combined two-antenna trace (linear power sum) where the
-    scheme has two antennas.
+    fresh shadowing for all links, front antenna first, serving cell
+    first. From the same draws it computes trigger, failure (conditional
+    on trigger, NaN when no trial triggered) and per-antenna and
+    scheme-level interruption, and returns the requested metrics' rows
+    (all by default). Mean best-cell RSS per antenna plus a combined
+    two-antenna trace (linear power sum) is computed only on request,
+    since picking the better cell needs the analytic cell means. Rows
+    do not depend on which metrics are requested.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wanted = set(metrics) if metrics is not None else set(Metric)
+    table = channel.link_table(sc, grid)
+    target_better = (channel.cell_means(sc, grid)[1] if Metric.MEAN_RSS in wanted
+                     else None)
 
     def one_position(j: int) -> list[SweepEstimate]:
         x = grid.positions[j]
         rng = seed.stream(DOMAIN_POINTWISE, j)
-        draws = _draw_cells(sc, x, rng, trials)
+        # per antenna: ((serving cell RSS, trigger comparand), (target ...))
+        draws = [tuple(table.sample(slice(j, j + 1), a, c, rng, trials)
+                       for c in range(len(channel.CELLS)))
+                 for a in range(len(table.antennas))]
         rows: list[SweepEstimate] = []
 
-        if Metric.TRIGGER in wanted or Metric.FAILURE in wanted:
-            for antenna in sc.antennas():
-                rec = draws[antenna]
-                trig = (rec["trig"][CellId.TARGET] - rec["trig"][CellId.SERVING]
-                        > sc.hysteresis)
-                p = float(np.mean(trig))
-                if Metric.TRIGGER in wanted:
-                    rows.append(SweepEstimate(x, Metric.TRIGGER, p, trials,
-                                              _binomial_hw(p, trials), antenna))
-                if Metric.FAILURE in wanted:
-                    base = int(np.count_nonzero(trig))
-                    if base == 0:
-                        rows.append(SweepEstimate(x, Metric.FAILURE, math.nan,
-                                                  trials, math.nan, antenna, 0))
-                    else:
-                        bad = np.count_nonzero(
-                            trig & (rec["trig"][CellId.TARGET] < sc.threshold))
-                        q = float(bad) / base
-                        rows.append(SweepEstimate(x, Metric.FAILURE, q, trials,
-                                                  _binomial_hw(q, base), antenna, base))
+        for antenna, ((_, trig_s), (_, trig_t)) in zip(table.antennas, draws):
+            trig = trig_t - trig_s > sc.hysteresis
+            p = float(np.mean(trig))
+            rows.append(SweepEstimate(x, Metric.TRIGGER, p, trials,
+                                      _binomial_hw(p, trials), antenna))
+            base = int(np.count_nonzero(trig))
+            if base == 0:
+                rows.append(SweepEstimate(x, Metric.FAILURE, math.nan,
+                                          trials, math.nan, antenna, 0))
+            else:
+                q = float(np.count_nonzero(trig & (trig_t < sc.threshold))) / base
+                rows.append(SweepEstimate(x, Metric.FAILURE, q, trials,
+                                          _binomial_hw(q, base), antenna, base))
 
-        if Metric.INTERRUPTION in wanted:
-            all_below = np.ones(trials, dtype=bool)
-            for antenna in sc.antennas():
-                rec = draws[antenna]
-                best = np.maximum(rec["cell"][CellId.SERVING],
-                                  rec["cell"][CellId.TARGET])
-                below = best < sc.threshold
-                p = float(np.mean(below))
-                rows.append(SweepEstimate(x, Metric.INTERRUPTION, p, trials,
-                                          _binomial_hw(p, trials), antenna))
-                all_below &= below
-            p = float(np.mean(all_below))
+        all_below = np.ones(trials, dtype=bool)
+        for antenna, ((serving, _), (target, _)) in zip(table.antennas, draws):
+            below = np.maximum(serving, target) < sc.threshold
+            p = float(np.mean(below))
             rows.append(SweepEstimate(x, Metric.INTERRUPTION, p, trials,
-                                      _binomial_hw(p, trials), None))
+                                      _binomial_hw(p, trials), antenna))
+            all_below &= below
+        p = float(np.mean(all_below))
+        rows.append(SweepEstimate(x, Metric.INTERRUPTION, p, trials,
+                                  _binomial_hw(p, trials), None))
 
-        if Metric.MEAN_RSS in wanted:
-            best_cell_samples = {}
-            for antenna in sc.antennas():
-                rec = draws[antenna]
-                cell = _better_mean_cell(sc, x, antenna)
-                samples = rec["cell"][cell]
-                best_cell_samples[antenna] = samples
+        if target_better is not None:
+            best_cell_samples = []
+            for a, antenna in enumerate(table.antennas):
+                samples = draws[a][int(target_better[j, a])][0]
+                best_cell_samples.append(samples)
                 rows.append(SweepEstimate(x, Metric.MEAN_RSS, float(np.mean(samples)),
                                           trials, _mean_hw(samples), antenna))
-            if len(sc.antennas()) == 2:
-                linear = sum(np.power(10.0, best_cell_samples[a] / 10.0)
-                             for a in sc.antennas())
+            if len(table.antennas) == 2:
+                linear = sum(np.power(10.0, s / 10.0) for s in best_cell_samples)
                 combined = 10.0 * np.log10(linear)
                 rows.append(SweepEstimate(x, Metric.MEAN_RSS, float(np.mean(combined)),
                                           trials, _mean_hw(combined), None))
-        return rows
+        return [row for row in rows if row.metric in wanted]
 
     chunks = _parallel_map(one_position, len(grid.positions), jobs)
     return [row for chunk in chunks for row in chunk]
-
-
-def _better_mean_cell(sc: Scenario, front_x: float, antenna: AntennaId) -> CellId:
-    means = {
-        cell: channel.distribution_mean(channel.rss_distribution(sc, front_x,
-                                                                 antenna, cell))
-        for cell in (CellId.SERVING, CellId.TARGET)
-    }
-    return max(means, key=means.get)
 
 
 # === First-crossing sweep ===
@@ -249,11 +204,11 @@ def estimate_first_crossing(sc: Scenario, grid: PositionGrid, trials: int,
         raise ValueError("trials must be >= 1")
     if antenna not in sc.antennas():
         raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
-    pairs = [channel.trigger_pair(sc, x, antenna) for x in grid.positions]
-    mu_s = np.array([p[0].mu for p in pairs])
-    sig_s = np.array([p[0].sigma for p in pairs])
-    mu_t = np.array([p[1].mu for p in pairs])
-    sig_t = np.array([p[1].sigma for p in pairs])
+    table = channel.link_table(sc, grid)
+    a = table.antennas.index(antenna)
+    (mu_s, sig_s), (mu_t, sig_t) = [
+        (table.mu[:, a, c, n], table.sigma[:, a, c, n])
+        for c, n in enumerate(table.trigger_column)]
     n_pos = len(grid.positions)
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
 

@@ -16,16 +16,14 @@ the trigger rule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from . import channel
 from .analytics import PositionGrid
-from .scenario import AntennaId, CellId, Scenario, Scheme
+from .scenario import AntennaId, CellId, Scenario
 
 
 class Phase(Enum):
@@ -193,36 +191,13 @@ class CrossingOutcome:
     final_state: HandoverState
 
 
-@dataclass
+@dataclass(frozen=True)
 class _AntennaLinks:
     """Per-position samples for one antenna: cell RSS and trigger comparands."""
 
-    cell_rss: dict[CellId, np.ndarray] = field(default_factory=dict)
-    trig_serving: np.ndarray | None = None
-    trig_target: np.ndarray | None = None
-
-
-@lru_cache(maxsize=16)
-def _link_table(sc: Scenario, grid: PositionGrid) -> dict:
-    """Trial-invariant link statistics, hoisted out of the per-trial path.
-
-    Maps (antenna, cell) to (mu array, sigma array, trigger column); the
-    trigger column is the boundary-RAU index under RAU selection and
-    None where the cell RSS itself is the comparand.
-    """
-    table = {}
-    for antenna in (AntennaId.FRONT, AntennaId.REAR):
-        for cell in (CellId.SERVING, CellId.TARGET):
-            dists = [channel.rss_distribution(sc, x, antenna, cell)
-                     for x in grid.positions]
-            mus = np.array([[c.mu for c in d.components] for d in dists])
-            sigmas = np.array([[c.sigma for c in d.components] for d in dists])
-            if sc.scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE):
-                column = sc.n_raus - 1 if cell is CellId.SERVING else 0
-            else:
-                column = None
-            table[antenna, cell] = (mus, sigmas, column)
-    return table
+    cell_rss: dict[CellId, np.ndarray]
+    trig_serving: np.ndarray
+    trig_target: np.ndarray
 
 
 def _draw_links(sc: Scenario, grid: PositionGrid,
@@ -233,22 +208,16 @@ def _draw_links(sc: Scenario, grid: PositionGrid,
     position outermost in the array layout) so a given generator state
     always produces the same walk. Within a cell, one draw per component
     at each position; the boundary-RAU trigger comparands reuse the same
-    realizations as the cell maximum, since they are the same links.
+    realizations as the cell RSS, since they are the same links.
     """
-    table = _link_table(sc, grid)
+    table = channel.link_table(sc, grid)
+    n = len(grid.positions)
     links: dict[AntennaId, _AntennaLinks] = {}
-    for antenna in (AntennaId.FRONT, AntennaId.REAR):
-        al = _AntennaLinks()
-        for cell in (CellId.SERVING, CellId.TARGET):
-            mus, sigmas, column = table[antenna, cell]
-            rss = mus + sigmas * rng.standard_normal(mus.shape)
-            al.cell_rss[cell] = np.max(rss, axis=1)
-            comparand = al.cell_rss[cell] if column is None else rss[:, column]
-            if cell is CellId.SERVING:
-                al.trig_serving = comparand
-            else:
-                al.trig_target = comparand
-        links[antenna] = al
+    for a, antenna in enumerate(table.antennas):
+        (serving, trig_serving), (target, trig_target) = [
+            table.sample(slice(None), a, c, rng, n) for c in range(len(channel.CELLS))]
+        links[antenna] = _AntennaLinks({CellId.SERVING: serving, CellId.TARGET: target},
+                                       trig_serving, trig_target)
     return links
 
 

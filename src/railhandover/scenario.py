@@ -27,6 +27,10 @@ class Scheme(Enum):
     TRADITIONAL = "traditional"
 
 
+# Schemes whose cells power one selected RAU per train antenna.
+SELECTION_SCHEMES = (Scheme.PROPOSED, Scheme.DAS_SINGLE)
+
+
 class SelectionRule(Enum):
     """How a cell picks the RAU serving a given train antenna."""
 

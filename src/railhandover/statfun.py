@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,17 +138,8 @@ def integrate(
 # === Lognormal sum approximation ===
 
 
-class SumApproxMethod(Enum):
-    """Pluggable approximation family for sums of lognormal powers."""
-
-    MOMENT_MATCHING = "moment-matching"
-
-
-def lognormal_sum_approx(
-    means_db: Sequence[float],
-    sigmas_db: Sequence[float],
-    method: SumApproxMethod = SumApproxMethod.MOMENT_MATCHING,
-) -> tuple[float, float]:
+def lognormal_sum_approx(means_db: Sequence[float],
+                         sigmas_db: Sequence[float]) -> tuple[float, float]:
     """Gaussian (in dB) approximation of a sum of independent dB-lognormal powers.
 
     Each component i is a power level whose dB value is normal with mean
@@ -169,8 +159,6 @@ def lognormal_sum_approx(
     approximating lognormal's mean power equals the sum of the component
     mean powers to within floating-point rounding.
     """
-    if method is not SumApproxMethod.MOMENT_MATCHING:
-        raise ValueError(f"unsupported method {method!r}")
     means = np.asarray(means_db, dtype=float)
     sigmas = np.asarray(sigmas_db, dtype=float)
     if means.ndim != 1 or means.size == 0:

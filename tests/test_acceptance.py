@@ -28,14 +28,7 @@ from railhandover.analytics import (
     trigger_curve,
     trigger_prob,
 )
-from railhandover.channel import (
-    cdf,
-    cdf_array,
-    pdf,
-    rss_distribution,
-    sample_rss_block,
-    support,
-)
+from railhandover.channel import cdf, rss_distribution
 from railhandover.figures import RunConfig, compare_schemes
 from railhandover.montecarlo import (
     DOMAIN_PROTOCOL,
@@ -47,6 +40,7 @@ from railhandover.montecarlo import (
 from railhandover.protocol import EventKind, Phase, replay, run_crossing
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
 from railhandover.statfun import integrate
+from rss_oracles import cdf_array, pdf, sample_rss_block, support
 
 TRIALS = 100_000
 SEED = 12345

@@ -168,7 +168,8 @@ def test_failure_stays_defined_under_tiny_triggers(sc):
 
 
 def test_failure_threshold_extremes(sc):
-    from railhandover.channel import rss_distribution, support
+    from railhandover.channel import rss_distribution
+    from rss_oracles import support
 
     lo, hi = support(rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING))
     assert failure_prob(replace(sc, threshold=lo), 1500.0) <= 1e-10

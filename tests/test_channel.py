@@ -14,24 +14,28 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from railhandover import channel
+from railhandover.analytics import PositionGrid
 from railhandover.channel import (
     DistributionKind,
     LinkStat,
     RssDistribution,
     cdf,
-    cdf_array,
     distribution_mean,
     link_stat,
     path_loss,
-    pdf,
     per_rau_power,
     rss_distribution,
+    trigger_pair,
+)
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from rss_oracles import (
+    cdf_array,
+    mean_by_density,
+    pdf,
     sample_rss,
     sample_rss_block,
     support,
-    trigger_pair,
 )
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
 
 # hand arithmetic: hypot(1500-1125, 60) and the dB slope 35 per decade
 MU_FRONT_SERVING_LAST_1500 = -35.78320958352816
@@ -237,6 +241,27 @@ def test_support_covers_all_components(sc):
     assert both[0] <= lo and both[1] >= hi
 
 
+@pytest.mark.parametrize("sigmas", [(4.0, 4.0, 4.0, 4.0), (0.5, 4.0, 8.0, 12.0),
+                                    (0.05, 0.05, 0.05, 0.05)])
+def test_distribution_mean_matches_density_oracle(sc, sigmas):
+    picky = replace(sc, shadow_sigma_per_rau=sigmas)
+    for x in (0.0, 700.0, 1500.0, 2250.0):
+        for cell in (CellId.SERVING, CellId.TARGET):
+            dist = rss_distribution(picky, x, AntennaId.FRONT, cell)
+            assert distribution_mean(dist) == pytest.approx(mean_by_density(dist),
+                                                            abs=1e-7)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-6, 1e-3, 0.01])
+def test_distribution_mean_without_fading_is_largest_mu(sc, sigma):
+    """An integral over r misses so narrow a density (it read 0 dBm below 0.01)."""
+    faded = replace(sc, shadow_sigma=sigma)
+    for x in (0.0, 1500.0, 2600.0):
+        dist = rss_distribution(faded, x, AntennaId.FRONT, CellId.SERVING)
+        top = max(c.mu for c in dist.components)
+        assert distribution_mean(dist) == pytest.approx(top, abs=10.0 * sigma)
+
+
 def test_distribution_mean_of_single_is_mu():
     dist = RssDistribution(DistributionKind.SINGLE_GAUSSIAN, (LinkStat(-20.0, 3.0),))
     assert distribution_mean(dist) == -20.0
@@ -263,6 +288,81 @@ def test_trigger_pair_blanket_uses_cell_distributions(sc):
     serving, target = trigger_pair(blanket, 1500.0, AntennaId.FRONT)
     assert serving.sigma == pytest.approx(3.9287018592077936)
     assert serving.mu == pytest.approx(target.mu, abs=1e-6)
+
+
+# --- link table ---
+
+
+def _table_scenarios():
+    for scheme in Scheme:
+        for selection in SelectionRule:
+            for n_raus in (1, 2, 3, 4, 8):
+                for per_rau in (None, tuple(0.5 + 1.5 * n for n in range(n_raus))):
+                    yield Scenario(n_raus=n_raus, scheme=scheme, selection=selection,
+                                   shadow_sigma_per_rau=per_rau)
+
+
+def test_link_table_matches_scalar_path():
+    """Every cell distribution and trigger comparand equals the scalar one bitwise."""
+    grid = PositionGrid.over(3000.0, 375.0)
+    for sc in _table_scenarios():
+        table = channel.link_table(sc, grid)
+        assert table.antennas == sc.antennas()
+        for j, x in enumerate(grid.positions):
+            for a, antenna in enumerate(sc.antennas()):
+                pair = trigger_pair(sc, x, antenna)
+                for c, cell in enumerate(channel.CELLS):
+                    assert table.cell_distribution(j, a, c) == \
+                        rss_distribution(sc, x, antenna, cell)
+                    n = table.trigger_column[c]
+                    assert LinkStat(table.mu[j, a, c, n], table.sigma[j, a, c, n]) \
+                        == pair[c]
+
+
+def test_link_table_is_cached_and_read_only(sc):
+    grid = PositionGrid.over(3000.0, 500.0)
+    channel.link_table.cache_clear()
+    channel.cell_means.cache_clear()
+    table = channel.link_table(sc, grid)
+    assert channel.link_table(sc, PositionGrid.over(3000.0, 500.0)) is table
+    assert channel.link_table.cache_info().hits == 1
+    means, target_better = channel.cell_means(sc, grid)
+    for array in (table.mu, table.sigma, means, target_better):
+        assert not array.flags.writeable
+
+
+def test_cell_means_match_scalar_means(sc):
+    grid = PositionGrid.over(3000.0, 500.0)
+    for scheme in Scheme:
+        s = sc.with_scheme(scheme)
+        means, _ = channel.cell_means(s, grid)
+        for j, x in enumerate(grid.positions):
+            for a, antenna in enumerate(s.antennas()):
+                for c, cell in enumerate(channel.CELLS):
+                    assert means[j, a, c] == distribution_mean(
+                        rss_distribution(s, x, antenna, cell))
+
+
+def test_better_cell_ties_stay_on_serving(sc, grid):
+    """Mirror-image positions give equal cell means up to rounding; those
+    three pairs keep the serving cell, every other pair is far from a tie."""
+    ties = {(Scheme.PROPOSED, 1500.0, 0), (Scheme.PROPOSED, 1700.0, 1),
+            (Scheme.DAS_SINGLE, 1500.0, 0)}
+    for scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE):
+        means, target_better = channel.cell_means(sc.with_scheme(scheme), grid)
+        gap = np.abs(means[..., 1] - means[..., 0])
+        for j, x in enumerate(grid.positions):
+            for a in range(gap.shape[1]):
+                if (scheme, x, a) in ties:
+                    assert gap[j, a] <= channel.BETTER_CELL_MARGIN
+                    assert not target_better[j, a]
+                else:
+                    assert gap[j, a] > 1e-6
+    # two single Gaussians at mirror-image distances tie exactly
+    means, target_better = channel.cell_means(sc.with_scheme(Scheme.TRADITIONAL), grid)
+    j = grid.positions.index(1500.0)
+    assert means[j, 0, 0] == means[j, 0, 1]
+    assert not target_better[j, 0]
 
 
 # --- sampling ---

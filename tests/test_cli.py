@@ -10,7 +10,7 @@ import pytest
 
 from railhandover.analytics import MetricMode
 from railhandover.cli import ConfigError, main, parse_config
-from railhandover.figures import RunConfig
+from railhandover.figures import Figure, RunConfig
 from railhandover.scenario import Scenario, Scheme
 from railhandover.statfun import NumericsError
 
@@ -192,3 +192,26 @@ def test_trace_rejects_single_antenna_scheme(capsys):
     code = main(["trace", "--schemes", "das-single"])
     assert code == 2
     assert "needs two antennas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["compare", "validate"])
+def test_mean_pathloss_selection_runs(tmp_path, capsys, verb):
+    config = tmp_path / "picky.cfg"
+    config.write_text("measurement_step = 250\nselection = mean-pathloss\n")
+    code = main([verb, "--config", str(config), "--trials", "200", "--seed", "3",
+                 "--out", str(tmp_path / "results")])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert "Traceback" not in captured.err
+    if verb == "compare":
+        written = {p.name for p in (tmp_path / "results").iterdir()}
+        assert written == {f.filename for f in Figure} | {"summary.csv"}
+
+
+def test_trace_mean_pathloss_selection(tmp_path, capsys):
+    config = tmp_path / "picky.cfg"
+    config.write_text("selection = mean-pathloss\n")
+    code = main(["trace", "--config", str(config), "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "HoCommandFront" in captured.out

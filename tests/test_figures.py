@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from railhandover.analytics import MetricMode
+from railhandover.cli import main
 from railhandover.figures import (
     Figure,
     FigureRunner,
@@ -24,6 +25,9 @@ from railhandover.figures import (
     validate_schemes,
 )
 from railhandover.scenario import Scenario, Scheme
+
+
+GOLDEN = Path(__file__).parent / "golden" / "compare_250m"
 
 
 def _config(**kw):
@@ -177,3 +181,25 @@ def test_runner_tables_are_reproducible():
     runner = FigureRunner(cfg)
     assert runner.table(Figure.TRIGGER) == runner.table(Figure.TRIGGER)
     assert runner.table(Figure.TRIGGER) == FigureRunner(cfg).table(Figure.TRIGGER)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_matches_golden_output(tmp_path, capsys, jobs):
+    """`compare --trials 200 --seed 12345` on a 250 m grid, byte for byte.
+
+    Any change to a CSV byte, at any job count, changes the published
+    numbers and must come with regenerated golden files.
+    """
+    config = tmp_path / "coarse.cfg"
+    config.write_text("measurement_step = 250.0\n")
+    out = tmp_path / "out"
+    code = main(["compare", "--trials", "200", "--seed", "12345", "--jobs", jobs,
+                 "--config", str(config), "--out", str(out)])
+    capsys.readouterr()
+    # near the base stations the tower wins interruption and, on this coarse
+    # grid, mean RSS; both full-span rules report fail
+    assert code == 1
+    golden = sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == golden
+    for name in golden:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from railhandover import channel
 from railhandover.analytics import PositionGrid, failure_prob, occurrence_prob, trigger_prob
 from railhandover.montecarlo import (
     DOMAIN_FIRST_CROSSING,
@@ -16,7 +17,7 @@ from railhandover.montecarlo import (
     estimate_pointwise,
     estimate_protocol,
 )
-from railhandover.scenario import AntennaId, Scenario
+from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
 
 
 def test_seed_policy_rejects_out_of_range():
@@ -71,6 +72,47 @@ def test_pointwise_parallel_runs_are_bitwise_identical():
     serial = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=1)
     parallel = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=8)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.DAS_SINGLE])
+def test_one_sweep_matches_per_metric_sweeps(scheme):
+    sc = Scenario().with_scheme(scheme)
+    grid = PositionGrid.over(3000.0, 500.0)
+    everything = estimate_pointwise(sc, grid, 300, SeedPolicy(9))
+    for metric in (Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION, Metric.MEAN_RSS):
+        alone = estimate_pointwise(sc, grid, 300, SeedPolicy(9), metrics=[metric])
+        assert alone
+        assert alone == [e for e in everything if e.metric is metric]
+
+
+def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mean RSS not requested")
+
+    monkeypatch.setattr(channel, "distribution_mean", refuse)
+    monkeypatch.setattr(channel, "cell_means", refuse)
+    grid = PositionGrid.over(3000.0, 500.0)
+    estimate_pointwise(Scenario(), grid, 50, SeedPolicy(2),
+                       metrics=[Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION])
+
+
+def test_mean_pathloss_trigger_estimate_tracks_analytic():
+    """Mean-pathloss cells keep every RAU link, so the boundary-RAU
+    trigger comparands exist; agreement within validate's limit."""
+    sc = Scenario(selection=SelectionRule.MEAN_PATHLOSS)
+    grid = PositionGrid.over(3000.0, 250.0)
+    trials = 20_000
+    for e in estimate_pointwise(sc, grid, trials, SeedPolicy(12345), jobs=2,
+                                metrics=[Metric.TRIGGER]):
+        p = trigger_prob(sc, e.position, antenna=e.antenna)
+        assert abs(e.value - p) <= max(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
+
+
+def test_protocol_runs_under_mean_pathloss_selection(coarse_grid):
+    sc = Scenario(selection=SelectionRule.MEAN_PATHLOSS)
+    stats = estimate_protocol(sc, coarse_grid, 20, SeedPolicy(5))
+    assert stats.trials == 20
+    assert stats.rear_ho_hist.sum() <= stats.front_ho_hist.sum() <= 20
 
 
 def test_first_crossing_certain_trigger_concentrates_at_first_point():

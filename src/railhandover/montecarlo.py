@@ -30,6 +30,11 @@ DOMAIN_PROTOCOL = 2
 # estimator; the block index is part of the substream key.
 _BLOCK = 8192
 
+# Crossings go through the protocol kernel in blocks of this size, which
+# bounds its memory; every crossing keeps its own substream, so the block
+# size does not change the estimate.
+_PROTOCOL_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SeedPolicy:
@@ -256,44 +261,38 @@ class ProtocolStats:
 
 def estimate_protocol(sc: Scenario, grid: PositionGrid, trials: int,
                       seed: SeedPolicy, jobs: int = 1) -> ProtocolStats:
-    """Run the crossing procedure trials times with per-trial substreams."""
+    """Run the crossing procedure trials times with per-trial substreams.
+
+    Crossing t draws from stream (DOMAIN_PROTOCOL, t), so its outcome is
+    the one run_crossing gives on that stream; protocol.run_crossings
+    computes it in blocks of crossings without walking the state machine.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    index = {x: j for j, x in enumerate(grid.positions)}
 
-    def one_trial(t: int) -> tuple:
-        rng = seed.stream(DOMAIN_PROTOCOL, t)
-        outcome, trace = protocol.run_crossing(sc, grid, rng)
-        attempts = [e.position for e in trace
-                    if e.event.kind is protocol.EventKind.HO_COMMAND_FRONT]
-        rear_pos = outcome.rear_ho_position
-        front_pos = outcome.front_ho_position
-        lengths = tuple((b - a) + grid.step for a, b in outcome.interruption_intervals)
-        done = outcome.final_state.phase is protocol.Phase.DONE
-        return (front_pos, rear_pos, outcome.front_failed, outcome.rear_failed,
-                attempts, lengths, done)
+    def one_block(b: int) -> protocol.CrossingArrays:
+        first = b * _PROTOCOL_BLOCK
+        return protocol.run_crossings(sc, grid, [
+            seed.stream(DOMAIN_PROTOCOL, t)
+            for t in range(first, min(first + _PROTOCOL_BLOCK, trials))])
 
-    results = _parallel_map(one_trial, trials, jobs)
+    blocks = _parallel_map(one_block, (trials + _PROTOCOL_BLOCK - 1) // _PROTOCOL_BLOCK,
+                           jobs)
     n_pos = len(grid.positions)
-    front_hist = np.zeros(n_pos, dtype=np.int64)
-    rear_hist = np.zeros(n_pos, dtype=np.int64)
-    attempt_hist = np.zeros(n_pos, dtype=np.int64)
-    failure_hist = np.zeros(n_pos, dtype=np.int64)
-    completed = front_failed = rear_failed = 0
-    lengths: list[float] = []
-    for front_pos, rear_pos, f_failed, r_failed, attempts, ilens, done in results:
-        if front_pos is not None:
-            front_hist[index[front_pos]] += 1
-        if rear_pos is not None:
-            rear_hist[index[rear_pos]] += 1
-        for pos in attempts:
-            attempt_hist[index[pos]] += 1
-            if pos != front_pos:
-                failure_hist[index[pos]] += 1
-        completed += int(done)
-        front_failed += int(f_failed)
-        rear_failed += int(r_failed)
-        lengths.extend(ilens)
-    return ProtocolStats(grid, trials, completed, front_failed, rear_failed,
-                         front_hist, rear_hist, attempt_hist, failure_hist,
-                         tuple(lengths))
+    front = np.concatenate([b.front_index for b in blocks])
+    rear = np.concatenate([b.rear_index for b in blocks])
+    front_hist = np.bincount(front[front >= 0], minlength=n_pos)
+    attempt_hist = sum(b.front_attempts.sum(axis=0) for b in blocks)
+    runs = np.concatenate([b.interruptions for b in blocks])
+    xs = grid.as_array()
+    lengths = (xs[runs[:, 2]] - xs[runs[:, 1]]) + grid.step
+    return ProtocolStats(
+        grid, trials,
+        completed=int(np.count_nonzero(rear >= 0)),
+        front_failed_trials=sum(int(np.count_nonzero(b.front_failed)) for b in blocks),
+        rear_failed_trials=sum(int(np.count_nonzero(b.rear_failed)) for b in blocks),
+        front_ho_hist=front_hist,
+        rear_ho_hist=np.bincount(rear[rear >= 0], minlength=n_pos),
+        front_attempt_hist=attempt_hist,
+        front_failure_hist=attempt_hist - front_hist,
+        interruption_lengths=tuple(lengths.tolist()))

@@ -200,25 +200,49 @@ class _AntennaLinks:
     trig_target: np.ndarray
 
 
+def _draw_crossings(table: channel.LinkTable,
+                    rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Draw every shadowing realization of each crossing, one generator each.
+
+    Each generator makes one standard-normal draw of shape (antennas,
+    cells, positions, components), which fixes the order: front antenna
+    first, serving cell first, grid position outermost within a cell.
+    Returns the cell RSS and the trigger comparands, both of shape
+    (crossings, antennas, cells, positions); the comparands reuse the
+    cell's draws, since they are the same links.
+    """
+    mu, sigma = (np.moveaxis(a, 0, 2) for a in (table.mu, table.sigma))
+    rss = np.empty((len(rngs),) + mu.shape)
+    for rng, out in zip(rngs, rss):
+        rng.standard_normal(out=out)
+    rss *= sigma
+    rss += mu
+    if table.cell_column is None:
+        # a running maximum over the few components beats np.max along a short axis
+        cell = rss[..., 0].copy()
+        for k in range(1, rss.shape[-1]):
+            np.maximum(cell, rss[..., k], out=cell)
+    else:
+        column = np.moveaxis(table.cell_column, 0, 2)[np.newaxis, ..., np.newaxis]
+        cell = np.take_along_axis(rss, column, axis=-1)[..., 0]
+    trig = np.stack([rss[:, :, c, :, k] for c, k in enumerate(table.trigger_column)],
+                    axis=2)
+    return cell, trig
+
+
 def _draw_links(sc: Scenario, grid: PositionGrid,
                 rng: np.random.Generator) -> dict[AntennaId, _AntennaLinks]:
-    """Pre-draw every shadowing realization for one crossing.
-
-    Draw order is fixed (front antenna first, serving cell first, grid
-    position outermost in the array layout) so a given generator state
-    always produces the same walk. Within a cell, one draw per component
-    at each position; the boundary-RAU trigger comparands reuse the same
-    realizations as the cell RSS, since they are the same links.
-    """
+    """Pre-draw every shadowing realization for one crossing, per antenna."""
     table = channel.link_table(sc, grid)
-    n = len(grid.positions)
-    links: dict[AntennaId, _AntennaLinks] = {}
-    for a, antenna in enumerate(table.antennas):
-        (serving, trig_serving), (target, trig_target) = [
-            table.sample(slice(None), a, c, rng, n) for c in range(len(channel.CELLS))]
-        links[antenna] = _AntennaLinks({CellId.SERVING: serving, CellId.TARGET: target},
-                                       trig_serving, trig_target)
-    return links
+    (cell,), (trig,) = _draw_crossings(table, [rng])
+    return {antenna: _AntennaLinks(dict(zip(channel.CELLS, cell[a])), *trig[a])
+            for a, antenna in enumerate(table.antennas)}
+
+
+def _require_two_antennas(sc: Scenario) -> None:
+    if len(sc.antennas()) != 2:
+        raise ValueError(f"the handover procedure needs two antennas; "
+                         f"scheme {sc.scheme.value} has {len(sc.antennas())}")
 
 
 def run_crossing(sc: Scenario, grid: PositionGrid,
@@ -236,9 +260,7 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     from its attached cell is below the threshold; intervals are reported
     as (first, last) grid coordinates of each below-threshold run.
     """
-    if len(sc.antennas()) != 2:
-        raise ValueError(f"the handover procedure needs two antennas; "
-                         f"scheme {sc.scheme.value} has {len(sc.antennas())}")
+    _require_two_antennas(sc)
     links = _draw_links(sc, grid, rng)
     state = HandoverState()
     trace: list[TraceEntry] = []
@@ -314,6 +336,74 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
         final_state=state,
     )
     return outcome, trace
+
+
+# === Array kernel ===
+
+
+@dataclass(frozen=True)
+class CrossingArrays:
+    """Outcomes of a batch of crossings, one row per crossing.
+
+    front_index and rear_index hold the grid index where each antenna
+    attached to the target cell, -1 where it never did; a crossing is
+    done exactly when its rear antenna attached. front_attempts marks
+    the positions of every front attach attempt. interruptions lists
+    each interruption run as (crossing, first index, last index), by
+    crossing, then position.
+    """
+
+    front_index: np.ndarray
+    rear_index: np.ndarray
+    front_failed: np.ndarray
+    rear_failed: np.ndarray
+    front_attempts: np.ndarray
+    interruptions: np.ndarray
+
+
+def _attach(triggered: np.ndarray, usable: np.ndarray,
+            allowed: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per crossing: the first allowed triggering index whose target
+    comparand is usable (-1 if none), the attempts up to and including
+    it, and whether any of those attempts failed."""
+    attempts = triggered & allowed
+    hits = attempts & usable
+    attached = hits.any(axis=1)
+    first = np.where(attached, hits.argmax(axis=1), -1)
+    last = np.where(attached, first, attempts.shape[1] - 1)
+    attempts &= np.arange(attempts.shape[1]) <= last[:, np.newaxis]
+    return first, attempts, (attempts & ~usable).any(axis=1)
+
+
+def run_crossings(sc: Scenario, grid: PositionGrid,
+                  rngs: list[np.random.Generator]) -> CrossingArrays:
+    """The outcomes run_crossing gives on each generator, as arrays.
+
+    Draws exactly what run_crossing draws, then applies the procedure's
+    rules to whole arrays instead of walking the state machine: the
+    front antenna attempts at every trigger until the first one whose
+    target comparand reaches the threshold; the rear antenna does the
+    same from the position after the front attach, since the front
+    attaches inside that position's own measurement report; each
+    antenna's RSS comes from the target cell from its attach on.
+    """
+    _require_two_antennas(sc)
+    cell, trig = _draw_crossings(channel.link_table(sc, grid), rngs)
+    triggered = trig[:, :, 1] - trig[:, :, 0] > sc.hysteresis
+    usable = trig[:, :, 1] >= sc.threshold
+    positions = np.arange(len(grid.positions))
+    front, front_attempts, front_failed = _attach(triggered[:, 0], usable[:, 0], True)
+    after_front = (front[:, np.newaxis] >= 0) & (positions > front[:, np.newaxis])
+    rear, _, rear_failed = _attach(triggered[:, 1], usable[:, 1], after_front)
+    attach = np.stack([front, rear], axis=1)[..., np.newaxis]
+    on_target = (attach >= 0) & (positions >= attach)  # (crossings, antennas, positions)
+    rss = np.where(on_target, cell[:, :, 1], cell[:, :, 0])
+    below = (rss < sc.threshold).all(axis=1).astype(np.int8)
+    edges = np.diff(below, axis=1, prepend=0, append=0)
+    last = np.nonzero(edges == -1)[1] - 1
+    interruptions = np.column_stack([np.argwhere(edges == 1), last])
+    return CrossingArrays(front, rear, front_failed, rear_failed, front_attempts,
+                          interruptions)
 
 
 # === Trace serialization and replay ===

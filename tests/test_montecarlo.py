@@ -1,11 +1,12 @@
 """Seeded estimators: substream policy, convergence, parallel invariance."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from railhandover import channel
+from railhandover import channel, montecarlo
 from railhandover.analytics import PositionGrid, failure_prob, occurrence_prob, trigger_prob
 from railhandover.montecarlo import (
     DOMAIN_FIRST_CROSSING,
@@ -18,6 +19,10 @@ from railhandover.montecarlo import (
     estimate_protocol,
 )
 from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
+
+from protocol_oracle import STAT_FIELDS, format_stats, protocol_stats
+
+GOLDEN_PROTOCOL = Path(__file__).parent / "golden" / "protocol_200.txt"
 
 
 def test_seed_policy_rejects_out_of_range():
@@ -189,6 +194,50 @@ def test_protocol_parallel_runs_are_bitwise_identical(sc, coarse_grid):
     assert np.array_equal(a.front_failure_hist, b.front_failure_hist)
     assert a.interruption_lengths == b.interruption_lengths
     assert a.completed == b.completed
+
+
+def _assert_stats_equal(got, want):
+    assert got.grid == want.grid
+    for name in STAT_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
+@pytest.mark.parametrize("trials", [montecarlo._PROTOCOL_BLOCK - 1,
+                                    montecarlo._PROTOCOL_BLOCK + 1])
+def test_protocol_equals_state_machine_aggregate(sc, coarse_grid, trials):
+    want = protocol_stats(sc, coarse_grid, trials, SeedPolicy(77))
+    for jobs in (1, 3):
+        _assert_stats_equal(estimate_protocol(sc, coarse_grid, trials, SeedPolicy(77),
+                                              jobs=jobs), want)
+
+
+@pytest.mark.parametrize("trials", [7, 8, 9, 17])
+def test_protocol_block_size_does_not_change_the_estimate(sc, coarse_grid, monkeypatch,
+                                                          trials):
+    want = protocol_stats(sc, coarse_grid, trials, SeedPolicy(78))
+    monkeypatch.setattr(montecarlo, "_PROTOCOL_BLOCK", 8)
+    for jobs in (1, 3):
+        _assert_stats_equal(estimate_protocol(sc, coarse_grid, trials, SeedPolicy(78),
+                                              jobs=jobs), want)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_protocol_matches_golden_output(sc, grid, jobs):
+    """200 crossings at seed 12345, byte for byte against the state
+    machine's aggregate recorded before the array kernel replaced it."""
+    stats = estimate_protocol(sc, grid, 200, SeedPolicy(12345), jobs=jobs)
+    assert format_stats(stats) == GOLDEN_PROTOCOL.read_text()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_protocol_rejects_single_antenna_scheme(jobs):
+    sc = Scenario().with_scheme(Scheme.DAS_SINGLE)
+    with pytest.raises(ValueError, match="needs two antennas"):
+        estimate_protocol(sc, PositionGrid.for_scenario(sc), 600, SeedPolicy(1), jobs=jobs)
 
 
 def test_protocol_modal_bin_failure_rate_matches_analytic(sc, grid):

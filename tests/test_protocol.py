@@ -10,8 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railhandover.analytics import PositionGrid
+from railhandover.montecarlo import DOMAIN_PROTOCOL, SeedPolicy
 from railhandover.protocol import (
     CrossingOutcome,
     EventKind,
@@ -22,9 +25,10 @@ from railhandover.protocol import (
     format_trace,
     replay,
     run_crossing,
+    run_crossings,
     transition,
 )
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 
 
 def _mr(position, front_rss, rear_rss):
@@ -291,3 +295,73 @@ def test_outcome_is_a_plain_record():
                           interruption_intervals=(),
                           final_state=HandoverState())
     assert out.front_ho_position is None
+
+
+# --- array kernel against the state machine ---
+
+
+def _machine_outcome(sc, grid, rng):
+    out, trace = run_crossing(sc, grid, rng)
+    attempts = tuple(t.position for t in trace
+                     if t.event.kind is EventKind.HO_COMMAND_FRONT)
+    return (out.front_ho_position, out.rear_ho_position, out.front_failed,
+            out.rear_failed, out.interruption_intervals,
+            out.final_state.phase is Phase.DONE, attempts)
+
+
+def _kernel_outcomes(sc, grid, rngs):
+    arrays = run_crossings(sc, grid, rngs)
+    xs = grid.positions
+    intervals = [[] for _ in rngs]
+    for c, first, last in arrays.interruptions.tolist():
+        intervals[c].append((xs[first], xs[last]))
+
+    def at(j):
+        return None if j < 0 else xs[j]
+
+    return [(at(arrays.front_index[i]), at(arrays.rear_index[i]),
+             bool(arrays.front_failed[i]), bool(arrays.rear_failed[i]),
+             tuple(intervals[i]), bool(arrays.rear_index[i] >= 0),
+             tuple(xs[j] for j in np.flatnonzero(arrays.front_attempts[i])))
+            for i in range(len(rngs))]
+
+
+def _assert_kernel_matches_machine(sc, grid, seed, trials):
+    policy = SeedPolicy(seed)
+    kernel = _kernel_outcomes(
+        sc, grid, [policy.stream(DOMAIN_PROTOCOL, t) for t in range(trials)])
+    for t, got in enumerate(kernel):
+        assert got == _machine_outcome(sc, grid, policy.stream(DOMAIN_PROTOCOL, t)), t
+
+
+def test_kernel_matches_state_machine_at_default_scenario(sc, grid):
+    _assert_kernel_matches_machine(sc, grid, 12345, 2000)
+
+
+@st.composite
+def _scenarios(draw):
+    n_raus = draw(st.integers(1, 8))
+    sigmas = draw(st.one_of(
+        st.none(), st.lists(st.sampled_from([0.5, 4.0, 8.0, 12.0]),
+                            min_size=n_raus, max_size=n_raus).map(tuple)))
+    return Scenario(
+        n_raus=n_raus, shadow_sigma_per_rau=sigmas,
+        shadow_sigma=draw(st.sampled_from([1e-9, 4.0, 8.0])),
+        hysteresis=draw(st.sampled_from([0.0, 2.0, 1e6])),
+        threshold=draw(st.sampled_from([-1e6, -80.0, -30.0])),
+        scheme=draw(st.sampled_from([Scheme.PROPOSED, Scheme.DAS_BLANKET,
+                                     Scheme.TRADITIONAL])),
+        selection=draw(st.sampled_from(list(SelectionRule))),
+        measurement_step=draw(st.sampled_from([50.0, 250.0])))
+
+
+@settings(max_examples=60)
+@given(_scenarios(), st.integers(0, 2 ** 32 - 1))
+def test_kernel_matches_state_machine_on_generated_scenarios(sc, seed):
+    _assert_kernel_matches_machine(sc, PositionGrid.for_scenario(sc), seed, 20)
+
+
+def test_kernel_rejects_single_antenna_scheme():
+    sc = Scenario().with_scheme(Scheme.DAS_SINGLE)
+    with pytest.raises(ValueError, match="needs two antennas"):
+        run_crossings(sc, PositionGrid.for_scenario(sc), [np.random.default_rng(0)])

@@ -119,16 +119,30 @@ def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     their per-cell distributions.
     """
     _check_antenna(sc, antenna)
-    serving, target = channel.trigger_pair(sc, front_x, antenna)
+    return _pair_trigger_prob(sc, *channel.trigger_pair(sc, front_x, antenna), quadrature)
+
+
+def _pair_trigger_prob(sc: Scenario, serving: channel.LinkStat, target: channel.LinkStat,
+                       quadrature: Quadrature | None) -> float:
     if sc.scheme in SELECTION_SCHEMES:
         return trigger_prob_closed_form(serving, target, sc.hysteresis)
     return trigger_prob_integral(serving, target, sc.hysteresis, quadrature)
 
 
+def _table_pairs(sc: Scenario, grid: PositionGrid, antenna: AntennaId):
+    """(front_x, serving, target) of every grid position, read from the link table."""
+    _check_antenna(sc, antenna)
+    table = channel.link_table(sc, grid)
+    a = table.antennas.index(antenna)
+    return [(x, *table.trigger_pair(j, a)) for j, x in enumerate(grid.positions)]
+
+
 def trigger_curve(sc: Scenario, grid: PositionGrid,
                   antenna: AntennaId = AntennaId.FRONT,
                   quadrature: Quadrature | None = None) -> np.ndarray:
-    return np.array([trigger_prob(sc, x, antenna, quadrature) for x in grid.positions])
+    """trigger_prob at every grid position, from the link table's comparands."""
+    return np.array([_pair_trigger_prob(sc, serving, target, quadrature)
+                     for _, serving, target in _table_pairs(sc, grid, antenna)])
 
 
 # === Occurrence probability ===
@@ -195,7 +209,26 @@ def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     below TRIGGER_FLOOR.
     """
     _check_antenna(sc, antenna)
-    serving, target = channel.trigger_pair(sc, front_x, antenna)
+    return _pair_failure_prob(sc, front_x, *channel.trigger_pair(sc, front_x, antenna),
+                              mode, quadrature)
+
+
+def failure_curve(sc: Scenario, grid: PositionGrid,
+                  antenna: AntennaId = AntennaId.FRONT,
+                  mode: MetricMode = MetricMode.REDERIVED) -> list[float | None]:
+    """failure_prob at every grid position, None where it is undefined."""
+    out: list[float | None] = []
+    for x, serving, target in _table_pairs(sc, grid, antenna):
+        try:
+            out.append(_pair_failure_prob(sc, x, serving, target, mode, None))
+        except UndefinedConditionalError:
+            out.append(None)
+    return out
+
+
+def _pair_failure_prob(sc: Scenario, front_x: float, serving: channel.LinkStat,
+                       target: channel.LinkStat, mode: MetricMode,
+                       quadrature: Quadrature | None) -> float:
     h = sc.hysteresis
     sigma_v = math.hypot(serving.sigma, target.sigma)
     mu_v = target.mu - serving.mu
@@ -253,22 +286,31 @@ def interruption_prob_antenna(sc: Scenario, front_x: float, antenna: AntennaId,
     value, so REDERIVED <= PAPER everywhere.
     """
     _check_antenna(sc, antenna)
-    out = []
-    for cell in (CellId.SERVING, CellId.TARGET):
-        dist = channel.rss_distribution(sc, front_x, antenna, cell)
-        out.append(channel.cdf(dist, sc.threshold))
-    if mode is MetricMode.REDERIVED:
-        return out[0] * out[1]
-    return min(out)
+    return _cells_interruption(sc, [channel.rss_distribution(sc, front_x, antenna, cell)
+                                    for cell in channel.CELLS], mode)
+
+
+def _cells_interruption(sc: Scenario, cells: list[channel.RssDistribution],
+                        mode: MetricMode) -> float:
+    below = [channel.cdf(dist, sc.threshold) for dist in cells]
+    return below[0] * below[1] if mode is MetricMode.REDERIVED else min(below)
 
 
 def interruption_prob(sc: Scenario, front_x: float,
                       mode: MetricMode = MetricMode.REDERIVED) -> float:
     """Communication interruption: every active antenna below threshold."""
-    value = 1.0
-    for antenna in sc.antennas():
-        value *= interruption_prob_antenna(sc, front_x, antenna, mode)
-    return value
+    return math.prod(interruption_prob_antenna(sc, front_x, antenna, mode)
+                     for antenna in sc.antennas())
+
+
+def interruption_curve(sc: Scenario, grid: PositionGrid,
+                       mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
+    """interruption_prob at every grid position, from the link table's cells."""
+    table = channel.link_table(sc, grid)
+    cells = range(len(channel.CELLS))
+    return np.array([math.prod(
+        _cells_interruption(sc, [table.cell_distribution(j, a, c) for c in cells], mode)
+        for a in range(len(table.antennas))) for j in range(len(grid.positions))])
 
 
 # === Mean RSS ===

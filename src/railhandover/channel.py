@@ -35,19 +35,16 @@ from .scenario import (
     link_distance,
     rau_positions,
 )
-from .statfun import (
-    Quadrature,
-    integrate,
-    lognormal_sum_approx,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+from .statfun import Quadrature, integrate, lognormal_sum_approx, std_normal_cdf
 
 if TYPE_CHECKING:
     from .analytics import PositionGrid
 
 # Cell order along the table's cell axis.
 CELLS = (CellId.SERVING, CellId.TARGET)
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # The target cell counts as the better one only when its mean RSS beats
 # the serving cell's by more than this (dB); exact ties stay on SERVING.
@@ -178,15 +175,21 @@ def distribution_mean(dist: RssDistribution, quadrature: Quadrature | None = Non
     terms = [(cn.mu, cn.sigma, [((cn.mu - cj.mu) / cj.sigma, cn.sigma / cj.sigma)
                                 for j, cj in enumerate(comps) if j != n])
              for n, cn in enumerate(comps)]
+    # a finite bound keeps every CDF argument offset + scale * z, |z| <= 10, finite
+    if not all(math.isfinite(abs(offset) + 10.0 * abs(scale))
+               for _, _, others in terms for offset, scale in others):
+        raise ValueError("distribution_mean requires finite normal CDF arguments; "
+                         "the component sigmas are too small for their mean gaps")
 
     def integrand(z: float) -> float:
+        # std_normal_cdf and std_normal_pdf inlined, same operations in the same order
         total = 0.0
         for mu, sigma, others in terms:
             term = mu + sigma * z
             for offset, scale in others:
-                term *= std_normal_cdf(offset + scale * z)
+                term *= 0.5 * (1.0 + math.erf((offset + scale * z) / _SQRT2))
             total += term
-        return total * std_normal_pdf(z)
+        return total * (math.exp(-0.5 * z * z) / _SQRT_2PI)
 
     return integrate(integrand, -10.0, 10.0, quadrature).require()
 
@@ -226,9 +229,15 @@ class LinkTable:
             columns = range(self.mu.shape[-1])
         else:
             columns = (int(self.cell_column[j, a, c]),)
-        return RssDistribution(self.kind, tuple(
-            LinkStat(float(self.mu[j, a, c, n]), float(self.sigma[j, a, c, n]))
-            for n in columns))
+        return RssDistribution(self.kind, tuple(self._stat(j, a, c, n) for n in columns))
+
+    def trigger_pair(self, j: int, a: int) -> tuple[LinkStat, LinkStat]:
+        """The (serving, target) comparands at position index j, antenna a."""
+        return self._stat(j, a, 0, self.trigger_column[0]), \
+            self._stat(j, a, 1, self.trigger_column[1])
+
+    def _stat(self, j: int, a: int, c: int, n: int) -> LinkStat:
+        return LinkStat(float(self.mu[j, a, c, n]), float(self.sigma[j, a, c, n]))
 
     def sample(self, rows: slice, a: int, c: int, rng: np.random.Generator,
                n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +250,10 @@ class LinkTable:
         rss = self.mu[rows, a, c] + self.sigma[rows, a, c] * rng.standard_normal(
             (n, self.mu.shape[-1]))
         if self.cell_column is None:
-            cell = np.max(rss, axis=1)
+            # a running maximum over the few components beats np.max along a short axis
+            cell = rss[:, 0].copy()
+            for k in range(1, rss.shape[1]):
+                np.maximum(cell, rss[:, k], out=cell)
         else:
             cell = rss[np.arange(n), self.cell_column[rows, a, c]]
         return cell, rss[:, self.trigger_column[c]]
@@ -274,6 +286,20 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
         trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
 
 
+@lru_cache(maxsize=4096)
+def _keyed_mean(dist: RssDistribution) -> float:
+    # Keyed by the distribution itself: the das-single front antenna repeats
+    # the proposed one, and on a grid step dividing the train length the rear
+    # antenna repeats the front antenna of an earlier position. Only
+    # multi-component distributions come here; a single Gaussian's mean is
+    # its mu and would only crowd out integrals.
+    return distribution_mean(dist)
+
+
+def _cell_mean(dist: RssDistribution) -> float:
+    return distribution_mean(dist) if len(dist.components) == 1 else _keyed_mean(dist)
+
+
 @lru_cache(maxsize=32)
 def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarray]:
     """Mean RSS of every cell distribution of the link table, and the better cell.
@@ -281,10 +307,11 @@ def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarr
     Returns the means, shape (positions, antennas, cells), and a boolean
     array of shape (positions, antennas) that is True where the target
     cell's mean exceeds the serving cell's by more than BETTER_CELL_MARGIN.
+    Each distinct distribution is integrated once, across scenarios too.
     """
     table = link_table(sc, grid)
     positions, antennas = table.mu.shape[:2]
-    means = np.array([[[distribution_mean(table.cell_distribution(j, a, c))
+    means = np.array([[[_cell_mean(table.cell_distribution(j, a, c))
                         for c in range(len(CELLS))] for a in range(antennas)]
                       for j in range(positions)])
     target_better = means[..., 1] - means[..., 0] > BETTER_CELL_MARGIN

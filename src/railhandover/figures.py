@@ -21,7 +21,7 @@ from scipy import stats as _sci_stats
 
 from . import analytics, channel
 from ._version import __version__
-from .analytics import MetricMode, PositionGrid, UndefinedConditionalError
+from .analytics import MetricMode, PositionGrid
 from .montecarlo import (
     FirstCrossingEstimate,
     Metric,
@@ -244,21 +244,13 @@ class FigureRunner:
                                 self.trigger_values(scheme), self.grid.step, mode))
 
     def failure_values(self, scheme: Scheme, mode: MetricMode) -> list:
-        def compute():
-            sc = self.scenario_for(scheme)
-            out = []
-            for x in self.grid.positions:
-                try:
-                    out.append(analytics.failure_prob(sc, x, AntennaId.FRONT, mode))
-                except UndefinedConditionalError:
-                    out.append(None)
-            return out
-        return self._cached(("failure", scheme, mode), compute)
+        return self._cached(("failure", scheme, mode), lambda: analytics.failure_curve(
+            self.scenario_for(scheme), self.grid, AntennaId.FRONT, mode))
 
-    def interruption_values(self, scheme: Scheme, mode: MetricMode) -> list:
-        return self._cached(("interruption", scheme, mode), lambda: [
-            analytics.interruption_prob(self.scenario_for(scheme), x, mode)
-            for x in self.grid.positions])
+    def interruption_values(self, scheme: Scheme, mode: MetricMode) -> np.ndarray:
+        return self._cached(("interruption", scheme, mode),
+                            lambda: analytics.interruption_curve(
+                                self.scenario_for(scheme), self.grid, mode))
 
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
         def compute():

@@ -18,9 +18,11 @@ from railhandover.analytics import (
     MetricMode,
     PositionGrid,
     UndefinedConditionalError,
+    failure_curve,
     failure_prob,
     first_crossing_masses,
     first_level_crossing,
+    interruption_curve,
     interruption_prob,
     interruption_prob_antenna,
     mean_rss,
@@ -30,8 +32,8 @@ from railhandover.analytics import (
     trigger_prob_closed_form,
     trigger_prob_integral,
 )
-from railhandover.channel import LinkStat, link_stat
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
+from railhandover.channel import LinkStat, link_stat, rss_distribution
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 
 # Q(2 / sqrt(32)): symmetric boundary point, equal mu both sides
 TRIG_AT_1500 = 0.36183680491588155
@@ -194,6 +196,22 @@ def test_interruption_anchor_and_antenna_product(sc):
     assert whole == pytest.approx(0.08477269562970283, abs=1e-12)
 
 
+def test_interruption_modes_combine_cell_probabilities(sc):
+    """REDERIVED multiplies the two cells' below-threshold probabilities and
+    PAPER takes the smaller one (component CDFs here through scipy's ndtr)."""
+    for x in (700.0, 1500.0, 2300.0):
+        below = []
+        for cell in (CellId.SERVING, CellId.TARGET):
+            comps = rss_distribution(sc, x, AntennaId.FRONT, cell).components
+            below.append(float(np.prod([ndtr((sc.threshold - c.mu) / c.sigma)
+                                        for c in comps])))
+        assert interruption_prob_antenna(sc, x, AntennaId.FRONT) == \
+            pytest.approx(below[0] * below[1], rel=1e-12, abs=1e-300)
+        assert interruption_prob_antenna(sc, x, AntennaId.FRONT, MetricMode.PAPER) == \
+            pytest.approx(min(below), rel=1e-12, abs=1e-300)
+    assert below[0] != pytest.approx(below[1], rel=1e-3)
+
+
 def test_interruption_near_serving_rau_is_negligible(sc):
     for mode in MetricMode:
         assert interruption_prob_antenna(sc, 375.0, AntennaId.FRONT, mode) < 1e-7
@@ -288,3 +306,58 @@ def test_trigger_curve_matches_pointwise(sc, coarse_grid):
     curve = trigger_curve(sc, coarse_grid)
     for x, v in zip(coarse_grid.as_array(), curve):
         assert v == pytest.approx(trigger_prob(sc, x), abs=1e-12)
+
+
+# --- table-backed curves against the scalar metrics ---
+
+
+def _curve_scenarios(scheme):
+    for selection in SelectionRule:
+        for n_raus in (1, 2, 3, 4, 8):
+            yield Scenario(scheme=scheme, selection=selection, n_raus=n_raus)
+        yield Scenario(scheme=scheme, selection=selection,
+                       shadow_sigma_per_rau=(0.5, 4.0, 8.0, 12.0))
+        yield Scenario(scheme=scheme, selection=selection, hysteresis=0.0)
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def _scalar_failure(sc, x, antenna, mode):
+    try:
+        return failure_prob(sc, x, antenna, mode)
+    except UndefinedConditionalError:
+        return None
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_table_curves_equal_scalar_metrics_bitwise(scheme):
+    """trigger_curve, failure_curve and interruption_curve read the link
+    table; every value equals the scalar metric's bits, undefined failure
+    positions read None, in both modes."""
+    undefined = defined = 0
+    for sc in _curve_scenarios(scheme):
+        for step in (250.0, 50.0):
+            grid = PositionGrid.over(sc.ds, step)
+            for antenna in sc.antennas():
+                assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
+                    [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
+                for mode in MetricMode:
+                    got = failure_curve(sc, grid, antenna, mode)
+                    want = [_scalar_failure(sc, x, antenna, mode) for x in grid.positions]
+                    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+                    undefined += want.count(None)
+                    defined += len(want) - want.count(None)
+            for mode in MetricMode:
+                assert [_bits(v) for v in interruption_curve(sc, grid, mode)] == \
+                    [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
+    assert undefined > 0 and defined > 0
+
+
+def test_table_curves_reject_a_missing_antenna(sc, coarse_grid):
+    single = sc.with_scheme(Scheme.DAS_SINGLE)
+    with pytest.raises(ValueError, match="no rear antenna"):
+        trigger_curve(single, coarse_grid, AntennaId.REAR)
+    with pytest.raises(ValueError, match="no rear antenna"):
+        failure_curve(single, coarse_grid, AntennaId.REAR)

@@ -5,6 +5,7 @@ geometry and from seeded draw oracles; each constant notes its source.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -262,6 +263,14 @@ def test_distribution_mean_without_fading_is_largest_mu(sc, sigma):
         assert distribution_mean(dist) == pytest.approx(top, abs=10.0 * sigma)
 
 
+def test_distribution_mean_rejects_nonfinite_cdf_arguments():
+    # mean gaps over a subnormal sigma overflow the standardized offsets
+    tiny = RssDistribution(DistributionKind.MAX_OF_GAUSSIANS,
+                           (LinkStat(-40.0, 1e-320), LinkStat(-45.0, 1e-320)))
+    with pytest.raises(ValueError, match="finite"):
+        distribution_mean(tiny)
+
+
 def test_distribution_mean_of_single_is_mu():
     dist = RssDistribution(DistributionKind.SINGLE_GAUSSIAN, (LinkStat(-20.0, 3.0),))
     assert distribution_mean(dist) == -20.0
@@ -363,6 +372,110 @@ def test_better_cell_ties_stay_on_serving(sc, grid):
     j = grid.positions.index(1500.0)
     assert means[j, 0, 0] == means[j, 0, 1]
     assert not target_better[j, 0]
+
+
+def _clear_package_caches():
+    """Clear every cache reachable as a railhandover module attribute."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("railhandover"):
+            continue
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def _count_integrals(monkeypatch) -> list:
+    """Count the integrate calls channel and analytics make from here on."""
+    from railhandover import analytics
+
+    calls = []
+    for module in (channel, analytics):
+        real = module.integrate
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args[1:3])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(), Scenario(shadow_sigma_per_rau=(0.5, 4.0, 8.0, 12.0)), Scenario(n_raus=8),
+    Scenario(selection=SelectionRule.MEAN_PATHLOSS)])
+def test_keyed_cell_means_equal_uncached_means(scenario):
+    """Means read back from the distribution-keyed cache, including those
+    another scheme or antenna integrated first, equal fresh integrals bitwise."""
+    grid = PositionGrid.over(3000.0, 100.0)
+    _clear_package_caches()
+    for scheme in Scheme:
+        s = scenario.with_scheme(scheme)
+        table = channel.link_table(s, grid)
+        means, _ = channel.cell_means(s, grid)
+        for j in range(len(grid.positions)):
+            for a in range(len(table.antennas)):
+                for c in range(len(channel.CELLS)):
+                    dist = table.cell_distribution(j, a, c)
+                    fresh = distribution_mean(dist)
+                    assert float(means[j, a, c]).hex() == fresh.hex()
+                    assert channel._keyed_mean(dist).hex() == fresh.hex()
+
+
+def test_das_single_cell_means_reuse_proposed_integrals(sc, monkeypatch):
+    grid = PositionGrid.over(3000.0, 250.0)
+    single = sc.with_scheme(Scheme.DAS_SINGLE)
+    _clear_package_caches()
+    channel.cell_means(sc.with_scheme(Scheme.PROPOSED), grid)
+    calls = _count_integrals(monkeypatch)
+    channel.cell_means(single, grid)
+    assert calls == []
+    # without the proposed means in the cache das-single integrates its own
+    _clear_package_caches()
+    channel.cell_means(single, grid)
+    assert len(calls) > 0
+
+
+def test_single_gaussian_cell_means_stay_out_of_the_keyed_cache():
+    """Only distributions that need an integral take a slot of the bounded
+    cache, so blanket and traditional cells cannot evict proposed's means."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    _clear_package_caches()
+    for scheme in (Scheme.DAS_BLANKET, Scheme.TRADITIONAL):
+        channel.cell_means(Scenario().with_scheme(scheme), grid)
+    assert channel._keyed_mean.cache_info().currsize == 0
+    channel.cell_means(Scenario(), grid)
+    assert channel._keyed_mean.cache_info().currsize > 0
+
+
+def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
+    """Clearing the caches found on module attributes, as a benchmark does
+    before each cold operation, makes a rerun repeat every integral."""
+    from railhandover.figures import RunConfig, compare_schemes
+
+    config = RunConfig(scenario=Scenario(measurement_step=250.0), trials=200,
+                       output_dir=tmp_path)
+    calls = _count_integrals(monkeypatch)
+    counts = []
+    for clear in (True, True, False):
+        if clear:
+            _clear_package_caches()
+        del calls[:]
+        compare_schemes(config)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > counts[2]
+
+
+def test_sample_cell_rss_is_the_component_maximum(sc):
+    """The running maximum over component columns equals np.max bitwise."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    for n_raus in (1, 2, 4, 8):
+        table = channel.link_table(Scenario(n_raus=n_raus), grid)
+        every = len(grid.positions)
+        for rows, n in ((slice(3, 4), 500), (slice(0, every), every)):
+            cell, _ = table.sample(rows, 1, 0, np.random.default_rng(11), n)
+            z = np.random.default_rng(11).standard_normal((n, n_raus))
+            want = np.max(table.mu[rows, 1, 0] + table.sigma[rows, 1, 0] * z, axis=1)
+            assert cell.tobytes() == want.tobytes()
 
 
 # --- sampling ---

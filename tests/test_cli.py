@@ -215,3 +215,16 @@ def test_trace_mean_pathloss_selection(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "HoCommandFront" in captured.out
+
+
+def test_compare_with_subnormal_sigma_exits_2(tmp_path, capsys):
+    """Mean gaps over a subnormal sigma overflow the normal CDF arguments."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text("measurement_step = 250\nshadow_sigma = 1e-320\n")
+    code = main(["compare", "--config", str(config), "--trials", "200", "--seed", "3",
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("configuration error: ")
+    assert "finite" in err
+    assert "Traceback" not in err

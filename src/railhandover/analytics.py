@@ -18,13 +18,7 @@ import numpy as np
 
 from . import channel
 from .scenario import SELECTION_SCHEMES, AntennaId, CellId, Scenario
-from .statfun import (
-    Quadrature,
-    gaussian_hazard,
-    integrate,
-    q_function,
-    std_normal_cdf,
-)
+from .statfun import gaussian_hazard, integrate, q_function, std_normal_cdf
 
 # Conditional metrics are undefined once the conditioning event is this rare.
 TRIGGER_FLOOR = 1e-12
@@ -88,8 +82,7 @@ def trigger_prob_closed_form(serving: channel.LinkStat, target: channel.LinkStat
 
 
 def trigger_prob_integral(serving: channel.LinkStat, target: channel.LinkStat,
-                          hysteresis: float,
-                          quadrature: Quadrature | None = None) -> float:
+                          hysteresis: float) -> float:
     """Same probability through the general integral over the target density.
 
     target - serving > hysteresis iff serving < r - hysteresis once the
@@ -106,12 +99,11 @@ def trigger_prob_integral(serving: channel.LinkStat, target: channel.LinkStat,
             / (math.sqrt(2.0 * math.pi) * target.sigma)
         return under * dens
 
-    value = integrate(integrand, lo, hi, quadrature).require()
+    value = integrate(integrand, lo, hi).require()
     return min(max(value, 0.0), 1.0)
 
 
-def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT,
-                 quadrature: Quadrature | None = None) -> float:
+def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:
     """Probability that the handover rule fires at this position.
 
     RAU-selection schemes use the closed form on the boundary-RAU pair;
@@ -119,14 +111,14 @@ def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     their per-cell distributions.
     """
     _check_antenna(sc, antenna)
-    return _pair_trigger_prob(sc, *channel.trigger_pair(sc, front_x, antenna), quadrature)
+    return _pair_trigger_prob(sc, *channel.trigger_pair(sc, front_x, antenna))
 
 
-def _pair_trigger_prob(sc: Scenario, serving: channel.LinkStat, target: channel.LinkStat,
-                       quadrature: Quadrature | None) -> float:
+def _pair_trigger_prob(sc: Scenario, serving: channel.LinkStat,
+                       target: channel.LinkStat) -> float:
     if sc.scheme in SELECTION_SCHEMES:
         return trigger_prob_closed_form(serving, target, sc.hysteresis)
-    return trigger_prob_integral(serving, target, sc.hysteresis, quadrature)
+    return trigger_prob_integral(serving, target, sc.hysteresis)
 
 
 def _table_pairs(sc: Scenario, grid: PositionGrid, antenna: AntennaId):
@@ -138,10 +130,9 @@ def _table_pairs(sc: Scenario, grid: PositionGrid, antenna: AntennaId):
 
 
 def trigger_curve(sc: Scenario, grid: PositionGrid,
-                  antenna: AntennaId = AntennaId.FRONT,
-                  quadrature: Quadrature | None = None) -> np.ndarray:
+                  antenna: AntennaId = AntennaId.FRONT) -> np.ndarray:
     """trigger_prob at every grid position, from the link table's comparands."""
-    return np.array([_pair_trigger_prob(sc, serving, target, quadrature)
+    return np.array([_pair_trigger_prob(sc, serving, target)
                      for _, serving, target in _table_pairs(sc, grid, antenna)])
 
 
@@ -163,8 +154,7 @@ def first_crossing_masses(trigger_probs: np.ndarray) -> np.ndarray:
 
 def occurrence_prob(sc: Scenario, grid: PositionGrid,
                     antenna: AntennaId = AntennaId.FRONT,
-                    mode: MetricMode = MetricMode.REDERIVED,
-                    quadrature: Quadrature | None = None) -> np.ndarray:
+                    mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
     """Per-position handover occurrence masses along the grid.
 
     REDERIVED is the first-crossing distribution of the trigger events
@@ -173,7 +163,7 @@ def occurrence_prob(sc: Scenario, grid: PositionGrid,
     a probability mass (it is not normalized and can exceed 1) and is
     emitted for comparison only.
     """
-    return occurrence_masses(trigger_curve(sc, grid, antenna, quadrature), grid.step, mode)
+    return occurrence_masses(trigger_curve(sc, grid, antenna), grid.step, mode)
 
 
 def occurrence_masses(trigger_probs: np.ndarray, step: float,
@@ -190,8 +180,7 @@ def occurrence_masses(trigger_probs: np.ndarray, step: float,
 
 
 def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT,
-                 mode: MetricMode = MetricMode.REDERIVED,
-                 quadrature: Quadrature | None = None) -> float:
+                 mode: MetricMode = MetricMode.REDERIVED) -> float:
     """P(target RSS at the trigger moment < threshold | trigger fired).
 
     Let U be the target comparand and V the target-minus-serving margin.
@@ -209,8 +198,7 @@ def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     below TRIGGER_FLOOR.
     """
     _check_antenna(sc, antenna)
-    return _pair_failure_prob(sc, front_x, *channel.trigger_pair(sc, front_x, antenna),
-                              mode, quadrature)
+    return _pair_failure_prob(sc, front_x, *channel.trigger_pair(sc, front_x, antenna), mode)
 
 
 def failure_curve(sc: Scenario, grid: PositionGrid,
@@ -220,15 +208,14 @@ def failure_curve(sc: Scenario, grid: PositionGrid,
     out: list[float | None] = []
     for x, serving, target in _table_pairs(sc, grid, antenna):
         try:
-            out.append(_pair_failure_prob(sc, x, serving, target, mode, None))
+            out.append(_pair_failure_prob(sc, x, serving, target, mode))
         except UndefinedConditionalError:
             out.append(None)
     return out
 
 
 def _pair_failure_prob(sc: Scenario, front_x: float, serving: channel.LinkStat,
-                       target: channel.LinkStat, mode: MetricMode,
-                       quadrature: Quadrature | None) -> float:
+                       target: channel.LinkStat, mode: MetricMode) -> float:
     h = sc.hysteresis
     sigma_v = math.hypot(serving.sigma, target.sigma)
     mu_v = target.mu - serving.mu
@@ -255,7 +242,7 @@ def _pair_failure_prob(sc: Scenario, front_x: float, serving: channel.LinkStat,
             return hz * math.exp(-z0 * e - 0.5 * e * e) * conditional_cdf(z0 + e)
 
         upper = 12.0 + max(0.0, -z0)
-        rederived = integrate(integrand, 0.0, upper, quadrature).require()
+        rederived = integrate(integrand, 0.0, upper).require()
     else:
         # Trigger is near-certain; the plain integral over the margin law
         # is stable and the truncation correction is negligible.
@@ -263,7 +250,7 @@ def _pair_failure_prob(sc: Scenario, front_x: float, serving: channel.LinkStat,
             dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
             return dens * conditional_cdf(z)
 
-        joint = integrate(integrand, max(z0, -40.0), 10.0, quadrature).require()
+        joint = integrate(integrand, max(z0, -40.0), 10.0).require()
         rederived = joint / p_trig
     rederived = min(max(rederived, 0.0), 1.0)
 
@@ -316,20 +303,15 @@ def interruption_curve(sc: Scenario, grid: PositionGrid,
 # === Mean RSS ===
 
 
-def mean_rss(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT,
-             quadrature: Quadrature | None = None) -> float:
+def mean_rss(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:
     """Mean RSS in dBm of the better cell at this antenna position.
 
     "Better" picks the cell whose RSS distribution has the larger mean;
     the reported value is that mean.
     """
     _check_antenna(sc, antenna)
-    means = [
-        channel.distribution_mean(channel.rss_distribution(sc, front_x, antenna, cell),
-                                  quadrature)
-        for cell in (CellId.SERVING, CellId.TARGET)
-    ]
-    return max(means)
+    return max(channel.distribution_mean(channel.rss_distribution(sc, front_x, antenna, cell))
+               for cell in (CellId.SERVING, CellId.TARGET))
 
 
 # === Curve utilities ===

@@ -35,7 +35,7 @@ from .scenario import (
     link_distance,
     rau_positions,
 )
-from .statfun import Quadrature, integrate, lognormal_sum_approx, std_normal_cdf
+from .statfun import integrate, lognormal_sum_approx, std_normal_cdf
 
 if TYPE_CHECKING:
     from .analytics import PositionGrid
@@ -161,7 +161,7 @@ def cdf(dist: RssDistribution, r: float) -> float:
     return out
 
 
-def distribution_mean(dist: RssDistribution, quadrature: Quadrature | None = None) -> float:
+def distribution_mean(dist: RssDistribution) -> float:
     """Mean RSS in dBm; numeric for the max distribution, exact otherwise.
 
     E[max] = sum_n integral over z in [-10, 10] of (mu_n + sigma_n z) phi(z)
@@ -191,7 +191,7 @@ def distribution_mean(dist: RssDistribution, quadrature: Quadrature | None = Non
             total += term
         return total * (math.exp(-0.5 * z * z) / _SQRT_2PI)
 
-    return integrate(integrand, -10.0, 10.0, quadrature).require()
+    return integrate(integrand, -10.0, 10.0).require()
 
 
 # === Link table ===

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import stats as _sci_stats
@@ -174,6 +175,13 @@ class ResultTable:
 # Metrics every pointwise sweep computes; mean RSS is added on request.
 _SWEEP_METRICS = frozenset({Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION})
 
+# The (metric, antenna) of the Monte Carlo rows behind each pointwise figure.
+_FIGURE_ROWS = {
+    Figure.TRIGGER: (Metric.TRIGGER, AntennaId.FRONT),
+    Figure.FAILURE: (Metric.FAILURE, AntennaId.FRONT),
+    Figure.INTERRUPTION: (Metric.INTERRUPTION, None),
+}
+
 
 def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
@@ -186,7 +194,8 @@ class FigureRunner:
     position-wise metric, mean RSS included only once a figure asks for
     it; draws are substream-keyed by (domain, position), so a sweep
     rerun with mean RSS reproduces the earlier columns exactly. Analytic
-    curves are cached per (scheme, mode).
+    curves are cached per (scheme, mode), first-crossing estimates per
+    scheme.
     """
 
     def __init__(self, config: RunConfig):
@@ -194,8 +203,7 @@ class FigureRunner:
         self.grid = PositionGrid.over(config.scenario.ds, config.step)
         self.seed = SeedPolicy(config.master_seed)
         self._pointwise: dict[Scheme, tuple[bool, list[SweepEstimate]]] = {}
-        self._crossing: dict[Scheme, FirstCrossingEstimate] = {}
-        self._analytic: dict[tuple, object] = {}
+        self._cache: dict[tuple, object] = {}
 
     def scenario_for(self, scheme: Scheme) -> Scenario:
         return self.config.scenario.with_scheme(scheme)
@@ -221,18 +229,16 @@ class FigureRunner:
         return rows
 
     def crossing(self, scheme: Scheme) -> FirstCrossingEstimate:
-        if scheme not in self._crossing:
-            self._crossing[scheme] = estimate_first_crossing(
-                self.scenario_for(scheme), self.grid, self.config.trials,
-                self.seed, AntennaId.FRONT, jobs=self.config.jobs)
-        return self._crossing[scheme]
+        return self._cached(("crossing", scheme), lambda: estimate_first_crossing(
+            self.scenario_for(scheme), self.grid, self.config.trials,
+            self.seed, AntennaId.FRONT, jobs=self.config.jobs))
 
     # --- analytic caches ---
 
     def _cached(self, key, compute):
-        if key not in self._analytic:
-            self._analytic[key] = compute()
-        return self._analytic[key]
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def trigger_values(self, scheme: Scheme) -> np.ndarray:
         return self._cached(("trigger", scheme), lambda: analytics.trigger_curve(
@@ -254,81 +260,47 @@ class FigureRunner:
 
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
         def compute():
-            sc = self.scenario_for(scheme)
             # better-cell mean per antenna, as analytics.mean_rss gives it
-            per = channel.cell_means(sc, self.grid)[0].max(axis=2).T.tolist()
-            front = per[0]
-            rear = per[1] if len(per) == 2 else None
-            n = len(self.grid.positions)
-            best = [max(front[i], rear[i]) if rear else front[i] for i in range(n)]
-            if rear:
-                combined = [10.0 * math.log10(10.0 ** (front[i] / 10.0)
-                                              + 10.0 ** (rear[i] / 10.0))
-                            for i in range(n)]
-            else:
-                combined = [None] * n
-            return {"front": front, "rear": rear or [None] * n,
-                    "best": best, "combined": combined}
+            front, *rear = channel.cell_means(self.scenario_for(scheme),
+                                              self.grid)[0].max(axis=2).T.tolist()
+            if not rear:
+                none = [None] * len(front)
+                return {"front": front, "rear": none, "best": front, "combined": none}
+            pairs = list(zip(front, rear[0]))
+            return {"front": front, "rear": rear[0], "best": [max(f, r) for f, r in pairs],
+                    "combined": [10.0 * math.log10(10.0 ** (f / 10.0) + 10.0 ** (r / 10.0))
+                                 for f, r in pairs]}
         return self._cached(("rss", scheme), compute)
 
     # --- tables ---
 
     def table(self, figure: Figure) -> ResultTable:
-        builder = {
-            Figure.RSS: self._rss_table,
-            Figure.TRIGGER: self._trigger_table,
-            Figure.OCCURRENCE: self._occurrence_table,
-            Figure.FAILURE: self._failure_table,
-            Figure.INTERRUPTION: self._interruption_table,
-        }[figure]
-        columns, column_values = builder()
+        columns, column_values = (self._rss_table() if figure is Figure.RSS
+                                  else self._curve_table(figure))
         rows = list(zip(self.grid.positions, *column_values))
         return ResultTable.build(("position_m",) + tuple(columns), rows,
                                  self.config.provenance())
 
-    def _trigger_table(self):
-        columns, values = [], []
-        for s in self.config.schemes:
-            tag = _tag(s)
-            mc = self.mc_rows(s, Metric.TRIGGER, AntennaId.FRONT)
-            columns += [f"{tag}_analytic", f"{tag}_mc", f"{tag}_mc_hw"]
-            values += [list(self.trigger_values(s)),
-                       [e.value for e in mc], [e.half_width_95 for e in mc]]
-        return columns, values
-
-    def _occurrence_table(self):
+    def _curve_table(self, figure: Figure):
+        """analytic, mc and mc_hw columns per scheme, plus mc_base for failure."""
         mode = self.config.mode
+        suffix = "" if figure is Figure.TRIGGER else f"_{mode.value}"
         columns, values = [], []
         for s in self.config.schemes:
             tag = _tag(s)
-            mc = self.crossing(s)
-            columns += [f"{tag}_analytic_{mode.value}", f"{tag}_mc", f"{tag}_mc_hw"]
-            values += [list(self.occurrence_values(s, mode)),
-                       list(mc.masses), list(mc.half_widths)]
-        return columns, values
-
-    def _failure_table(self):
-        mode = self.config.mode
-        columns, values = [], []
-        for s in self.config.schemes:
-            tag = _tag(s)
-            mc = self.mc_rows(s, Metric.FAILURE, AntennaId.FRONT)
-            columns += [f"{tag}_analytic_{mode.value}", f"{tag}_mc",
-                        f"{tag}_mc_hw", f"{tag}_mc_base"]
-            values += [self.failure_values(s, mode),
-                       [e.value for e in mc], [e.half_width_95 for e in mc],
-                       [float(e.base_count) for e in mc]]
-        return columns, values
-
-    def _interruption_table(self):
-        mode = self.config.mode
-        columns, values = [], []
-        for s in self.config.schemes:
-            tag = _tag(s)
-            mc = self.mc_rows(s, Metric.INTERRUPTION, None)
-            columns += [f"{tag}_analytic_{mode.value}", f"{tag}_mc", f"{tag}_mc_hw"]
-            values += [self.interruption_values(s, mode),
-                       [e.value for e in mc], [e.half_width_95 for e in mc]]
+            columns += [f"{tag}_analytic{suffix}", f"{tag}_mc", f"{tag}_mc_hw"]
+            if figure is Figure.OCCURRENCE:
+                mc = self.crossing(s)
+                values += [self.occurrence_values(s, mode), mc.masses, mc.half_widths]
+                continue
+            rows = self.mc_rows(s, *_FIGURE_ROWS[figure])
+            values += [self.trigger_values(s) if figure is Figure.TRIGGER
+                       else self.failure_values(s, mode) if figure is Figure.FAILURE
+                       else self.interruption_values(s, mode),
+                       [e.value for e in rows], [e.half_width_95 for e in rows]]
+            if figure is Figure.FAILURE:
+                columns.append(f"{tag}_mc_base")
+                values.append([float(e.base_count) for e in rows])
         return columns, values
 
     def _rss_table(self):
@@ -389,6 +361,8 @@ NEGLIGIBLE_INTERRUPTION = 1e-6
 MIN_CONDITION_COUNT = 25
 
 _ANALYTIC_SLACK = 1e-12
+_FAILURE_WINDOW = (1200.0, 1800.0)
+_VALIDATE_Z_LIMIT = 4.0
 
 
 def _status(checked: int, failed: int) -> str:
@@ -397,31 +371,6 @@ def _status(checked: int, failed: int) -> str:
     if checked == 0:
         return "inconclusive"
     return "pass"
-
-
-def _crossing_assertions(runner: FigureRunner) -> list[Assertion]:
-    out = []
-    crossings = {}
-    for s in runner.config.schemes:
-        x_cross = analytics.first_level_crossing(runner.grid,
-                                                 runner.trigger_values(s), 0.5)
-        crossings[s] = x_cross
-        ok = x_cross is not None and 1500.0 <= x_cross <= 1700.0
-        out.append(Assertion(
-            name=f"trigger_half_crossing[{s.value}]", figure=Figure.TRIGGER,
-            status="pass" if ok else "fail", checked=1, failed=0 if ok else 1,
-            inconclusive=0, worst_position=x_cross,
-            detail="0.5-crossing inside [1500, 1700] m"))
-    pair = (Scheme.PROPOSED, Scheme.DAS_BLANKET)
-    if all(s in crossings and crossings[s] is not None for s in pair):
-        gap = abs(crossings[pair[0]] - crossings[pair[1]])
-        ok = gap <= 100.0
-        out.append(Assertion(
-            name="trigger_crossing_gap[proposed~das-blanket]", figure=Figure.TRIGGER,
-            status="pass" if ok else "fail", checked=1, failed=0 if ok else 1,
-            inconclusive=0, worst_position=crossings[pair[0]],
-            detail=f"0.5-crossings {gap:.4g} m apart (limit 100)"))
-    return out
 
 
 def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
@@ -438,194 +387,221 @@ def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     return np.maximum(0.01, np.maximum(upper, lower))
 
 
-def _occurrence_assertions(runner: FigureRunner) -> list[Assertion]:
-    out = []
-    for s in runner.config.schemes:
-        analytic = runner.occurrence_values(s, MetricMode.REDERIVED)
-        mc = runner.crossing(s).masses
-        gaps = np.abs(analytic - mc)
-        limits = _binomial_envelope(analytic, runner.config.trials)
-        worst = int(np.argmax(gaps / limits))
-        failed = int(np.count_nonzero(gaps > limits))
-        out.append(Assertion(
-            name=f"occurrence_match[{s.value}]", figure=Figure.OCCURRENCE,
-            status=_status(len(gaps), failed), checked=len(gaps), failed=failed,
-            inconclusive=0, worst_position=runner.grid.positions[worst],
-            detail=f"max |analytic - mc| = {gaps[worst]:.4g} "
-                   f"(limit {limits[worst]:.4g})"))
-    return out
+def failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:
+    """|analytic - mc| of a conditional failure estimate in standard errors.
+
+    None where the analytic value is undefined or fewer than
+    MIN_CONDITION_COUNT trials triggered; a zero half-width scores 0.
+    """
+    if analytic is None or mc.base_count < MIN_CONDITION_COUNT:
+        return None
+    se = mc.half_width_95 / 1.96
+    return abs(analytic - mc.value) / se if se > 0 else 0.0
 
 
-def _window_indices(grid: PositionGrid, lo: float, hi: float) -> list[int]:
-    return [i for i, x in enumerate(grid.positions) if lo <= x <= hi]
+class Mark(NamedTuple):
+    """One position's verdict; failed counts its failing sides (analytic, MC)."""
+
+    checked: bool
+    failed: int = 0
+    inconclusive: int = 0
+    score: float | None = None  # the highest score marks the worst position
+    mc_failed: bool = False
 
 
-def _failure_assertions(runner: FigureRunner) -> list[Assertion]:
-    out = []
-    schemes = runner.config.schemes
-    window = _window_indices(runner.grid, 1200.0, 1800.0)
+_SKIP, _UNDEFINED = Mark(False), Mark(False, inconclusive=1)
 
-    def curve(s):
-        return runner.failure_values(s, MetricMode.REDERIVED)
 
-    if Scheme.PROPOSED in schemes and Scheme.TRADITIONAL in schemes:
-        a, b = curve(Scheme.PROPOSED), curve(Scheme.TRADITIONAL)
-        mc_a = runner.mc_rows(Scheme.PROPOSED, Metric.FAILURE, AntennaId.FRONT)
-        mc_b = runner.mc_rows(Scheme.TRADITIONAL, Metric.FAILURE, AntennaId.FRONT)
-        checked = failed = inconclusive = 0
-        worst_pos, worst_gap = None, 0.0
-        for i in window:
-            if a[i] is None or b[i] is None:
-                inconclusive += 1
-                continue
-            checked += 1
-            if a[i] > b[i] + _ANALYTIC_SLACK:
-                failed += 1
-                if a[i] - b[i] > worst_gap:
-                    worst_gap, worst_pos = a[i] - b[i], runner.grid.positions[i]
-            ea, eb = mc_a[i], mc_b[i]
-            if (ea.base_count >= MIN_CONDITION_COUNT
-                    and eb.base_count >= MIN_CONDITION_COUNT
-                    and ea.value - ea.half_width_95 > eb.value + eb.half_width_95):
-                failed += 1
-                worst_pos = runner.grid.positions[i]
-        out.append(Assertion(
-            name="failure_order[proposed<=traditional]", figure=Figure.FAILURE,
-            status=_status(checked, failed), checked=checked, failed=failed,
-            inconclusive=inconclusive, worst_position=worst_pos,
-            detail="rederived failure, window [1200, 1800] m"))
+class Tally(NamedTuple):
+    checked: int
+    failed: int
+    inconclusive: int
+    skipped: int
+    worst_position: float | None
+    worst_score: float
+    worst_values: tuple  # the verdict's arguments at the worst position
 
-    if Scheme.PROPOSED in schemes and Scheme.DAS_SINGLE in schemes:
-        a, b = curve(Scheme.PROPOSED), curve(Scheme.DAS_SINGLE)
-        checked = failed = inconclusive = 0
-        worst_pos, worst_gap = None, 0.0
-        for i in window:
-            if a[i] is None or b[i] is None:
-                inconclusive += 1
-                continue
-            checked += 1
-            gap = abs(a[i] - b[i])
-            if gap > 0.02:
-                failed += 1
-            if gap > worst_gap:
-                worst_gap, worst_pos = gap, runner.grid.positions[i]
-        out.append(Assertion(
-            name="failure_similar[proposed~das-single]", figure=Figure.FAILURE,
-            status=_status(checked, failed), checked=checked, failed=failed,
-            inconclusive=inconclusive, worst_position=worst_pos,
-            detail=f"max |gap| = {worst_gap:.4g} (limit 0.02), window [1200, 1800] m"))
 
-    # the failure comparison rule covers the selection schemes and the
-    # traditional baseline; the blanket scheme has no similarity claim
-    for s in schemes:
-        if s is Scheme.DAS_BLANKET:
+def _tally(sides, verdict, window=None, floor=0.0, mc_moves_worst=False) -> Tally:
+    """Mark every position of sides: a positions column, then verdict's columns.
+
+    The worst position scores highest above floor; a Monte Carlo failure
+    takes it always if mc_moves_worst, otherwise only while it is unset.
+    """
+    checked = failed = inconclusive = skipped = 0
+    worst_x, worst_score, worst_values = None, floor, ()
+    for x, *values in zip(*sides):
+        if window and not window[0] <= x <= window[1]:
             continue
-        analytic = curve(s)
-        mc = runner.mc_rows(s, Metric.FAILURE, AntennaId.FRONT)
-        checked = failed = inconclusive = 0
-        worst_pos, worst_z = None, 0.0
-        for i in window:
-            e = mc[i]
-            if analytic[i] is None or e.base_count < MIN_CONDITION_COUNT:
-                inconclusive += 1
-                continue
-            checked += 1
-            se = e.half_width_95 / 1.96
-            z = abs(analytic[i] - e.value) / se if se > 0 else 0.0
-            if z > 3.0:
-                failed += 1
-            if z > worst_z:
-                worst_z, worst_pos = z, runner.grid.positions[i]
-        out.append(Assertion(
-            name=f"failure_mc_agreement[{s.value}]", figure=Figure.FAILURE,
-            status=_status(checked, failed), checked=checked, failed=failed,
-            inconclusive=inconclusive, worst_position=worst_pos,
-            detail=f"max |analytic - mc| = {worst_z:.3g} standard errors (limit 3)"))
-    return out
+        mark = verdict(*values)
+        checked += mark.checked
+        failed += mark.failed
+        inconclusive += mark.inconclusive
+        skipped += not (mark.checked or mark.inconclusive)
+        if mark.score is not None and mark.score > worst_score:
+            worst_x, worst_score, worst_values = x, mark.score, tuple(values)
+        if mark.mc_failed and (mc_moves_worst or worst_x is None):
+            worst_x = x
+    return Tally(checked, failed, inconclusive, skipped, worst_x, worst_score, worst_values)
 
 
-def _interruption_assertions(runner: FigureRunner) -> list[Assertion]:
-    out = []
-    schemes = runner.config.schemes
-    if Scheme.PROPOSED not in schemes:
-        return out
-    a = runner.interruption_values(Scheme.PROPOSED, MetricMode.REDERIVED)
-    mc_a = runner.mc_rows(Scheme.PROPOSED, Metric.INTERRUPTION, None)
-    for other in schemes:
-        if other is Scheme.PROPOSED:
-            continue
-        b = runner.interruption_values(other, MetricMode.REDERIVED)
-        mc_b = runner.mc_rows(other, Metric.INTERRUPTION, None)
-        checked = failed = inconclusive = skipped = 0
-        worst_pos, worst_gap = None, 0.0
-        for i, x in enumerate(runner.grid.positions):
-            ea, eb = mc_a[i], mc_b[i]
-            if max(a[i], b[i], ea.value, eb.value) < NEGLIGIBLE_INTERRUPTION:
-                skipped += 1
-                continue
-            checked += 1
-            if a[i] > b[i] + _ANALYTIC_SLACK:
-                failed += 1
-                if a[i] - b[i] > worst_gap:
-                    worst_gap, worst_pos = a[i] - b[i], x
-            if ea.value - ea.half_width_95 > eb.value + eb.half_width_95:
-                failed += 1
-                if worst_pos is None:
-                    worst_pos = x
-            elif ea.value > eb.value:
-                inconclusive += 1
-        out.append(Assertion(
-            name=f"interruption_lowest[proposed<={other.value}]",
-            figure=Figure.INTERRUPTION,
-            status=_status(checked, failed), checked=checked, failed=failed,
-            inconclusive=inconclusive, worst_position=worst_pos,
-            detail=f"{skipped} positions skipped below {NEGLIGIBLE_INTERRUPTION:g}"))
-    return out
+def _within(value: float | None, limit: float) -> Mark:
+    """value <= limit, scored by value; None leaves the position inconclusive."""
+    return _UNDEFINED if value is None else Mark(True, int(value > limit), score=value)
 
 
-def _rss_assertions(runner: FigureRunner) -> list[Assertion]:
-    out = []
-    schemes = runner.config.schemes
-    if Scheme.PROPOSED not in schemes:
-        return out
-    best = runner.rss_values(Scheme.PROPOSED)["best"]
-    n = len(runner.grid.positions)
-    if Scheme.DAS_SINGLE in schemes:
-        single = runner.rss_values(Scheme.DAS_SINGLE)["front"]
-        bad = [i for i in range(n) if best[i] < single[i] - 1e-9]
-        out.append(Assertion(
-            name="rss_dominates[proposed>=das-single]", figure=Figure.RSS,
-            status=_status(n, len(bad)), checked=n, failed=len(bad),
-            inconclusive=0,
-            worst_position=runner.grid.positions[bad[0]] if bad else None,
-            detail="two-antenna best trace dominates the single-antenna trace"))
-    if Scheme.TRADITIONAL in schemes:
-        trad = runner.rss_values(Scheme.TRADITIONAL)["front"]
-        bad = [i for i in range(n) if best[i] < trad[i]]
-        share = 1.0 - len(bad) / n
-        ok = share >= 0.9
-        worst = runner.grid.positions[bad[0]] if bad else None
-        out.append(Assertion(
-            name="rss_mostly_highest[proposed>=traditional@90%]", figure=Figure.RSS,
-            status="pass" if ok else "fail", checked=n,
-            failed=0 if ok else len(bad), inconclusive=0, worst_position=worst,
-            detail=f"proposed >= traditional at {100.0 * share:.1f}% of positions"))
-    return out
+def _within_relative(value: float | None, limit: float) -> Mark:
+    """value <= limit, scored by value / limit."""
+    return _UNDEFINED if value is None else Mark(True, int(value > limit),
+                                                 score=value / limit)
+
+
+def _first_failure(bad: bool) -> Mark:
+    # the first failing position is the worst
+    return Mark(True, int(bad), score=1.0 if bad else None)
+
+
+def _ordered(a, b, ea: SweepEstimate, eb: SweepEstimate, mc_usable: bool = True) -> Mark:
+    """a <= b on the analytic curves, and on disjoint 95% MC intervals if usable."""
+    analytic_fail = bool(a > b + _ANALYTIC_SLACK)
+    mc_fail = mc_usable and ea.value - ea.half_width_95 > eb.value + eb.half_width_95
+    return Mark(True, analytic_fail + mc_fail, 0, a - b if analytic_fail else None, mc_fail)
+
+
+def _failure_order(a, b, ea, eb) -> Mark:
+    if a is None or b is None:
+        return _UNDEFINED
+    return _ordered(a, b, ea, eb, min(ea.base_count, eb.base_count) >= MIN_CONDITION_COUNT)
+
+
+def _interruption_order(a, b, ea, eb) -> Mark:
+    if max(a, b, ea.value, eb.value) < NEGLIGIBLE_INTERRUPTION:
+        return _SKIP
+    mark = _ordered(a, b, ea, eb)
+    return mark._replace(inconclusive=int(not mark.mc_failed and ea.value > eb.value))
+
+
+def _crossing_sides(runner: FigureRunner, *schemes: Scheme) -> list | None:
+    """The first scheme's 0.5-crossing as the one position, then every crossing."""
+    xs = [analytics.first_level_crossing(runner.grid, runner.trigger_values(s), 0.5)
+          for s in schemes]
+    # a gap needs both crossings
+    return None if len(xs) > 1 and None in xs else [[x] for x in xs[:1] + xs]
+
+
+def _occurrence_sides(runner: FigureRunner, s: Scheme) -> tuple:
+    analytic = runner.occurrence_values(s, MetricMode.REDERIVED)
+    return (runner.grid.positions, np.abs(analytic - runner.crossing(s).masses),
+            _binomial_envelope(analytic, runner.config.trials))
+
+
+def _curve_sides(figure: Figure):
+    """Positions, each scheme's rederived curve, then each scheme's MC rows."""
+    def sides(runner: FigureRunner, *schemes: Scheme) -> list:
+        curve = runner.failure_values if figure is Figure.FAILURE else runner.interruption_values
+        return ([runner.grid.positions] + [curve(s, MetricMode.REDERIVED) for s in schemes]
+                + [runner.mc_rows(s, *_FIGURE_ROWS[figure]) for s in schemes])
+    return sides
+
+
+def _rss_sides(runner: FigureRunner, a: Scheme, b: Scheme) -> tuple:
+    return runner.grid.positions, runner.rss_values(a)["best"], runner.rss_values(b)["front"]
+
+
+def _each(*excluded: str):
+    """(s,) for each configured scheme s not named in excluded."""
+    skip = tuple(map(Scheme, excluded))
+    return lambda schemes: [(s,) for s in schemes if s not in skip]
+
+
+def _against(name: str, *others: str):
+    """(a, b) for scheme a and each configured b named in others, or any other."""
+    a, named = Scheme(name), tuple(map(Scheme, others))
+    return lambda schemes: [(a, b) for b in (named or schemes)
+                            if a in schemes and b in schemes and b is not a]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One `compare` rule, evaluated for each scheme tuple that bind yields.
+
+    sides(runner, *schemes) returns the columns _tally walks, or None to
+    omit the rule. The status is _status of the counts, or with min_share
+    whether that share of the checked positions passes. detail is
+    formatted with the Tally's fields and percent, the passing share.
+    """
+
+    name: str
+    figure: Figure
+    bind: Callable
+    sides: Callable
+    verdict: Callable
+    detail: str
+    window: tuple[float, float] | None = None
+    floor: float = 0.0
+    mc_moves_worst: bool = False
+    min_share: float | None = None
+
+
+_FAILURE_SIDES = _curve_sides(Figure.FAILURE)
+
+RULES = (
+    Rule("trigger_half_crossing[{0}]", Figure.TRIGGER, _each(), _crossing_sides,
+         lambda x: Mark(True, int(not (x is not None and 1500.0 <= x <= 1700.0)), score=0.0),
+         "0.5-crossing inside [1500, 1700] m", floor=-math.inf),
+    Rule("trigger_crossing_gap[{0}~{1}]", Figure.TRIGGER,
+         _against("proposed", "das-blanket"), _crossing_sides,
+         lambda xa, xb: _within(abs(xa - xb), 100.0),
+         "0.5-crossings {worst_score:.4g} m apart (limit 100)", floor=-math.inf),
+    Rule("occurrence_match[{0}]", Figure.OCCURRENCE, _each(), _occurrence_sides,
+         _within_relative,
+         "max |analytic - mc| = {worst_values[0]:.4g} (limit {worst_values[1]:.4g})",
+         floor=-math.inf),
+    Rule("failure_order[{0}<={1}]", Figure.FAILURE,
+         _against("proposed", "traditional"), _FAILURE_SIDES, _failure_order,
+         "rederived failure, window [1200, 1800] m", _FAILURE_WINDOW, mc_moves_worst=True),
+    Rule("failure_similar[{0}~{1}]", Figure.FAILURE,
+         _against("proposed", "das-single"), _FAILURE_SIDES,
+         lambda a, b, *_: _within(None if a is None or b is None else abs(a - b), 0.02),
+         "max |gap| = {worst_score:.4g} (limit 0.02), window [1200, 1800] m", _FAILURE_WINDOW),
+    Rule("failure_mc_agreement[{0}]", Figure.FAILURE, _each("das-blanket"), _FAILURE_SIDES,
+         lambda a, mc: _within(failure_z(a, mc), 3.0),
+         "max |analytic - mc| = {worst_score:.3g} standard errors (limit 3)", _FAILURE_WINDOW),
+    Rule("interruption_lowest[{0}<={1}]", Figure.INTERRUPTION,
+         _against("proposed"), _curve_sides(Figure.INTERRUPTION), _interruption_order,
+         "{skipped} positions skipped below " f"{NEGLIGIBLE_INTERRUPTION:g}"),
+    Rule("rss_dominates[{0}>={1}]", Figure.RSS, _against("proposed", "das-single"), _rss_sides,
+         lambda best, other: _first_failure(best < other - 1e-9),
+         "two-antenna best trace dominates the single-antenna trace"),
+    Rule("rss_mostly_highest[{0}>={1}@90%]", Figure.RSS,
+         _against("proposed", "traditional"), _rss_sides,
+         lambda best, other: _first_failure(best < other),
+         "proposed >= traditional at {percent:.1f}% of positions", min_share=0.9),
+)
 
 
 def evaluate_assertions(runner: FigureRunner) -> list[Assertion]:
-    """All comparison rules applicable to the configured scheme set.
+    """Each rule of RULES for each scheme tuple it binds in the configured set.
 
     Ordering rules always compare rederived analytic curves; Monte Carlo
     sides of a rule only count against it when the 95% intervals are
     disjoint, otherwise the position is tallied as inconclusive.
     """
     out = []
-    out += _crossing_assertions(runner)
-    out += _occurrence_assertions(runner)
-    out += _failure_assertions(runner)
-    out += _interruption_assertions(runner)
-    out += _rss_assertions(runner)
+    for rule in RULES:
+        for schemes in rule.bind(runner.config.schemes):
+            sides = rule.sides(runner, *schemes)
+            if sides is None:
+                continue
+            t = _tally(sides, rule.verdict, rule.window, rule.floor, rule.mc_moves_worst)
+            share = 1.0 - t.failed / t.checked if t.checked else 0.0
+            status, failed = _status(t.checked, t.failed), t.failed
+            if rule.min_share is not None:
+                status, failed = ("pass", 0) if share >= rule.min_share else ("fail", failed)
+            out.append(Assertion(
+                rule.name.format(*(s.value for s in schemes)), rule.figure, status,
+                t.checked, failed, t.inconclusive, t.worst_position,
+                rule.detail.format(**t._asdict(), percent=100.0 * share)))
     return out
 
 
@@ -656,50 +632,42 @@ def compare_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     return summary, exit_status
 
 
+def _normal_gaps(runner: FigureRunner, analytic, mc) -> tuple:
+    """Positions, |analytic - mc| and max(0.01, 3 binomial sigma at analytic)."""
+    analytic = np.asarray(analytic, dtype=float)
+    p = np.clip(analytic, 0.0, 1.0)
+    return (runner.grid.positions, np.abs(analytic - np.asarray(mc, dtype=float)),
+            np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / runner.config.trials)))
+
+
 def validate_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     """Analytic-vs-Monte-Carlo agreement sweep for each configured scheme.
 
-    Position-wise metrics must track their estimators within 0.01 (or
-    four standard errors for the conditional failure metric, which gets
-    noisier as the conditioning event thins out).
+    Each check reports its position with the largest ratio of gap to
+    limit. trigger, occurrence and interruption compare |analytic - mc|
+    with max(0.01, 3 binomial standard errors at the analytic value).
+    failure_z compares failure_z scores with 4: the conditional failure
+    estimate gets noisier as the conditioning event thins out.
     """
-    runner = FigureRunner(config)
-    rows = []
-    ok = True
-
-    def worst_case(analytic, mc):
-        # abs budget 0.01 at the acceptance trial count, widened per
-        # position when the estimator is noisier than that
-        analytic = np.asarray(analytic, dtype=float)
-        gaps = np.abs(analytic - np.asarray(mc, dtype=float))
-        p = np.clip(analytic, 0.0, 1.0)
-        limits = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / config.trials))
-        i = int(np.argmax(gaps / limits))
-        return float(gaps[i]), float(limits[i])
-
+    runner, rederived, rows = FigureRunner(config), MetricMode.REDERIVED, []
     for s in config.schemes:
-        checks = []
-        trig = [e.value for e in runner.mc_rows(s, Metric.TRIGGER, AntennaId.FRONT)]
-        checks.append(("trigger", *worst_case(runner.trigger_values(s), trig)))
-        checks.append(("occurrence", *worst_case(
-            runner.occurrence_values(s, MetricMode.REDERIVED),
-            runner.crossing(s).masses)))
-        inter = [e.value for e in runner.mc_rows(s, Metric.INTERRUPTION, None)]
-        checks.append(("interruption", *worst_case(
-            runner.interruption_values(s, MetricMode.REDERIVED), inter)))
-        worst_z = 0.0
-        analytic = runner.failure_values(s, MetricMode.REDERIVED)
-        for i, e in enumerate(runner.mc_rows(s, Metric.FAILURE, AntennaId.FRONT)):
-            if analytic[i] is None or e.base_count < MIN_CONDITION_COUNT:
-                continue
-            se = e.half_width_95 / 1.96
-            if se > 0:
-                worst_z = max(worst_z, abs(analytic[i] - e.value) / se)
-        checks.append(("failure_z", worst_z, 4.0))
-        for name, value, limit in checks:
-            status = "pass" if value <= limit else "fail"
-            ok = ok and status == "pass"
-            rows.append((s.value, name, value, limit, status))
+        trig, inter, fail = (runner.mc_rows(s, *_FIGURE_ROWS[f]) for f in
+                             (Figure.TRIGGER, Figure.INTERRUPTION, Figure.FAILURE))
+        z = list(map(failure_z, runner.failure_values(s, rederived), fail))
+        checks = {
+            "trigger": _normal_gaps(runner, runner.trigger_values(s),
+                                    [e.value for e in trig]),
+            "occurrence": _normal_gaps(runner, runner.occurrence_values(s, rederived),
+                                       runner.crossing(s).masses),
+            "interruption": _normal_gaps(runner, runner.interruption_values(s, rederived),
+                                         [e.value for e in inter]),
+            "failure_z": (runner.grid.positions, z, [_VALIDATE_Z_LIMIT] * len(z)),
+        }
+        for name, sides in checks.items():
+            worst = _tally(sides, _within_relative, floor=-math.inf).worst_values
+            # no usable failure position reads as 0 standard errors
+            value, limit = map(float, worst) if worst else (0.0, _VALIDATE_Z_LIMIT)
+            rows.append((s.value, name, value, limit, "pass" if value <= limit else "fail"))
     table = ResultTable.build(("scheme", "check", "value", "limit", "status"),
                               rows, config.provenance())
-    return table, 0 if ok else 1
+    return table, 0 if all(row[-1] == "pass" for row in rows) else 1

@@ -59,7 +59,6 @@ class SeedPolicy:
 
 class Metric(Enum):
     TRIGGER = "trigger"
-    OCCURRENCE = "occurrence"
     FAILURE = "failure"
     INTERRUPTION = "interruption"
     MEAN_RSS = "mean_rss"

@@ -99,13 +99,15 @@ class _StubRunner(FigureRunner):
 
     Proposed's failure and interruption estimates sit far above
     traditional's at the _MC_FAILS positions, with disjoint 95%
-    intervals. With analytic_fail, proposed's analytic curve also exceeds
-    traditional's at the _ANALYTIC_FAILS position, before those.
+    intervals, from base_count triggered trials for failure. With
+    analytic_fail, proposed's analytic curve also exceeds traditional's at
+    the _ANALYTIC_FAILS position, before those.
     """
 
-    def __init__(self, config, analytic_fail: bool):
+    def __init__(self, config, analytic_fail: bool, base_count: int):
         super().__init__(config)
         self.analytic_fail = analytic_fail
+        self.base_count = base_count
 
     def _curve(self, scheme, metric):
         values = [0.2] * len(self.grid.positions)
@@ -122,29 +124,34 @@ class _StubRunner(FigureRunner):
     def mc_rows(self, scheme, metric, antenna):
         if metric not in _MC_FAILS:
             return super().mc_rows(scheme, metric, antenna)
-        base = 500 if metric is Metric.FAILURE else None
+        base = self.base_count if metric is Metric.FAILURE else None
         return [SweepEstimate(x, metric, 0.9 if scheme is Scheme.PROPOSED
                               and x in _MC_FAILS[metric] else 0.2, 1000, 0.01, antenna, base)
                 for x in self.grid.positions]
 
 
-@pytest.mark.parametrize("analytic_fail, expected", [
-    (False, {
+@pytest.mark.parametrize("analytic_fail, base_count, expected", [
+    (False, 500, {
         "failure_order[proposed<=traditional]": ("fail", 3, 2, 0, 1500.0),
         "interruption_lowest[proposed<=traditional]": ("fail", 13, 2, 0, 500.0),
     }),
-    (True, {
+    (True, 500, {
         "failure_order[proposed<=traditional]": ("fail", 3, 3, 0, 1500.0),
         "interruption_lowest[proposed<=traditional]": ("fail", 13, 3, 0, 250.0),
     }),
+    # below MIN_CONDITION_COUNT triggered trials the failure MC side is ignored
+    (False, 24, {
+        "failure_order[proposed<=traditional]": ("pass", 3, 0, 0, None),
+        "failure_mc_agreement[proposed]": ("inconclusive", 0, 0, 3, None),
+    }),
 ])
-def test_monte_carlo_only_ordering_failures(analytic_fail, expected):
+def test_monte_carlo_only_ordering_failures(analytic_fail, base_count, expected):
     """failure_order moves the worst position to the last MC failure, past
     an analytic one; interruption_lowest takes an MC failure only while no
     analytic failure has set the worst position."""
     config = parse_config(BASE + "trials = 20\nschemes = proposed,traditional\n")
     got = {a.name: (a.status, a.checked, a.failed, a.inconclusive, a.worst_position)
-           for a in evaluate_assertions(_StubRunner(config, analytic_fail))
+           for a in evaluate_assertions(_StubRunner(config, analytic_fail, base_count))
            if a.name in expected}
     assert got == expected
 

@@ -387,7 +387,7 @@ def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     return np.maximum(0.01, np.maximum(upper, lower))
 
 
-def failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:
+def _failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:
     """|analytic - mc| of a conditional failure estimate in standard errors.
 
     None where the analytic value is undefined or fewer than
@@ -400,7 +400,10 @@ def failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:
 
 
 class Mark(NamedTuple):
-    """One position's verdict; failed counts its failing sides (analytic, MC)."""
+    """One position's verdict; failed counts its failing sides (analytic, MC).
+
+    An unchecked position is inconclusive when marked so, else skipped.
+    """
 
     checked: bool
     failed: int = 0
@@ -413,6 +416,8 @@ _SKIP, _UNDEFINED = Mark(False), Mark(False, inconclusive=1)
 
 
 class Tally(NamedTuple):
+    """A rule's counts over its positions and its worst position."""
+
     checked: int
     failed: int
     inconclusive: int
@@ -565,7 +570,7 @@ RULES = (
          lambda a, b, *_: _within(None if a is None or b is None else abs(a - b), 0.02),
          "max |gap| = {worst_score:.4g} (limit 0.02), window [1200, 1800] m", _FAILURE_WINDOW),
     Rule("failure_mc_agreement[{0}]", Figure.FAILURE, _each("das-blanket"), _FAILURE_SIDES,
-         lambda a, mc: _within(failure_z(a, mc), 3.0),
+         lambda a, mc: _within(_failure_z(a, mc), 3.0),
          "max |analytic - mc| = {worst_score:.3g} standard errors (limit 3)", _FAILURE_WINDOW),
     Rule("interruption_lowest[{0}<={1}]", Figure.INTERRUPTION,
          _against("proposed"), _curve_sides(Figure.INTERRUPTION), _interruption_order,
@@ -646,14 +651,14 @@ def validate_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     Each check reports its position with the largest ratio of gap to
     limit. trigger, occurrence and interruption compare |analytic - mc|
     with max(0.01, 3 binomial standard errors at the analytic value).
-    failure_z compares failure_z scores with 4: the conditional failure
+    failure_z compares _failure_z scores with 4: the conditional failure
     estimate gets noisier as the conditioning event thins out.
     """
     runner, rederived, rows = FigureRunner(config), MetricMode.REDERIVED, []
     for s in config.schemes:
         trig, inter, fail = (runner.mc_rows(s, *_FIGURE_ROWS[f]) for f in
                              (Figure.TRIGGER, Figure.INTERRUPTION, Figure.FAILURE))
-        z = list(map(failure_z, runner.failure_values(s, rederived), fail))
+        z = list(map(_failure_z, runner.failure_values(s, rederived), fail))
         checks = {
             "trigger": _normal_gaps(runner, runner.trigger_values(s),
                                     [e.value for e in trig]),

@@ -2,9 +2,11 @@
 
 Scenarios span 1 to 8 units per cell, uniform or per-unit shadowing
 sigmas down to the no-fading value 1e-9, all four schemes, both
-selection rules, on the 250 m grid. The blanket and traditional trigger
-integral does not converge at sigma 1e-9 (NumericsError, CLI exit 3; see
-CHANGES.md): the tests below accept that failure only there.
+selection rules, on the 250 m grid. Two integrals are known not to
+converge when a link's sigma is 1e-9 (NumericsError, CLI exit 3; see
+CHANGES.md): the blanket and traditional trigger integral, and the mean
+of a max-of-Gaussians cell that mixes a 1e-9 sigma with larger ones.
+The tests below accept those failures only where a sigma is 1e-9.
 """
 
 import contextlib
@@ -47,9 +49,8 @@ def _scenario(fields: dict, scheme: Scheme) -> Scenario:
     return Scenario(**fields, scheme=scheme)
 
 
-def _known_non_convergence(sc: Scenario) -> bool:
-    sigmas = (sc.shadow_sigma, *(sc.shadow_sigma_per_rau or ()))
-    return sc.scheme not in SELECTION_SCHEMES and min(sigmas) <= 1e-9
+def _no_fading_link(sc: Scenario) -> bool:
+    return min((sc.shadow_sigma, *(sc.shadow_sigma_per_rau or ()))) <= 1e-9
 
 
 @settings(max_examples=80)
@@ -59,7 +60,8 @@ def test_occurrence_masses_are_a_sub_probability(fields, scheme):
     try:
         masses = occurrence_prob(sc, PositionGrid.for_scenario(sc))
     except NumericsError:
-        assert _known_non_convergence(sc)
+        # only the trigger integral runs here; the selection schemes use a closed form
+        assert sc.scheme not in SELECTION_SCHEMES and _no_fading_link(sc)
         return
     assert (masses >= 0.0).all()
     assert masses.sum() <= 1.0 + 1e-12
@@ -92,4 +94,4 @@ def test_cli_exits_cleanly_on_generated_configs(tmp_path_factory, fields, scheme
                      "--out", str(work / "out")])
     assert code in (0, 1, 2, 3), stderr.getvalue()
     if code == 3:
-        assert any(_known_non_convergence(_scenario(fields, s)) for s in schemes)
+        assert _no_fading_link(_scenario(fields, schemes[0])), stderr.getvalue()

@@ -4,10 +4,11 @@ Each golden file under `tests/golden/rules/` is the transcript of one
 configuration on the 250 m grid at seed 12345: `compare`'s exit code,
 stdout and `summary.csv`, the SHA-256 of every figure CSV it wrote,
 then `validate`'s exit code and stdout and its table at 6 significant
-digits. The scheme-subset cases run 200 trials; the edge cases run all
-four schemes at 20 trials, with no 0.5-crossing (`hysteresis = 1e6`,
-so the crossing-gap rule is omitted), with two units per cell, and
-with a -80 dBm threshold (every interruption position skipped).
+digits. The scheme-subset cases run 200 trials. The edge cases run all
+four schemes at 20 trials: as they are, with no 0.5-crossing
+(`hysteresis = 1e6`, so the crossing-gap rule is omitted), with two
+units per cell, and with a -80 dBm threshold (every interruption
+position skipped).
 
 To rewrite the goldens after a deliberate output change, run
 `PYTHONPATH=src python tests/test_compare_rules.py` and list the
@@ -18,7 +19,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import sys
 import tempfile
 from pathlib import Path
 
@@ -165,4 +165,3 @@ def _write_goldens() -> None:
 
 if __name__ == "__main__":
     _write_goldens()
-    sys.exit(0)

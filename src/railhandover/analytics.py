@@ -13,15 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfc, erfcx, ndtr
 
 from . import channel
-from .scenario import SELECTION_SCHEMES, AntennaId, CellId, Scenario
-from .statfun import gaussian_hazard, integrate, q_function, std_normal_cdf
+from .scenario import AntennaId, CellId, Scenario
+from .statfun import STEP_SCALE, integrate_rows, q_function
 
 # Conditional metrics are undefined once the conditioning event is this rare.
 TRIGGER_FLOOR = 1e-12
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class MetricMode(Enum):
@@ -81,59 +85,23 @@ def trigger_prob_closed_form(serving: channel.LinkStat, target: channel.LinkStat
     return q_function((hysteresis - margin) / gap)
 
 
-def trigger_prob_integral(serving: channel.LinkStat, target: channel.LinkStat,
-                          hysteresis: float) -> float:
-    """Same probability through the general integral over the target density.
-
-    target - serving > hysteresis iff serving < r - hysteresis once the
-    target value r is fixed, so the integrand is
-    F_serving(r - hysteresis) * f_target(r). Kept as an independent
-    evaluation route; it must agree with the closed form.
-    """
-    lo = target.mu - 10.0 * target.sigma
-    hi = target.mu + 10.0 * target.sigma
-
-    def integrand(r: float) -> float:
-        under = std_normal_cdf((r - hysteresis - serving.mu) / serving.sigma)
-        dens = math.exp(-0.5 * ((r - target.mu) / target.sigma) ** 2) \
-            / (math.sqrt(2.0 * math.pi) * target.sigma)
-        return under * dens
-
-    value = integrate(integrand, lo, hi).require()
-    return min(max(value, 0.0), 1.0)
-
-
 def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:
-    """Probability that the handover rule fires at this position.
-
-    RAU-selection schemes use the closed form on the boundary-RAU pair;
-    blanket and traditional schemes evaluate the general integral with
-    their per-cell distributions.
-    """
+    """Probability that the handover rule fires at this position: the closed
+    form, exact for the Gaussian pair every scheme compares (the boundary
+    RAUs under RAU selection, the per-cell distributions otherwise)."""
     _check_antenna(sc, antenna)
-    return _pair_trigger_prob(sc, *channel.trigger_pair(sc, front_x, antenna))
-
-
-def _pair_trigger_prob(sc: Scenario, serving: channel.LinkStat,
-                       target: channel.LinkStat) -> float:
-    if sc.scheme in SELECTION_SCHEMES:
-        return trigger_prob_closed_form(serving, target, sc.hysteresis)
-    return trigger_prob_integral(serving, target, sc.hysteresis)
-
-
-def _table_pairs(sc: Scenario, grid: PositionGrid, antenna: AntennaId):
-    """(front_x, serving, target) of every grid position, read from the link table."""
-    _check_antenna(sc, antenna)
-    table = channel.link_table(sc, grid)
-    a = table.antennas.index(antenna)
-    return [(x, *table.trigger_pair(j, a)) for j, x in enumerate(grid.positions)]
+    return trigger_prob_closed_form(*channel.trigger_pair(sc, front_x, antenna),
+                                    sc.hysteresis)
 
 
 def trigger_curve(sc: Scenario, grid: PositionGrid,
                   antenna: AntennaId = AntennaId.FRONT) -> np.ndarray:
     """trigger_prob at every grid position, from the link table's comparands."""
-    return np.array([_pair_trigger_prob(sc, serving, target)
-                     for _, serving, target in _table_pairs(sc, grid, antenna)])
+    _check_antenna(sc, antenna)
+    table = channel.link_table(sc, grid)
+    a = table.antennas.index(antenna)
+    return np.array([trigger_prob_closed_form(*table.trigger_pair(j, a), sc.hysteresis)
+                     for j in range(len(grid.positions))])
 
 
 # === Occurrence probability ===
@@ -198,66 +166,86 @@ def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     below TRIGGER_FLOOR.
     """
     _check_antenna(sc, antenna)
-    return _pair_failure_prob(sc, front_x, *channel.trigger_pair(sc, front_x, antenna), mode)
+    serving, target = channel.trigger_pair(sc, front_x, antenna)
+    pair = np.array([[serving.mu, serving.sigma, target.mu, target.sigma]])
+    value = _failure_rows(pair.tobytes(), sc.hysteresis, sc.threshold, mode, antenna,
+                          (front_x,))[0]
+    if math.isnan(value):
+        raise UndefinedConditionalError(
+            f"trigger probability {trigger_prob(sc, front_x, antenna):.3g} at "
+            f"x={front_x:.6g} is below {TRIGGER_FLOOR:.0e}; conditional failure undefined")
+    return float(value)
 
 
 def failure_curve(sc: Scenario, grid: PositionGrid,
                   antenna: AntennaId = AntennaId.FRONT,
                   mode: MetricMode = MetricMode.REDERIVED) -> list[float | None]:
-    """failure_prob at every grid position, None where it is undefined."""
-    out: list[float | None] = []
-    for x, serving, target in _table_pairs(sc, grid, antenna):
-        try:
-            out.append(_pair_failure_prob(sc, x, serving, target, mode))
-        except UndefinedConditionalError:
-            out.append(None)
-    return out
+    """failure_prob at every grid position, None where it is undefined.
+
+    Each distinct (serving, target) pair is integrated once, and schemes
+    with equal pairs (das-single and the proposed front antenna) share them.
+    """
+    _check_antenna(sc, antenna)
+    table = channel.link_table(sc, grid)
+    a, (s, t) = table.antennas.index(antenna), table.trigger_column
+    pairs = np.stack((table.mu[:, a, 0, s], table.sigma[:, a, 0, s],
+                      table.mu[:, a, 1, t], table.sigma[:, a, 1, t]), axis=1)
+    distinct, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    values = _failure_rows(distinct.tobytes(), sc.hysteresis, sc.threshold, mode, antenna,
+                           tuple(grid.positions[j] for j in first))
+    return [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
 
 
-def _pair_failure_prob(sc: Scenario, front_x: float, serving: channel.LinkStat,
-                       target: channel.LinkStat, mode: MetricMode) -> float:
-    h = sc.hysteresis
-    sigma_v = math.hypot(serving.sigma, target.sigma)
-    mu_v = target.mu - serving.mu
-    z0 = (h - mu_v) / sigma_v
-    p_trig = q_function(z0)
-    if p_trig < TRIGGER_FLOOR:
-        raise UndefinedConditionalError(
-            f"trigger probability {p_trig:.3g} at x={front_x:.6g} is below "
-            f"{TRIGGER_FLOOR:.0e}; conditional failure undefined"
-        )
-
+@lru_cache(maxsize=32)
+def _failure_rows(pairs: bytes, hysteresis: float, threshold: float, mode: MetricMode,
+                  antenna: AntennaId, at: tuple[float, ...]) -> np.ndarray:
+    """Conditional failure of each (serving mu, sigma, target mu, sigma) row of
+    pairs (float64 bytes), NaN below TRIGGER_FLOOR; errors name row r by the
+    antenna and at[r]. Schemes with equal pairs share the cached values."""
+    mu_s, sigma_s, mu_t, sigma_t = np.frombuffer(pairs).reshape(-1, 4).T
+    sigma_v = np.hypot(sigma_s, sigma_t)
+    z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
+    p_trig = 0.5 * erfc(z0 / _SQRT2)
+    hazard = math.sqrt(2.0 / math.pi) / erfcx(z0 / _SQRT2)
     # Conditional law of U given the standardized margin z: Gaussian with
-    # mean mu_u(z) and a variance shrunk by the correlation with V.
-    slope = target.sigma ** 2 / sigma_v
-    sigma_c = serving.sigma * target.sigma / sigma_v
+    # mean mu_u(z) and a variance shrunk by the correlation with V. Its CDF
+    # at the threshold steps at z = step once sigma_s << sigma_t.
+    slope = sigma_t ** 2 / sigma_v
+    sigma_c = sigma_s * sigma_t / sigma_v
+    with np.errstate(divide="ignore", over="ignore"):
+        step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
 
-    def conditional_cdf(z: float) -> float:
-        return std_normal_cdf((sc.threshold - (target.mu + slope * z)) / sigma_c)
+    def conditional_cdf(z, rows):
+        return ndtr((threshold - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
 
-    if z0 >= -8.0:
-        hz = gaussian_hazard(z0)
+    def beyond_trigger(e, rows):
+        # the margin z0 + e under its law truncated to z > z0, hazard-weighted
+        z = z0[rows]
+        return hazard[rows] * np.exp(-z * e - 0.5 * e * e) * conditional_cdf(z + e, rows)
 
-        def integrand(e: float) -> float:
-            return hz * math.exp(-z0 * e - 0.5 * e * e) * conditional_cdf(z0 + e)
+    def whole_margin(z, rows):
+        # trigger near-certain: the plain integral over the margin law is
+        # stable and the truncation correction is negligible
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * conditional_cdf(z, rows)
 
-        upper = 12.0 + max(0.0, -z0)
-        rederived = integrate(integrand, 0.0, upper).require()
-    else:
-        # Trigger is near-certain; the plain integral over the margin law
-        # is stable and the truncation correction is negligible.
-        def integrand(z: float) -> float:
-            dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-            return dens * conditional_cdf(z)
-
-        joint = integrate(integrand, max(z0, -40.0), 10.0).require()
-        rederived = joint / p_trig
-    rederived = min(max(rederived, 0.0), 1.0)
-
-    if mode is MetricMode.REDERIVED:
-        return rederived
-    below = std_normal_cdf((sc.threshold - target.mu) / target.sigma)
-    return max(below / p_trig - rederived, 0.0)
+    out = np.full(len(z0), np.nan)
+    defined = p_trig >= TRIGGER_FLOOR
+    for rows, integrand, lower, upper, cut in (
+            (np.flatnonzero(defined & (z0 >= -8.0)), beyond_trigger,
+             np.zeros_like(z0), 12.0 + np.maximum(0.0, -z0), step - z0),
+            (np.flatnonzero(defined & (z0 < -8.0)), whole_margin,
+             np.maximum(z0, -40.0), np.full_like(z0, 10.0), step)):
+        lower, upper, cut = lower[rows], upper[rows], cut[rows]
+        edges = np.stack((lower, np.where((lower < cut) & (cut < upper), cut, lower), upper), 1)
+        out[rows] = integrate_rows(lambda x, r, rows=rows, f=integrand: f(x, rows[r]), edges,
+                                   lambda r, rows=rows: f"failure probability at x="
+                                   f"{at[rows[r]]:g} m ({antenna.name.lower()} antenna)")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN stays NaN
+        out = np.clip(np.where(z0 < -8.0, out / p_trig, out), 0.0, 1.0)
+        if mode is MetricMode.PAPER:
+            out = np.maximum(ndtr((threshold - mu_t) / sigma_t) / p_trig - out, 0.0)
+    out.flags.writeable = False
+    return out
 
 
 # === Interruption probability ===

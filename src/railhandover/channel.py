@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+from scipy.special import ndtr
 
 from .scenario import (
     SELECTION_SCHEMES,
@@ -35,7 +36,7 @@ from .scenario import (
     link_distance,
     rau_positions,
 )
-from .statfun import integrate, lognormal_sum_approx, std_normal_cdf
+from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx, std_normal_cdf
 
 if TYPE_CHECKING:
     from .analytics import PositionGrid
@@ -43,8 +44,8 @@ if TYPE_CHECKING:
 # Cell order along the table's cell axis.
 CELLS = (CellId.SERVING, CellId.TARGET)
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# initial intervals of a mean integral, as the rule would bisect [-10, 10]
+_MEAN_EDGES = (-10.0, -5.0, -2.5, 0.0, 2.5, 5.0, 10.0)
 
 # The target cell counts as the better one only when its mean RSS beats
 # the serving cell's by more than this (dB); exact ties stay on SERVING.
@@ -162,36 +163,49 @@ def cdf(dist: RssDistribution, r: float) -> float:
 
 
 def distribution_mean(dist: RssDistribution) -> float:
-    """Mean RSS in dBm; numeric for the max distribution, exact otherwise.
+    """Mean RSS in dBm; numeric for the max distribution, exact otherwise."""
+    comps = dist.components
+    if len(comps) == 1:
+        return comps[0].mu
+    stats = np.array([[c.mu for c in comps], [c.sigma for c in comps]])
+    return float(max_means(stats[:1], stats[1:], lambda r: "cell mean")[0])
+
+
+def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    """E[max] of each row of independent Gaussians (mu, sigma of shape (rows, n)).
 
     E[max] = sum_n integral over z in [-10, 10] of (mu_n + sigma_n z) phi(z)
     prod_{j != n} Phi((mu_n - mu_j)/sigma_j + (sigma_n/sigma_j) z), z being
     component n's standardized draw. Unlike an integral over r, this keeps
     unit width and loses no digits to r - mu_j even at sigma = 1e-9.
     """
-    comps = dist.components
-    if len(comps) == 1:
-        return comps[0].mu
-    terms = [(cn.mu, cn.sigma, [((cn.mu - cj.mu) / cj.sigma, cn.sigma / cj.sigma)
-                                for j, cj in enumerate(comps) if j != n])
-             for n, cn in enumerate(comps)]
+    n = mu.shape[1]
+    others = ~np.eye(n, dtype=bool)  # the components j != n of each n, in order
+    with np.errstate(over="ignore"):
+        offset = ((mu[:, :, None] - mu[:, None, :]) / sigma[:, None, :])[:, others]
+        scale = (sigma[:, :, None] / sigma[:, None, :])[:, others]
     # a finite bound keeps every CDF argument offset + scale * z, |z| <= 10, finite
-    if not all(math.isfinite(abs(offset) + 10.0 * abs(scale))
-               for _, _, others in terms for offset, scale in others):
+    if not np.isfinite(np.abs(offset) + 10.0 * np.abs(scale)).all():
         raise ValueError("distribution_mean requires finite normal CDF arguments; "
                          "the component sigmas are too small for their mean gaps")
+    # the standard partition, and an edge wherever another component's CDF
+    # rises as a step (else a repeat of -10)
+    steps = -offset / scale
+    edges = np.sort(np.hstack((np.where((scale > STEP_SCALE) & (np.abs(steps) < 10.0),
+                                        steps, -10.0), np.tile(_MEAN_EDGES, (len(mu), 1)))), 1)
+    offset, scale = offset.reshape(len(mu), n, n - 1), scale.reshape(len(mu), n, n - 1)
 
-    def integrand(z: float) -> float:
-        # std_normal_cdf and std_normal_pdf inlined, same operations in the same order
-        total = 0.0
-        for mu, sigma, others in terms:
-            term = mu + sigma * z
-            for offset, scale in others:
-                term *= 0.5 * (1.0 + math.erf((offset + scale * z) / _SQRT2))
-            total += term
-        return total * (math.exp(-0.5 * z * z) / _SQRT_2PI)
+    def integrand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        z3, o, s = z[:, :, None], offset[rows], scale[rows]
+        terms = mu[rows] + sigma[rows] * z3
+        for j in range(n - 1):
+            terms = terms * ndtr(o[:, :, j] + s[:, :, j] * z3)
+        total = terms[..., 0]
+        for k in range(1, n):
+            total = total + terms[..., k]
+        return total * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
 
-    return integrate(integrand, -10.0, 10.0).require()
+    return integrate_rows(integrand, edges, where)
 
 
 # === Link table ===
@@ -286,20 +300,6 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
         trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
 
 
-@lru_cache(maxsize=4096)
-def _keyed_mean(dist: RssDistribution) -> float:
-    # Keyed by the distribution itself: the das-single front antenna repeats
-    # the proposed one, and on a grid step dividing the train length the rear
-    # antenna repeats the front antenna of an earlier position. Only
-    # multi-component distributions come here; a single Gaussian's mean is
-    # its mu and would only crowd out integrals.
-    return distribution_mean(dist)
-
-
-def _cell_mean(dist: RssDistribution) -> float:
-    return distribution_mean(dist) if len(dist.components) == 1 else _keyed_mean(dist)
-
-
 @lru_cache(maxsize=32)
 def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarray]:
     """Mean RSS of every cell distribution of the link table, and the better cell.
@@ -307,12 +307,25 @@ def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarr
     Returns the means, shape (positions, antennas, cells), and a boolean
     array of shape (positions, antennas) that is True where the target
     cell's mean exceeds the serving cell's by more than BETTER_CELL_MARGIN.
-    Each distinct distribution is integrated once, across scenarios too.
+    The distinct max-of-Gaussians rows are integrated in one batch.
     """
     table = link_table(sc, grid)
-    positions, antennas = table.mu.shape[:2]
-    means = np.array([[[_cell_mean(table.cell_distribution(j, a, c))
-                        for c in range(len(CELLS))] for a in range(antennas)]
-                      for j in range(positions)])
+    shape, n = table.mu.shape[:3], table.mu.shape[3]
+    if table.cell_column is not None:
+        means = np.take_along_axis(table.mu, table.cell_column[..., None], axis=-1)[..., 0]
+    elif n == 1:
+        means = table.mu[..., 0].copy()
+    else:
+        stats = np.concatenate((table.mu, table.sigma), axis=-1).reshape(-1, 2 * n)
+        distinct, first, inverse = np.unique(stats, axis=0, return_index=True,
+                                             return_inverse=True)
+
+        def where(r: int) -> str:
+            j, a, c = np.unravel_index(first[r], shape)
+            return (f"cell mean of {sc.scheme.value} at x={grid.positions[j]:g} m "
+                    f"({table.antennas[a].name.lower()} antenna, "
+                    f"{CELLS[c].name.lower()} cell)")
+
+        means = max_means(distinct[:, :n], distinct[:, n:], where)[inverse.reshape(shape)]
     target_better = means[..., 1] - means[..., 0] > BETTER_CELL_MARGIN
     return _frozen(means), _frozen(target_better)

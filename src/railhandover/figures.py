@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as _sci_stats
+from scipy.special import bdtr, bdtrik
 
 from . import analytics, channel
 from ._version import __version__
@@ -382,9 +382,17 @@ def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     budget at the acceptance trial count, where it dominates.
     """
     p = np.clip(np.asarray(analytic, dtype=float), 0.0, 1.0)
-    upper = _sci_stats.binom.ppf(0.99865, trials, p) / trials - p
-    lower = p - _sci_stats.binom.ppf(0.00135, trials, p) / trials
-    return np.maximum(0.01, np.maximum(upper, lower))
+    low, high = (_binomial_quantile(q, trials, p) / trials for q in (0.00135, 0.99865))
+    return np.maximum(0.01, np.maximum(high - p, p - low))
+
+
+def _binomial_quantile(q: float, trials: int, p: np.ndarray) -> np.ndarray:
+    """Smallest count k with P(Binomial(trials, p) <= k) >= q, for 0 < q < 1:
+    the continuous inverse rounded up (NaN, read as 0, where even k = 0
+    reaches q), then one count less where that count reaches q too."""
+    k = np.ceil(np.nan_to_num(bdtrik(q, trials, p)))
+    below = np.maximum(k - 1.0, 0.0)
+    return np.where(bdtr(below, trials, p) >= q, below, k)
 
 
 def _failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:

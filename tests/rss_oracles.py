@@ -12,7 +12,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from railhandover.channel import RssDistribution
-from railhandover.statfun import Quadrature, integrate, std_normal_cdf, std_normal_pdf
+from railhandover.statfun import std_normal_cdf
+from quadpack_oracle import Quadrature, integrate, std_normal_pdf
 
 
 def pdf(dist: RssDistribution, r: float) -> float:

@@ -39,7 +39,7 @@ from railhandover.montecarlo import (
 )
 from railhandover.protocol import EventKind, Phase, replay, run_crossing
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
-from railhandover.statfun import integrate
+from quadpack_oracle import integrate
 from rss_oracles import cdf_array, pdf, sample_rss_block, support
 
 TRIALS = 100_000

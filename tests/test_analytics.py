@@ -30,10 +30,10 @@ from railhandover.analytics import (
     trigger_curve,
     trigger_prob,
     trigger_prob_closed_form,
-    trigger_prob_integral,
 )
 from railhandover.channel import LinkStat, link_stat, rss_distribution
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from quadpack_oracle import trigger_prob_integral
 
 # Q(2 / sqrt(32)): symmetric boundary point, equal mu both sides
 TRIG_AT_1500 = 0.36183680491588155

@@ -216,7 +216,7 @@ def test_pdf_single_component_is_normal_density():
 
 
 def test_pdf_normalizes(sc):
-    from railhandover.statfun import integrate
+    from quadpack_oracle import integrate
 
     dist = rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING)
     lo, hi = support(dist)
@@ -384,67 +384,88 @@ def _clear_package_caches():
                 value.cache_clear()
 
 
-def _count_integrals(monkeypatch) -> list:
-    """Count the integrate calls channel and analytics make from here on."""
+def _count_rows(monkeypatch) -> list:
+    """Record the number of rows of each integrate_rows call from here on."""
     from railhandover import analytics
 
     calls = []
     for module in (channel, analytics):
-        real = module.integrate
+        real = module.integrate_rows
 
-        def counted(*args, _real=real, **kwargs):
-            calls.append(args[1:3])
-            return _real(*args, **kwargs)
+        def counted(f, edges, where, _real=real):
+            calls.append(len(edges))
+            return _real(f, edges, where)
 
-        monkeypatch.setattr(module, "integrate", counted)
+        monkeypatch.setattr(module, "integrate_rows", counted)
     return calls
 
 
 @pytest.mark.parametrize("scenario", [
     Scenario(), Scenario(shadow_sigma_per_rau=(0.5, 4.0, 8.0, 12.0)), Scenario(n_raus=8),
     Scenario(selection=SelectionRule.MEAN_PATHLOSS)])
-def test_keyed_cell_means_equal_uncached_means(scenario):
-    """Means read back from the distribution-keyed cache, including those
-    another scheme or antenna integrated first, equal fresh integrals bitwise."""
+def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
+    """Cell means keyed by their distinct component rows equal one-row
+    distribution_mean integrals bitwise, and one call integrates each
+    distinct multi-component row exactly once."""
     grid = PositionGrid.over(3000.0, 100.0)
     _clear_package_caches()
+    calls = _count_rows(monkeypatch)
     for scheme in Scheme:
         s = scenario.with_scheme(scheme)
         table = channel.link_table(s, grid)
+        del calls[:]
         means, _ = channel.cell_means(s, grid)
+        batch = list(calls)
+        distinct = set()
         for j in range(len(grid.positions)):
             for a in range(len(table.antennas)):
                 for c in range(len(channel.CELLS)):
                     dist = table.cell_distribution(j, a, c)
-                    fresh = distribution_mean(dist)
-                    assert float(means[j, a, c]).hex() == fresh.hex()
-                    assert channel._keyed_mean(dist).hex() == fresh.hex()
+                    if len(dist.components) > 1:
+                        distinct.add(dist)
+                    assert float(means[j, a, c]).hex() == distribution_mean(dist).hex()
+        assert batch == ([len(distinct)] if distinct else [])
 
 
-def test_das_single_cell_means_reuse_proposed_integrals(sc, monkeypatch):
+def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):
+    """das-single's front trigger pairs are the proposed front antenna's, so
+    its failure curve reads back the proposed integrals, in either mode."""
+    from railhandover.analytics import MetricMode, failure_curve
+
     grid = PositionGrid.over(3000.0, 250.0)
     single = sc.with_scheme(Scheme.DAS_SINGLE)
-    _clear_package_caches()
-    channel.cell_means(sc.with_scheme(Scheme.PROPOSED), grid)
-    calls = _count_integrals(monkeypatch)
-    channel.cell_means(single, grid)
-    assert calls == []
-    # without the proposed means in the cache das-single integrates its own
-    _clear_package_caches()
-    channel.cell_means(single, grid)
-    assert len(calls) > 0
+    for mode in MetricMode:
+        _clear_package_caches()
+        proposed = failure_curve(sc.with_scheme(Scheme.PROPOSED), grid, mode=mode)
+        calls = _count_rows(monkeypatch)
+        assert failure_curve(single, grid, mode=mode) == proposed
+        assert calls == []
+        # without the proposed values das-single integrates every distinct pair once
+        _clear_package_caches()
+        assert failure_curve(single, grid, mode=mode) == proposed
+        assert sum(calls) == sum(v is not None for v in proposed)
+        monkeypatch.undo()
 
 
-def test_single_gaussian_cell_means_stay_out_of_the_keyed_cache():
-    """Only distributions that need an integral take a slot of the bounded
-    cache, so blanket and traditional cells cannot evict proposed's means."""
+def test_single_gaussian_cell_means_need_no_integral(monkeypatch):
+    """A single Gaussian's mean is its mu: blanket, traditional, mean-pathloss
+    and one-unit cells never reach the quadrature."""
     grid = PositionGrid.over(3000.0, 250.0)
     _clear_package_caches()
-    for scheme in (Scheme.DAS_BLANKET, Scheme.TRADITIONAL):
-        channel.cell_means(Scenario().with_scheme(scheme), grid)
-    assert channel._keyed_mean.cache_info().currsize == 0
+    calls = _count_rows(monkeypatch)
+    for sc in (Scenario().with_scheme(Scheme.DAS_BLANKET),
+               Scenario().with_scheme(Scheme.TRADITIONAL),
+               Scenario(selection=SelectionRule.MEAN_PATHLOSS), Scenario(n_raus=1)):
+        table = channel.link_table(sc, grid)
+        means, _ = channel.cell_means(sc, grid)
+        for j in range(len(grid.positions)):
+            for a in range(len(table.antennas)):
+                for c in range(len(channel.CELLS)):
+                    dist = table.cell_distribution(j, a, c)
+                    assert means[j, a, c] == dist.components[0].mu
+    assert calls == []
     channel.cell_means(Scenario(), grid)
-    assert channel._keyed_mean.cache_info().currsize > 0
+    assert len(calls) == 1
 
 
 def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
@@ -454,14 +475,14 @@ def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
 
     config = RunConfig(scenario=Scenario(measurement_step=250.0), trials=200,
                        output_dir=tmp_path)
-    calls = _count_integrals(monkeypatch)
+    calls = _count_rows(monkeypatch)
     counts = []
     for clear in (True, True, False):
         if clear:
             _clear_package_caches()
         del calls[:]
         compare_schemes(config)
-        counts.append(len(calls))
+        counts.append(sum(calls))
     assert counts[0] == counts[1] > counts[2]
 
 

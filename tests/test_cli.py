@@ -148,6 +148,44 @@ def test_numeric_breakdown_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure, stage", [
+    ("rss", r"cell mean of das-single at x=\d+ m \(front antenna, (serving|target) cell\)"),
+    ("failure", r"failure probability at x=\d+ m \(front antenna\)"),
+])
+def test_numeric_breakdown_names_stage_and_position(tmp_path, capsys, monkeypatch,
+                                                    figure, stage):
+    """With no bisection allowed no quadrature row converges; exit 3 names
+    the stage, the antenna and a grid position that failed, and for a cell
+    mean the scheme and the cell (failure integrals are shared by the
+    schemes whose trigger pairs agree)."""
+    import re
+
+    from railhandover import analytics, channel, statfun
+
+    monkeypatch.setattr(statfun, "_MAX_DEPTH", 0)
+    channel.cell_means.cache_clear()
+    analytics._failure_rows.cache_clear()
+    code = main(["run", "--figure", figure, *_base_args(tmp_path),
+                 "--schemes", "das-single"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.search(f"^numeric error: {stage}: quadrature did not converge .* "
+                     r"after 0 bisection rounds\)$", err, re.MULTILINE), err
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_out():
+    """A structural check, not a timing: the command line needs numpy and
+    scipy.special only."""
+    import subprocess
+    import sys
+
+    probe = ("import sys, railhandover.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_compare_single_scheme_exits_0(tmp_path, capsys):
     code = main(["compare", *_base_args(tmp_path), "--trials", "20000",
                  "--jobs", "8"])

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railhandover.analytics import MetricMode
 from railhandover.cli import main
@@ -19,6 +21,7 @@ from railhandover.figures import (
     ResultTable,
     RunConfig,
     _binomial_envelope,
+    _binomial_quantile,
     _quantize,
     compare_schemes,
     run_figure,
@@ -140,6 +143,62 @@ def test_binomial_envelope_floor_at_large_trials():
     # in the rare-event regime the allowance widens with the Poisson tail
     small = _binomial_envelope(np.array([5e-4]), 10)
     assert small[0] > 0.01
+
+
+_QUANTILES = (0.00135, 0.99865)
+
+
+def _assert_binomial_quantiles_match_scipy(trials, p):
+    from scipy.stats import binom
+
+    for q in _QUANTILES:
+        assert np.array_equal(_binomial_quantile(q, trials, p), binom.ppf(q, trials, p)), \
+            (q, trials)
+
+
+def test_binomial_quantile_matches_scipy_on_the_goldens_and_acceptance_runs():
+    """Every analytic occurrence mass the golden transcripts, the golden
+    compare CSVs, the acceptance runs and the benchmark's compare feed the
+    envelope, at their trial counts."""
+    from railhandover.cli import parse_config
+    from test_compare_rules import CASES
+
+    configs = [parse_config(text) for text in CASES.values()]
+    configs += [RunConfig(scenario=Scenario(measurement_step=step), trials=trials)
+                for step, trials in ((250.0, 200), (250.0, 2000), (50.0, 2000),
+                                     (10.0, 100_000))]
+    for config in configs:
+        runner = FigureRunner(config)
+        for scheme in config.schemes:
+            p = np.clip(runner.occurrence_values(scheme, MetricMode.REDERIVED), 0.0, 1.0)
+            _assert_binomial_quantiles_match_scipy(config.trials, p)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 100_000),
+       st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                          st.floats(0.0, 1e-3), st.floats(1e-300, 1e-6)), min_size=1))
+def test_binomial_quantile_matches_scipy_on_generated_masses(trials, p):
+    _assert_binomial_quantiles_match_scipy(trials, np.array(p))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 20, 200, 2000, 100_000])
+def test_binomial_quantile_matches_scipy_beside_its_steps(trials):
+    """Masses one part in 1e9 either side of each point where the quantile
+    steps, that is where P(count <= k) equals the quantile level. At the
+    point itself both sides of the comparison round that CDF to within an
+    ulp or so of the level, and which count comes out is decided by how
+    each implementation rounds, so the point itself is not compared."""
+    from scipy.special import bdtri
+    from scipy.stats import binom
+
+    counts = np.arange(min(trials, 3000))
+    for q in _QUANTILES:
+        steps = bdtri(counts, trials, q)
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            p = np.clip(steps * side, 0.0, 1.0)
+            assert np.array_equal(_binomial_quantile(q, trials, p), binom.ppf(q, trials, p))
+    _assert_binomial_quantiles_match_scipy(trials, np.array([0.0, 1.0]))
 
 
 def test_compare_single_scheme_passes(tmp_path):

@@ -1,8 +1,12 @@
-"""Scalar kernels: normal CDF/Q, checked quadrature, lognormal-sum approx.
+"""Scalar kernels: normal CDF/Q, lognormal-sum approx, and the QUADPACK oracle.
 
 Reference values were frozen from independent oracles (trapezoid
 integration of the normal density on a 1e-5 grid, raw numpy Monte
-Carlo); the comments next to each constant say which.
+Carlo); the comments next to each constant say which. The checked
+QUADPACK wrapper the other tests use as their reference quadrature, and
+the scalar density and hazard rate its integrands use, live in
+`tests/quadpack_oracle.py` and are tested here; the package's own array
+rule is tested in `tests/test_quadrature.py`.
 """
 
 import math
@@ -12,15 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railhandover.statfun import (
+from railhandover.statfun import NumericsError, lognormal_sum_approx, q_function, std_normal_cdf
+from quadpack_oracle import (
     IntegralResult,
-    NumericsError,
     Quadrature,
     gaussian_hazard,
     integrate,
-    lognormal_sum_approx,
-    q_function,
-    std_normal_cdf,
     std_normal_pdf,
 )
 
@@ -75,6 +76,9 @@ def test_hazard_stable_deep_in_tail():
     # pdf/Q both underflow near z=40; the scaled-erfc form stays finite
     h = gaussian_hazard(40.0)
     assert 40.0 < h < 40.05
+
+
+# --- QUADPACK oracle (tests/quadpack_oracle.py) ---
 
 
 def test_density_normalization():

@@ -9,15 +9,13 @@ from ._version import __version__
 from .analytics import (
     MetricMode,
     PositionGrid,
-    UndefinedConditionalError,
-    failure_prob,
+    failure_curve,
     first_crossing_masses,
-    interruption_prob,
-    mean_rss,
-    occurrence_prob,
-    trigger_prob,
+    interruption_curve,
+    occurrence_masses,
+    trigger_curve,
 )
-from .channel import LinkStat, RssDistribution, path_loss, rss_distribution
+from .channel import path_loss
 from .figures import Figure, ResultTable, RunConfig, compare_schemes, run_figure
 from .montecarlo import (
     Metric,
@@ -35,32 +33,27 @@ __all__ = [
     "CellId",
     "Figure",
     "HandoverState",
-    "LinkStat",
     "Metric",
     "MetricMode",
     "PositionGrid",
     "ProtocolViolation",
     "ResultTable",
-    "RssDistribution",
     "RunConfig",
     "Scenario",
     "Scheme",
     "SeedPolicy",
     "SelectionRule",
-    "UndefinedConditionalError",
     "compare_schemes",
     "estimate_first_crossing",
     "estimate_pointwise",
     "estimate_protocol",
-    "failure_prob",
+    "failure_curve",
     "first_crossing_masses",
-    "interruption_prob",
-    "mean_rss",
-    "occurrence_prob",
+    "interruption_curve",
+    "occurrence_masses",
     "path_loss",
-    "rss_distribution",
     "run_crossing",
     "run_figure",
     "transition",
-    "trigger_prob",
+    "trigger_curve",
 ]

@@ -1,11 +1,16 @@
 """Closed-form handover metrics along the overlap span.
 
 All metrics are evaluated position-wise on a measurement grid, with the
-front antenna's along-track coordinate as the reference. Two evaluation
-modes exist because the published closed forms for occurrence, failure
-and interruption are not self-consistent: MetricMode.PAPER evaluates
-them exactly as printed, MetricMode.REDERIVED (the default) evaluates
-the first-principles forms that Monte Carlo estimates converge to.
+front antenna's along-track coordinate as the reference, and every curve
+reads its Gaussian link statistics from `channel.link_table`. Values are
+produced by the scalar `math` kernels (`q_function`, `math.hypot`,
+`std_normal_cdf`) applied elementwise, so a position's value does not
+depend on the grid it sits on: the value at one position x is the curve
+on PositionGrid((x,), step). Two evaluation modes exist because the
+published closed forms for occurrence, failure and interruption are not
+self-consistent: MetricMode.PAPER evaluates them exactly as printed,
+MetricMode.REDERIVED (the default) evaluates the first-principles forms
+that Monte Carlo estimates converge to.
 """
 
 from __future__ import annotations
@@ -19,22 +24,23 @@ import numpy as np
 from scipy.special import erfc, erfcx, ndtr
 
 from . import channel
-from .scenario import AntennaId, CellId, Scenario
-from .statfun import STEP_SCALE, integrate_rows, q_function
+from .scenario import AntennaId, Scenario
+from .statfun import STEP_SCALE, integrate_rows, q_function, std_normal_cdf
 
 # Conditional metrics are undefined once the conditioning event is this rare.
 TRIGGER_FLOOR = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
+# the scalar kernels, elementwise: numpy's own functions differ in the last bit
+_hypot = np.vectorize(math.hypot, otypes=[float])
+_q = np.vectorize(q_function, otypes=[float])
+_ncdf = np.vectorize(std_normal_cdf, otypes=[float])
+
 
 class MetricMode(Enum):
     PAPER = "paper"
     REDERIVED = "rederived"
-
-
-class UndefinedConditionalError(ValueError):
-    """Raised when a conditional metric's conditioning probability is ~ 0."""
 
 
 @dataclass(frozen=True)
@@ -77,31 +83,24 @@ def _check_antenna(sc: Scenario, antenna: AntennaId) -> None:
 # === Trigger probability ===
 
 
-def trigger_prob_closed_form(serving: channel.LinkStat, target: channel.LinkStat,
-                             hysteresis: float) -> float:
-    """P(target RSS - serving RSS > hysteresis) for one Gaussian pair."""
-    gap = math.hypot(serving.sigma, target.sigma)
-    margin = target.mu - serving.mu
-    return q_function((hysteresis - margin) / gap)
-
-
-def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:
-    """Probability that the handover rule fires at this position: the closed
-    form, exact for the Gaussian pair every scheme compares (the boundary
-    RAUs under RAU selection, the per-cell distributions otherwise)."""
-    _check_antenna(sc, antenna)
-    return trigger_prob_closed_form(*channel.trigger_pair(sc, front_x, antenna),
-                                    sc.hysteresis)
+def _comparands(table: channel.LinkTable, antenna: AntennaId) -> tuple[np.ndarray, ...]:
+    """Serving mu, sigma and target mu, sigma of the handover rule at every position."""
+    a, (s, t) = table.antennas.index(antenna), table.trigger_column
+    return (table.mu[:, a, 0, s], table.sigma[:, a, 0, s],
+            table.mu[:, a, 1, t], table.sigma[:, a, 1, t])
 
 
 def trigger_curve(sc: Scenario, grid: PositionGrid,
                   antenna: AntennaId = AntennaId.FRONT) -> np.ndarray:
-    """trigger_prob at every grid position, from the link table's comparands."""
+    """Probability that the handover rule fires at each grid position.
+
+    The rule compares a Gaussian pair (the boundary RAUs under RAU
+    selection, the cell RSS otherwise), so P(target - serving > hysteresis)
+    is the closed form Q((hysteresis - margin) / hypot(sigma_s, sigma_t)).
+    """
     _check_antenna(sc, antenna)
-    table = channel.link_table(sc, grid)
-    a = table.antennas.index(antenna)
-    return np.array([trigger_prob_closed_form(*table.trigger_pair(j, a), sc.hysteresis)
-                     for j in range(len(grid.positions))])
+    mu_s, sigma_s, mu_t, sigma_t = _comparands(channel.link_table(sc, grid), antenna)
+    return _q((sc.hysteresis - (mu_t - mu_s)) / _hypot(sigma_s, sigma_t))
 
 
 # === Occurrence probability ===
@@ -120,10 +119,9 @@ def first_crossing_masses(trigger_probs: np.ndarray) -> np.ndarray:
     return p * survival_before
 
 
-def occurrence_prob(sc: Scenario, grid: PositionGrid,
-                    antenna: AntennaId = AntennaId.FRONT,
-                    mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
-    """Per-position handover occurrence masses along the grid.
+def occurrence_masses(trigger_probs: np.ndarray, step: float,
+                      mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
+    """Per-position handover occurrence masses from a trigger curve.
 
     REDERIVED is the first-crossing distribution of the trigger events
     under position-independent shadowing. PAPER evaluates the printed
@@ -131,12 +129,6 @@ def occurrence_prob(sc: Scenario, grid: PositionGrid,
     a probability mass (it is not normalized and can exceed 1) and is
     emitted for comparison only.
     """
-    return occurrence_masses(trigger_curve(sc, grid, antenna), grid.step, mode)
-
-
-def occurrence_masses(trigger_probs: np.ndarray, step: float,
-                      mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
-    """occurrence_prob from an already evaluated trigger curve."""
     p = np.asarray(trigger_probs, dtype=float)
     if mode is MetricMode.REDERIVED:
         return first_crossing_masses(p)
@@ -147,9 +139,12 @@ def occurrence_masses(trigger_probs: np.ndarray, step: float,
 # === Failure probability ===
 
 
-def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT,
-                 mode: MetricMode = MetricMode.REDERIVED) -> float:
-    """P(target RSS at the trigger moment < threshold | trigger fired).
+def failure_curve(sc: Scenario, grid: PositionGrid,
+                  antenna: AntennaId = AntennaId.FRONT,
+                  mode: MetricMode = MetricMode.REDERIVED) -> list[float | None]:
+    """P(target RSS at the trigger moment < threshold | trigger fired) at
+    every grid position, None where the trigger probability is below
+    TRIGGER_FLOOR and the conditional is undefined.
 
     Let U be the target comparand and V the target-minus-serving margin.
     REDERIVED evaluates P(U < threshold | V > hysteresis) by integrating
@@ -162,34 +157,11 @@ def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     one. It is derived here from the rederived value via
     P(U < T) = P(U < T, V > H) + P(U < T, V < H).
 
-    Raises UndefinedConditionalError when the trigger probability is
-    below TRIGGER_FLOOR.
-    """
-    _check_antenna(sc, antenna)
-    serving, target = channel.trigger_pair(sc, front_x, antenna)
-    pair = np.array([[serving.mu, serving.sigma, target.mu, target.sigma]])
-    value = _failure_rows(pair.tobytes(), sc.hysteresis, sc.threshold, mode, antenna,
-                          (front_x,))[0]
-    if math.isnan(value):
-        raise UndefinedConditionalError(
-            f"trigger probability {trigger_prob(sc, front_x, antenna):.3g} at "
-            f"x={front_x:.6g} is below {TRIGGER_FLOOR:.0e}; conditional failure undefined")
-    return float(value)
-
-
-def failure_curve(sc: Scenario, grid: PositionGrid,
-                  antenna: AntennaId = AntennaId.FRONT,
-                  mode: MetricMode = MetricMode.REDERIVED) -> list[float | None]:
-    """failure_prob at every grid position, None where it is undefined.
-
     Each distinct (serving, target) pair is integrated once, and schemes
     with equal pairs (das-single and the proposed front antenna) share them.
     """
     _check_antenna(sc, antenna)
-    table = channel.link_table(sc, grid)
-    a, (s, t) = table.antennas.index(antenna), table.trigger_column
-    pairs = np.stack((table.mu[:, a, 0, s], table.sigma[:, a, 0, s],
-                      table.mu[:, a, 1, t], table.sigma[:, a, 1, t]), axis=1)
+    pairs = np.stack(_comparands(channel.link_table(sc, grid), antenna), axis=1)
     distinct, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
     values = _failure_rows(distinct.tobytes(), sc.hysteresis, sc.threshold, mode, antenna,
                            tuple(grid.positions[j] for j in first))
@@ -251,55 +223,32 @@ def _failure_rows(pairs: bytes, hysteresis: float, threshold: float, mode: Metri
 # === Interruption probability ===
 
 
-def interruption_prob_antenna(sc: Scenario, front_x: float, antenna: AntennaId,
-                              mode: MetricMode = MetricMode.REDERIVED) -> float:
-    """P(one antenna's RSS from every cell is below the usable threshold).
-
-    REDERIVED multiplies the per-cell below-threshold probabilities
-    (independent shadowing across cells). PAPER takes the minimum of the
-    per-cell probabilities as printed; it upper-bounds the rederived
-    value, so REDERIVED <= PAPER everywhere.
-    """
-    _check_antenna(sc, antenna)
-    return _cells_interruption(sc, [channel.rss_distribution(sc, front_x, antenna, cell)
-                                    for cell in channel.CELLS], mode)
-
-
-def _cells_interruption(sc: Scenario, cells: list[channel.RssDistribution],
-                        mode: MetricMode) -> float:
-    below = [channel.cdf(dist, sc.threshold) for dist in cells]
-    return below[0] * below[1] if mode is MetricMode.REDERIVED else min(below)
-
-
-def interruption_prob(sc: Scenario, front_x: float,
-                      mode: MetricMode = MetricMode.REDERIVED) -> float:
-    """Communication interruption: every active antenna below threshold."""
-    return math.prod(interruption_prob_antenna(sc, front_x, antenna, mode)
-                     for antenna in sc.antennas())
+def _running_product(values: np.ndarray) -> np.ndarray:
+    """Product over the last axis, multiplied left to right as math.prod does."""
+    out = values[..., 0]
+    for k in range(1, values.shape[-1]):
+        out = out * values[..., k]
+    return out
 
 
 def interruption_curve(sc: Scenario, grid: PositionGrid,
                        mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
-    """interruption_prob at every grid position, from the link table's cells."""
-    table = channel.link_table(sc, grid)
-    cells = range(len(channel.CELLS))
-    return np.array([math.prod(
-        _cells_interruption(sc, [table.cell_distribution(j, a, c) for c in cells], mode)
-        for a in range(len(table.antennas))) for j in range(len(grid.positions))])
+    """P(every active antenna's RSS from every cell is below the usable
+    threshold) at each grid position.
 
-
-# === Mean RSS ===
-
-
-def mean_rss(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:
-    """Mean RSS in dBm of the better cell at this antenna position.
-
-    "Better" picks the cell whose RSS distribution has the larger mean;
-    the reported value is that mean.
+    A cell's below-threshold probability is the product of its component
+    CDFs. Per antenna, REDERIVED multiplies the two cells' probabilities
+    (independent shadowing across cells) and PAPER takes their minimum as
+    printed, an upper bound, so REDERIVED <= PAPER everywhere. The antenna
+    values multiply.
     """
-    _check_antenna(sc, antenna)
-    return max(channel.distribution_mean(channel.rss_distribution(sc, front_x, antenna, cell))
-               for cell in (CellId.SERVING, CellId.TARGET))
+    mu, sigma = channel.link_table(sc, grid).cell_components()
+    cells = _running_product(_ncdf((sc.threshold - mu) / sigma))
+    if mode is MetricMode.REDERIVED:
+        antennas = cells[..., 0] * cells[..., 1]
+    else:
+        antennas = np.minimum(cells[..., 0], cells[..., 1])
+    return _running_product(antennas)
 
 
 # === Curve utilities ===

@@ -1,4 +1,4 @@
-"""Received-signal-strength models for each transmission scheme.
+"""Link statistics of each transmission scheme, as one array table per grid.
 
 A link's RSS in dBm is transmit power minus log-distance path loss minus
 a zero-mean Gaussian shadow-fading term; shadowing draws are independent
@@ -6,18 +6,23 @@ across links, cells, antennas and measurement positions. Per scheme a
 train antenna sees one RSS random variable per cell:
 
 * PROPOSED / DAS_SINGLE: the cell powers its best RAU, so the cell RSS
-  is the maximum of the per-RAU Gaussians (full power each).
+  is the maximum of the per-RAU Gaussians (full power each), or under
+  mean-pathloss selection the RAU link with the best mean.
 * DAS_BLANKET: every RAU transmits at tx_power / n_raus; the cell RSS is
   the dB value of the linear power sum, approximated by a single
   Gaussian through linear-domain moment matching.
 * TRADITIONAL: a single base-station link at full power.
+
+`link_table` is the one producer of these statistics: it evaluates every
+link of a grid with the scalar `math` arithmetic of `path_loss` and
+`link_distance` and stacks the (mu, sigma) pairs into arrays that every
+analytic curve, Monte Carlo sweep and protocol run reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -36,7 +41,7 @@ from .scenario import (
     link_distance,
     rau_positions,
 )
-from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx, std_normal_cdf
+from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
 
 if TYPE_CHECKING:
     from .analytics import PositionGrid
@@ -66,111 +71,6 @@ def per_rau_power(sc: Scenario) -> float:
     return sc.tx_power
 
 
-@dataclass(frozen=True)
-class LinkStat:
-    """Gaussian RSS statistics of one link: mean dBm, shadow sigma dB."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-
-
-class DistributionKind(Enum):
-    MAX_OF_GAUSSIANS = "max-of-gaussians"
-    SINGLE_GAUSSIAN = "single-gaussian"
-
-
-@dataclass(frozen=True)
-class RssDistribution:
-    """RSS distribution of one (antenna, cell) pair at one position."""
-
-    kind: DistributionKind
-    components: tuple[LinkStat, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) == 0:
-            raise ValueError("a distribution needs at least one component")
-        if self.kind is DistributionKind.SINGLE_GAUSSIAN and len(self.components) != 1:
-            raise ValueError("single-gaussian distribution must have exactly one component")
-
-
-def link_stat(sc: Scenario, front_x: float, rau_index: int, antenna: AntennaId,
-              cell: CellId) -> LinkStat:
-    """RSS statistics of the link from one RAU to one train antenna."""
-    if not (1 <= rau_index <= sc.n_raus):
-        raise ValueError(f"rau_index must be in 1..{sc.n_raus}, got {rau_index}")
-    node = rau_positions(sc, cell)[rau_index - 1]
-    d = link_distance(antenna_x(sc, front_x, antenna), node)
-    return LinkStat(per_rau_power(sc) - path_loss(sc, d), sc.rau_sigma(rau_index))
-
-
-def _bs_link_stat(sc: Scenario, front_x: float, antenna: AntennaId, cell: CellId) -> LinkStat:
-    node = bs_position(sc, cell)
-    d = link_distance(antenna_x(sc, front_x, antenna), node)
-    return LinkStat(sc.tx_power - path_loss(sc, d), sc.shadow_sigma)
-
-
-def rss_distribution(sc: Scenario, front_x: float, antenna: AntennaId,
-                     cell: CellId) -> RssDistribution:
-    """Per-cell RSS distribution seen by a train antenna at front_x."""
-    if sc.scheme is Scheme.TRADITIONAL:
-        return RssDistribution(DistributionKind.SINGLE_GAUSSIAN,
-                               (_bs_link_stat(sc, front_x, antenna, cell),))
-
-    links = tuple(link_stat(sc, front_x, n, antenna, cell)
-                  for n in range(1, sc.n_raus + 1))
-    if sc.scheme is Scheme.DAS_BLANKET:
-        mu, sigma = lognormal_sum_approx([l.mu for l in links], [l.sigma for l in links])
-        return RssDistribution(DistributionKind.SINGLE_GAUSSIAN, (LinkStat(mu, sigma),))
-    if sc.selection is SelectionRule.MEAN_PATHLOSS:
-        best = max(links, key=lambda l: l.mu)
-        return RssDistribution(DistributionKind.SINGLE_GAUSSIAN, (best,))
-    return RssDistribution(DistributionKind.MAX_OF_GAUSSIANS, links)
-
-
-def trigger_pair(sc: Scenario, front_x: float, antenna: AntennaId) -> tuple[LinkStat, LinkStat]:
-    """The (serving, target) Gaussian comparands of the handover rule.
-
-    Under RAU selection, handover compares the serving cell's last RAU
-    against the target cell's first RAU (the links that face each other
-    across the cell boundary, and the RAU the target powers during a
-    handover). Blanket and traditional schemes compare their per-cell
-    RSS variables directly.
-    """
-    if sc.scheme in SELECTION_SCHEMES:
-        serving = link_stat(sc, front_x, sc.n_raus, antenna, CellId.SERVING)
-        target = link_stat(sc, front_x, 1, antenna, CellId.TARGET)
-        return serving, target
-    serving_dist = rss_distribution(sc, front_x, antenna, CellId.SERVING)
-    target_dist = rss_distribution(sc, front_x, antenna, CellId.TARGET)
-    return serving_dist.components[0], target_dist.components[0]
-
-
-# === Distribution evaluations ===
-
-
-def cdf(dist: RssDistribution, r: float) -> float:
-    """P(RSS <= r): product of the per-component Gaussian CDFs."""
-    out = 1.0
-    for c in dist.components:
-        out *= std_normal_cdf((r - c.mu) / c.sigma)
-    return out
-
-
-def distribution_mean(dist: RssDistribution) -> float:
-    """Mean RSS in dBm; numeric for the max distribution, exact otherwise."""
-    comps = dist.components
-    if len(comps) == 1:
-        return comps[0].mu
-    stats = np.array([[c.mu for c in comps], [c.sigma for c in comps]])
-    return float(max_means(stats[:1], stats[1:], lambda r: "cell mean")[0])
-
-
 def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
     """E[max] of each row of independent Gaussians (mu, sigma of shape (rows, n)).
 
@@ -185,9 +85,10 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
         offset = ((mu[:, :, None] - mu[:, None, :]) / sigma[:, None, :])[:, others]
         scale = (sigma[:, :, None] / sigma[:, None, :])[:, others]
     # a finite bound keeps every CDF argument offset + scale * z, |z| <= 10, finite
-    if not np.isfinite(np.abs(offset) + 10.0 * np.abs(scale)).all():
-        raise ValueError("distribution_mean requires finite normal CDF arguments; "
-                         "the component sigmas are too small for their mean gaps")
+    finite = np.isfinite(np.abs(offset) + 10.0 * np.abs(scale)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{where(int(np.argmin(finite)))}: the normal CDF arguments are not "
+                         "finite; the component sigmas are too small for their mean gaps")
     # the standard partition, and an edge wherever another component's CDF
     # rises as a step (else a repeat of -10)
     steps = -offset / scale
@@ -231,27 +132,18 @@ class LinkTable:
     """
 
     antennas: tuple[AntennaId, ...]
-    kind: DistributionKind
     mu: np.ndarray
     sigma: np.ndarray
     cell_column: np.ndarray | None
     trigger_column: tuple[int, int]
 
-    def cell_distribution(self, j: int, a: int, c: int) -> RssDistribution:
-        """The cell RSS distribution at position index j, antenna a, cell c."""
+    def cell_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu and sigma of the components whose maximum is each cell's RSS."""
         if self.cell_column is None:
-            columns = range(self.mu.shape[-1])
-        else:
-            columns = (int(self.cell_column[j, a, c]),)
-        return RssDistribution(self.kind, tuple(self._stat(j, a, c, n) for n in columns))
-
-    def trigger_pair(self, j: int, a: int) -> tuple[LinkStat, LinkStat]:
-        """The (serving, target) comparands at position index j, antenna a."""
-        return self._stat(j, a, 0, self.trigger_column[0]), \
-            self._stat(j, a, 1, self.trigger_column[1])
-
-    def _stat(self, j: int, a: int, c: int, n: int) -> LinkStat:
-        return LinkStat(float(self.mu[j, a, c, n]), float(self.sigma[j, a, c, n]))
+            return self.mu, self.sigma
+        pick = self.cell_column[..., None]
+        return (np.take_along_axis(self.mu, pick, axis=-1),
+                np.take_along_axis(self.sigma, pick, axis=-1))
 
     def sample(self, rows: slice, a: int, c: int, rng: np.random.Generator,
                n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,29 +165,44 @@ class LinkTable:
         return cell, rss[:, self.trigger_column[c]]
 
 
+def _links(sc: Scenario, x: float, antenna: AntennaId, cell: CellId) -> list[tuple[float, float]]:
+    """(mu, sigma) of each table component of one cell at front position x.
+
+    Under RAU selection these are the per-RAU links; blanket cells sum
+    them into one Gaussian, traditional cells have the one base-station
+    link. Raises ValueError naming the link when a mean is not finite.
+    """
+    def checked(links: list[tuple[float, float]]) -> list[tuple[float, float]]:
+        for mu, _ in links:
+            if not math.isfinite(mu):
+                raise ValueError(
+                    f"link mean {mu} of {sc.scheme.value} at x={x:g} m ({antenna.name.lower()}"
+                    f" antenna, {cell.name.lower()} cell) is not finite")
+        return links
+
+    at = antenna_x(sc, x, antenna)
+    if sc.scheme is Scheme.TRADITIONAL:
+        d = link_distance(at, bs_position(sc, cell))
+        return checked([(sc.tx_power - path_loss(sc, d), sc.shadow_sigma)])
+    power = per_rau_power(sc)
+    links = checked([(power - path_loss(sc, link_distance(at, node)), sc.rau_sigma(n))
+                     for n, node in enumerate(rau_positions(sc, cell), 1)])
+    if sc.scheme is Scheme.DAS_BLANKET:
+        with np.errstate(all="ignore"):  # a sum beyond the float range is named by checked
+            return checked([lognormal_sum_approx(*zip(*links))])
+    return links
+
+
 @lru_cache(maxsize=32)
 def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
-    """The scenario's link statistics over the grid, built once per pair.
-
-    Every value comes from link_stat / rss_distribution, so the table
-    matches the scalar path bitwise.
-    """
-    selection = sc.scheme in SELECTION_SCHEMES
-
-    def links(x: float, antenna: AntennaId, cell: CellId) -> tuple[LinkStat, ...]:
-        if selection:
-            return tuple(link_stat(sc, x, n, antenna, cell)
-                         for n in range(1, sc.n_raus + 1))
-        return rss_distribution(sc, x, antenna, cell).components
-
-    stats = np.array([[[[(l.mu, l.sigma) for l in links(x, antenna, cell)] for cell in CELLS]
+    """The scenario's link statistics over the grid, built once per pair."""
+    stats = np.array([[[_links(sc, x, antenna, cell) for cell in CELLS]
                        for antenna in sc.antennas()] for x in grid.positions])
     mu, sigma = _frozen(stats[..., 0]), _frozen(stats[..., 1])
+    selection = sc.scheme in SELECTION_SCHEMES
     picky = selection and sc.selection is SelectionRule.MEAN_PATHLOSS
-    kind = (DistributionKind.MAX_OF_GAUSSIANS if selection and not picky
-            else DistributionKind.SINGLE_GAUSSIAN)
     return LinkTable(
-        antennas=sc.antennas(), kind=kind, mu=mu, sigma=sigma,
+        antennas=sc.antennas(), mu=mu, sigma=sigma,
         cell_column=_frozen(np.argmax(mu, axis=-1)) if picky else None,
         trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
 
@@ -310,13 +217,12 @@ def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarr
     The distinct max-of-Gaussians rows are integrated in one batch.
     """
     table = link_table(sc, grid)
-    shape, n = table.mu.shape[:3], table.mu.shape[3]
-    if table.cell_column is not None:
-        means = np.take_along_axis(table.mu, table.cell_column[..., None], axis=-1)[..., 0]
-    elif n == 1:
-        means = table.mu[..., 0].copy()
+    mu, sigma = table.cell_components()
+    shape, n = mu.shape[:3], mu.shape[3]
+    if n == 1:
+        means = mu[..., 0].copy()
     else:
-        stats = np.concatenate((table.mu, table.sigma), axis=-1).reshape(-1, 2 * n)
+        stats = np.concatenate((mu, sigma), axis=-1).reshape(-1, 2 * n)
         distinct, first, inverse = np.unique(stats, axis=0, return_index=True,
                                              return_inverse=True)
 

@@ -16,13 +16,15 @@ import argparse
 import configparser
 import dataclasses
 import sys
+import typing
+from enum import Enum
 from pathlib import Path
 
 from .analytics import MetricMode, PositionGrid
 from .figures import Figure, RunConfig, compare_schemes, run_figure, validate_schemes
 from .montecarlo import DOMAIN_PROTOCOL, SeedPolicy
 from .protocol import format_trace, run_crossing
-from .scenario import Scenario, Scheme, SelectionRule
+from .scenario import Scenario, Scheme
 from .statfun import NumericsError
 
 EXIT_OK = 0
@@ -35,12 +37,8 @@ class ConfigError(Exception):
     pass
 
 
-_FLOAT_KEYS = frozenset({
-    "ds", "d0", "du", "train_length", "speed", "tx_power", "shadow_sigma",
-    "pathloss_a", "pathloss_gamma", "hysteresis", "threshold",
-    "measurement_step", "noise_density", "dr",
-})
-_INT_SCENARIO_KEYS = frozenset({"n_raus"})
+# every Scenario field is a config key of its annotated type
+_SCENARIO_TYPES = typing.get_type_hints(Scenario)
 _RUN_INT_KEYS = frozenset({"trials", "master_seed", "jobs"})
 
 
@@ -64,6 +62,18 @@ def _parse_enum(key: str, raw: str, enum_cls):
     except ValueError:
         legal = ", ".join(e.value for e in enum_cls)
         raise ConfigError(f"{key}: expected one of {legal}, got {raw!r}") from None
+
+
+def _parse_scenario_value(key: str, raw: str):
+    kind = _SCENARIO_TYPES[key]
+    if kind is float:
+        return _parse_float(key, raw)
+    if kind is int:
+        return _parse_int(key, raw)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return _parse_enum(key, raw, kind)
+    # the per-unit sigmas, a comma-separated list of numbers
+    return tuple(_parse_float(key, part) for part in raw.split(","))
 
 
 def _parse_schemes(key: str, raw: str) -> tuple[Scheme, ...]:
@@ -98,17 +108,8 @@ def parse_config(text: str) -> RunConfig:
     scenario_kwargs: dict = {}
     run_kwargs: dict = {}
     for key, raw in seen.items():
-        if key in _FLOAT_KEYS:
-            scenario_kwargs[key] = _parse_float(key, raw)
-        elif key in _INT_SCENARIO_KEYS:
-            scenario_kwargs[key] = _parse_int(key, raw)
-        elif key == "scheme":
-            scenario_kwargs[key] = _parse_enum(key, raw, Scheme)
-        elif key == "selection":
-            scenario_kwargs[key] = _parse_enum(key, raw, SelectionRule)
-        elif key == "shadow_sigma_per_rau":
-            scenario_kwargs[key] = tuple(_parse_float(key, part)
-                                         for part in raw.split(","))
+        if key in _SCENARIO_TYPES:
+            scenario_kwargs[key] = _parse_scenario_value(key, raw)
         elif key in _RUN_INT_KEYS:
             run_kwargs[key] = _parse_int(key, raw)
         elif key == "mode":

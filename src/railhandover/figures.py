@@ -260,7 +260,7 @@ class FigureRunner:
 
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
         def compute():
-            # better-cell mean per antenna, as analytics.mean_rss gives it
+            # better-cell mean per antenna: the larger of its two cell means
             front, *rear = channel.cell_means(self.scenario_for(scheme),
                                               self.grid)[0].max(axis=2).T.tolist()
             if not rear:

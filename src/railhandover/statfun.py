@@ -166,5 +166,6 @@ def lognormal_sum_approx(means_db: Sequence[float],
     var = np.exp(2.0 * m + s2) * np.expm1(s2)
     total = float(np.sum(first))
     sig2_ln = float(np.log1p(np.sum(var) / total ** 2))
-    mu_ln = math.log(total) - 0.5 * sig2_ln
+    # a total that underflows to 0 gives -inf, for the caller to reject
+    mu_ln = (math.log(total) if total > 0.0 else -math.inf) - 0.5 * sig2_ln
     return mu_ln / _LAMBDA, math.sqrt(sig2_ln) / _LAMBDA

@@ -17,8 +17,8 @@ from typing import Callable
 from scipy import integrate as _sci_integrate
 from scipy.special import erfcx
 
-from railhandover.channel import LinkStat, RssDistribution
 from railhandover.statfun import NumericsError, q_function, std_normal_cdf
+from link_oracle import LinkStat, RssDistribution
 
 
 def std_normal_pdf(z: float) -> float:
@@ -112,7 +112,7 @@ def trigger_prob_integral(serving: LinkStat, target: LinkStat, hysteresis: float
     target - serving > hysteresis iff serving < r - hysteresis once the
     target value r is fixed, so the integrand is
     F_serving(r - hysteresis) * f_target(r). It must agree with
-    analytics.trigger_prob_closed_form.
+    the closed form `trigger_curve` evaluates.
     """
     lo = target.mu - 10.0 * target.sigma
     hi = target.mu + 10.0 * target.sigma
@@ -162,7 +162,7 @@ def failure_rederived(serving: LinkStat, target: LinkStat, hysteresis: float,
                       threshold: float, tolerance: float = 1e-11) -> float:
     """P(target < threshold | target - serving > hysteresis) by QUADPACK.
 
-    The integrals of `analytics.failure_prob`, split where the target's
+    The integrals of `analytics.failure_curve`, split where the target's
     conditional CDF crosses one half, a step once its conditional sigma
     is tiny.
     """

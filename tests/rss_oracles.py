@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from railhandover.channel import RssDistribution
 from railhandover.statfun import std_normal_cdf
+from link_oracle import RssDistribution
 from quadpack_oracle import Quadrature, integrate, std_normal_pdf
 
 

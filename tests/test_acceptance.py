@@ -17,18 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from railhandover import analytics
+from railhandover import channel
 from railhandover.analytics import (
     MetricMode,
     PositionGrid,
+    failure_curve,
     first_level_crossing,
-    interruption_prob,
-    mean_rss,
-    occurrence_prob,
+    interruption_curve,
+    occurrence_masses,
     trigger_curve,
-    trigger_prob,
 )
-from railhandover.channel import cdf, rss_distribution
 from railhandover.figures import RunConfig, compare_schemes
 from railhandover.montecarlo import (
     DOMAIN_PROTOCOL,
@@ -39,6 +37,7 @@ from railhandover.montecarlo import (
 )
 from railhandover.protocol import EventKind, Phase, replay, run_crossing
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
+from link_oracle import cdf, link_stat, rss_distribution
 from quadpack_oracle import integrate
 from rss_oracles import cdf_array, pdf, sample_rss_block, support
 
@@ -64,9 +63,10 @@ def test_trigger_curve_agreement(report):
     grid = PositionGrid.over(sc.ds, 50.0)
     ests = estimate_pointwise(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8,
                               metrics=[Metric.TRIGGER])
-    gaps = [abs(e.value - trigger_prob(sc, e.position))
+    curve = dict(zip(grid.positions, trigger_curve(sc, grid)))
+    gaps = [abs(e.value - curve[e.position])
             for e in ests if e.antenna is AntennaId.FRONT]
-    anchor = trigger_prob(sc, 1500.0)
+    anchor = curve[1500.0]
     anchor_gap = abs(anchor - 0.3618)
     ok = max(gaps) <= 0.01 and anchor_gap <= 1e-4
     report("01 trigger-agreement", ok,
@@ -96,10 +96,10 @@ def test_trigger_half_crossing_positions(report):
 def test_occurrence_histogram_agreement(report):
     sc = Scenario()
     grid = PositionGrid.for_scenario(sc)
-    ana = occurrence_prob(sc, grid)
+    ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
     est = estimate_first_crossing(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8)
     gap = float(np.max(np.abs(ana - est.masses)))
-    emitted = occurrence_prob(sc, grid, mode=MetricMode.PAPER)
+    emitted = occurrence_masses(trigger_curve(sc, grid), grid.step, MetricMode.PAPER)
     ok = (gap <= 0.01 and np.all(ana >= 0.0) and ana.sum() <= 1.0 + 1e-12
           and np.all(np.isfinite(emitted)))
     report("03 occurrence-agreement", ok,
@@ -118,7 +118,7 @@ def test_failure_ordering_in_handover_window(report):
     curves = {}
     for scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE, Scheme.TRADITIONAL):
         cfg = sc.with_scheme(scheme)
-        curves[scheme] = np.array([analytics.failure_prob(cfg, x) for x in xs])
+        curves[scheme] = np.array(failure_curve(cfg, window))
     ordered = np.all(curves[Scheme.PROPOSED] <= curves[Scheme.TRADITIONAL] + 1e-12)
     close = float(np.max(np.abs(curves[Scheme.PROPOSED]
                                 - curves[Scheme.DAS_SINGLE])))
@@ -152,7 +152,7 @@ def _interruption_tables(schemes):
     ana, mc = {}, {}
     for scheme in schemes:
         cfg = sc.with_scheme(scheme)
-        ana[scheme] = np.array([interruption_prob(cfg, x) for x in xs])
+        ana[scheme] = interruption_curve(cfg, grid)
         ests = estimate_pointwise(cfg, grid, TRIALS, SeedPolicy(SEED), jobs=8,
                                   metrics=[Metric.INTERRUPTION])
         mc[scheme] = np.array([e.value for e in ests if e.antenna is None])
@@ -202,13 +202,16 @@ def test_interruption_lowest_vs_traditional(report):
 
 def test_mean_rss_ordering(report):
     sc = Scenario()
-    xs = PositionGrid.for_scenario(sc).as_array()
-    best = np.array([max(mean_rss(sc, x, AntennaId.FRONT),
-                         mean_rss(sc, x, AntennaId.REAR)) for x in xs])
-    single = np.array([mean_rss(sc.with_scheme(Scheme.DAS_SINGLE), x,
-                                AntennaId.FRONT) for x in xs])
-    trad = np.array([mean_rss(sc.with_scheme(Scheme.TRADITIONAL), x,
-                              AntennaId.FRONT) for x in xs])
+    grid = PositionGrid.for_scenario(sc)
+    xs = grid.as_array()
+
+    def better_cell_means(scheme):
+        # per position and antenna, the larger of the two cell means
+        return channel.cell_means(sc.with_scheme(scheme), grid)[0].max(axis=2)
+
+    best = better_cell_means(Scheme.PROPOSED).max(axis=1)
+    single = better_cell_means(Scheme.DAS_SINGLE)[:, 0]
+    trad = better_cell_means(Scheme.TRADITIONAL)[:, 0]
     dominates_single = bool(np.all(best >= single - 1e-9))
     exceed = xs[best < trad]
     share = 1.0 - len(exceed) / len(xs)
@@ -248,11 +251,9 @@ def test_distribution_correctness(report):
 def test_power_sum_approximation(report):
     from scipy.special import ndtr
 
-    from railhandover.channel import link_stat
-
     sc = Scenario().with_scheme(Scheme.DAS_BLANKET)
-    comp = rss_distribution(sc, 1500.0, AntennaId.FRONT,
-                            CellId.SERVING).components[0]
+    table = channel.link_table(sc, PositionGrid((1500.0,), 1.0))
+    mu, sigma = table.mu[0, 0, 0, 0], table.sigma[0, 0, 0, 0]
     # draw the exact sum of the four per-unit lognormals and compare
     rng = np.random.default_rng(SEED)
     stats = [link_stat(sc, 1500.0, n, AntennaId.FRONT, CellId.SERVING)
@@ -261,7 +262,7 @@ def test_power_sum_approximation(report):
     for s in stats:
         linear += 10.0 ** ((s.mu + s.sigma * rng.standard_normal(10 ** 6)) / 10.0)
     draws = np.sort(10.0 * np.log10(linear))
-    model = ndtr((draws - comp.mu) / comp.sigma)
+    model = ndtr((draws - mu) / sigma)
     steps = np.arange(1, len(draws) + 1) / len(draws)
     sup = max(float(np.max(np.abs(model - steps))),
               float(np.max(np.abs(model - steps + 1.0 / len(draws)))))
@@ -315,14 +316,13 @@ def test_protocol_invariants_over_seeded_crossings(report):
 
 def test_mode_inequality_everywhere(report):
     sc = Scenario()
-    xs = PositionGrid.for_scenario(sc).as_array()
+    grid = PositionGrid.for_scenario(sc)
     worst = 0.0
     for scheme in Scheme:
         cfg = sc.with_scheme(scheme)
-        for x in xs:
-            red = interruption_prob(cfg, x)
-            pap = interruption_prob(cfg, x, mode=MetricMode.PAPER)
-            worst = max(worst, red - pap)
+        red = interruption_curve(cfg, grid)
+        pap = interruption_curve(cfg, grid, mode=MetricMode.PAPER)
+        worst = max(worst, float(np.max(red - pap)))
     ok = worst <= 1e-15
     report("10 mode-inequality", ok, f"max rederived-literal excess {worst:.2e}")
     assert worst <= 1e-15

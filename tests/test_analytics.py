@@ -2,7 +2,9 @@
 
 Anchor values come from three independent routes: the Q-function
 closed form by hand, trapezoid integration of the defining integrals,
-and seeded draw oracles (constants noted inline where used).
+and seeded draw oracles (constants noted inline where used). A value
+at one position is the curve on the one-position grid; the curves are
+checked bitwise against the scalar metrics of `tests/link_oracle.py`.
 """
 
 import math
@@ -10,29 +12,36 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from railhandover import channel
 from railhandover.analytics import (
     MetricMode,
     PositionGrid,
-    UndefinedConditionalError,
     failure_curve,
-    failure_prob,
     first_crossing_masses,
     first_level_crossing,
     interruption_curve,
+    occurrence_masses,
+    trigger_curve,
+)
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from link_oracle import (
+    LinkStat,
+    UndefinedConditionalError,
+    failure_prob,
     interruption_prob,
     interruption_prob_antenna,
-    mean_rss,
-    occurrence_prob,
-    trigger_curve,
+    link_stat,
+    rss_distribution,
+    table_components,
+    table_trigger_pair,
+    trigger_pair,
     trigger_prob,
     trigger_prob_closed_form,
 )
-from railhandover.channel import LinkStat, link_stat, rss_distribution
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from quadpack_oracle import trigger_prob_integral
 
 # Q(2 / sqrt(32)): symmetric boundary point, equal mu both sides
@@ -42,18 +51,44 @@ TRIG_AT_2250 = 0.9948906333503441
 ALL_SCHEMES = list(Scheme)
 
 
+def _at(x):
+    return PositionGrid((x,), 1.0)
+
+
+def trigger_at(sc, x, antenna=AntennaId.FRONT):
+    return float(trigger_curve(sc, _at(x), antenna)[0])
+
+
+def failure_at(sc, x, mode=MetricMode.REDERIVED):
+    return failure_curve(sc, _at(x), mode=mode)[0]
+
+
+def interruption_at(sc, x, mode=MetricMode.REDERIVED):
+    return float(interruption_curve(sc, _at(x), mode)[0])
+
+
+def mean_rss_at(sc, x, antenna=AntennaId.FRONT):
+    """The better cell's mean RSS: the larger of the two cell means."""
+    means, _ = channel.cell_means(sc, _at(x))
+    return float(means[0, sc.antennas().index(antenna)].max())
+
+
+def occurrence(sc, grid, mode=MetricMode.REDERIVED):
+    return occurrence_masses(trigger_curve(sc, grid), grid.step, mode)
+
+
 def test_trigger_anchor_midpoint(sc):
-    value = trigger_prob(sc, 1500.0)
+    value = trigger_at(sc, 1500.0)
     assert value == pytest.approx(TRIG_AT_1500, abs=1e-12)
     assert value == pytest.approx(1.0 - ndtr(2.0 / math.sqrt(32.0)), abs=1e-12)
 
 
 def test_trigger_anchor_deep_in_target(sc):
-    assert trigger_prob(sc, 2250.0) == pytest.approx(TRIG_AT_2250, abs=1e-12)
+    assert trigger_at(sc, 2250.0) == pytest.approx(TRIG_AT_2250, abs=1e-12)
 
 
 def test_trigger_without_hysteresis_is_half_at_midpoint(sc):
-    assert trigger_prob(replace(sc, hysteresis=0.0), 1500.0) == pytest.approx(
+    assert trigger_at(replace(sc, hysteresis=0.0), 1500.0) == pytest.approx(
         0.5, abs=1e-9)
 
 
@@ -61,31 +96,30 @@ def test_closed_form_matches_integral(sc):
     for x in (1200.0, 1500.0, 1800.0, 2250.0):
         serving = link_stat(sc, x, 4, AntennaId.FRONT, CellId.SERVING)
         target = link_stat(sc, x, 1, AntennaId.FRONT, CellId.TARGET)
-        closed = trigger_prob_closed_form(serving, target, sc.hysteresis)
+        closed = trigger_at(sc, x)
         quad = trigger_prob_integral(serving, target, sc.hysteresis)
         assert closed == pytest.approx(quad, abs=1e-4)
 
 
 def test_trigger_monotone_between_boundary_raus(sc):
     """Approach monotonicity only holds between the facing boundary units."""
-    xs = np.arange(1125.0, 1875.0 + 1, 25.0)
-    curve = [trigger_prob(sc, x) for x in xs]
+    curve = trigger_curve(sc, PositionGrid(np.arange(1125.0, 1875.0 + 1, 25.0), 25.0))
     assert all(b >= a for a, b in zip(curve, curve[1:]))
 
 
 @given(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.0, max_value=15.0))
 def test_trigger_decreases_with_hysteresis(h, dh):
     sc = Scenario()
-    low = trigger_prob(replace(sc, hysteresis=h + dh), 1500.0)
-    high = trigger_prob(replace(sc, hysteresis=h), 1500.0)
+    low = trigger_at(replace(sc, hysteresis=h + dh), 1500.0)
+    high = trigger_at(replace(sc, hysteresis=h), 1500.0)
     assert low <= high + 1e-12
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.value)
 def test_trigger_in_unit_interval(scheme):
     sc = Scenario().with_scheme(scheme)
-    for x in (0.0, 600.0, 1500.0, 2400.0, 3000.0):
-        assert 0.0 <= trigger_prob(sc, x) <= 1.0
+    curve = trigger_curve(sc, PositionGrid((0.0, 600.0, 1500.0, 2400.0, 3000.0), 1.0))
+    assert ((0.0 <= curve) & (curve <= 1.0)).all()
 
 
 def test_closed_form_rejects_nonfinite_hysteresis():
@@ -120,7 +154,7 @@ def test_first_crossing_masses_form_submeasure(probs):
 
 
 def test_occurrence_rederived_sums_to_one_on_default_grid(sc, grid):
-    masses = occurrence_prob(sc, grid)
+    masses = occurrence(sc, grid)
     assert masses.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(masses >= 0.0)
 
@@ -128,14 +162,14 @@ def test_occurrence_rederived_sums_to_one_on_default_grid(sc, grid):
 def test_occurrence_paper_mode_is_the_literal_product_form(sc):
     grid = PositionGrid.over(3000.0, 250.0)
     trig = trigger_curve(sc, grid)
-    got = occurrence_prob(sc, grid, mode=MetricMode.PAPER)
+    got = occurrence(sc, grid, mode=MetricMode.PAPER)
     running = np.concatenate([[0.0], np.cumsum(trig)[:-1]])
     assert got == pytest.approx(trig * (grid.step * running), abs=1e-12)
 
 
 def test_occurrence_modes_differ(sc, coarse_grid):
-    red = occurrence_prob(sc, coarse_grid)
-    pap = occurrence_prob(sc, coarse_grid, mode=MetricMode.PAPER)
+    red = occurrence(sc, coarse_grid)
+    pap = occurrence(sc, coarse_grid, mode=MetricMode.PAPER)
     assert not np.allclose(red, pap)
 
 
@@ -143,16 +177,16 @@ def test_occurrence_modes_differ(sc, coarse_grid):
 
 
 def test_failure_anchor_midpoint_both_modes(sc):
-    assert failure_prob(sc, 1500.0) == pytest.approx(0.8147604325493194, abs=1e-9)
+    assert failure_at(sc, 1500.0) == pytest.approx(0.8147604325493194, abs=1e-9)
     # the literal tail-function form is not a probability here; emitted as-is
-    pap = failure_prob(sc, 1500.0, mode=MetricMode.PAPER)
+    pap = failure_at(sc, 1500.0, mode=MetricMode.PAPER)
     assert pap == pytest.approx(1.7440828649131455, abs=1e-9)
     assert pap > 1.0
 
 
 def test_failure_against_draw_oracle(sc):
     # conditional frequency over 858349 accepted draws, seed 20240605
-    assert failure_prob(sc, 1600.0) == pytest.approx(0.5624541998650898, abs=0.005)
+    assert failure_at(sc, 1600.0) == pytest.approx(0.5624541998650898, abs=0.005)
 
 
 def test_failure_stays_defined_under_tiny_triggers(sc):
@@ -163,24 +197,26 @@ def test_failure_stays_defined_under_tiny_triggers(sc):
         1100.0: 0.1049807564390309,
         1200.0: 0.27204119571913127,
     }
-    for x, want in anchors.items():
-        got = failure_prob(sc, x)
+    curve = failure_curve(sc, PositionGrid(tuple(anchors), 1.0))
+    for got, want in zip(curve, anchors.values()):
         assert got == pytest.approx(want, rel=1e-6)
         assert 0.0 <= got <= 1.0
 
 
 def test_failure_threshold_extremes(sc):
-    from railhandover.channel import rss_distribution
     from rss_oracles import support
 
     lo, hi = support(rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING))
-    assert failure_prob(replace(sc, threshold=lo), 1500.0) <= 1e-10
-    assert failure_prob(replace(sc, threshold=hi), 1500.0) == pytest.approx(
+    assert failure_at(replace(sc, threshold=lo), 1500.0) <= 1e-10
+    assert failure_at(replace(sc, threshold=hi), 1500.0) == pytest.approx(
         1.0, abs=1e-6)
 
 
 def test_failure_undefined_below_trigger_floor(sc):
+    """The curve reads None there; the scalar oracle raises."""
     stubborn = replace(sc, hysteresis=12.0)
+    for mode in MetricMode:
+        assert failure_at(stubborn, 1100.0, mode) is None
     with pytest.raises(UndefinedConditionalError, match="below 1e-12"):
         failure_prob(stubborn, 1100.0)
 
@@ -191,7 +227,7 @@ def test_failure_undefined_below_trigger_floor(sc):
 def test_interruption_anchor_and_antenna_product(sc):
     front = interruption_prob_antenna(sc, 1500.0, AntennaId.FRONT)
     rear = interruption_prob_antenna(sc, 1500.0, AntennaId.REAR)
-    whole = interruption_prob(sc, 1500.0)
+    whole = interruption_at(sc, 1500.0)
     assert whole == pytest.approx(front * rear, rel=1e-12)
     assert whole == pytest.approx(0.08477269562970283, abs=1e-12)
 
@@ -219,39 +255,37 @@ def test_interruption_near_serving_rau_is_negligible(sc):
 
 def test_interruption_single_antenna_scheme_uses_front_only(sc):
     single = sc.with_scheme(Scheme.DAS_SINGLE)
-    assert interruption_prob(single, 1500.0) == interruption_prob_antenna(
+    assert interruption_at(single, 1500.0) == interruption_prob_antenna(
         single, 1500.0, AntennaId.FRONT)
 
 
 def test_interruption_zero_when_serving_never_drops(sc):
-    assert interruption_prob_antenna(
-        replace(sc, threshold=-1e6), 1500.0, AntennaId.FRONT) == 0.0
+    for mode in MetricMode:
+        assert interruption_at(replace(sc, threshold=-1e6), 1500.0, mode) == 0.0
 
 
 def test_interruption_rederived_never_exceeds_paper(sc):
-    xs = np.arange(0.0, 3000.0 + 1, 100.0)
+    grid = PositionGrid.over(3000.0, 100.0)
     for scheme in ALL_SCHEMES:
         cfg = sc.with_scheme(scheme)
-        for x in xs:
-            red = interruption_prob(cfg, x)
-            pap = interruption_prob(cfg, x, mode=MetricMode.PAPER)
-            assert red <= pap + 1e-15
+        red = interruption_curve(cfg, grid)
+        pap = interruption_curve(cfg, grid, mode=MetricMode.PAPER)
+        assert (red <= pap + 1e-15).all()
 
 
 # --- mean RSS ---
 
 
 def test_mean_rss_selection_gain(sc):
-    value = mean_rss(sc, 1500.0)
+    value = mean_rss_at(sc, 1500.0)
     assert value == pytest.approx(-35.78035986311425, abs=1e-6)
-    best = max(link_stat(sc, 1500.0, n, AntennaId.FRONT, CellId.SERVING).mu
-               for n in range(1, 5))
+    best = channel.link_table(sc, _at(1500.0)).mu[0, 0, 0].max()
     assert value > best
 
 
 def test_mean_rss_traditional_at_origin(sc):
     trad = sc.with_scheme(Scheme.TRADITIONAL)
-    assert mean_rss(trad, 0.0) == pytest.approx(-15.5, abs=1e-9)
+    assert mean_rss_at(trad, 0.0) == pytest.approx(-15.5, abs=1e-9)
 
 
 # --- grids and crossings ---
@@ -303,9 +337,10 @@ def test_half_crossing_positions_by_scheme(sc, grid):
 
 
 def test_trigger_curve_matches_pointwise(sc, coarse_grid):
+    """A position's value does not depend on the grid it sits on."""
     curve = trigger_curve(sc, coarse_grid)
-    for x, v in zip(coarse_grid.as_array(), curve):
-        assert v == pytest.approx(trigger_prob(sc, x), abs=1e-12)
+    for x, v in zip(coarse_grid.positions, curve):
+        assert v.hex() == trigger_at(sc, x).hex()
 
 
 # --- table-backed curves against the scalar metrics ---
@@ -353,6 +388,48 @@ def test_table_curves_equal_scalar_metrics_bitwise(scheme):
                 assert [_bits(v) for v in interruption_curve(sc, grid, mode)] == \
                     [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
     assert undefined > 0 and defined > 0
+
+
+@st.composite
+def _geometries(draw) -> Scenario:
+    """Scenarios over the geometry, power and rule fields, every scheme and
+    selection rule, 1 to 8 units, uniform or per-unit sigmas."""
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    n_raus = draw(st.integers(1, 8))
+    ds = draw(floats(500.0, 5000.0))
+    per_rau = draw(st.one_of(st.none(), st.lists(floats(0.1, 12.0), min_size=n_raus,
+                                                 max_size=n_raus).map(tuple)))
+    return Scenario(
+        ds=ds, d0=draw(floats(1.0, 300.0)), du=draw(floats(1.0, 200.0)),
+        dr=draw(st.one_of(st.just(0.0), floats(0.05, 1.0).map(lambda f: f * ds))),
+        train_length=draw(floats(0.0, 400.0)), tx_power=draw(floats(20.0, 100.0)),
+        pathloss_a=draw(floats(0.0, 60.0)), pathloss_gamma=draw(floats(2.0, 6.0)),
+        hysteresis=draw(floats(0.0, 10.0)), threshold=draw(floats(-120.0, 0.0)),
+        shadow_sigma=draw(floats(0.1, 12.0)), n_raus=n_raus, shadow_sigma_per_rau=per_rau,
+        scheme=draw(st.sampled_from(ALL_SCHEMES)),
+        selection=draw(st.sampled_from(list(SelectionRule))),
+        measurement_step=ds / draw(st.integers(1, 12)))
+
+
+@settings(max_examples=150)
+@given(_geometries())
+def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
+    """The link table, the trigger curve and the interruption curve in both
+    modes equal the scalar oracle's values bitwise."""
+    grid = PositionGrid.for_scenario(sc)
+    table = channel.link_table(sc, grid)
+    for j, x in enumerate(grid.positions):
+        for a, antenna in enumerate(sc.antennas()):
+            assert table_trigger_pair(table, j, a) == trigger_pair(sc, x, antenna)
+            for c, cell in enumerate(channel.CELLS):
+                assert table_components(table, j, a, c) == \
+                    rss_distribution(sc, x, antenna, cell).components
+    for antenna in sc.antennas():
+        assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
+            [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
+    for mode in MetricMode:
+        assert [_bits(v) for v in interruption_curve(sc, grid, mode)] == \
+            [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
 
 
 def test_table_curves_reject_a_missing_antenna(sc, coarse_grid):

@@ -1,34 +1,40 @@
-"""Per-link RSS statistics, scheme distributions, sampling.
+"""Per-link RSS statistics, the link table, cell means, sampling.
 
+Physical anchors are read from the link table, the package's one source
+of link statistics; the scalar distributions of `tests/link_oracle.py`
+serve the checks of the reference routines and the bitwise comparisons.
 Numeric anchors were frozen from hand arithmetic on the default
 geometry and from seeded draw oracles; each constant notes its source.
 """
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from railhandover import channel
-from railhandover.analytics import PositionGrid
-from railhandover.channel import (
+from railhandover.analytics import MetricMode, PositionGrid, interruption_curve
+from railhandover.channel import path_loss, per_rau_power
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from link_oracle import (
     DistributionKind,
     LinkStat,
     RssDistribution,
     cdf,
     distribution_mean,
     link_stat,
-    path_loss,
-    per_rau_power,
     rss_distribution,
+    table_components,
+    table_distribution,
+    table_trigger_pair,
     trigger_pair,
 )
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from rss_oracles import (
     cdf_array,
     mean_by_density,
@@ -43,6 +49,11 @@ MU_FRONT_SERVING_LAST_1500 = -35.78320958352816
 MU_FRONT_SERVING_LAST_2250 = -52.311925812143215
 # product of four component CDFs at r = -30, x = 1500 (front, serving)
 CDF_AT_MINUS30_1500 = 0.925883671769651
+
+
+def _table(sc, *xs):
+    """The link table of sc at the front positions xs (increasing)."""
+    return channel.link_table(sc, PositionGrid(xs, 1.0))
 
 
 def test_path_loss_reference_points(sc):
@@ -72,19 +83,20 @@ def test_per_rau_power_split(sc):
 
 
 def test_link_stat_anchors(sc):
-    stat = link_stat(sc, 1500.0, 4, AntennaId.FRONT, CellId.SERVING)
-    assert stat.mu == pytest.approx(MU_FRONT_SERVING_LAST_1500, abs=1e-9)
-    assert stat.mu == pytest.approx(-35.79, abs=0.02)
-    assert stat.sigma == 4.0
-    stat = link_stat(sc, 2250.0, 4, AntennaId.FRONT, CellId.SERVING)
-    assert stat.mu == pytest.approx(MU_FRONT_SERVING_LAST_2250, abs=1e-9)
-    assert stat.mu == pytest.approx(-52.31, abs=0.02)
+    """The serving cell's last RAU link of the front antenna."""
+    table = _table(sc, 1500.0, 2250.0)
+    mu, sigma = table.mu[:, 0, 0, 3], table.sigma[:, 0, 0, 3]
+    assert mu[0] == pytest.approx(MU_FRONT_SERVING_LAST_1500, abs=1e-9)
+    assert mu[0] == pytest.approx(-35.79, abs=0.02)
+    assert sigma[0] == 4.0
+    assert mu[1] == pytest.approx(MU_FRONT_SERVING_LAST_2250, abs=1e-9)
+    assert mu[1] == pytest.approx(-52.31, abs=0.02)
 
 
 def test_link_stat_rear_antenna_shifts_by_train_length(sc):
-    rear = link_stat(sc, 1700.0, 4, AntennaId.REAR, CellId.SERVING)
-    front = link_stat(sc, 1500.0, 4, AntennaId.FRONT, CellId.SERVING)
-    assert rear.mu == pytest.approx(front.mu, abs=1e-12)
+    table = _table(sc, 1500.0, 1700.0)
+    assert table.antennas == (AntennaId.FRONT, AntennaId.REAR)
+    assert table.mu[1, 1, 0, 3] == pytest.approx(table.mu[0, 0, 0, 3], abs=1e-12)
 
 
 def test_link_stat_rejects_bad_rau_index(sc):
@@ -103,66 +115,95 @@ def test_link_stat_validation():
         LinkStat(float("inf"), 4.0)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_link_table_rejects_a_nonfinite_link_mean(scheme):
+    """A path-loss exponent of 1e307 sends every link mean to -inf; the
+    table names the scheme, the position, the antenna and the cell."""
+    sc = Scenario(pathloss_gamma=1e307, scheme=scheme)
+    with pytest.raises(ValueError, match=rf"link mean -inf of {scheme.value} at x=0 m "
+                                         r"\(front antenna, serving cell\) is not finite"):
+        _table(sc, 0.0)
+
+
+@pytest.mark.parametrize("tx_power", [1e5, -1e5])
+def test_blanket_power_sum_beyond_float_range_is_rejected(tx_power):
+    """Finite unit links whose linear powers overflow or underflow: the
+    blanket sum is named as the link, without a numpy warning."""
+    sc = Scenario(tx_power=tx_power, scheme=Scheme.DAS_BLANKET)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"link mean \S+ of das-blanket at x=0 m "
+                                             r"\(front antenna, serving cell\) is not finite"):
+            _table(sc, 0.0)
+
+
 def test_rss_distribution_kinds(sc):
-    assert rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING).kind \
-        is DistributionKind.MAX_OF_GAUSSIANS
+    """Max-RSS selection keeps one column per RAU and no pick; blanket and
+    traditional cells are one Gaussian."""
+    table = _table(sc, 1500.0)
+    assert table.mu.shape == (1, 2, 2, 4) and table.cell_column is None
     for scheme in (Scheme.DAS_BLANKET, Scheme.TRADITIONAL):
-        dist = rss_distribution(sc.with_scheme(scheme), 1500.0,
-                                AntennaId.FRONT, CellId.SERVING)
-        assert dist.kind is DistributionKind.SINGLE_GAUSSIAN
-        assert len(dist.components) == 1
+        table = _table(sc.with_scheme(scheme), 1500.0)
+        assert table.mu.shape == (1, 2, 2, 1) and table.cell_column is None
 
 
 def test_proposed_distribution_has_one_component_per_rau(sc):
-    dist = rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING)
-    assert len(dist.components) == 4
-    assert dist.components[-1].mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
+    comps = table_components(_table(sc, 1500.0), 0, 0, 0)
+    assert len(comps) == 4
+    assert comps[-1].mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
 
 
 def test_traditional_uses_bs_offset(sc):
-    trad = sc.with_scheme(Scheme.TRADITIONAL)
-    dist = rss_distribution(trad, 0.0, AntennaId.FRONT, CellId.SERVING)
-    assert dist.components[0].mu == pytest.approx(86.0 - path_loss(sc, 100.0))
-    assert dist.components[0].mu == pytest.approx(-15.5)
+    table = _table(sc.with_scheme(Scheme.TRADITIONAL), 0.0)
+    assert table.mu[0, 0, 0, 0] == pytest.approx(86.0 - path_loss(sc, 100.0))
+    assert table.mu[0, 0, 0, 0] == pytest.approx(-15.5)
 
 
 def test_single_rau_cell_matches_traditional_with_rau_offset():
+    """One RAU on the base station at the base station's offset is the
+    traditional link: equal tables, hence equal interruption curves."""
+    grid = PositionGrid((0.0, 800.0, 1500.0, 2900.0), 1.0)
     das = Scenario(n_raus=1, dr=3000.0)
     trad = Scenario(d0=60.0).with_scheme(Scheme.TRADITIONAL)
-    a = rss_distribution(das, 800.0, AntennaId.FRONT, CellId.SERVING)
-    b = rss_distribution(trad, 800.0, AntennaId.FRONT, CellId.SERVING)
-    for r in np.linspace(-120.0, 20.0, 29):
-        assert cdf(a, r) == pytest.approx(cdf(b, r), abs=1e-15)
+    a, b = channel.link_table(das, grid), channel.link_table(trad, grid)
+    for array in ("mu", "sigma"):
+        assert getattr(a, array).tobytes() == getattr(b, array).tobytes()
+    for mode in MetricMode:
+        assert interruption_curve(das, grid, mode).tobytes() == \
+            interruption_curve(trad, grid, mode).tobytes()
 
 
 def test_blanket_distribution_matches_moment_matching(sc):
-    blanket = sc.with_scheme(Scheme.DAS_BLANKET)
-    comp = rss_distribution(blanket, 1500.0, AntennaId.FRONT, CellId.SERVING).components[0]
-    assert comp.mu == pytest.approx(-41.62250121590523, abs=1e-9)
-    assert comp.sigma == pytest.approx(3.9287018592077936, abs=1e-9)
+    table = _table(sc.with_scheme(Scheme.DAS_BLANKET), 1500.0)
+    assert table.mu[0, 0, 0, 0] == pytest.approx(-41.62250121590523, abs=1e-9)
+    assert table.sigma[0, 0, 0, 0] == pytest.approx(3.9287018592077936, abs=1e-9)
 
 
 def test_blanket_preserves_linear_mean_power(sc):
+    """The blanket Gaussian's mean power is the sum of the per-RAU links'
+    mean powers, the links of the proposed table at the split power."""
     lam = math.log(10.0) / 10.0
     blanket = sc.with_scheme(Scheme.DAS_BLANKET)
-    comp = rss_distribution(blanket, 900.0, AntennaId.FRONT, CellId.SERVING).components[0]
-    parts = [link_stat(blanket, 900.0, n, AntennaId.FRONT, CellId.SERVING)
-             for n in range(1, 5)]
-    want = sum(math.exp(lam * p.mu + 0.5 * (lam * p.sigma) ** 2) for p in parts)
-    got = math.exp(lam * comp.mu + 0.5 * (lam * comp.sigma) ** 2)
+    table = _table(blanket, 900.0)
+    mu, sigma = table.mu[0, 0, 0, 0], table.sigma[0, 0, 0, 0]
+    split = per_rau_power(blanket) - per_rau_power(sc)
+    parts = _table(sc, 900.0)
+    want = sum(math.exp(lam * (m + split) + 0.5 * (lam * s) ** 2)
+               for m, s in zip(parts.mu[0, 0, 0], parts.sigma[0, 0, 0]))
+    got = math.exp(lam * mu + 0.5 * (lam * sigma) ** 2)
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_mean_pathloss_selection_collapses_to_best_unit(sc):
-    from railhandover.scenario import SelectionRule
-
     picky = replace(sc, selection=SelectionRule.MEAN_PATHLOSS)
-    dist = rss_distribution(picky, 1500.0, AntennaId.FRONT, CellId.SERVING)
-    assert dist.kind is DistributionKind.SINGLE_GAUSSIAN
-    assert dist.components[0].mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
+    table = _table(picky, 1500.0)
+    assert table.cell_column[0, 0, 0] == 3  # the serving cell's last RAU
+    (comp,) = table_components(table, 0, 0, 0)
+    assert comp.mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
     # the deterministic pick forfeits the selection gain of the shadowed max
-    assert distribution_mean(dist) < distribution_mean(
-        rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING))
+    grid = PositionGrid((1500.0,), 1.0)
+    assert channel.cell_means(picky, grid)[0][0, 0, 0] < \
+        channel.cell_means(sc, grid)[0][0, 0, 0]
 
 
 def test_cdf_of_identical_components_is_power():
@@ -245,22 +286,24 @@ def test_support_covers_all_components(sc):
 @pytest.mark.parametrize("sigmas", [(4.0, 4.0, 4.0, 4.0), (0.5, 4.0, 8.0, 12.0),
                                     (0.05, 0.05, 0.05, 0.05)])
 def test_distribution_mean_matches_density_oracle(sc, sigmas):
+    """Cell means against the r-domain integral of r times the density."""
     picky = replace(sc, shadow_sigma_per_rau=sigmas)
-    for x in (0.0, 700.0, 1500.0, 2250.0):
-        for cell in (CellId.SERVING, CellId.TARGET):
+    xs = (0.0, 700.0, 1500.0, 2250.0)
+    means, _ = channel.cell_means(picky, PositionGrid(xs, 1.0))
+    for j, x in enumerate(xs):
+        for c, cell in enumerate(channel.CELLS):
             dist = rss_distribution(picky, x, AntennaId.FRONT, cell)
-            assert distribution_mean(dist) == pytest.approx(mean_by_density(dist),
-                                                            abs=1e-7)
+            assert means[j, 0, c] == pytest.approx(mean_by_density(dist), abs=1e-7)
 
 
 @pytest.mark.parametrize("sigma", [1e-9, 1e-6, 1e-3, 0.01])
 def test_distribution_mean_without_fading_is_largest_mu(sc, sigma):
     """An integral over r misses so narrow a density (it read 0 dBm below 0.01)."""
     faded = replace(sc, shadow_sigma=sigma)
-    for x in (0.0, 1500.0, 2600.0):
-        dist = rss_distribution(faded, x, AntennaId.FRONT, CellId.SERVING)
-        top = max(c.mu for c in dist.components)
-        assert distribution_mean(dist) == pytest.approx(top, abs=10.0 * sigma)
+    grid = PositionGrid((0.0, 1500.0, 2600.0), 1.0)
+    means, _ = channel.cell_means(faded, grid)
+    top = channel.link_table(faded, grid).mu[:, 0, 0].max(axis=-1)
+    assert means[:, 0, 0] == pytest.approx(top, abs=10.0 * sigma)
 
 
 def test_distribution_mean_rejects_nonfinite_cdf_arguments():
@@ -278,23 +321,26 @@ def test_distribution_mean_of_single_is_mu():
 
 def test_selection_gain_raises_mean(sc):
     """Mean of the max strictly exceeds every component mean."""
-    dist = rss_distribution(sc, 1500.0, AntennaId.FRONT, CellId.SERVING)
-    mean = distribution_mean(dist)
-    assert mean > max(c.mu for c in dist.components)
+    grid = PositionGrid((1500.0,), 1.0)
+    mean = channel.cell_means(sc, grid)[0][0, 0, 0]
+    assert mean > channel.link_table(sc, grid).mu[0, 0, 0].max()
     assert mean == pytest.approx(-35.78035986311425, abs=1e-6)
 
 
 def test_trigger_pair_selection_uses_boundary_raus(sc):
-    serving, target = trigger_pair(sc, 1500.0, AntennaId.FRONT)
+    table = _table(sc, 1500.0, 2250.0)
+    assert table.trigger_column == (3, 0)
+    serving, target = table_trigger_pair(table, 0, 0)
     assert serving.mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
     assert target.mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)  # symmetric point
-    serving, target = trigger_pair(sc, 2250.0, AntennaId.FRONT)
+    serving, target = table_trigger_pair(table, 1, 0)
     assert target.mu - serving.mu == pytest.approx(16.52, abs=0.02)
 
 
 def test_trigger_pair_blanket_uses_cell_distributions(sc):
-    blanket = sc.with_scheme(Scheme.DAS_BLANKET)
-    serving, target = trigger_pair(blanket, 1500.0, AntennaId.FRONT)
+    table = _table(sc.with_scheme(Scheme.DAS_BLANKET), 1500.0)
+    assert table.trigger_column == (0, 0)
+    serving, target = table_trigger_pair(table, 0, 0)
     assert serving.sigma == pytest.approx(3.9287018592077936)
     assert serving.mu == pytest.approx(target.mu, abs=1e-6)
 
@@ -321,8 +367,8 @@ def test_link_table_matches_scalar_path():
             for a, antenna in enumerate(sc.antennas()):
                 pair = trigger_pair(sc, x, antenna)
                 for c, cell in enumerate(channel.CELLS):
-                    assert table.cell_distribution(j, a, c) == \
-                        rss_distribution(sc, x, antenna, cell)
+                    assert table_components(table, j, a, c) == \
+                        rss_distribution(sc, x, antenna, cell).components
                     n = table.trigger_column[c]
                     assert LinkStat(table.mu[j, a, c, n], table.sigma[j, a, c, n]) \
                         == pair[c]
@@ -420,7 +466,7 @@ def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
         for j in range(len(grid.positions)):
             for a in range(len(table.antennas)):
                 for c in range(len(channel.CELLS)):
-                    dist = table.cell_distribution(j, a, c)
+                    dist = table_distribution(table, j, a, c)
                     if len(dist.components) > 1:
                         distinct.add(dist)
                     assert float(means[j, a, c]).hex() == distribution_mean(dist).hex()
@@ -456,13 +502,10 @@ def test_single_gaussian_cell_means_need_no_integral(monkeypatch):
     for sc in (Scenario().with_scheme(Scheme.DAS_BLANKET),
                Scenario().with_scheme(Scheme.TRADITIONAL),
                Scenario(selection=SelectionRule.MEAN_PATHLOSS), Scenario(n_raus=1)):
-        table = channel.link_table(sc, grid)
+        mu, _ = channel.link_table(sc, grid).cell_components()
         means, _ = channel.cell_means(sc, grid)
-        for j in range(len(grid.positions)):
-            for a in range(len(table.antennas)):
-                for c in range(len(channel.CELLS)):
-                    dist = table.cell_distribution(j, a, c)
-                    assert means[j, a, c] == dist.components[0].mu
+        assert mu.shape[-1] == 1
+        assert means.tobytes() == mu[..., 0].tobytes()
     assert calls == []
     channel.cell_means(Scenario(), grid)
     assert len(calls) == 1

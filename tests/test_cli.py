@@ -4,6 +4,9 @@ Exit codes: 0 ok, 1 failed agreement assertion, 2 bad configuration,
 3 numeric breakdown.
 """
 
+import dataclasses
+import warnings
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,36 @@ def test_config_rejects_non_numeric():
         parse_config("ds = tall")
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config("trials = 3.5")
+
+
+def _default_text(name: str) -> str:
+    """The configuration text of a Scenario field's default value."""
+    default = Scenario()
+    value = getattr(default, name)
+    if value is None:  # no per-unit sigmas: every unit at shadow_sigma
+        value = (default.shadow_sigma,) * default.n_raus
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scenario)])
+def test_config_parses_every_scenario_field_from_its_default(name):
+    """Each Scenario field is a config key; the text of its default (the
+    per-unit sigmas spelled out) gives the default scenario back."""
+    got = parse_config(f"{name} = {_default_text(name)}").scenario
+    if name == "shadow_sigma_per_rau":
+        assert got.shadow_sigma_per_rau == (4.0,) * 4
+        got = dataclasses.replace(got, shadow_sigma_per_rau=None)
+    assert got == Scenario()
+
+
+@pytest.mark.parametrize("key", ["frobnicate", "antennas", "rau_sigma", "with_scheme"])
+def test_config_rejects_scenario_attributes_that_are_not_fields(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
 
 
 def test_config_per_rau_sigma_list():
@@ -253,6 +286,24 @@ def test_trace_mean_pathloss_selection(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert "HoCommandFront" in captured.out
+
+
+@pytest.mark.parametrize("verb", [["run", "--figure", "rss"], ["run", "--figure", "trigger"],
+                                  ["compare"], ["validate"]], ids=" ".join)
+def test_nonfinite_link_mean_exits_2_naming_the_link(tmp_path, capsys, verb):
+    """A path-loss exponent of 1e307 sends every link mean to -inf: a
+    configuration error naming the link, without a warning or traceback."""
+    config = tmp_path / "steep.cfg"
+    config.write_text("measurement_step = 250\npathloss_gamma = 1e307\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*verb, "--config", str(config), "--trials", "50", "--seed", "3",
+                     "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == ("configuration error: link mean -inf of proposed at x=0 m "
+                   "(front antenna, serving cell) is not finite\n")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_compare_with_subnormal_sigma_exits_2(tmp_path, capsys):

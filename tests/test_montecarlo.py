@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from railhandover import channel, montecarlo
-from railhandover.analytics import PositionGrid, failure_prob, occurrence_prob, trigger_prob
+from railhandover.analytics import (
+    PositionGrid,
+    failure_curve,
+    occurrence_masses,
+    trigger_curve,
+)
 from railhandover.montecarlo import (
     DOMAIN_FIRST_CROSSING,
     DOMAIN_POINTWISE,
@@ -51,11 +56,11 @@ def test_pointwise_matches_analytic_step_with_degenerate_fading():
     grid = PositionGrid.over(3000.0, 250.0)
     ests = estimate_pointwise(sc, grid, 1, SeedPolicy(5), metrics=[Metric.TRIGGER])
     assert len(ests) == 2 * len(grid.as_array())  # one per antenna
+    curves = {a: dict(zip(grid.positions, trigger_curve(sc, grid, a))) for a in sc.antennas()}
     for e in ests:
         assert e.value in (0.0, 1.0)
         assert e.half_width_95 == 0.0
-        assert e.value == pytest.approx(
-            trigger_prob(sc, e.position, antenna=e.antenna), abs=1e-9)
+        assert e.value == pytest.approx(curves[e.antenna][e.position], abs=1e-9)
 
 
 def test_half_width_halves_when_trials_quadruple():
@@ -94,7 +99,7 @@ def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mean RSS not requested")
 
-    monkeypatch.setattr(channel, "distribution_mean", refuse)
+    monkeypatch.setattr(channel, "max_means", refuse)
     monkeypatch.setattr(channel, "cell_means", refuse)
     grid = PositionGrid.over(3000.0, 500.0)
     estimate_pointwise(Scenario(), grid, 50, SeedPolicy(2),
@@ -107,9 +112,10 @@ def test_mean_pathloss_trigger_estimate_tracks_analytic():
     sc = Scenario(selection=SelectionRule.MEAN_PATHLOSS)
     grid = PositionGrid.over(3000.0, 250.0)
     trials = 20_000
+    curves = {a: dict(zip(grid.positions, trigger_curve(sc, grid, a))) for a in sc.antennas()}
     for e in estimate_pointwise(sc, grid, trials, SeedPolicy(12345), jobs=2,
                                 metrics=[Metric.TRIGGER]):
-        p = trigger_prob(sc, e.position, antenna=e.antenna)
+        p = curves[e.antenna][e.position]
         assert abs(e.value - p) <= max(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
 
 
@@ -144,7 +150,7 @@ def test_first_crossing_masses_partition_unity(sc, grid):
 
 def test_first_crossing_tracks_analytic_occurrence(sc, grid):
     est = estimate_first_crossing(sc, grid, 20_000, SeedPolicy(99), jobs=8)
-    ana = occurrence_prob(sc, grid)
+    ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
     assert np.max(np.abs(est.masses - ana)) <= 0.01
 
 
@@ -246,7 +252,7 @@ def test_protocol_modal_bin_failure_rate_matches_analytic(sc, grid):
     stats = estimate_protocol(sc, grid, 10_000, SeedPolicy(2024), jobs=8)
     k = int(np.argmax(stats.front_attempt_hist))
     rate = stats.front_failure_hist[k] / stats.front_attempt_hist[k]
-    assert abs(rate - failure_prob(sc, grid.as_array()[k])) <= 0.02
+    assert abs(rate - failure_curve(sc, grid)[k]) <= 0.02
 
 
 def test_estimators_validate_trials(sc, coarse_grid):

@@ -20,7 +20,8 @@ from railhandover.analytics import (
     MetricMode,
     PositionGrid,
     interruption_curve,
-    occurrence_prob,
+    occurrence_masses,
+    trigger_curve,
 )
 from railhandover.cli import main
 from railhandover.scenario import Scenario, Scheme, SelectionRule
@@ -53,7 +54,8 @@ def _scenario(fields: dict, scheme: Scheme) -> Scenario:
 @given(_settings(), st.sampled_from(list(Scheme)))
 def test_occurrence_masses_are_a_sub_probability(fields, scheme):
     sc = _scenario(fields, scheme)
-    masses = occurrence_prob(sc, PositionGrid.for_scenario(sc))
+    grid = PositionGrid.for_scenario(sc)
+    masses = occurrence_masses(trigger_curve(sc, grid), grid.step)
     assert (masses >= 0.0).all()
     assert masses.sum() <= 1.0 + 1e-12
 

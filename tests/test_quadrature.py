@@ -22,6 +22,15 @@ from railhandover.analytics import MetricMode, PositionGrid, failure_curve, trig
 from railhandover.channel import max_means
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from railhandover.statfun import NumericsError, integrate_rows
+from link_oracle import (
+    LinkStat,
+    RssDistribution,
+    distribution_mean,
+    failure_prob,
+    rss_distribution,
+    table_distribution,
+    table_trigger_pair,
+)
 from quadpack_oracle import failure_rederived, max_mean
 
 SIGMAS = (1e-9, 0.5, 4.0, 8.0, 12.0)
@@ -123,7 +132,7 @@ def test_cell_means_match_quadpack(sc):
     for j in range(len(grid.positions)):
         for a in range(len(table.antennas)):
             for c in range(len(channel.CELLS)):
-                dist = table.cell_distribution(j, a, c)
+                dist = table_distribution(table, j, a, c)
                 assert abs(means[j, a, c] - max_mean(dist)) <= AGREEMENT
 
 
@@ -137,14 +146,15 @@ def test_failure_curve_matches_quadpack(sc, scheme, threshold):
         a = table.antennas.index(antenna)
         for j, value in enumerate(failure_curve(sc, grid, antenna)):
             if value is not None:
-                want = failure_rederived(*table.trigger_pair(j, a), sc.hysteresis, threshold)
+                want = failure_rederived(*table_trigger_pair(table, j, a), sc.hysteresis,
+                                         threshold)
                 assert abs(value - want) <= AGREEMENT
 
 
 # --- the cells QUADPACK failed on, against mpmath ---
 
 
-def _mp_max_mean(dist: channel.RssDistribution) -> mpmath.mpf:
+def _mp_max_mean(dist: RssDistribution) -> mpmath.mpf:
     """E[max] over the whole line, each term split at the other components' steps."""
     total = mpmath.mpf(0)
     comps = [(mpmath.mpf(c.mu), mpmath.mpf(c.sigma)) for c in dist.components]
@@ -163,7 +173,7 @@ def _mp_max_mean(dist: channel.RssDistribution) -> mpmath.mpf:
     return total
 
 
-def _mp_trigger(serving: channel.LinkStat, target: channel.LinkStat,
+def _mp_trigger(serving: LinkStat, target: LinkStat,
                 hysteresis: float) -> mpmath.mpf:
     gap = mpmath.sqrt(mpmath.mpf(serving.sigma) ** 2 + mpmath.mpf(target.sigma) ** 2)
     margin = mpmath.mpf(target.mu) - mpmath.mpf(serving.mu)
@@ -175,10 +185,10 @@ def test_mixed_sigma_cell_mean_matches_mpmath():
     target cell: QUADPACK stopped at error 1.1e-8 over [-10, 10]."""
     sc = Scenario(n_raus=3, shadow_sigma_per_rau=(1e-9, 4.0, 4.0),
                   selection=SelectionRule.MAX_RSS)
-    dist = channel.rss_distribution(sc, 2750.0, AntennaId.FRONT, CellId.TARGET)
+    dist = rss_distribution(sc, 2750.0, AntennaId.FRONT, CellId.TARGET)
     with mpmath.workdps(30):
         want = _mp_max_mean(dist)
-    assert abs(channel.distribution_mean(dist) - float(want)) <= AGREEMENT
+    assert abs(distribution_mean(dist) - float(want)) <= AGREEMENT
 
 
 @pytest.mark.parametrize("scheme, step, positions", [
@@ -200,7 +210,7 @@ def test_trigger_cells_match_mpmath(scheme, step, positions):
     for x in positions:
         j = grid.positions.index(x)
         with mpmath.workdps(30):
-            want = _mp_trigger(*table.trigger_pair(j, 0), sc.hysteresis)
+            want = _mp_trigger(*table_trigger_pair(table, j, 0), sc.hysteresis)
         assert abs(curve[j] - float(want)) <= AGREEMENT
         assert curve[j] == pytest.approx(float(want), rel=1e-12, abs=1e-300)
 
@@ -215,4 +225,4 @@ def test_failure_probabilities_do_not_depend_on_the_batch():
         curve = failure_curve(sc, grid, mode=mode)
         for x, value in zip(grid.positions, curve):
             if value is not None:
-                assert analytics.failure_prob(sc, x, mode=mode).hex() == value.hex()
+                assert failure_prob(sc, x, mode=mode).hex() == value.hex()

@@ -18,7 +18,6 @@ from .analytics import (
 from .channel import path_loss
 from .figures import Figure, ResultTable, RunConfig, compare_schemes, run_figure
 from .montecarlo import (
-    Metric,
     SeedPolicy,
     estimate_first_crossing,
     estimate_pointwise,
@@ -33,7 +32,6 @@ __all__ = [
     "CellId",
     "Figure",
     "HandoverState",
-    "Metric",
     "MetricMode",
     "PositionGrid",
     "ProtocolViolation",

@@ -145,24 +145,29 @@ class LinkTable:
         return (np.take_along_axis(self.mu, pick, axis=-1),
                 np.take_along_axis(self.sigma, pick, axis=-1))
 
-    def sample(self, rows: slice, a: int, c: int, rng: np.random.Generator,
-               n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n shadowed draws of every link of antenna a, cell c at the grid rows.
+    def shadowed(self, z: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Shadow standard normals z into link RSS, in place, at the grid rows.
 
-        rows selects either one position (its links broadcast over n
-        trials) or n positions (one draw each). Returns the cell RSS and
-        the trigger comparand, both of length n, from the same draws.
+        z has shape (..., antennas, cells, n, components). rows selects
+        either one position, slice(j, j + 1), whose links broadcast over
+        n trials, or every position, slice(None), one draw each. Returns
+        the cell RSS and the trigger comparands, both of shape
+        (..., antennas, cells, n), from the same draws.
         """
-        rss = self.mu[rows, a, c] + self.sigma[rows, a, c] * rng.standard_normal(
-            (n, self.mu.shape[-1]))
+        mu, sigma = (np.moveaxis(a[rows], 0, 2) for a in (self.mu, self.sigma))
+        z *= sigma
+        z += mu
         if self.cell_column is None:
             # a running maximum over the few components beats np.max along a short axis
-            cell = rss[:, 0].copy()
-            for k in range(1, rss.shape[1]):
-                np.maximum(cell, rss[:, k], out=cell)
+            cell = z[..., 0].copy()
+            for k in range(1, z.shape[-1]):
+                np.maximum(cell, z[..., k], out=cell)
         else:
-            cell = rss[np.arange(n), self.cell_column[rows, a, c]]
-        return cell, rss[:, self.trigger_column[c]]
+            column = np.moveaxis(self.cell_column[rows], 0, 2)[..., np.newaxis]
+            cell = np.take_along_axis(z, np.broadcast_to(column, z.shape[:-1] + (1,)),
+                                      axis=-1)[..., 0]
+        trig = np.stack([z[..., c, :, k] for c, k in enumerate(self.trigger_column)], axis=-2)
+        return cell, trig
 
 
 def _links(sc: Scenario, x: float, antenna: AntennaId, cell: CellId) -> list[tuple[float, float]]:
@@ -170,22 +175,30 @@ def _links(sc: Scenario, x: float, antenna: AntennaId, cell: CellId) -> list[tup
 
     Under RAU selection these are the per-RAU links; blanket cells sum
     them into one Gaussian, traditional cells have the one base-station
-    link. Raises ValueError naming the link when a mean is not finite.
+    link. Raises ValueError naming the link when a distance is zero or a
+    mean is not finite.
     """
+    def link() -> str:
+        return (f"of {sc.scheme.value} at x={x:g} m ({antenna.name.lower()} antenna, "
+                f"{cell.name.lower()} cell)")
+
+    def loss(d: float) -> float:
+        if not d > 0.0:
+            raise ValueError(f"link distance {d:g} m {link()}: path loss requires distance > 0")
+        return path_loss(sc, d)
+
     def checked(links: list[tuple[float, float]]) -> list[tuple[float, float]]:
         for mu, _ in links:
             if not math.isfinite(mu):
-                raise ValueError(
-                    f"link mean {mu} of {sc.scheme.value} at x={x:g} m ({antenna.name.lower()}"
-                    f" antenna, {cell.name.lower()} cell) is not finite")
+                raise ValueError(f"link mean {mu} {link()} is not finite")
         return links
 
     at = antenna_x(sc, x, antenna)
     if sc.scheme is Scheme.TRADITIONAL:
         d = link_distance(at, bs_position(sc, cell))
-        return checked([(sc.tx_power - path_loss(sc, d), sc.shadow_sigma)])
+        return checked([(sc.tx_power - loss(d), sc.shadow_sigma)])
     power = per_rau_power(sc)
-    links = checked([(power - path_loss(sc, link_distance(at, node)), sc.rau_sigma(n))
+    links = checked([(power - loss(link_distance(at, node)), sc.rau_sigma(n))
                      for n, node in enumerate(rau_positions(sc, cell), 1)])
     if sc.scheme is Scheme.DAS_BLANKET:
         with np.errstate(all="ignore"):  # a sum beyond the float range is named by checked

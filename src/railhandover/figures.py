@@ -24,10 +24,10 @@ from . import analytics, channel
 from ._version import __version__
 from .analytics import MetricMode, PositionGrid
 from .montecarlo import (
+    Estimate,
     FirstCrossingEstimate,
-    Metric,
+    PointwiseEstimate,
     SeedPolicy,
-    SweepEstimate,
     estimate_first_crossing,
     estimate_pointwise,
 )
@@ -172,17 +172,6 @@ class ResultTable:
         return cls(columns, rows, provenance)
 
 
-# Metrics every pointwise sweep computes; mean RSS is added on request.
-_SWEEP_METRICS = frozenset({Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION})
-
-# The (metric, antenna) of the Monte Carlo rows behind each pointwise figure.
-_FIGURE_ROWS = {
-    Figure.TRIGGER: (Metric.TRIGGER, AntennaId.FRONT),
-    Figure.FAILURE: (Metric.FAILURE, AntennaId.FRONT),
-    Figure.INTERRUPTION: (Metric.INTERRUPTION, None),
-}
-
-
 def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
 
@@ -191,18 +180,18 @@ class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
     Each scheme gets one Monte Carlo pointwise sweep computing every
-    position-wise metric, mean RSS included only once a figure asks for
-    it; draws are substream-keyed by (domain, position), so a sweep
-    rerun with mean RSS reproduces the earlier columns exactly. Analytic
-    curves are cached per (scheme, mode), first-crossing estimates per
-    scheme.
+    position-wise metric as arrays, mean RSS included only once a figure
+    asks for it; draws are substream-keyed by (domain, position), so a
+    sweep rerun with mean RSS reproduces the earlier arrays exactly.
+    Analytic curves are cached per (scheme, mode), first-crossing
+    estimates per scheme.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.grid = PositionGrid.over(config.scenario.ds, config.step)
         self.seed = SeedPolicy(config.master_seed)
-        self._pointwise: dict[Scheme, tuple[bool, list[SweepEstimate]]] = {}
+        self._pointwise: dict[Scheme, PointwiseEstimate] = {}
         self._cache: dict[tuple, object] = {}
 
     def scenario_for(self, scheme: Scheme) -> Scenario:
@@ -210,23 +199,24 @@ class FigureRunner:
 
     # --- Monte Carlo caches ---
 
-    def pointwise(self, scheme: Scheme, mean_rss: bool) -> list[SweepEstimate]:
+    def pointwise(self, scheme: Scheme, mean_rss: bool) -> PointwiseEstimate:
         cached = self._pointwise.get(scheme)
-        if cached is None or (mean_rss and not cached[0]):
-            metrics = _SWEEP_METRICS | ({Metric.MEAN_RSS} if mean_rss else frozenset())
-            rows = estimate_pointwise(self.scenario_for(scheme), self.grid,
-                                      self.config.trials, self.seed,
-                                      jobs=self.config.jobs, metrics=metrics)
-            self._pointwise[scheme] = (mean_rss, rows)
-        return self._pointwise[scheme][1]
+        if cached is None or (mean_rss and cached.rss is None):
+            self._pointwise[scheme] = estimate_pointwise(
+                self.scenario_for(scheme), self.grid, self.config.trials, self.seed,
+                jobs=self.config.jobs, mean_rss=mean_rss)
+        return self._pointwise[scheme]
 
-    def mc_rows(self, scheme: Scheme, metric: Metric,
-                antenna: AntennaId | None) -> list[SweepEstimate]:
-        rows = [e for e in self.pointwise(scheme, metric is Metric.MEAN_RSS)
-                if e.metric is metric and e.antenna is antenna]
-        if len(rows) != len(self.grid.positions):
-            raise RuntimeError("sweep rows misaligned with the grid")
-        return rows
+    def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
+        """The figure's Monte Carlo column: the front antenna's, or for
+        interruption the scheme-level one."""
+        sweep = getattr(self.pointwise(scheme, figure is Figure.RSS), figure.value)
+        column = -1 if figure is Figure.INTERRUPTION else 0
+        return Estimate(*(a[:, column] for a in sweep))
+
+    def mc_rows(self, scheme: Scheme, figure: Figure) -> list[Estimate]:
+        """mc as one Estimate of Python numbers per position."""
+        return [Estimate(*row) for row in zip(*(a.tolist() for a in self.mc(scheme, figure)))]
 
     def crossing(self, scheme: Scheme) -> FirstCrossingEstimate:
         return self._cached(("crossing", scheme), lambda: estimate_first_crossing(
@@ -293,14 +283,13 @@ class FigureRunner:
                 mc = self.crossing(s)
                 values += [self.occurrence_values(s, mode), mc.masses, mc.half_widths]
                 continue
-            rows = self.mc_rows(s, *_FIGURE_ROWS[figure])
+            mc = self.mc(s, figure)
             values += [self.trigger_values(s) if figure is Figure.TRIGGER
                        else self.failure_values(s, mode) if figure is Figure.FAILURE
-                       else self.interruption_values(s, mode),
-                       [e.value for e in rows], [e.half_width_95 for e in rows]]
+                       else self.interruption_values(s, mode), mc.value, mc.half_width_95]
             if figure is Figure.FAILURE:
                 columns.append(f"{tag}_mc_base")
-                values.append([float(e.base_count) for e in rows])
+                values.append(mc.base_count)
         return columns, values
 
     def _rss_table(self):
@@ -308,12 +297,9 @@ class FigureRunner:
         for s in self.config.schemes:
             tag = _tag(s)
             curves = self.rss_values(s)
-            mc_front = self.mc_rows(s, Metric.MEAN_RSS, AntennaId.FRONT)
-            two = len(self.scenario_for(s).antennas()) == 2
-            if two:
-                mc_comb = self.mc_rows(s, Metric.MEAN_RSS, None)
-                comb_val = [e.value for e in mc_comb]
-                comb_hw = [e.half_width_95 for e in mc_comb]
+            mc = self.pointwise(s, True).rss
+            if mc.value.shape[1] == 3:  # front, rear, combined
+                comb_val, comb_hw = mc.value[:, 2], mc.half_width_95[:, 2]
             else:
                 comb_val = comb_hw = [None] * len(self.grid.positions)
             columns += [f"{tag}_front_dbm", f"{tag}_rear_dbm", f"{tag}_best_dbm",
@@ -321,8 +307,8 @@ class FigureRunner:
                         f"{tag}_mc_front_hw", f"{tag}_mc_combined_dbm",
                         f"{tag}_mc_combined_hw"]
             values += [curves["front"], curves["rear"], curves["best"],
-                       curves["combined"], [e.value for e in mc_front],
-                       [e.half_width_95 for e in mc_front], comb_val, comb_hw]
+                       curves["combined"], mc.value[:, 0], mc.half_width_95[:, 0],
+                       comb_val, comb_hw]
         return columns, values
 
 
@@ -395,7 +381,7 @@ def _binomial_quantile(q: float, trials: int, p: np.ndarray) -> np.ndarray:
     return np.where(bdtr(below, trials, p) >= q, below, k)
 
 
-def _failure_z(analytic: float | None, mc: SweepEstimate) -> float | None:
+def _failure_z(analytic: float | None, mc: Estimate) -> float | None:
     """|analytic - mc| of a conditional failure estimate in standard errors.
 
     None where the analytic value is undefined or fewer than
@@ -474,7 +460,7 @@ def _first_failure(bad: bool) -> Mark:
     return Mark(True, int(bad), score=1.0 if bad else None)
 
 
-def _ordered(a, b, ea: SweepEstimate, eb: SweepEstimate, mc_usable: bool = True) -> Mark:
+def _ordered(a, b, ea: Estimate, eb: Estimate, mc_usable: bool = True) -> Mark:
     """a <= b on the analytic curves, and on disjoint 95% MC intervals if usable."""
     analytic_fail = bool(a > b + _ANALYTIC_SLACK)
     mc_fail = mc_usable and ea.value - ea.half_width_95 > eb.value + eb.half_width_95
@@ -513,7 +499,7 @@ def _curve_sides(figure: Figure):
     def sides(runner: FigureRunner, *schemes: Scheme) -> list:
         curve = runner.failure_values if figure is Figure.FAILURE else runner.interruption_values
         return ([runner.grid.positions] + [curve(s, MetricMode.REDERIVED) for s in schemes]
-                + [runner.mc_rows(s, *_FIGURE_ROWS[figure]) for s in schemes])
+                + [runner.mc_rows(s, figure) for s in schemes])
     return sides
 
 
@@ -664,16 +650,15 @@ def validate_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     """
     runner, rederived, rows = FigureRunner(config), MetricMode.REDERIVED, []
     for s in config.schemes:
-        trig, inter, fail = (runner.mc_rows(s, *_FIGURE_ROWS[f]) for f in
-                             (Figure.TRIGGER, Figure.INTERRUPTION, Figure.FAILURE))
-        z = list(map(_failure_z, runner.failure_values(s, rederived), fail))
+        z = list(map(_failure_z, runner.failure_values(s, rederived),
+                     runner.mc_rows(s, Figure.FAILURE)))
         checks = {
             "trigger": _normal_gaps(runner, runner.trigger_values(s),
-                                    [e.value for e in trig]),
+                                    runner.mc(s, Figure.TRIGGER).value),
             "occurrence": _normal_gaps(runner, runner.occurrence_values(s, rederived),
                                        runner.crossing(s).masses),
             "interruption": _normal_gaps(runner, runner.interruption_values(s, rederived),
-                                         [e.value for e in inter]),
+                                         runner.mc(s, Figure.INTERRUPTION).value),
             "failure_z": (runner.grid.positions, z, [_VALIDATE_Z_LIMIT] * len(z)),
         }
         for name, sides in checks.items():

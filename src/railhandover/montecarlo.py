@@ -4,7 +4,9 @@ Randomness is organized as keyed substreams derived from one master
 seed: every (domain, index...) key maps to its own SeedSequence-spawned
 generator, so estimates are bitwise reproducible for a given master
 seed regardless of how the sweep is parallelized or in what order
-positions execute. Reductions run in index order.
+positions execute. Reductions run in index order. Shadowing is drawn
+through `LinkTable.shadowed`, and the pointwise sweep returns its
+estimates as arrays over positions and antennas.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,36 +58,37 @@ class SeedPolicy:
         return np.random.default_rng(ss)
 
 
-class Metric(Enum):
-    TRIGGER = "trigger"
-    FAILURE = "failure"
-    INTERRUPTION = "interruption"
-    MEAN_RSS = "mean_rss"
+class Estimate(NamedTuple):
+    """Monte Carlo estimates with their 95% half-widths and base counts.
 
-
-@dataclass(frozen=True)
-class SweepEstimate:
-    """One Monte Carlo point estimate with its 95% half-width.
-
-    antenna is None for scheme-level rows (interruption over all
-    antennas, combined-RSS trace). For conditional metrics base_count
-    holds the number of conditioning events; a zero base flags the
-    estimate as undefined and the value is NaN.
+    base_count is the number of trials an estimate averages over: every
+    trial, or for failure the trials that triggered. A zero base leaves
+    the estimate undefined, its value and half-width NaN.
     """
 
-    position: float
-    metric: Metric
-    value: float
-    trials: int
-    half_width_95: float
-    antenna: AntennaId | None = None
-    base_count: int | None = None
+    value: np.ndarray
+    half_width_95: np.ndarray
+    base_count: np.ndarray
 
 
-def _binomial_hw(p: float, n: int) -> float:
-    if n < 1:
-        return math.nan
-    return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+class PointwiseEstimate(NamedTuple):
+    """The pointwise sweep: Estimates of shape (positions, columns).
+
+    Columns follow the scheme's antennas. interruption adds one last
+    column, every antenna below the threshold at once; rss, None unless
+    requested, adds the combined two-antenna trace on two antennas.
+    """
+
+    trigger: Estimate
+    failure: Estimate
+    interruption: Estimate
+    rss: Estimate | None
+
+
+def _binomial(hits: np.ndarray, base: np.ndarray) -> Estimate:
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero base reads NaN
+        p = hits / base
+        return Estimate(p, 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / base), base)
 
 
 def _mean_hw(samples: np.ndarray) -> float:
@@ -106,78 +108,50 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
 # === Pointwise sweep ===
 
 
-def estimate_pointwise(sc: Scenario, grid: PositionGrid, trials: int,
-                       seed: SeedPolicy, jobs: int = 1,
-                       metrics: Iterable[Metric] | None = None) -> list[SweepEstimate]:
+def estimate_pointwise(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPolicy,
+                       jobs: int = 1, mean_rss: bool = False) -> PointwiseEstimate:
     """Independent per-position estimates of the position-wise metrics.
 
-    Every (position) gets its own substream; within it each trial draws
-    fresh shadowing for all links, front antenna first, serving cell
-    first. From the same draws it computes trigger, failure (conditional
-    on trigger, NaN when no trial triggered) and per-antenna and
-    scheme-level interruption, and returns the requested metrics' rows
-    (all by default). Mean best-cell RSS per antenna plus a combined
-    two-antenna trace (linear power sum) is computed only on request,
-    since picking the better cell needs the analytic cell means. Rows
-    do not depend on which metrics are requested.
+    Each position draws standard normals of shape (antennas, cells,
+    trials, components) from its own substream: fresh shadowing for all
+    links. The same draws give trigger, failure (conditional on trigger,
+    NaN where no trial triggered) and per-antenna and scheme-level
+    interruption counts. Only if mean_rss does it add the mean best-cell
+    RSS per antenna and the combined two-antenna trace (linear power
+    sum), since picking the better cell needs the analytic cell means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    wanted = set(metrics) if metrics is not None else set(Metric)
     table = channel.link_table(sc, grid)
-    target_better = (channel.cell_means(sc, grid)[1] if Metric.MEAN_RSS in wanted
-                     else None)
+    target_better = channel.cell_means(sc, grid)[1] if mean_rss else None
+    shape = table.mu.shape[1:3] + (trials, table.mu.shape[3])
 
-    def one_position(j: int) -> list[SweepEstimate]:
-        x = grid.positions[j]
-        rng = seed.stream(DOMAIN_POINTWISE, j)
-        # per antenna: ((serving cell RSS, trigger comparand), (target ...))
-        draws = [tuple(table.sample(slice(j, j + 1), a, c, rng, trials)
-                       for c in range(len(channel.CELLS)))
-                 for a in range(len(table.antennas))]
-        rows: list[SweepEstimate] = []
+    def one_position(j: int) -> tuple[np.ndarray, list | None]:
+        z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(shape)
+        cell, trig = table.shadowed(z, slice(j, j + 1))
+        fired = trig[:, 1] - trig[:, 0] > sc.hysteresis
+        below = np.maximum(cell[:, 0], cell[:, 1]) < sc.threshold
+        hits = np.concatenate((np.count_nonzero(fired, axis=1),
+                               np.count_nonzero(fired & (trig[:, 1] < sc.threshold), axis=1),
+                               np.count_nonzero(below, axis=1),
+                               [np.count_nonzero(below.all(axis=0))]))
+        if target_better is None:
+            return hits, None
+        best = [cell[a, int(target_better[j, a])] for a in range(len(table.antennas))]
+        if len(best) == 2:
+            best.append(10.0 * np.log10(sum(np.power(10.0, s / 10.0) for s in best)))
+        return hits, [(float(np.mean(s)), _mean_hw(s)) for s in best]
 
-        for antenna, ((_, trig_s), (_, trig_t)) in zip(table.antennas, draws):
-            trig = trig_t - trig_s > sc.hysteresis
-            p = float(np.mean(trig))
-            rows.append(SweepEstimate(x, Metric.TRIGGER, p, trials,
-                                      _binomial_hw(p, trials), antenna))
-            base = int(np.count_nonzero(trig))
-            if base == 0:
-                rows.append(SweepEstimate(x, Metric.FAILURE, math.nan,
-                                          trials, math.nan, antenna, 0))
-            else:
-                q = float(np.count_nonzero(trig & (trig_t < sc.threshold))) / base
-                rows.append(SweepEstimate(x, Metric.FAILURE, q, trials,
-                                          _binomial_hw(q, base), antenna, base))
-
-        all_below = np.ones(trials, dtype=bool)
-        for antenna, ((serving, _), (target, _)) in zip(table.antennas, draws):
-            below = np.maximum(serving, target) < sc.threshold
-            p = float(np.mean(below))
-            rows.append(SweepEstimate(x, Metric.INTERRUPTION, p, trials,
-                                      _binomial_hw(p, trials), antenna))
-            all_below &= below
-        p = float(np.mean(all_below))
-        rows.append(SweepEstimate(x, Metric.INTERRUPTION, p, trials,
-                                  _binomial_hw(p, trials), None))
-
-        if target_better is not None:
-            best_cell_samples = []
-            for a, antenna in enumerate(table.antennas):
-                samples = draws[a][int(target_better[j, a])][0]
-                best_cell_samples.append(samples)
-                rows.append(SweepEstimate(x, Metric.MEAN_RSS, float(np.mean(samples)),
-                                          trials, _mean_hw(samples), antenna))
-            if len(table.antennas) == 2:
-                linear = sum(np.power(10.0, s / 10.0) for s in best_cell_samples)
-                combined = 10.0 * np.log10(linear)
-                rows.append(SweepEstimate(x, Metric.MEAN_RSS, float(np.mean(combined)),
-                                          trials, _mean_hw(combined), None))
-        return [row for row in rows if row.metric in wanted]
-
-    chunks = _parallel_map(one_position, len(grid.positions), jobs)
-    return [row for chunk in chunks for row in chunk]
+    hits, means = zip(*_parallel_map(one_position, len(grid.positions), jobs))
+    n = len(table.antennas)
+    fired, failed, below = np.split(np.array(hits), [n, 2 * n], axis=1)
+    rss = None
+    if mean_rss:
+        value, hw = np.moveaxis(np.array(means), 2, 0)
+        rss = Estimate(value, hw, np.full(value.shape, trials))
+    return PointwiseEstimate(_binomial(fired, np.full_like(fired, trials)),
+                             _binomial(failed, fired),
+                             _binomial(below, np.full_like(below, trials)), rss)
 
 
 # === First-crossing sweep ===

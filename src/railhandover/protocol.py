@@ -191,15 +191,6 @@ class CrossingOutcome:
     final_state: HandoverState
 
 
-@dataclass(frozen=True)
-class _AntennaLinks:
-    """Per-position samples for one antenna: cell RSS and trigger comparands."""
-
-    cell_rss: dict[CellId, np.ndarray]
-    trig_serving: np.ndarray
-    trig_target: np.ndarray
-
-
 def _draw_crossings(table: channel.LinkTable,
                     rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Draw every shadowing realization of each crossing, one generator each.
@@ -208,35 +199,13 @@ def _draw_crossings(table: channel.LinkTable,
     cells, positions, components), which fixes the order: front antenna
     first, serving cell first, grid position outermost within a cell.
     Returns the cell RSS and the trigger comparands, both of shape
-    (crossings, antennas, cells, positions); the comparands reuse the
-    cell's draws, since they are the same links.
+    (crossings, antennas, cells, positions).
     """
-    mu, sigma = (np.moveaxis(a, 0, 2) for a in (table.mu, table.sigma))
-    rss = np.empty((len(rngs),) + mu.shape)
-    for rng, out in zip(rngs, rss):
+    positions, antennas, cells, components = table.mu.shape
+    z = np.empty((len(rngs), antennas, cells, positions, components))
+    for rng, out in zip(rngs, z):
         rng.standard_normal(out=out)
-    rss *= sigma
-    rss += mu
-    if table.cell_column is None:
-        # a running maximum over the few components beats np.max along a short axis
-        cell = rss[..., 0].copy()
-        for k in range(1, rss.shape[-1]):
-            np.maximum(cell, rss[..., k], out=cell)
-    else:
-        column = np.moveaxis(table.cell_column, 0, 2)[np.newaxis, ..., np.newaxis]
-        cell = np.take_along_axis(rss, column, axis=-1)[..., 0]
-    trig = np.stack([rss[:, :, c, :, k] for c, k in enumerate(table.trigger_column)],
-                    axis=2)
-    return cell, trig
-
-
-def _draw_links(sc: Scenario, grid: PositionGrid,
-                rng: np.random.Generator) -> dict[AntennaId, _AntennaLinks]:
-    """Pre-draw every shadowing realization for one crossing, per antenna."""
-    table = channel.link_table(sc, grid)
-    (cell,), (trig,) = _draw_crossings(table, [rng])
-    return {antenna: _AntennaLinks(dict(zip(channel.CELLS, cell[a])), *trig[a])
-            for a, antenna in enumerate(table.antennas)}
+    return table.shadowed(z, slice(None))
 
 
 def _require_two_antennas(sc: Scenario) -> None:
@@ -261,12 +230,13 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     as (first, last) grid coordinates of each below-threshold run.
     """
     _require_two_antennas(sc)
-    links = _draw_links(sc, grid, rng)
+    table = channel.link_table(sc, grid)
+    (cell,), (trig,) = _draw_crossings(table, [rng])
     state = HandoverState()
     trace: list[TraceEntry] = []
-    attached = {AntennaId.FRONT: CellId.SERVING, AntennaId.REAR: CellId.SERVING}
-    ho_position = {AntennaId.FRONT: None, AntennaId.REAR: None}
-    failed = {AntennaId.FRONT: False, AntennaId.REAR: False}
+    attached = [0, 0]  # per antenna, front then rear: its cell's index in CELLS
+    ho_position: list[float | None] = [None, None]
+    failed = [False, False]
     interrupted_runs: list[tuple[float, float]] = []
     run_start: float | None = None
 
@@ -287,38 +257,30 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
         # environment side: zero-latency responses within the grid step
         if message.kind is EventKind.HO_REQUEST:
             feed(ProtocolEvent(EventKind.HO_REQUEST_ACK, message.position))
-        elif message.kind in (EventKind.HO_COMMAND_FRONT, EventKind.HO_COMMAND_REAR):
-            antenna = (AntennaId.FRONT if message.kind is EventKind.HO_COMMAND_FRONT
-                       else AntennaId.REAR)
-            attempt(antenna, message.position)
+        elif message.kind is EventKind.HO_COMMAND_FRONT:
+            attempt(0, message.position)
+        elif message.kind is EventKind.HO_COMMAND_REAR:
+            attempt(1, message.position)
         elif message.kind is EventKind.DUALCAST_FINISH:
             feed(ProtocolEvent(EventKind.DUALCAST_FINISH_ACK, message.position))
 
-    def attempt(antenna: AntennaId, position: float) -> None:
-        j = position_index[position]
-        target_rss = links[antenna].trig_target[j]
-        if target_rss >= sc.threshold:
-            attached[antenna] = CellId.TARGET
-            ho_position[antenna] = position
-            done_kind = (EventKind.FRONT_ATTACHED if antenna is AntennaId.FRONT
-                         else EventKind.REAR_ATTACHED)
-            feed(ProtocolEvent(done_kind, position, antenna))
+    def attempt(a: int, position: float) -> None:
+        if trig[a, 1, position_index[position]] >= sc.threshold:
+            attached[a] = 1
+            ho_position[a] = position
+            done_kind = (EventKind.FRONT_ATTACHED, EventKind.REAR_ATTACHED)[a]
+            feed(ProtocolEvent(done_kind, position, table.antennas[a]))
         else:
-            failed[antenna] = True
+            failed[a] = True
 
     position_index = {x: j for j, x in enumerate(grid.positions)}
 
     for j, x in enumerate(grid.positions):
-        front = links[AntennaId.FRONT]
-        rear = links[AntennaId.REAR]
-        feed(ProtocolEvent(
-            EventKind.MEASUREMENT_REPORT, x,
-            front_rss=(float(front.trig_serving[j]), float(front.trig_target[j])),
-            rear_rss=(float(rear.trig_serving[j]), float(rear.trig_target[j])),
-        ))
+        front, rear = trig[:, :, j].tolist()
+        feed(ProtocolEvent(EventKind.MEASUREMENT_REPORT, x,
+                           front_rss=tuple(front), rear_rss=tuple(rear)))
         # threshold check against each antenna's attached cell
-        below = all(links[a].cell_rss[attached[a]][j] < sc.threshold
-                    for a in (AntennaId.FRONT, AntennaId.REAR))
+        below = all(cell[a, attached[a], j] < sc.threshold for a in (0, 1))
         if below:
             run_start = x if run_start is None else run_start
         elif run_start is not None:
@@ -328,10 +290,10 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
         interrupted_runs.append((run_start, grid.positions[-1]))
 
     outcome = CrossingOutcome(
-        front_ho_position=ho_position[AntennaId.FRONT],
-        rear_ho_position=ho_position[AntennaId.REAR],
-        front_failed=failed[AntennaId.FRONT],
-        rear_failed=failed[AntennaId.REAR],
+        front_ho_position=ho_position[0],
+        rear_ho_position=ho_position[1],
+        front_failed=failed[0],
+        rear_failed=failed[1],
         interruption_intervals=tuple(interrupted_runs),
         final_state=state,
     )

@@ -30,7 +30,6 @@ from railhandover.analytics import (
 from railhandover.figures import RunConfig, compare_schemes
 from railhandover.montecarlo import (
     DOMAIN_PROTOCOL,
-    Metric,
     SeedPolicy,
     estimate_first_crossing,
     estimate_pointwise,
@@ -61,12 +60,10 @@ def report(capsys):
 def test_trigger_curve_agreement(report):
     sc = Scenario()
     grid = PositionGrid.over(sc.ds, 50.0)
-    ests = estimate_pointwise(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8,
-                              metrics=[Metric.TRIGGER])
-    curve = dict(zip(grid.positions, trigger_curve(sc, grid)))
-    gaps = [abs(e.value - curve[e.position])
-            for e in ests if e.antenna is AntennaId.FRONT]
-    anchor = curve[1500.0]
+    est = estimate_pointwise(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8)
+    curve = trigger_curve(sc, grid)
+    gaps = np.abs(est.trigger.value[:, 0] - curve)  # the front antenna's column
+    anchor = curve[grid.positions.index(1500.0)]
     anchor_gap = abs(anchor - 0.3618)
     ok = max(gaps) <= 0.01 and anchor_gap <= 1e-4
     report("01 trigger-agreement", ok,
@@ -114,7 +111,6 @@ def test_occurrence_histogram_agreement(report):
 def test_failure_ordering_in_handover_window(report):
     sc = Scenario()
     window = PositionGrid(np.arange(1200.0, 1800.0 + 1, 10.0), 10.0)
-    xs = window.as_array()
     curves = {}
     for scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE, Scheme.TRADITIONAL):
         cfg = sc.with_scheme(scheme)
@@ -124,18 +120,15 @@ def test_failure_ordering_in_handover_window(report):
                                 - curves[Scheme.DAS_SINGLE])))
     worst_z = 0.0
     for scheme, ana in curves.items():
-        ests = estimate_pointwise(sc.with_scheme(scheme), window, TRIALS,
-                                  SeedPolicy(SEED), jobs=8,
-                                  metrics=[Metric.FAILURE])
-        for e in ests:
-            if e.antenna is not AntennaId.FRONT:
+        failure = estimate_pointwise(sc.with_scheme(scheme), window, TRIALS,
+                                     SeedPolicy(SEED), jobs=8).failure
+        # the front antenna's column, position by position
+        for value, hw, base, a in zip(*(f[:, 0].tolist() for f in failure), ana):
+            if base < 25:
                 continue
-            if e.base_count is None or e.base_count < 25:
-                continue
-            se = e.half_width_95 / 1.96
+            se = hw / 1.96
             if se > 0.0:
-                x_index = int(np.searchsorted(xs, e.position))
-                worst_z = max(worst_z, abs(e.value - ana[x_index]) / se)
+                worst_z = max(worst_z, abs(value - a) / se)
     ok = ordered and close <= 0.02 and worst_z <= 3.0
     report("04 failure-ordering", ok,
            f"proposed<=traditional {ordered}, das-single gap {close:.3f}, "
@@ -153,9 +146,9 @@ def _interruption_tables(schemes):
     for scheme in schemes:
         cfg = sc.with_scheme(scheme)
         ana[scheme] = interruption_curve(cfg, grid)
-        ests = estimate_pointwise(cfg, grid, TRIALS, SeedPolicy(SEED), jobs=8,
-                                  metrics=[Metric.INTERRUPTION])
-        mc[scheme] = np.array([e.value for e in ests if e.antenna is None])
+        # the scheme-level column: every antenna below the threshold
+        mc[scheme] = estimate_pointwise(cfg, grid, TRIALS, SeedPolicy(SEED),
+                                        jobs=8).interruption.value[:, -1]
     return xs, ana, mc
 
 

@@ -530,16 +530,31 @@ def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
 
 
 def test_sample_cell_rss_is_the_component_maximum(sc):
-    """The running maximum over component columns equals np.max bitwise."""
+    """shadowed's running maximum over component columns equals np.max
+    bitwise, for one position broadcast over trials and for every position."""
     grid = PositionGrid.over(3000.0, 250.0)
     for n_raus in (1, 2, 4, 8):
         table = channel.link_table(Scenario(n_raus=n_raus), grid)
         every = len(grid.positions)
-        for rows, n in ((slice(3, 4), 500), (slice(0, every), every)):
-            cell, _ = table.sample(rows, 1, 0, np.random.default_rng(11), n)
-            z = np.random.default_rng(11).standard_normal((n, n_raus))
-            want = np.max(table.mu[rows, 1, 0] + table.sigma[rows, 1, 0] * z, axis=1)
+        for rows, n in ((slice(3, 4), 500), (slice(None), every)):
+            z = np.random.default_rng(11).standard_normal((2, 2, n, n_raus))
+            want = np.max(np.moveaxis(table.mu[rows], 0, 2)
+                          + np.moveaxis(table.sigma[rows], 0, 2) * z, axis=-1)
+            cell, _ = table.shadowed(z, rows)
             assert cell.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("selection", list(SelectionRule))
+def test_batched_shadowing_equals_one_call_per_crossing(selection):
+    """One shadowed call over a batch of crossings equals one call each."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    table = channel.link_table(Scenario(selection=selection), grid)
+    z = np.random.default_rng(5).standard_normal((3, 2, 2, len(grid.positions), 4))
+    singles = [table.shadowed(zi.copy(), slice(None)) for zi in z]
+    cell, trig = table.shadowed(z, slice(None))
+    for i, (cell_i, trig_i) in enumerate(singles):
+        assert cell[i].tobytes() == cell_i.tobytes()
+        assert trig[i].tobytes() == trig_i.tobytes()
 
 
 # --- sampling ---

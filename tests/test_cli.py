@@ -306,6 +306,24 @@ def test_nonfinite_link_mean_exits_2_naming_the_link(tmp_path, capsys, verb):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("verb", [["compare"], ["validate"], ["trace"]], ids=" ".join)
+@pytest.mark.parametrize("text, link", [
+    ("du = 0\nmeasurement_step = 375\n", "proposed at x=375 m (front antenna, serving cell)"),
+    ("d0 = 0\nschemes = traditional\n", "traditional at x=0 m (front antenna, serving cell)"),
+], ids=["rau-under-the-track", "tower-on-the-track"])
+def test_zero_link_distance_exits_2_naming_the_link(tmp_path, capsys, verb, text, link):
+    """An antenna right under a transmit node has no path loss: a
+    configuration error naming the link, without a traceback."""
+    config = tmp_path / "zero.cfg"
+    config.write_text(text)
+    code = main([*verb, "--config", str(config), "--trials", "50", "--seed", "3",
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == (f"configuration error: link distance 0 m of {link}: "
+                   "path loss requires distance > 0\n")
+
+
 def test_compare_with_subnormal_sigma_exits_2(tmp_path, capsys):
     """Mean gaps over a subnormal sigma overflow the normal CDF arguments."""
     config = tmp_path / "tiny.cfg"

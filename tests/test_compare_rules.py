@@ -22,6 +22,7 @@ import itertools
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from railhandover.cli import main, parse_config
@@ -31,7 +32,7 @@ from railhandover.figures import (
     evaluate_assertions,
     validate_schemes,
 )
-from railhandover.montecarlo import Metric, SweepEstimate
+from railhandover.montecarlo import Estimate
 from railhandover.scenario import Scheme
 
 GOLDEN = Path(__file__).parent / "golden" / "rules"
@@ -90,18 +91,21 @@ def test_golden_cases_cover_every_scheme_subset():
 # --- Monte Carlo-only ordering failures ---
 
 # The failure window of the 250 m grid holds 1250, 1500 and 1750 m.
-_MC_FAILS = {Metric.FAILURE: (1250.0, 1500.0), Metric.INTERRUPTION: (500.0, 1000.0)}
-_ANALYTIC_FAILS = {Metric.FAILURE: 1250.0, Metric.INTERRUPTION: 250.0}
+_MC_FAILS = {Figure.FAILURE: (1250.0, 1500.0), Figure.INTERRUPTION: (500.0, 1000.0)}
+_ANALYTIC_FAILS = {Figure.FAILURE: 1250.0, Figure.INTERRUPTION: 250.0}
 
 
 class _StubRunner(FigureRunner):
-    """Equal analytic curves and Monte Carlo rows that order the schemes wrongly.
+    """Equal analytic curves and Monte Carlo columns that order the schemes wrongly.
 
     Proposed's failure and interruption estimates sit far above
     traditional's at the _MC_FAILS positions, with disjoint 95%
     intervals, from base_count triggered trials for failure. With
     analytic_fail, proposed's analytic curve also exceeds traditional's at
-    the _ANALYTIC_FAILS position, before those.
+    the _ANALYTIC_FAILS position, before those. The columns are numpy
+    arrays, as the sweep returns them, so the rules must see them as
+    Python numbers: on numpy booleans a verdict's analytic + MC failure
+    count would be a logical or.
     """
 
     def __init__(self, config, analytic_fail: bool, base_count: int):
@@ -109,25 +113,26 @@ class _StubRunner(FigureRunner):
         self.analytic_fail = analytic_fail
         self.base_count = base_count
 
-    def _curve(self, scheme, metric):
+    def _curve(self, scheme, figure):
         values = [0.2] * len(self.grid.positions)
         if self.analytic_fail and scheme is Scheme.PROPOSED:
-            values[self.grid.positions.index(_ANALYTIC_FAILS[metric])] = 0.5
+            values[self.grid.positions.index(_ANALYTIC_FAILS[figure])] = 0.5
         return values
 
     def failure_values(self, scheme, mode):
-        return self._curve(scheme, Metric.FAILURE)
+        return self._curve(scheme, Figure.FAILURE)
 
     def interruption_values(self, scheme, mode):
-        return self._curve(scheme, Metric.INTERRUPTION)
+        return self._curve(scheme, Figure.INTERRUPTION)
 
-    def mc_rows(self, scheme, metric, antenna):
-        if metric not in _MC_FAILS:
-            return super().mc_rows(scheme, metric, antenna)
-        base = self.base_count if metric is Metric.FAILURE else None
-        return [SweepEstimate(x, metric, 0.9 if scheme is Scheme.PROPOSED
-                              and x in _MC_FAILS[metric] else 0.2, 1000, 0.01, antenna, base)
-                for x in self.grid.positions]
+    def mc(self, scheme, figure):
+        if figure not in _MC_FAILS:
+            return super().mc(scheme, figure)
+        xs = np.array(self.grid.positions)
+        wrong = (scheme is Scheme.PROPOSED) & np.isin(xs, _MC_FAILS[figure])
+        base = self.base_count if figure is Figure.FAILURE else 1000
+        return Estimate(np.where(wrong, 0.9, 0.2), np.full(len(xs), 0.01),
+                        np.full(len(xs), base))
 
 
 @pytest.mark.parametrize("analytic_fail, base_count, expected", [

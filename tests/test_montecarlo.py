@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railhandover import channel, montecarlo
 from railhandover.analytics import (
@@ -17,14 +19,14 @@ from railhandover.montecarlo import (
     DOMAIN_FIRST_CROSSING,
     DOMAIN_POINTWISE,
     DOMAIN_PROTOCOL,
-    Metric,
     SeedPolicy,
     estimate_first_crossing,
     estimate_pointwise,
     estimate_protocol,
 )
-from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
+from railhandover.scenario import Scenario, Scheme, SelectionRule
 
+from pointwise_oracle import assert_sweeps_equal, pointwise_sweep
 from protocol_oracle import STAT_FIELDS, format_stats, protocol_stats
 
 GOLDEN_PROTOCOL = Path(__file__).parent / "golden" / "protocol_200.txt"
@@ -54,13 +56,12 @@ def test_seed_policy_streams_are_keyed():
 def test_pointwise_matches_analytic_step_with_degenerate_fading():
     sc = replace(Scenario(), shadow_sigma=1e-9)
     grid = PositionGrid.over(3000.0, 250.0)
-    ests = estimate_pointwise(sc, grid, 1, SeedPolicy(5), metrics=[Metric.TRIGGER])
-    assert len(ests) == 2 * len(grid.as_array())  # one per antenna
-    curves = {a: dict(zip(grid.positions, trigger_curve(sc, grid, a))) for a in sc.antennas()}
-    for e in ests:
-        assert e.value in (0.0, 1.0)
-        assert e.half_width_95 == 0.0
-        assert e.value == pytest.approx(curves[e.antenna][e.position], abs=1e-9)
+    est = estimate_pointwise(sc, grid, 1, SeedPolicy(5)).trigger
+    assert est.value.shape == (len(grid.positions), 2)  # one column per antenna
+    assert np.isin(est.value, (0.0, 1.0)).all()
+    assert (est.half_width_95 == 0.0).all()
+    for a, antenna in enumerate(sc.antennas()):
+        assert est.value[:, a] == pytest.approx(trigger_curve(sc, grid, antenna), abs=1e-9)
 
 
 def test_half_width_halves_when_trials_quadruple():
@@ -68,9 +69,7 @@ def test_half_width_halves_when_trials_quadruple():
     grid = PositionGrid(np.array([1500.0]), 10.0)
 
     def front_hw(trials):
-        ests = estimate_pointwise(sc, grid, trials, SeedPolicy(77),
-                                  metrics=[Metric.TRIGGER])
-        return next(e for e in ests if e.antenna is AntennaId.FRONT).half_width_95
+        return estimate_pointwise(sc, grid, trials, SeedPolicy(77)).trigger.half_width_95[0, 0]
 
     ratio = front_hw(8000) / front_hw(2000)
     assert 0.4 <= ratio <= 0.6
@@ -79,20 +78,46 @@ def test_half_width_halves_when_trials_quadruple():
 def test_pointwise_parallel_runs_are_bitwise_identical():
     sc = Scenario()
     grid = PositionGrid.over(3000.0, 500.0)
-    serial = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=1)
-    parallel = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=8)
-    assert serial == parallel
+    serial = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=1, mean_rss=True)
+    parallel = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=8, mean_rss=True)
+    assert_sweeps_equal(parallel, serial)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.DAS_SINGLE])
-def test_one_sweep_matches_per_metric_sweeps(scheme):
+def test_counts_do_not_depend_on_mean_rss(scheme):
     sc = Scenario().with_scheme(scheme)
     grid = PositionGrid.over(3000.0, 500.0)
-    everything = estimate_pointwise(sc, grid, 300, SeedPolicy(9))
-    for metric in (Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION, Metric.MEAN_RSS):
-        alone = estimate_pointwise(sc, grid, 300, SeedPolicy(9), metrics=[metric])
-        assert alone
-        assert alone == [e for e in everything if e.metric is metric]
+    without = estimate_pointwise(sc, grid, 300, SeedPolicy(9))
+    with_rss = estimate_pointwise(sc, grid, 300, SeedPolicy(9), mean_rss=True)
+    assert without.rss is None
+    assert with_rss.rss.value.shape == (len(grid.positions), 3 if scheme is Scheme.PROPOSED
+                                        else 1)
+    assert_sweeps_equal(with_rss._replace(rss=None), without)
+
+
+@st.composite
+def _sweep_case(draw) -> tuple:
+    """A scenario, trial count and mean_rss flag for the oracle comparison."""
+    n_raus = draw(st.integers(1, 8))
+    per_rau = draw(st.one_of(st.none(), st.lists(st.sampled_from((0.5, 4.0, 8.0, 12.0)),
+                                                 min_size=n_raus, max_size=n_raus).map(tuple)))
+    sc = Scenario(n_raus=n_raus, shadow_sigma_per_rau=per_rau,
+                  scheme=draw(st.sampled_from(list(Scheme))),
+                  selection=draw(st.sampled_from(list(SelectionRule))),
+                  hysteresis=draw(st.sampled_from((0.0, 2.0, 1e6))))
+    return sc, draw(st.sampled_from((1, 2, 57))), draw(st.booleans())
+
+
+@settings(max_examples=100)
+@given(_sweep_case())
+def test_pointwise_equals_the_scalar_oracle(case):
+    """One draw per position, counted along axes, equals one draw per
+    antenna and cell scored as scalar rows: values, half-widths and base
+    counts bit for bit, NaN where no trial triggered."""
+    sc, trials, mean_rss = case
+    grid = PositionGrid.over(3000.0, 500.0)
+    assert_sweeps_equal(estimate_pointwise(sc, grid, trials, SeedPolicy(31), mean_rss=mean_rss),
+                        pointwise_sweep(sc, grid, trials, SeedPolicy(31), mean_rss))
 
 
 def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
@@ -102,8 +127,7 @@ def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
     monkeypatch.setattr(channel, "max_means", refuse)
     monkeypatch.setattr(channel, "cell_means", refuse)
     grid = PositionGrid.over(3000.0, 500.0)
-    estimate_pointwise(Scenario(), grid, 50, SeedPolicy(2),
-                       metrics=[Metric.TRIGGER, Metric.FAILURE, Metric.INTERRUPTION])
+    estimate_pointwise(Scenario(), grid, 50, SeedPolicy(2))
 
 
 def test_mean_pathloss_trigger_estimate_tracks_analytic():
@@ -112,11 +136,11 @@ def test_mean_pathloss_trigger_estimate_tracks_analytic():
     sc = Scenario(selection=SelectionRule.MEAN_PATHLOSS)
     grid = PositionGrid.over(3000.0, 250.0)
     trials = 20_000
-    curves = {a: dict(zip(grid.positions, trigger_curve(sc, grid, a))) for a in sc.antennas()}
-    for e in estimate_pointwise(sc, grid, trials, SeedPolicy(12345), jobs=2,
-                                metrics=[Metric.TRIGGER]):
-        p = curves[e.antenna][e.position]
-        assert abs(e.value - p) <= max(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
+    est = estimate_pointwise(sc, grid, trials, SeedPolicy(12345), jobs=2).trigger
+    for a, antenna in enumerate(sc.antennas()):
+        p = trigger_curve(sc, grid, antenna)
+        limit = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
+        assert (np.abs(est.value[:, a] - p) <= limit).all()
 
 
 def test_protocol_runs_under_mean_pathloss_selection(coarse_grid):

@@ -221,30 +221,38 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
 
 
 @lru_cache(maxsize=32)
-def cell_means(sc: Scenario, grid: "PositionGrid") -> tuple[np.ndarray, np.ndarray]:
-    """Mean RSS of every cell distribution of the link table, and the better cell.
+def cell_means(scs: tuple[Scenario, ...],
+               grid: "PositionGrid") -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Mean RSS of every cell distribution of each scenario's link table, and the better cell.
 
-    Returns the means, shape (positions, antennas, cells), and a boolean
-    array of shape (positions, antennas) that is True where the target
-    cell's mean exceeds the serving cell's by more than BETTER_CELL_MARGIN.
-    The distinct max-of-Gaussians rows are integrated in one batch.
+    Returns, per scenario, the means, shape (positions, antennas, cells),
+    and a boolean array of shape (positions, antennas) that is True where
+    the target cell's mean exceeds the serving cell's by more than
+    BETTER_CELL_MARGIN. The distinct max-of-Gaussians rows of all the
+    scenarios are integrated in one batch per component count, so a row
+    two scenarios share is integrated once.
     """
-    table = link_table(sc, grid)
-    mu, sigma = table.cell_components()
-    shape, n = mu.shape[:3], mu.shape[3]
-    if n == 1:
-        means = mu[..., 0].copy()
-    else:
-        stats = np.concatenate((mu, sigma), axis=-1).reshape(-1, 2 * n)
+    tables = [link_table(sc, grid) for sc in scs]
+    parts = [t.cell_components() for t in tables]
+    means = [mu[..., 0].copy() for mu, _ in parts]  # single Gaussians: their mu
+    for n in sorted({mu.shape[3] for mu, _ in parts} - {1}):
+        ks = [k for k, (mu, _) in enumerate(parts) if mu.shape[3] == n]
+        stats = np.concatenate([np.concatenate(parts[k], axis=-1).reshape(-1, 2 * n)
+                                for k in ks])
         distinct, first, inverse = np.unique(stats, axis=0, return_index=True,
                                              return_inverse=True)
+        ends = np.cumsum([means[k].size for k in ks])
 
         def where(r: int) -> str:
-            j, a, c = np.unravel_index(first[r], shape)
-            return (f"cell mean of {sc.scheme.value} at x={grid.positions[j]:g} m "
-                    f"({table.antennas[a].name.lower()} antenna, "
+            i = int(np.searchsorted(ends, first[r], side="right"))
+            k = ks[i]
+            j, a, c = np.unravel_index(first[r] - ends[i] + means[k].size, means[k].shape)
+            return (f"cell mean of {scs[k].scheme.value} at x={grid.positions[j]:g} m "
+                    f"({tables[k].antennas[a].name.lower()} antenna, "
                     f"{CELLS[c].name.lower()} cell)")
 
-        means = max_means(distinct[:, :n], distinct[:, n:], where)[inverse.reshape(shape)]
-    target_better = means[..., 1] - means[..., 0] > BETTER_CELL_MARGIN
-    return _frozen(means), _frozen(target_better)
+        values = max_means(distinct[:, :n], distinct[:, n:], where)[inverse.reshape(-1)]
+        for k, part in zip(ks, np.split(values, ends[:-1])):
+            means[k] = part.reshape(means[k].shape)
+    return tuple((_frozen(m), _frozen(m[..., 1] - m[..., 0] > BETTER_CELL_MARGIN))
+                 for m in means)

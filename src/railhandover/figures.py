@@ -179,18 +179,21 @@ def _tag(scheme: Scheme) -> str:
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
-    Each scheme gets one Monte Carlo pointwise sweep computing every
+    The Monte Carlo sweeps run once per run, for every configured scheme
+    together, on the first request: one pointwise sweep computing every
     position-wise metric as arrays, mean RSS included only once a figure
-    asks for it; draws are substream-keyed by (domain, position), so a
-    sweep rerun with mean RSS reproduces the earlier arrays exactly.
-    Analytic curves are cached per (scheme, mode), first-crossing
-    estimates per scheme.
+    asks for it, and one first-crossing sweep. Every scheme reads a prefix
+    of the same keyed substreams, so a sweep rerun with mean RSS
+    reproduces the earlier arrays exactly, and a scheme whose links repeat
+    another's reads that scheme's draws. The results are kept per scheme;
+    analytic curves are cached per (scheme, mode).
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.grid = PositionGrid.over(config.scenario.ds, config.step)
         self.seed = SeedPolicy(config.master_seed)
+        self.scenarios = tuple(self.scenario_for(s) for s in config.schemes)
         self._pointwise: dict[Scheme, PointwiseEstimate] = {}
         self._cache: dict[tuple, object] = {}
 
@@ -202,9 +205,9 @@ class FigureRunner:
     def pointwise(self, scheme: Scheme, mean_rss: bool) -> PointwiseEstimate:
         cached = self._pointwise.get(scheme)
         if cached is None or (mean_rss and cached.rss is None):
-            self._pointwise[scheme] = estimate_pointwise(
-                self.scenario_for(scheme), self.grid, self.config.trials, self.seed,
-                jobs=self.config.jobs, mean_rss=mean_rss)
+            self._pointwise = dict(zip(self.config.schemes, estimate_pointwise(
+                self.scenarios, self.grid, self.config.trials, self.seed,
+                jobs=self.config.jobs, mean_rss=mean_rss)))
         return self._pointwise[scheme]
 
     def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
@@ -219,9 +222,10 @@ class FigureRunner:
         return [Estimate(*row) for row in zip(*(a.tolist() for a in self.mc(scheme, figure)))]
 
     def crossing(self, scheme: Scheme) -> FirstCrossingEstimate:
-        return self._cached(("crossing", scheme), lambda: estimate_first_crossing(
-            self.scenario_for(scheme), self.grid, self.config.trials,
-            self.seed, AntennaId.FRONT, jobs=self.config.jobs))
+        return self._cached(("crossing",), lambda: dict(zip(
+            self.config.schemes, estimate_first_crossing(
+                self.scenarios, self.grid, self.config.trials, self.seed, AntennaId.FRONT,
+                jobs=self.config.jobs))))[scheme]
 
     # --- analytic caches ---
 
@@ -251,8 +255,9 @@ class FigureRunner:
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
         def compute():
             # better-cell mean per antenna: the larger of its two cell means
-            front, *rear = channel.cell_means(self.scenario_for(scheme),
-                                              self.grid)[0].max(axis=2).T.tolist()
+            means, _ = channel.cell_means(self.scenarios, self.grid)[
+                self.config.schemes.index(scheme)]
+            front, *rear = means.max(axis=2).T.tolist()
             if not rear:
                 none = [None] * len(front)
                 return {"front": front, "rear": none, "best": front, "combined": none}

@@ -4,9 +4,13 @@ Randomness is organized as keyed substreams derived from one master
 seed: every (domain, index...) key maps to its own SeedSequence-spawned
 generator, so estimates are bitwise reproducible for a given master
 seed regardless of how the sweep is parallelized or in what order
-positions execute. Reductions run in index order. Shadowing is drawn
-through `LinkTable.shadowed`, and the pointwise sweep returns its
-estimates as arrays over positions and antennas.
+positions execute. Reductions run in index order. The pointwise and
+first-crossing keys name no scheme, so the two sweeps take every
+scenario of a run at once: each substream is drawn once and each
+scenario reads its prefix, the values it would draw alone, and a
+scenario whose links repeat another's reads that one's results.
+Shadowing is drawn through `LinkTable.shadowed`, and the pointwise
+sweep returns its estimates as arrays over positions and antennas.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,53 +109,115 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
+# === Shared draws ===
+
+
+def _sources(scs: Sequence[Scenario], grid: PositionGrid) -> tuple[list[channel.LinkTable],
+                                                                   list[int]]:
+    """The link tables of scs and, per scenario, the scenario whose draws it reads.
+
+    Scenario k reads scenario m's results on m's first antennas (m = k:
+    its own) when, on those antennas, the two tables hold equal mu,
+    sigma, cell_column and trigger_column and the scenarios share
+    hysteresis and threshold. Wider tables are taken first, so the
+    choice does not depend on the order of scs.
+    """
+    if len(scs) == 0:
+        raise ValueError("at least one scenario is required")
+    tables = [channel.link_table(sc, grid) for sc in scs]
+
+    def covers(m: int, k: int) -> bool:
+        wide, narrow = tables[m], tables[k]
+        a = len(narrow.antennas)
+
+        def same(name: str) -> bool:
+            x = getattr(wide, name)
+            return np.array_equal(x if x is None else x[:, :a], getattr(narrow, name))
+
+        return (wide.trigger_column == narrow.trigger_column
+                and scs[m].hysteresis == scs[k].hysteresis
+                and scs[m].threshold == scs[k].threshold
+                and same("mu") and same("sigma") and same("cell_column"))
+
+    source: dict[int, int] = {}
+    for k in sorted(range(len(scs)), key=lambda k: -len(tables[k].antennas)):
+        source[k] = next((m for m in source if source[m] == m and covers(m, k)), k)
+    return tables, [source[k] for k in range(len(scs))]
+
+
 # === Pointwise sweep ===
 
 
-def estimate_pointwise(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPolicy,
-                       jobs: int = 1, mean_rss: bool = False) -> PointwiseEstimate:
-    """Independent per-position estimates of the position-wise metrics.
+def _position_counts(sc: Scenario, cell: np.ndarray, trig: np.ndarray,
+                     target_better: np.ndarray | None) -> tuple[np.ndarray, list | None]:
+    """Fired, failed and below-threshold counts of one position's shadowed
+    links, per antenna plus every antenna below; with target_better also
+    the mean best-cell RSS and its half-width per antenna and combined."""
+    fired = trig[:, 1] - trig[:, 0] > sc.hysteresis
+    below = np.maximum(cell[:, 0], cell[:, 1]) < sc.threshold
+    hits = np.concatenate((np.count_nonzero(fired, axis=1),
+                           np.count_nonzero(fired & (trig[:, 1] < sc.threshold), axis=1),
+                           np.count_nonzero(below, axis=1),
+                           [np.count_nonzero(below.all(axis=0))]))
+    if target_better is None:
+        return hits, None
+    best = [cell[a, int(target_better[a])] for a in range(len(cell))]
+    if len(best) == 2:
+        best.append(10.0 * np.log10(sum(np.power(10.0, s / 10.0) for s in best)))
+    return hits, [(float(np.mean(s)), _mean_hw(s)) for s in best]
 
-    Each position draws standard normals of shape (antennas, cells,
-    trials, components) from its own substream: fresh shadowing for all
-    links. The same draws give trigger, failure (conditional on trigger,
-    NaN where no trial triggered) and per-antenna and scheme-level
-    interruption counts. Only if mean_rss does it add the mean best-cell
-    RSS per antenna and the combined two-antenna trace (linear power
-    sum), since picking the better cell needs the analytic cell means.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    table = channel.link_table(sc, grid)
-    target_better = channel.cell_means(sc, grid)[1] if mean_rss else None
-    shape = table.mu.shape[1:3] + (trials, table.mu.shape[3])
 
-    def one_position(j: int) -> tuple[np.ndarray, list | None]:
-        z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(shape)
-        cell, trig = table.shadowed(z, slice(j, j + 1))
-        fired = trig[:, 1] - trig[:, 0] > sc.hysteresis
-        below = np.maximum(cell[:, 0], cell[:, 1]) < sc.threshold
-        hits = np.concatenate((np.count_nonzero(fired, axis=1),
-                               np.count_nonzero(fired & (trig[:, 1] < sc.threshold), axis=1),
-                               np.count_nonzero(below, axis=1),
-                               [np.count_nonzero(below.all(axis=0))]))
-        if target_better is None:
-            return hits, None
-        best = [cell[a, int(target_better[j, a])] for a in range(len(table.antennas))]
-        if len(best) == 2:
-            best.append(10.0 * np.log10(sum(np.power(10.0, s / 10.0) for s in best)))
-        return hits, [(float(np.mean(s)), _mean_hw(s)) for s in best]
-
-    hits, means = zip(*_parallel_map(one_position, len(grid.positions), jobs))
-    n = len(table.antennas)
-    fired, failed, below = np.split(np.array(hits), [n, 2 * n], axis=1)
+def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> PointwiseEstimate:
+    hits, means = zip(*rows)
+    fired, failed, below = np.split(np.array(hits), [antennas, 2 * antennas], axis=1)
     rss = None
-    if mean_rss:
+    if means[0] is not None:
         value, hw = np.moveaxis(np.array(means), 2, 0)
         rss = Estimate(value, hw, np.full(value.shape, trials))
     return PointwiseEstimate(_binomial(fired, np.full_like(fired, trials)),
                              _binomial(failed, fired),
                              _binomial(below, np.full_like(below, trials)), rss)
+
+
+def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
+                       seed: SeedPolicy, jobs: int = 1,
+                       mean_rss: bool = False) -> tuple[PointwiseEstimate, ...]:
+    """Independent per-position estimates of the position-wise metrics, per scenario.
+
+    Each position draws standard normals from its own substream once:
+    each scenario shadows the first of them, shaped (antennas, cells,
+    trials, components), the values it would draw alone, or reads the
+    shadowed links of a scenario that repeats its links (_sources). The
+    same draws give trigger, failure (conditional on trigger, NaN where
+    no trial triggered) and per-antenna and scheme-level interruption
+    counts. Only if mean_rss does it add the mean best-cell RSS per
+    antenna and the combined two-antenna trace (linear power sum), since
+    picking the better cell needs the analytic cell means.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    tables, source = _sources(scs, grid)
+    better = [b for _, b in channel.cell_means(tuple(scs), grid)] if mean_rss else None
+    shapes = [t.mu.shape[1:3] + (trials, t.mu.shape[3]) for t in tables]
+    # shadowing scales in place: every scenario but the widest scales a copy
+    # of its prefix, and the widest, last, scales the draw itself
+    shadowing = sorted(set(source), key=lambda k: math.prod(shapes[k]))
+    widest = shadowing[-1]
+
+    def one_position(j: int) -> list[tuple]:
+        z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(math.prod(shapes[widest]))
+        links = {}
+        for k in shadowing:
+            block = z[:math.prod(shapes[k])].reshape(shapes[k])
+            links[k] = tables[k].shadowed(block if k == widest else block.copy(),
+                                          slice(j, j + 1))
+        return [_position_counts(sc, *(x[:len(t.antennas)] for x in links[m]),
+                                 None if better is None else better[k][j])
+                for k, (sc, t, m) in enumerate(zip(scs, tables, source))]
+
+    rows = _parallel_map(one_position, len(grid.positions), jobs)
+    return tuple(_pointwise_estimate([row[k] for row in rows], len(t.antennas), trials)
+                 for k, t in enumerate(tables))
 
 
 # === First-crossing sweep ===
@@ -169,48 +235,55 @@ class FirstCrossingEstimate:
     antenna: AntennaId
 
 
-def estimate_first_crossing(sc: Scenario, grid: PositionGrid, trials: int,
+def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
                             seed: SeedPolicy, antenna: AntennaId = AntennaId.FRONT,
-                            jobs: int = 1) -> FirstCrossingEstimate:
-    """Empirical occurrence distribution: first position whose fresh
-    shadowing draw satisfies the trigger rule, walked left to right.
+                            jobs: int = 1) -> tuple[FirstCrossingEstimate, ...]:
+    """Empirical occurrence distribution per scenario of scs: first position
+    whose fresh shadowing draw satisfies the trigger rule, walked left to right.
 
     Trials are drawn in fixed-size blocks; each block is an independent
-    substream, so the estimate does not depend on execution order.
+    substream, drawn once and compared by every scenario, so an estimate
+    depends neither on execution order nor on the other scenarios. A
+    scenario whose links repeat another's reads its counts (see _sources).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if antenna not in sc.antennas():
-        raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
-    table = channel.link_table(sc, grid)
-    a = table.antennas.index(antenna)
-    (mu_s, sig_s), (mu_t, sig_t) = [
-        (table.mu[:, a, c, n], table.sigma[:, a, c, n])
-        for c, n in enumerate(table.trigger_column)]
+    for sc in scs:
+        if antenna not in sc.antennas():
+            raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
+    tables, source = _sources(scs, grid)
+    comparands = {}
+    for k in sorted(set(source)):
+        t = tables[k]
+        a = t.antennas.index(antenna)
+        comparands[k] = [(t.mu[:, a, c, n], t.sigma[:, a, c, n])
+                         for c, n in enumerate(t.trigger_column)]
     n_pos = len(grid.positions)
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
 
-    def one_block(b: int) -> tuple[np.ndarray, int]:
+    def one_block(b: int) -> dict[int, tuple[np.ndarray, int]]:
         size = min(_BLOCK, trials - b * _BLOCK)
         rng = seed.stream(DOMAIN_FIRST_CROSSING, antenna.value, b)
         z = rng.standard_normal((size, n_pos, 2))
-        margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
-        trig = margin > sc.hysteresis
-        has = trig.any(axis=1)
-        first = np.argmax(trig, axis=1)
-        counts = np.bincount(first[has], minlength=n_pos)
-        return counts, int(np.count_nonzero(~has))
+        counts = {}
+        for k, ((mu_s, sig_s), (mu_t, sig_t)) in comparands.items():
+            margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
+            trig = margin > scs[k].hysteresis
+            has = trig.any(axis=1)
+            first = np.argmax(trig, axis=1)
+            counts[k] = (np.bincount(first[has], minlength=n_pos),
+                         int(np.count_nonzero(~has)))
+        return counts
 
-    results = _parallel_map(one_block, n_blocks, jobs)
-    counts = np.zeros(n_pos, dtype=np.int64)
-    none = 0
-    for c, n in results:
-        counts += c
-        none += n
-    masses = counts / float(trials)
-    hw = 1.96 * np.sqrt(np.maximum(masses * (1.0 - masses), 0.0) / trials)
-    return FirstCrossingEstimate(grid, masses, hw, none / float(trials),
-                                 trials, antenna)
+    blocks = _parallel_map(one_block, n_blocks, jobs)
+    estimates = {}
+    for k in comparands:
+        counts, none = (sum(part) for part in zip(*(block[k] for block in blocks)))
+        masses = counts / float(trials)
+        hw = 1.96 * np.sqrt(np.maximum(masses * (1.0 - masses), 0.0) / trials)
+        estimates[k] = FirstCrossingEstimate(grid, masses, hw, none / float(trials),
+                                             trials, antenna)
+    return tuple(estimates[m] for m in source)
 
 
 # === Protocol sweep ===

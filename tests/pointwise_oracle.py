@@ -59,7 +59,7 @@ def pointwise_sweep(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPol
                     mean_rss: bool = False) -> PointwiseEstimate:
     """What estimate_pointwise returns, computed one scalar row at a time."""
     table = channel.link_table(sc, grid)
-    target_better = channel.cell_means(sc, grid)[1] if mean_rss else None
+    target_better = channel.cell_means((sc,), grid)[0][1] if mean_rss else None
     fields: dict[str, list] = {"trigger": [], "failure": [], "interruption": [], "rss": []}
     for j in range(len(grid.positions)):
         rng = seed.stream(DOMAIN_POINTWISE, j)

@@ -60,7 +60,7 @@ def report(capsys):
 def test_trigger_curve_agreement(report):
     sc = Scenario()
     grid = PositionGrid.over(sc.ds, 50.0)
-    est = estimate_pointwise(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8)
+    est = estimate_pointwise((sc,), grid, TRIALS, SeedPolicy(SEED), jobs=8)[0]
     curve = trigger_curve(sc, grid)
     gaps = np.abs(est.trigger.value[:, 0] - curve)  # the front antenna's column
     anchor = curve[grid.positions.index(1500.0)]
@@ -94,7 +94,7 @@ def test_occurrence_histogram_agreement(report):
     sc = Scenario()
     grid = PositionGrid.for_scenario(sc)
     ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
-    est = estimate_first_crossing(sc, grid, TRIALS, SeedPolicy(SEED), jobs=8)
+    est = estimate_first_crossing((sc,), grid, TRIALS, SeedPolicy(SEED), jobs=8)[0]
     gap = float(np.max(np.abs(ana - est.masses)))
     emitted = occurrence_masses(trigger_curve(sc, grid), grid.step, MetricMode.PAPER)
     ok = (gap <= 0.01 and np.all(ana >= 0.0) and ana.sum() <= 1.0 + 1e-12
@@ -119,9 +119,10 @@ def test_failure_ordering_in_handover_window(report):
     close = float(np.max(np.abs(curves[Scheme.PROPOSED]
                                 - curves[Scheme.DAS_SINGLE])))
     worst_z = 0.0
-    for scheme, ana in curves.items():
-        failure = estimate_pointwise(sc.with_scheme(scheme), window, TRIALS,
-                                     SeedPolicy(SEED), jobs=8).failure
+    sweeps = estimate_pointwise(tuple(sc.with_scheme(s) for s in curves), window, TRIALS,
+                                SeedPolicy(SEED), jobs=8)
+    for (scheme, ana), sweep in zip(curves.items(), sweeps):
+        failure = sweep.failure
         # the front antenna's column, position by position
         for value, hw, base, a in zip(*(f[:, 0].tolist() for f in failure), ana):
             if base < 25:
@@ -142,13 +143,11 @@ def _interruption_tables(schemes):
     sc = Scenario()
     grid = PositionGrid.for_scenario(sc)
     xs = grid.as_array()
-    ana, mc = {}, {}
-    for scheme in schemes:
-        cfg = sc.with_scheme(scheme)
-        ana[scheme] = interruption_curve(cfg, grid)
-        # the scheme-level column: every antenna below the threshold
-        mc[scheme] = estimate_pointwise(cfg, grid, TRIALS, SeedPolicy(SEED),
-                                        jobs=8).interruption.value[:, -1]
+    scenarios = tuple(sc.with_scheme(scheme) for scheme in schemes)
+    sweeps = estimate_pointwise(scenarios, grid, TRIALS, SeedPolicy(SEED), jobs=8)
+    ana = {s: interruption_curve(cfg, grid) for s, cfg in zip(schemes, scenarios)}
+    # the scheme-level column: every antenna below the threshold
+    mc = {s: sweep.interruption.value[:, -1] for s, sweep in zip(schemes, sweeps)}
     return xs, ana, mc
 
 
@@ -200,7 +199,7 @@ def test_mean_rss_ordering(report):
 
     def better_cell_means(scheme):
         # per position and antenna, the larger of the two cell means
-        return channel.cell_means(sc.with_scheme(scheme), grid)[0].max(axis=2)
+        return channel.cell_means((sc.with_scheme(scheme),), grid)[0][0].max(axis=2)
 
     best = better_cell_means(Scheme.PROPOSED).max(axis=1)
     single = better_cell_means(Scheme.DAS_SINGLE)[:, 0]

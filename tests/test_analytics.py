@@ -69,7 +69,7 @@ def interruption_at(sc, x, mode=MetricMode.REDERIVED):
 
 def mean_rss_at(sc, x, antenna=AntennaId.FRONT):
     """The better cell's mean RSS: the larger of the two cell means."""
-    means, _ = channel.cell_means(sc, _at(x))
+    means, _ = channel.cell_means((sc,), _at(x))[0]
     return float(means[0, sc.antennas().index(antenna)].max())
 
 

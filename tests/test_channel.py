@@ -202,8 +202,8 @@ def test_mean_pathloss_selection_collapses_to_best_unit(sc):
     assert comp.mu == pytest.approx(MU_FRONT_SERVING_LAST_1500)
     # the deterministic pick forfeits the selection gain of the shadowed max
     grid = PositionGrid((1500.0,), 1.0)
-    assert channel.cell_means(picky, grid)[0][0, 0, 0] < \
-        channel.cell_means(sc, grid)[0][0, 0, 0]
+    assert channel.cell_means((picky,), grid)[0][0][0, 0, 0] < \
+        channel.cell_means((sc,), grid)[0][0][0, 0, 0]
 
 
 def test_cdf_of_identical_components_is_power():
@@ -289,7 +289,7 @@ def test_distribution_mean_matches_density_oracle(sc, sigmas):
     """Cell means against the r-domain integral of r times the density."""
     picky = replace(sc, shadow_sigma_per_rau=sigmas)
     xs = (0.0, 700.0, 1500.0, 2250.0)
-    means, _ = channel.cell_means(picky, PositionGrid(xs, 1.0))
+    means, _ = channel.cell_means((picky,), PositionGrid(xs, 1.0))[0]
     for j, x in enumerate(xs):
         for c, cell in enumerate(channel.CELLS):
             dist = rss_distribution(picky, x, AntennaId.FRONT, cell)
@@ -301,7 +301,7 @@ def test_distribution_mean_without_fading_is_largest_mu(sc, sigma):
     """An integral over r misses so narrow a density (it read 0 dBm below 0.01)."""
     faded = replace(sc, shadow_sigma=sigma)
     grid = PositionGrid((0.0, 1500.0, 2600.0), 1.0)
-    means, _ = channel.cell_means(faded, grid)
+    means, _ = channel.cell_means((faded,), grid)[0]
     top = channel.link_table(faded, grid).mu[:, 0, 0].max(axis=-1)
     assert means[:, 0, 0] == pytest.approx(top, abs=10.0 * sigma)
 
@@ -322,7 +322,7 @@ def test_distribution_mean_of_single_is_mu():
 def test_selection_gain_raises_mean(sc):
     """Mean of the max strictly exceeds every component mean."""
     grid = PositionGrid((1500.0,), 1.0)
-    mean = channel.cell_means(sc, grid)[0][0, 0, 0]
+    mean = channel.cell_means((sc,), grid)[0][0][0, 0, 0]
     assert mean > channel.link_table(sc, grid).mu[0, 0, 0].max()
     assert mean == pytest.approx(-35.78035986311425, abs=1e-6)
 
@@ -381,7 +381,7 @@ def test_link_table_is_cached_and_read_only(sc):
     table = channel.link_table(sc, grid)
     assert channel.link_table(sc, PositionGrid.over(3000.0, 500.0)) is table
     assert channel.link_table.cache_info().hits == 1
-    means, target_better = channel.cell_means(sc, grid)
+    means, target_better = channel.cell_means((sc,), grid)[0]
     for array in (table.mu, table.sigma, means, target_better):
         assert not array.flags.writeable
 
@@ -390,7 +390,7 @@ def test_cell_means_match_scalar_means(sc):
     grid = PositionGrid.over(3000.0, 500.0)
     for scheme in Scheme:
         s = sc.with_scheme(scheme)
-        means, _ = channel.cell_means(s, grid)
+        means, _ = channel.cell_means((s,), grid)[0]
         for j, x in enumerate(grid.positions):
             for a, antenna in enumerate(s.antennas()):
                 for c, cell in enumerate(channel.CELLS):
@@ -404,7 +404,7 @@ def test_better_cell_ties_stay_on_serving(sc, grid):
     ties = {(Scheme.PROPOSED, 1500.0, 0), (Scheme.PROPOSED, 1700.0, 1),
             (Scheme.DAS_SINGLE, 1500.0, 0)}
     for scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE):
-        means, target_better = channel.cell_means(sc.with_scheme(scheme), grid)
+        means, target_better = channel.cell_means((sc.with_scheme(scheme),), grid)[0]
         gap = np.abs(means[..., 1] - means[..., 0])
         for j, x in enumerate(grid.positions):
             for a in range(gap.shape[1]):
@@ -414,7 +414,7 @@ def test_better_cell_ties_stay_on_serving(sc, grid):
                 else:
                     assert gap[j, a] > 1e-6
     # two single Gaussians at mirror-image distances tie exactly
-    means, target_better = channel.cell_means(sc.with_scheme(Scheme.TRADITIONAL), grid)
+    means, target_better = channel.cell_means((sc.with_scheme(Scheme.TRADITIONAL),), grid)[0]
     j = grid.positions.index(1500.0)
     assert means[j, 0, 0] == means[j, 0, 1]
     assert not target_better[j, 0]
@@ -452,15 +452,17 @@ def _count_rows(monkeypatch) -> list:
 def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
     """Cell means keyed by their distinct component rows equal one-row
     distribution_mean integrals bitwise, and one call integrates each
-    distinct multi-component row exactly once."""
+    distinct multi-component row of its scenarios exactly once."""
     grid = PositionGrid.over(3000.0, 100.0)
     _clear_package_caches()
     calls = _count_rows(monkeypatch)
+    alone, every = [], set()
     for scheme in Scheme:
         s = scenario.with_scheme(scheme)
         table = channel.link_table(s, grid)
         del calls[:]
-        means, _ = channel.cell_means(s, grid)
+        means, _ = channel.cell_means((s,), grid)[0]
+        alone.append(means)
         batch = list(calls)
         distinct = set()
         for j in range(len(grid.positions)):
@@ -471,6 +473,15 @@ def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
                         distinct.add(dist)
                     assert float(means[j, a, c]).hex() == distribution_mean(dist).hex()
         assert batch == ([len(distinct)] if distinct else [])
+        every |= distinct
+    # all schemes at once, in any order: each distinct row of the run once
+    # (das-single's rows are proposed's), and every mean as computed alone
+    for order in (tuple(Scheme), tuple(reversed(Scheme))):
+        del calls[:]
+        joint = channel.cell_means(tuple(scenario.with_scheme(s) for s in order), grid)
+        assert calls == ([len(every)] if every else [])
+        for scheme, (means, _) in zip(order, joint):
+            assert means.tobytes() == alone[list(Scheme).index(scheme)].tobytes()
 
 
 def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):
@@ -503,11 +514,11 @@ def test_single_gaussian_cell_means_need_no_integral(monkeypatch):
                Scenario().with_scheme(Scheme.TRADITIONAL),
                Scenario(selection=SelectionRule.MEAN_PATHLOSS), Scenario(n_raus=1)):
         mu, _ = channel.link_table(sc, grid).cell_components()
-        means, _ = channel.cell_means(sc, grid)
+        means, _ = channel.cell_means((sc,), grid)[0]
         assert mu.shape[-1] == 1
         assert means.tobytes() == mu[..., 0].tobytes()
     assert calls == []
-    channel.cell_means(Scenario(), grid)
+    channel.cell_means((Scenario(),), grid)
     assert len(calls) == 1
 
 

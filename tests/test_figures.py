@@ -235,6 +235,28 @@ def test_validate_proposed_beats_traditional(tmp_path):
     assert set(table.column("status")) == {"pass"}
 
 
+@pytest.mark.parametrize("schemes, shadowing", [
+    (tuple(Scheme), 3), ((Scheme.DAS_SINGLE,), 1), ((Scheme.DAS_SINGLE, Scheme.PROPOSED), 1),
+    ((Scheme.DAS_BLANKET, Scheme.TRADITIONAL), 2)])
+def test_compare_sweeps_once_and_shadows_repeated_links_once(tmp_path, monkeypatch,
+                                                             schemes, shadowing):
+    """One pointwise sweep per compare; das-single's links are proposed's
+    front antenna's, so it reads proposed's shadowed links in either order."""
+    from railhandover import channel, figures
+
+    sweeps, shadowed = [], []
+    real_sweep, real_shadowed = figures.estimate_pointwise, channel.LinkTable.shadowed
+    monkeypatch.setattr(figures, "estimate_pointwise",
+                        lambda *a, **k: sweeps.append(a) or real_sweep(*a, **k))
+    monkeypatch.setattr(channel.LinkTable, "shadowed",
+                        lambda *a: shadowed.append(a) or real_shadowed(*a))
+    cfg = _config(scenario=Scenario(measurement_step=250.0), trials=20, schemes=schemes,
+                  output_dir=tmp_path)
+    compare_schemes(cfg)
+    positions = len(FigureRunner(cfg).grid.positions)
+    assert (len(sweeps), len(shadowed)) == (1, shadowing * positions)
+
+
 def test_runner_tables_are_reproducible():
     cfg = _config(trials=20)
     runner = FigureRunner(cfg)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from railhandover.montecarlo import (
     estimate_pointwise,
     estimate_protocol,
 )
-from railhandover.scenario import Scenario, Scheme, SelectionRule
+from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
 
+from crossing_oracle import assert_crossings_equal, first_crossing
 from pointwise_oracle import assert_sweeps_equal, pointwise_sweep
 from protocol_oracle import STAT_FIELDS, format_stats, protocol_stats
 
@@ -56,7 +58,7 @@ def test_seed_policy_streams_are_keyed():
 def test_pointwise_matches_analytic_step_with_degenerate_fading():
     sc = replace(Scenario(), shadow_sigma=1e-9)
     grid = PositionGrid.over(3000.0, 250.0)
-    est = estimate_pointwise(sc, grid, 1, SeedPolicy(5)).trigger
+    est = estimate_pointwise((sc,), grid, 1, SeedPolicy(5))[0].trigger
     assert est.value.shape == (len(grid.positions), 2)  # one column per antenna
     assert np.isin(est.value, (0.0, 1.0)).all()
     assert (est.half_width_95 == 0.0).all()
@@ -69,7 +71,8 @@ def test_half_width_halves_when_trials_quadruple():
     grid = PositionGrid(np.array([1500.0]), 10.0)
 
     def front_hw(trials):
-        return estimate_pointwise(sc, grid, trials, SeedPolicy(77)).trigger.half_width_95[0, 0]
+        est = estimate_pointwise((sc,), grid, trials, SeedPolicy(77))[0]
+        return est.trigger.half_width_95[0, 0]
 
     ratio = front_hw(8000) / front_hw(2000)
     assert 0.4 <= ratio <= 0.6
@@ -78,8 +81,8 @@ def test_half_width_halves_when_trials_quadruple():
 def test_pointwise_parallel_runs_are_bitwise_identical():
     sc = Scenario()
     grid = PositionGrid.over(3000.0, 500.0)
-    serial = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=1, mean_rss=True)
-    parallel = estimate_pointwise(sc, grid, 400, SeedPolicy(9), jobs=8, mean_rss=True)
+    serial = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=1, mean_rss=True)[0]
+    parallel = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=8, mean_rss=True)[0]
     assert_sweeps_equal(parallel, serial)
 
 
@@ -87,8 +90,8 @@ def test_pointwise_parallel_runs_are_bitwise_identical():
 def test_counts_do_not_depend_on_mean_rss(scheme):
     sc = Scenario().with_scheme(scheme)
     grid = PositionGrid.over(3000.0, 500.0)
-    without = estimate_pointwise(sc, grid, 300, SeedPolicy(9))
-    with_rss = estimate_pointwise(sc, grid, 300, SeedPolicy(9), mean_rss=True)
+    without = estimate_pointwise((sc,), grid, 300, SeedPolicy(9))[0]
+    with_rss = estimate_pointwise((sc,), grid, 300, SeedPolicy(9), mean_rss=True)[0]
     assert without.rss is None
     assert with_rss.rss.value.shape == (len(grid.positions), 3 if scheme is Scheme.PROPOSED
                                         else 1)
@@ -97,27 +100,56 @@ def test_counts_do_not_depend_on_mean_rss(scheme):
 
 @st.composite
 def _sweep_case(draw) -> tuple:
-    """A scenario, trial count and mean_rss flag for the oracle comparison."""
+    """The scenarios of one run, a scheme subset in any order, with a
+    trial count, mean_rss flag, job count and first-crossing block size."""
     n_raus = draw(st.integers(1, 8))
     per_rau = draw(st.one_of(st.none(), st.lists(st.sampled_from((0.5, 4.0, 8.0, 12.0)),
                                                  min_size=n_raus, max_size=n_raus).map(tuple)))
-    sc = Scenario(n_raus=n_raus, shadow_sigma_per_rau=per_rau,
-                  scheme=draw(st.sampled_from(list(Scheme))),
-                  selection=draw(st.sampled_from(list(SelectionRule))),
-                  hysteresis=draw(st.sampled_from((0.0, 2.0, 1e6))))
-    return sc, draw(st.sampled_from((1, 2, 57))), draw(st.booleans())
+    base = Scenario(n_raus=n_raus, shadow_sigma_per_rau=per_rau,
+                    selection=draw(st.sampled_from(list(SelectionRule))),
+                    hysteresis=draw(st.sampled_from((0.0, 2.0, 1e6))))
+    schemes = draw(st.permutations(list(Scheme)))[:draw(st.integers(1, len(Scheme)))]
+    scs = [base.with_scheme(s) for s in schemes]
+    # now and then one scenario differs in a field the reuse rule checks
+    odd = draw(st.sampled_from((None,) + tuple(range(len(schemes)))))
+    if odd is not None:
+        flipped = next(r for r in SelectionRule if r is not base.selection)
+        scs[odd] = replace(scs[odd], **draw(st.sampled_from((
+            {"hysteresis": base.hysteresis + 0.5}, {"threshold": base.threshold - 1.0},
+            {"shadow_sigma_per_rau": (2.0,) * n_raus}, {"selection": flipped}))))
+    scs = tuple(scs)
+    return (scs, draw(st.sampled_from((1, 2, 57))), draw(st.booleans()),
+            draw(st.sampled_from((1, 2))), draw(st.sampled_from((8, montecarlo._BLOCK))))
 
 
 @settings(max_examples=100)
 @given(_sweep_case())
 def test_pointwise_equals_the_scalar_oracle(case):
-    """One draw per position, counted along axes, equals one draw per
-    antenna and cell scored as scalar rows: values, half-widths and base
-    counts bit for bit, NaN where no trial triggered."""
-    sc, trials, mean_rss = case
+    """The joint sweep gives every scenario what the single-scenario oracle
+    gives it, which draws each antenna and cell on its own and scores
+    scalar rows: values, half-widths and base counts bit for bit, NaN
+    where no trial triggered."""
+    scs, trials, mean_rss, jobs, _ = case
     grid = PositionGrid.over(3000.0, 500.0)
-    assert_sweeps_equal(estimate_pointwise(sc, grid, trials, SeedPolicy(31), mean_rss=mean_rss),
-                        pointwise_sweep(sc, grid, trials, SeedPolicy(31), mean_rss))
+    got = estimate_pointwise(scs, grid, trials, SeedPolicy(31), jobs=jobs, mean_rss=mean_rss)
+    assert len(got) == len(scs)
+    for sweep, sc in zip(got, scs):
+        assert_sweeps_equal(sweep, pointwise_sweep(sc, grid, trials, SeedPolicy(31), mean_rss))
+
+
+@settings(max_examples=100)
+@given(_sweep_case())
+def test_first_crossing_equals_the_single_scenario_oracle(case):
+    """Each block drawn once for every scenario gives each the histogram
+    of its own single-scenario sweep bit for bit, at any block size."""
+    scs, trials, _, jobs, block = case
+    grid = PositionGrid.over(3000.0, 250.0)
+    with mock.patch.object(montecarlo, "_BLOCK", block):
+        got = estimate_first_crossing(scs, grid, trials, SeedPolicy(32), jobs=jobs)
+        want = [first_crossing(sc, grid, trials, SeedPolicy(32)) for sc in scs]
+    assert len(got) == len(scs)
+    for g, w in zip(got, want):
+        assert_crossings_equal(g, w)
 
 
 def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
@@ -127,7 +159,7 @@ def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
     monkeypatch.setattr(channel, "max_means", refuse)
     monkeypatch.setattr(channel, "cell_means", refuse)
     grid = PositionGrid.over(3000.0, 500.0)
-    estimate_pointwise(Scenario(), grid, 50, SeedPolicy(2))
+    estimate_pointwise((Scenario(),), grid, 50, SeedPolicy(2))
 
 
 def test_mean_pathloss_trigger_estimate_tracks_analytic():
@@ -136,7 +168,7 @@ def test_mean_pathloss_trigger_estimate_tracks_analytic():
     sc = Scenario(selection=SelectionRule.MEAN_PATHLOSS)
     grid = PositionGrid.over(3000.0, 250.0)
     trials = 20_000
-    est = estimate_pointwise(sc, grid, trials, SeedPolicy(12345), jobs=2).trigger
+    est = estimate_pointwise((sc,), grid, trials, SeedPolicy(12345), jobs=2)[0].trigger
     for a, antenna in enumerate(sc.antennas()):
         p = trigger_curve(sc, grid, antenna)
         limit = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
@@ -153,7 +185,7 @@ def test_protocol_runs_under_mean_pathloss_selection(coarse_grid):
 def test_first_crossing_certain_trigger_concentrates_at_first_point():
     sc = replace(Scenario(), shadow_sigma=1e-9, hysteresis=0.0)
     grid = PositionGrid(np.arange(1600.0, 1700.0 + 1, 10.0), 10.0)
-    est = estimate_first_crossing(sc, grid, 50, SeedPolicy(4))
+    est = estimate_first_crossing((sc,), grid, 50, SeedPolicy(4))[0]
     assert est.masses[0] == 1.0
     assert np.all(est.masses[1:] == 0.0)
     assert est.no_trigger_fraction == 0.0
@@ -161,26 +193,26 @@ def test_first_crossing_certain_trigger_concentrates_at_first_point():
 
 def test_first_crossing_huge_hysteresis_never_triggers(grid):
     sc = replace(Scenario(), hysteresis=1e6)
-    est = estimate_first_crossing(sc, grid, 50, SeedPolicy(4))
+    est = estimate_first_crossing((sc,), grid, 50, SeedPolicy(4))[0]
     assert np.all(est.masses == 0.0)
     assert est.no_trigger_fraction == 1.0
 
 
 def test_first_crossing_masses_partition_unity(sc, grid):
-    est = estimate_first_crossing(sc, grid, 500, SeedPolicy(21))
+    est = estimate_first_crossing((sc,), grid, 500, SeedPolicy(21))[0]
     assert est.masses.sum() + est.no_trigger_fraction == pytest.approx(1.0, abs=1e-12)
     assert np.all(est.masses >= 0.0)
 
 
 def test_first_crossing_tracks_analytic_occurrence(sc, grid):
-    est = estimate_first_crossing(sc, grid, 20_000, SeedPolicy(99), jobs=8)
+    est = estimate_first_crossing((sc,), grid, 20_000, SeedPolicy(99), jobs=8)[0]
     ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
     assert np.max(np.abs(est.masses - ana)) <= 0.01
 
 
 def test_first_crossing_parallel_runs_are_bitwise_identical(sc, coarse_grid):
-    a = estimate_first_crossing(sc, coarse_grid, 600, SeedPolicy(31), jobs=1)
-    b = estimate_first_crossing(sc, coarse_grid, 600, SeedPolicy(31), jobs=8)
+    a = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=1)[0]
+    b = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=8)[0]
     assert np.array_equal(a.masses, b.masses)
     assert a.no_trigger_fraction == b.no_trigger_fraction
 
@@ -279,10 +311,23 @@ def test_protocol_modal_bin_failure_rate_matches_analytic(sc, grid):
     assert abs(rate - failure_curve(sc, grid)[k]) <= 0.02
 
 
+@pytest.mark.parametrize("estimator", [estimate_pointwise, estimate_first_crossing])
+def test_estimators_reject_no_scenarios(estimator, coarse_grid):
+    with pytest.raises(ValueError, match="at least one scenario"):
+        estimator((), coarse_grid, 10, SeedPolicy(1))
+
+
+def test_first_crossing_names_a_scenario_without_the_antenna(sc, coarse_grid):
+    scs = (sc, sc.with_scheme(Scheme.DAS_SINGLE))
+    with pytest.raises(ValueError, match="scheme das-single has no rear antenna"):
+        estimate_first_crossing(scs, coarse_grid, 10, SeedPolicy(1), AntennaId.REAR)
+    estimate_first_crossing(scs, coarse_grid, 10, SeedPolicy(1), AntennaId.FRONT)
+
+
 def test_estimators_validate_trials(sc, coarse_grid):
     with pytest.raises(ValueError):
-        estimate_pointwise(sc, coarse_grid, 0, SeedPolicy(1))
+        estimate_pointwise((sc,), coarse_grid, 0, SeedPolicy(1))
     with pytest.raises(ValueError):
-        estimate_first_crossing(sc, coarse_grid, -5, SeedPolicy(1))
+        estimate_first_crossing((sc,), coarse_grid, -5, SeedPolicy(1))
     with pytest.raises(ValueError):
         estimate_protocol(sc, coarse_grid, 0, SeedPolicy(1))

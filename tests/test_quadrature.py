@@ -128,7 +128,7 @@ def _scenarios(draw) -> Scenario:
 def test_cell_means_match_quadpack(sc):
     grid = PositionGrid.for_scenario(sc)
     table = channel.link_table(sc, grid)
-    means, _ = channel.cell_means(sc, grid)
+    means, _ = channel.cell_means((sc,), grid)[0]
     for j in range(len(grid.positions)):
         for a in range(len(table.antennas)):
             for c in range(len(channel.CELLS)):

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc, erfcx, ndtr
@@ -139,12 +140,12 @@ def occurrence_masses(trigger_probs: np.ndarray, step: float,
 # === Failure probability ===
 
 
-def failure_curve(sc: Scenario, grid: PositionGrid,
+def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
                   antenna: AntennaId = AntennaId.FRONT,
-                  mode: MetricMode = MetricMode.REDERIVED) -> list[float | None]:
+                  mode: MetricMode = MetricMode.REDERIVED) -> tuple[list[float | None], ...]:
     """P(target RSS at the trigger moment < threshold | trigger fired) at
-    every grid position, None where the trigger probability is below
-    TRIGGER_FLOOR and the conditional is undefined.
+    every grid position, per scenario of scs, None where the trigger
+    probability is below TRIGGER_FLOOR and the conditional is undefined.
 
     Let U be the target comparand and V the target-minus-serving margin.
     REDERIVED evaluates P(U < threshold | V > hysteresis) by integrating
@@ -157,24 +158,32 @@ def failure_curve(sc: Scenario, grid: PositionGrid,
     one. It is derived here from the rederived value via
     P(U < T) = P(U < T, V > H) + P(U < T, V < H).
 
-    Each distinct (serving, target) pair is integrated once, and schemes
-    with equal pairs (das-single and the proposed front antenna) share them.
+    Each distinct (serving, target, hysteresis, threshold) row of all the
+    scenarios is integrated once, in one batch, so schemes with equal
+    pairs (das-single and the proposed front antenna) share them.
     """
-    _check_antenna(sc, antenna)
-    pairs = np.stack(_comparands(channel.link_table(sc, grid), antenna), axis=1)
-    distinct, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-    values = _failure_rows(distinct.tobytes(), sc.hysteresis, sc.threshold, mode, antenna,
-                           tuple(grid.positions[j] for j in first))
-    return [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
+    for sc in scs:
+        _check_antenna(sc, antenna)
+    count = len(grid.positions)
+    rows = np.concatenate([np.column_stack(_comparands(channel.link_table(sc, grid), antenna)
+                                           + (np.full(count, sc.hysteresis),
+                                              np.full(count, sc.threshold)))
+                           for sc in scs])
+    distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    values = _failure_rows(distinct.tobytes(), mode, antenna,
+                           tuple(grid.positions[j % count] for j in first))
+    values = [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
+    return tuple(values[k * count:(k + 1) * count] for k in range(len(scs)))
 
 
 @lru_cache(maxsize=32)
-def _failure_rows(pairs: bytes, hysteresis: float, threshold: float, mode: MetricMode,
-                  antenna: AntennaId, at: tuple[float, ...]) -> np.ndarray:
-    """Conditional failure of each (serving mu, sigma, target mu, sigma) row of
-    pairs (float64 bytes), NaN below TRIGGER_FLOOR; errors name row r by the
-    antenna and at[r]. Schemes with equal pairs share the cached values."""
-    mu_s, sigma_s, mu_t, sigma_t = np.frombuffer(pairs).reshape(-1, 4).T
+def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
+                  at: tuple[float, ...]) -> np.ndarray:
+    """Conditional failure of each (serving mu, sigma, target mu, sigma,
+    hysteresis, threshold) row of data (float64 bytes), NaN below
+    TRIGGER_FLOOR; errors name row r by the antenna and at[r]. Calls with
+    equal rows share the cached values."""
+    mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = np.frombuffer(data).reshape(-1, 6).T
     sigma_v = np.hypot(sigma_s, sigma_t)
     z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
     p_trig = 0.5 * erfc(z0 / _SQRT2)
@@ -188,7 +197,7 @@ def _failure_rows(pairs: bytes, hysteresis: float, threshold: float, mode: Metri
         step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
 
     def conditional_cdf(z, rows):
-        return ndtr((threshold - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
+        return ndtr((threshold[rows] - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
 
     def beyond_trigger(e, rows):
         # the margin z0 + e under its law truncated to z > z0, hazard-weighted

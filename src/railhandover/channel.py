@@ -14,9 +14,9 @@ train antenna sees one RSS random variable per cell:
 * TRADITIONAL: a single base-station link at full power.
 
 `link_table` is the one producer of these statistics: it evaluates every
-link of a grid with the scalar `math` arithmetic of `path_loss` and
-`link_distance` and stacks the (mu, sigma) pairs into arrays that every
-analytic curve, Monte Carlo sweep and protocol run reads.
+link of a grid at once, as arrays, with the scalar `math` kernels of
+`path_loss` and `link_distance` applied elementwise, and every analytic
+curve, Monte Carlo sweep and protocol run reads its (mu, sigma) arrays.
 """
 
 from __future__ import annotations
@@ -38,13 +38,17 @@ from .scenario import (
     SelectionRule,
     antenna_x,
     bs_position,
-    link_distance,
     rau_positions,
 )
 from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
 
 if TYPE_CHECKING:
     from .analytics import PositionGrid
+
+# the scalar kernels of link_distance and path_loss, elementwise: numpy's own
+# hypot and log10 differ from math's in the last bit
+_hypot = np.vectorize(math.hypot, otypes=[float])
+_log10 = np.vectorize(math.log10, otypes=[float])
 
 # Cell order along the table's cell axis.
 CELLS = (CellId.SERVING, CellId.TARGET)
@@ -57,11 +61,12 @@ _MEAN_EDGES = (-10.0, -5.0, -2.5, 0.0, 2.5, 5.0, 10.0)
 BETTER_CELL_MARGIN = 1e-9
 
 
-def path_loss(sc: Scenario, distance: float) -> float:
-    """Log-distance path loss in dB at the given link distance in meters."""
-    if not (distance > 0.0):
+def path_loss(sc: Scenario, distance: float | np.ndarray) -> float | np.ndarray:
+    """Log-distance path loss in dB at the given link distance in meters,
+    elementwise over an array of distances."""
+    if not np.all(np.asarray(distance) > 0.0):
         raise ValueError(f"path loss requires distance > 0, got {distance!r}")
-    return sc.pathloss_a + 10.0 * sc.pathloss_gamma * math.log10(distance)
+    return sc.pathloss_a + 10.0 * sc.pathloss_gamma * _log10(distance)
 
 
 def per_rau_power(sc: Scenario) -> float:
@@ -145,77 +150,90 @@ class LinkTable:
         return (np.take_along_axis(self.mu, pick, axis=-1),
                 np.take_along_axis(self.sigma, pick, axis=-1))
 
-    def shadowed(self, z: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Shadow standard normals z into link RSS, in place, at the grid rows.
+    def shadowed(self, z: np.ndarray,
+                 rows: slice) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Shadow standard normals z into link RSS at the grid rows; z may be overwritten.
 
         z has shape (..., antennas, cells, n, components). rows selects
         either one position, slice(j, j + 1), whose links broadcast over
         n trials, or every position, slice(None), one draw each. Returns
-        the cell RSS and the trigger comparands, both of shape
-        (..., antennas, cells, n), from the same draws.
+        the cell RSS, of shape (..., antennas, cells, n), and the serving
+        and target trigger comparands, views of shape (..., antennas, n),
+        all from the same draws.
         """
-        mu, sigma = (np.moveaxis(a[rows], 0, 2) for a in (self.mu, self.sigma))
-        z *= sigma
-        z += mu
+        # (antennas, cells, positions, components)
+        mu, sigma = (a[rows].transpose(1, 2, 0, 3) for a in (self.mu, self.sigma))
+        # contiguous operands and, for one position of several components, f of
+        # its trials folded into the component axis, so that numpy's inner loop
+        # runs over f * k values or every position's, not over the k components
+        k = mu.shape[3]
+        f = math.gcd(z.shape[-2], 64) if mu.shape[2] == 1 and k > 1 else 1
+        folded = z.reshape(z.shape[:-2] + (-1, f * k))
+        folded *= _folded(sigma, f)
+        folded += _folded(mu, f)
+        z = folded.reshape(z.shape)
         if self.cell_column is None:
             # a running maximum over the few components beats np.max along a short axis
             cell = z[..., 0].copy()
-            for k in range(1, z.shape[-1]):
-                np.maximum(cell, z[..., k], out=cell)
+            for n in range(1, k):
+                np.maximum(cell, z[..., n], out=cell)
         else:
-            column = np.moveaxis(self.cell_column[rows], 0, 2)[..., np.newaxis]
+            column = self.cell_column[rows].transpose(1, 2, 0)[..., np.newaxis]
             cell = np.take_along_axis(z, np.broadcast_to(column, z.shape[:-1] + (1,)),
                                       axis=-1)[..., 0]
-        trig = np.stack([z[..., c, :, k] for c, k in enumerate(self.trigger_column)], axis=-2)
-        return cell, trig
+        serving, target = self.trigger_column
+        return cell, (z[..., 0, :, serving], z[..., 1, :, target])
 
 
-def _links(sc: Scenario, x: float, antenna: AntennaId, cell: CellId) -> list[tuple[float, float]]:
-    """(mu, sigma) of each table component of one cell at front position x.
-
-    Under RAU selection these are the per-RAU links; blanket cells sum
-    them into one Gaussian, traditional cells have the one base-station
-    link. Raises ValueError naming the link when a distance is zero or a
-    mean is not finite.
-    """
-    def link() -> str:
-        return (f"of {sc.scheme.value} at x={x:g} m ({antenna.name.lower()} antenna, "
-                f"{cell.name.lower()} cell)")
-
-    def loss(d: float) -> float:
-        if not d > 0.0:
-            raise ValueError(f"link distance {d:g} m {link()}: path loss requires distance > 0")
-        return path_loss(sc, d)
-
-    def checked(links: list[tuple[float, float]]) -> list[tuple[float, float]]:
-        for mu, _ in links:
-            if not math.isfinite(mu):
-                raise ValueError(f"link mean {mu} {link()} is not finite")
-        return links
-
-    at = antenna_x(sc, x, antenna)
-    if sc.scheme is Scheme.TRADITIONAL:
-        d = link_distance(at, bs_position(sc, cell))
-        return checked([(sc.tx_power - loss(d), sc.shadow_sigma)])
-    power = per_rau_power(sc)
-    links = checked([(power - loss(link_distance(at, node)), sc.rau_sigma(n))
-                     for n, node in enumerate(rau_positions(sc, cell), 1)])
-    if sc.scheme is Scheme.DAS_BLANKET:
-        with np.errstate(all="ignore"):  # a sum beyond the float range is named by checked
-            return checked([lognormal_sum_approx(*zip(*links))])
-    return links
+def _folded(a: np.ndarray, f: int) -> np.ndarray:
+    """a, of shape (antennas, cells, positions, k), as a contiguous array
+    with each position's k values repeated f times along the last axis."""
+    out = np.empty(a.shape[:3] + (f, a.shape[3]))
+    out[...] = a[..., np.newaxis, :]
+    return out.reshape(a.shape[:3] + (-1,))
 
 
 @lru_cache(maxsize=32)
 def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
-    """The scenario's link statistics over the grid, built once per pair."""
-    stats = np.array([[[_links(sc, x, antenna, cell) for cell in CELLS]
-                       for antenna in sc.antennas()] for x in grid.positions])
-    mu, sigma = _frozen(stats[..., 0]), _frozen(stats[..., 1])
+    """The scenario's link statistics over the grid, built once per pair.
+
+    Raises ValueError naming the first bad link in (position, antenna,
+    cell) order: a zero distance, else a unit link mean or blanket sum
+    that is not finite.
+    """
+    antennas = sc.antennas()
+    if sc.scheme is Scheme.TRADITIONAL:
+        nodes = [(bs_position(sc, cell),) for cell in CELLS]
+        sigmas = [sc.shadow_sigma]
+    else:
+        nodes = [rau_positions(sc, cell) for cell in CELLS]
+        sigmas = [sc.rau_sigma(n) for n in range(1, sc.n_raus + 1)]
+    along = np.array([[node.along_track for node in cell] for cell in nodes])
+    at = np.stack([antenna_x(sc, grid.as_array(), antenna) for antenna in antennas], axis=1)
+    # shape (positions, antennas, cells, units)
+    distance = _hypot(along - at[:, :, np.newaxis, np.newaxis], nodes[0][0].offset)
+    near = ~(distance > 0.0)
+    with np.errstate(all="ignore"):  # a link beyond the float range is named below
+        unit_mu = per_rau_power(sc) - path_loss(sc, np.where(near, 1.0, distance))
+        mu, sigma = unit_mu, np.broadcast_to(sigmas, unit_mu.shape).copy()
+        if sc.scheme is Scheme.DAS_BLANKET:
+            mu, sigma = (a[..., np.newaxis] for a in lognormal_sum_approx(
+                np.where(np.isfinite(unit_mu), unit_mu, 0.0), sigma))
+    checks = ((near, distance, "link distance {:g} m {}: path loss requires distance > 0"),
+              (~np.isfinite(unit_mu), unit_mu, "link mean {} {} is not finite"),
+              (~np.isfinite(mu), mu, "link mean {} {} is not finite"))
+    bad = np.any([flags.any(axis=-1) for flags, _, _ in checks], axis=0)
+    if bad.any():
+        j, a, c = np.unravel_index(np.argmax(bad), bad.shape)
+        flags, values, text = next(check for check in checks if check[0][j, a, c].any())
+        raise ValueError(text.format(
+            float(values[j, a, c][np.argmax(flags[j, a, c])]),
+            f"of {sc.scheme.value} at x={grid.positions[j]:g} m "
+            f"({antennas[a].name.lower()} antenna, {CELLS[c].name.lower()} cell)"))
     selection = sc.scheme in SELECTION_SCHEMES
     picky = selection and sc.selection is SelectionRule.MEAN_PATHLOSS
     return LinkTable(
-        antennas=sc.antennas(), mu=mu, sigma=sigma,
+        antennas=antennas, mu=_frozen(mu), sigma=_frozen(sigma),
         cell_column=_frozen(np.argmax(mu, axis=-1)) if picky else None,
         trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
 

@@ -124,15 +124,6 @@ def _format_cell(value) -> str:
     return f"{value:.6g}"
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 @dataclass(frozen=True)
 class ResultTable:
     """One CSV worth of results plus its provenance line."""
@@ -160,17 +151,6 @@ class ResultTable:
         lines.extend(",".join(_format_cell(c) for c in row) for row in self.rows)
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def read(cls, path: Path) -> "ResultTable":
-        lines = Path(path).read_text().splitlines()
-        if not lines or not lines[0].startswith("# provenance: "):
-            raise ValueError(f"{path}: missing provenance header")
-        provenance = lines[0][len("# provenance: "):]
-        columns = tuple(lines[1].split(","))
-        rows = tuple(tuple(_parse_cell(c) for c in line.split(","))
-                     for line in lines[2:] if line != "")
-        return cls(columns, rows, provenance)
-
 
 def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
@@ -185,8 +165,9 @@ class FigureRunner:
     asks for it, and one first-crossing sweep. Every scheme reads a prefix
     of the same keyed substreams, so a sweep rerun with mean RSS
     reproduces the earlier arrays exactly, and a scheme whose links repeat
-    another's reads that scheme's draws. The results are kept per scheme;
-    analytic curves are cached per (scheme, mode).
+    another's reads that scheme's counts. The results are kept per scheme;
+    the failure curves of every scheme come from one quadrature batch per
+    mode, and the other analytic curves are cached per (scheme, mode).
     """
 
     def __init__(self, config: RunConfig):
@@ -244,8 +225,9 @@ class FigureRunner:
                                 self.trigger_values(scheme), self.grid.step, mode))
 
     def failure_values(self, scheme: Scheme, mode: MetricMode) -> list:
-        return self._cached(("failure", scheme, mode), lambda: analytics.failure_curve(
-            self.scenario_for(scheme), self.grid, AntennaId.FRONT, mode))
+        return self._cached(("failure", mode), lambda: dict(zip(
+            self.config.schemes, analytics.failure_curve(
+                self.scenarios, self.grid, AntennaId.FRONT, mode))))[scheme]
 
     def interruption_values(self, scheme: Scheme, mode: MetricMode) -> np.ndarray:
         return self._cached(("interruption", scheme, mode),

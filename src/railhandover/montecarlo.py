@@ -8,7 +8,7 @@ positions execute. Reductions run in index order. The pointwise and
 first-crossing keys name no scheme, so the two sweeps take every
 scenario of a run at once: each substream is drawn once and each
 scenario reads its prefix, the values it would draw alone, and a
-scenario whose links repeat another's reads that one's results.
+scenario whose links repeat another's reads that one's counts.
 Shadowing is drawn through `LinkTable.shadowed`, and the pointwise
 sweep returns its estimates as arrays over positions and antennas.
 """
@@ -95,13 +95,6 @@ def _binomial(hits: np.ndarray, base: np.ndarray) -> Estimate:
         return Estimate(p, 1.96 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / base), base)
 
 
-def _mean_hw(samples: np.ndarray) -> float:
-    n = samples.size
-    if n < 2:
-        return math.nan
-    return 1.96 * float(np.std(samples, ddof=1)) / math.sqrt(n)
-
-
 def _parallel_map(fn, count: int, jobs: int) -> list:
     if jobs <= 1:
         return [fn(i) for i in range(count)]
@@ -112,15 +105,17 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
 # === Shared draws ===
 
 
-def _sources(scs: Sequence[Scenario], grid: PositionGrid) -> tuple[list[channel.LinkTable],
-                                                                   list[int]]:
+def _sources(scs: Sequence[Scenario], grid: PositionGrid,
+             better: Sequence[np.ndarray] | None = None) -> tuple[list[channel.LinkTable],
+                                                                  list[int]]:
     """The link tables of scs and, per scenario, the scenario whose draws it reads.
 
     Scenario k reads scenario m's results on m's first antennas (m = k:
     its own) when, on those antennas, the two tables hold equal mu,
-    sigma, cell_column and trigger_column and the scenarios share
-    hysteresis and threshold. Wider tables are taken first, so the
-    choice does not depend on the order of scs.
+    sigma, cell_column and trigger_column, the scenarios share hysteresis
+    and threshold, and, if given, the better-cell flags are equal. Wider
+    tables are taken first, so the choice does not depend on the order
+    of scs.
     """
     if len(scs) == 0:
         raise ValueError("at least one scenario is required")
@@ -137,7 +132,8 @@ def _sources(scs: Sequence[Scenario], grid: PositionGrid) -> tuple[list[channel.
         return (wide.trigger_column == narrow.trigger_column
                 and scs[m].hysteresis == scs[k].hysteresis
                 and scs[m].threshold == scs[k].threshold
-                and same("mu") and same("sigma") and same("cell_column"))
+                and same("mu") and same("sigma") and same("cell_column")
+                and (better is None or np.array_equal(better[m][:, :a], better[k])))
 
     source: dict[int, int] = {}
     for k in sorted(range(len(scs)), key=lambda k: -len(tables[k].antennas)):
@@ -148,31 +144,42 @@ def _sources(scs: Sequence[Scenario], grid: PositionGrid) -> tuple[list[channel.
 # === Pointwise sweep ===
 
 
-def _position_counts(sc: Scenario, cell: np.ndarray, trig: np.ndarray,
-                     target_better: np.ndarray | None) -> tuple[np.ndarray, list | None]:
-    """Fired, failed and below-threshold counts of one position's shadowed
-    links, per antenna plus every antenna below; with target_better also
-    the mean best-cell RSS and its half-width per antenna and combined."""
-    fired = trig[:, 1] - trig[:, 0] > sc.hysteresis
+def _position_counts(sc: Scenario, cell: np.ndarray, serving: np.ndarray,
+                     target: np.ndarray) -> np.ndarray:
+    """Counts of one position's shadowed links, shape (4, antennas): per
+    antenna the fired, failed and below-threshold trials, and the trials
+    in which it and every antenna before it are below. A reader of the
+    first a antennas takes counts[:, :a]."""
+    fired = target - serving > sc.hysteresis
     below = np.maximum(cell[:, 0], cell[:, 1]) < sc.threshold
-    hits = np.concatenate((np.count_nonzero(fired, axis=1),
-                           np.count_nonzero(fired & (trig[:, 1] < sc.threshold), axis=1),
-                           np.count_nonzero(below, axis=1),
-                           [np.count_nonzero(below.all(axis=0))]))
-    if target_better is None:
-        return hits, None
-    best = [cell[a, int(target_better[a])] for a in range(len(cell))]
-    if len(best) == 2:
-        best.append(10.0 * np.log10(sum(np.power(10.0, s / 10.0) for s in best)))
-    return hits, [(float(np.mean(s)), _mean_hw(s)) for s in best]
+    every = [below[0]]
+    for row in below[1:]:
+        every.append(every[-1] & row)
+    return np.array([[np.count_nonzero(row) for row in flags]
+                     for flags in (fired, fired & (target < sc.threshold), below, every)])
+
+
+def _best_series(cell: np.ndarray, target_better: np.ndarray) -> np.ndarray:
+    """The best-cell RSS of each antenna, then for two antennas the combined
+    trace (linear power sum), as rows of shape (rows, trials)."""
+    series = cell[np.arange(len(cell)), target_better.astype(int)]
+    if len(series) == 2:
+        series = np.vstack((series, 10.0 * np.log10(np.power(10.0, series[0] / 10.0)
+                                                    + np.power(10.0, series[1] / 10.0))))
+    return series
 
 
 def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> PointwiseEstimate:
-    hits, means = zip(*rows)
-    fired, failed, below = np.split(np.array(hits), [antennas, 2 * antennas], axis=1)
+    """The estimate of a scenario from each position's (counts, mean rows),
+    read on its first antennas; a reader of fewer antennas than the rows
+    cover takes only their per-antenna mean rows."""
+    counts, means = zip(*rows)
+    fired, failed, below, every = np.moveaxis(np.array(counts)[:, :, :antennas], 1, 0)
+    below = np.concatenate((below, every[:, -1:]), axis=1)
     rss = None
     if means[0] is not None:
-        value, hw = np.moveaxis(np.array(means), 2, 0)
+        full = antennas == counts[0].shape[1]
+        value, hw = np.moveaxis(np.array([m if full else m[:antennas] for m in means]), 2, 0)
         rss = Estimate(value, hw, np.full(value.shape, trials))
     return PointwiseEstimate(_binomial(fired, np.full_like(fired, trials)),
                              _binomial(failed, fired),
@@ -186,38 +193,48 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
 
     Each position draws standard normals from its own substream once:
     each scenario shadows the first of them, shaped (antennas, cells,
-    trials, components), the values it would draw alone, or reads the
-    shadowed links of a scenario that repeats its links (_sources). The
-    same draws give trigger, failure (conditional on trigger, NaN where
-    no trial triggered) and per-antenna and scheme-level interruption
-    counts. Only if mean_rss does it add the mean best-cell RSS per
-    antenna and the combined two-antenna trace (linear power sum), since
-    picking the better cell needs the analytic cell means.
+    trials, components), the values it would draw alone, and counts
+    them, or reads the counts of a scenario that repeats its links
+    (_sources). The same draws give trigger, failure (conditional on
+    trigger, NaN where no trial triggered) and per-antenna and
+    scheme-level interruption counts. Only if mean_rss does it add the
+    mean best-cell RSS per antenna and the combined two-antenna trace
+    (linear power sum), since picking the better cell needs the
+    analytic cell means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables, source = _sources(scs, grid)
     better = [b for _, b in channel.cell_means(tuple(scs), grid)] if mean_rss else None
+    tables, source = _sources(scs, grid, better)
     shapes = [t.mu.shape[1:3] + (trials, t.mu.shape[3]) for t in tables]
     # shadowing scales in place: every scenario but the widest scales a copy
     # of its prefix, and the widest, last, scales the draw itself
     shadowing = sorted(set(source), key=lambda k: math.prod(shapes[k]))
     widest = shadowing[-1]
 
-    def one_position(j: int) -> list[tuple]:
+    def one_position(j: int) -> dict[int, tuple]:
         z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(math.prod(shapes[widest]))
-        links = {}
-        for k in shadowing:
-            block = z[:math.prod(shapes[k])].reshape(shapes[k])
-            links[k] = tables[k].shadowed(block if k == widest else block.copy(),
-                                          slice(j, j + 1))
-        return [_position_counts(sc, *(x[:len(t.antennas)] for x in links[m]),
-                                 None if better is None else better[k][j])
-                for k, (sc, t, m) in enumerate(zip(scs, tables, source))]
+        counts, series = {}, {}
+        for m in shadowing:
+            block = z[:math.prod(shapes[m])].reshape(shapes[m])
+            cell, (serving, target) = tables[m].shadowed(
+                block if m == widest else block.copy(), slice(j, j + 1))
+            counts[m] = _position_counts(scs[m], cell, serving, target)
+            if better is not None:
+                series[m] = _best_series(cell, better[m][j])
+        if better is None:
+            return {m: (c, None) for m, c in counts.items()}
+        # the mean and 95% half-width of every scenario's series in one call each
+        rows = np.concatenate(list(series.values()))
+        hw = (1.96 * np.std(rows, axis=1, ddof=1) / math.sqrt(trials) if trials > 1
+              else np.full(len(rows), math.nan))
+        means = np.split(np.column_stack((np.mean(rows, axis=1), hw)),
+                         np.cumsum([len(s) for s in series.values()])[:-1])
+        return {m: (counts[m], mean) for m, mean in zip(series, means)}
 
     rows = _parallel_map(one_position, len(grid.positions), jobs)
-    return tuple(_pointwise_estimate([row[k] for row in rows], len(t.antennas), trials)
-                 for k, t in enumerate(tables))
+    return tuple(_pointwise_estimate([row[m] for row in rows], len(t.antennas), trials)
+                 for t, m in zip(tables, source))
 
 
 # === First-crossing sweep ===

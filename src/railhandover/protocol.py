@@ -191,15 +191,16 @@ class CrossingOutcome:
     final_state: HandoverState
 
 
-def _draw_crossings(table: channel.LinkTable,
-                    rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+def _draw_crossings(table: channel.LinkTable, rngs: list[np.random.Generator]
+                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Draw every shadowing realization of each crossing, one generator each.
 
     Each generator makes one standard-normal draw of shape (antennas,
     cells, positions, components), which fixes the order: front antenna
     first, serving cell first, grid position outermost within a cell.
-    Returns the cell RSS and the trigger comparands, both of shape
-    (crossings, antennas, cells, positions).
+    Returns the cell RSS, of shape (crossings, antennas, cells,
+    positions), and the serving and target trigger comparands, of shape
+    (crossings, antennas, positions).
     """
     positions, antennas, cells, components = table.mu.shape
     z = np.empty((len(rngs), antennas, cells, positions, components))
@@ -231,7 +232,9 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     """
     _require_two_antennas(sc)
     table = channel.link_table(sc, grid)
-    (cell,), (trig,) = _draw_crossings(table, [rng])
+    (cell,), ((serving,), (target,)) = _draw_crossings(table, [rng])
+    # per antenna and position, the (serving, target) comparands as floats
+    reports = np.stack((serving, target), axis=-1).tolist()
     state = HandoverState()
     trace: list[TraceEntry] = []
     attached = [0, 0]  # per antenna, front then rear: its cell's index in CELLS
@@ -247,7 +250,7 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
         after = state.phase
         trace.append(TraceEntry(event.position, before, event, after))
         # record the whole emission batch before reacting, so a trace is a
-        # flat input-then-emissions sequence that replay() can verify
+        # flat input-then-emissions sequence that a replay can verify
         for out in emitted:
             trace.append(TraceEntry(out.position, after, out, after))
         for out in emitted:
@@ -265,7 +268,7 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             feed(ProtocolEvent(EventKind.DUALCAST_FINISH_ACK, message.position))
 
     def attempt(a: int, position: float) -> None:
-        if trig[a, 1, position_index[position]] >= sc.threshold:
+        if target[a, position_index[position]] >= sc.threshold:
             attached[a] = 1
             ho_position[a] = position
             done_kind = (EventKind.FRONT_ATTACHED, EventKind.REAR_ATTACHED)[a]
@@ -276,9 +279,8 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     position_index = {x: j for j, x in enumerate(grid.positions)}
 
     for j, x in enumerate(grid.positions):
-        front, rear = trig[:, :, j].tolist()
         feed(ProtocolEvent(EventKind.MEASUREMENT_REPORT, x,
-                           front_rss=tuple(front), rear_rss=tuple(rear)))
+                           front_rss=tuple(reports[0][j]), rear_rss=tuple(reports[1][j])))
         # threshold check against each antenna's attached cell
         below = all(cell[a, attached[a], j] < sc.threshold for a in (0, 1))
         if below:
@@ -350,9 +352,9 @@ def run_crossings(sc: Scenario, grid: PositionGrid,
     antenna's RSS comes from the target cell from its attach on.
     """
     _require_two_antennas(sc)
-    cell, trig = _draw_crossings(channel.link_table(sc, grid), rngs)
-    triggered = trig[:, :, 1] - trig[:, :, 0] > sc.hysteresis
-    usable = trig[:, :, 1] >= sc.threshold
+    cell, (serving, target) = _draw_crossings(channel.link_table(sc, grid), rngs)
+    triggered = target - serving > sc.hysteresis
+    usable = target >= sc.threshold
     positions = np.arange(len(grid.positions))
     front, front_attempts, front_failed = _attach(triggered[:, 0], usable[:, 0], True)
     after_front = (front[:, np.newaxis] >= 0) & (positions > front[:, np.newaxis])
@@ -368,7 +370,7 @@ def run_crossings(sc: Scenario, grid: PositionGrid,
                           interruptions)
 
 
-# === Trace serialization and replay ===
+# === Trace serialization ===
 
 
 def format_trace(trace: list[TraceEntry]) -> str:
@@ -379,40 +381,3 @@ def format_trace(trace: list[TraceEntry]) -> str:
         lines.append(f"{entry.position:.6g}\t{entry.phase_before.value}\t"
                      f"{entry.event.kind.value}\t{antenna}\t{entry.phase_after.value}")
     return "\n".join(lines) + "\n"
-
-
-def replay(trace: list[TraceEntry], hysteresis: float) -> HandoverState:
-    """Re-run every input event of a trace through the transition table.
-
-    Verifies that the recorded phases and emitted events match what the
-    table produces; raises ProtocolViolation or AssertionError on any
-    divergence. Returns the final state.
-    """
-    state = HandoverState()
-    i = 0
-    while i < len(trace):
-        entry = trace[i]
-        if entry.event.kind not in _INPUT_KINDS:
-            raise AssertionError(
-                f"trace row {i}: emitted event {entry.event.kind.value} "
-                f"not preceded by its input transition")
-        if entry.phase_before is not state.phase:
-            raise AssertionError(
-                f"trace row {i}: recorded phase {entry.phase_before.value}, "
-                f"machine is in {state.phase.value}")
-        state, emitted = transition(state, entry.event, hysteresis)
-        if entry.phase_after is not state.phase:
-            raise AssertionError(f"trace row {i}: phase_after mismatch")
-        i += 1
-        # the emission batch follows its input row directly; reactions to
-        # the emissions appear later as their own input rows
-        for out in emitted:
-            if i >= len(trace):
-                raise AssertionError("trace ends before all emitted events")
-            got = trace[i].event
-            if got.kind is not out.kind or got.position != out.position:
-                raise AssertionError(
-                    f"trace row {i}: expected emission {out.kind.value}, "
-                    f"found {got.kind.value}")
-            i += 1
-    return state

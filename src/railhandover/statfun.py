@@ -11,7 +11,7 @@ lognormal powers expressed in dB.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -127,20 +127,29 @@ def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 # === Lognormal sum approximation ===
 
 
-def lognormal_sum_approx(means_db: Sequence[float],
-                         sigmas_db: Sequence[float]) -> tuple[float, float]:
+# Python's float power and math.log, elementwise: numpy's square and log
+# differ from them in the last bit on some values. A total that
+# underflows to 0 gives -inf and one whose square overflows inf (where
+# ** raises), for the caller to reject.
+_squared = np.vectorize(lambda t: math.inf if t * t == math.inf else t ** 2, otypes=[float])
+_log = np.vectorize(lambda t: math.log(t) if t > 0.0 else -math.inf, otypes=[float])
+
+
+def lognormal_sum_approx(means_db, sigmas_db) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian (in dB) approximation of a sum of independent dB-lognormal powers.
 
     Each component i is a power level whose dB value is normal with mean
-    means_db[i] and standard deviation sigmas_db[i]. The linear-domain sum
-    of the components is approximated by a single lognormal whose first
-    and second linear-domain moments match the exact ones, and the result
-    is reported back on the dB scale.
+    means_db[..., i] and standard deviation sigmas_db[..., i]; every
+    leading index sums its own last axis. The linear-domain sum of the
+    components is approximated by a single lognormal whose first and
+    second linear-domain moments match the exact ones, and the result is
+    reported back on the dB scale.
 
     Returns
     -------
     (mu_db, sigma_db)
-        Mean and standard deviation of the approximating dB-normal.
+        Mean and standard deviation of the approximating dB-normal, of
+        the leading shape (0-d for one sequence of components).
 
     Notes
     -----
@@ -150,10 +159,10 @@ def lognormal_sum_approx(means_db: Sequence[float],
     """
     means = np.asarray(means_db, dtype=float)
     sigmas = np.asarray(sigmas_db, dtype=float)
-    if means.ndim != 1 or means.size == 0:
-        raise ValueError("means_db must be a non-empty 1-d sequence")
+    if means.ndim == 0 or means.shape[-1] == 0:
+        raise ValueError("means_db must hold a non-empty last axis of components")
     if sigmas.shape != means.shape:
-        raise ValueError("sigmas_db must have the same length as means_db")
+        raise ValueError("sigmas_db must have the same shape as means_db")
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sigmas))):
         raise ValueError("means_db and sigmas_db must be finite")
     if np.any(sigmas < 0.0):
@@ -164,8 +173,7 @@ def lognormal_sum_approx(means_db: Sequence[float],
     # Linear-domain first moments and variances of each lognormal component.
     first = np.exp(m + 0.5 * s2)
     var = np.exp(2.0 * m + s2) * np.expm1(s2)
-    total = float(np.sum(first))
-    sig2_ln = float(np.log1p(np.sum(var) / total ** 2))
-    # a total that underflows to 0 gives -inf, for the caller to reject
-    mu_ln = (math.log(total) if total > 0.0 else -math.inf) - 0.5 * sig2_ln
-    return mu_ln / _LAMBDA, math.sqrt(sig2_ln) / _LAMBDA
+    total = np.sum(first, axis=-1)
+    sig2_ln = np.log1p(np.sum(var, axis=-1) / _squared(total))
+    mu_ln = _log(total) - 0.5 * sig2_ln
+    return mu_ln / _LAMBDA, np.sqrt(sig2_ln) / _LAMBDA

@@ -4,7 +4,8 @@
 substreams as `estimate_protocol` and tallies its outcomes and traces
 event by event: the route the array kernel behind `estimate_protocol`
 is checked against. `format_stats` renders `ProtocolStats` as stable
-text for the golden file.
+text for the golden file. `replay` re-runs a recorded trace through the
+transition table and checks every recorded phase and emission.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import numpy as np
 
 from railhandover.analytics import PositionGrid
 from railhandover.montecarlo import DOMAIN_PROTOCOL, ProtocolStats, SeedPolicy
-from railhandover.protocol import EventKind, Phase, run_crossing
+from railhandover.protocol import (
+    _INPUT_KINDS,
+    EventKind,
+    HandoverState,
+    Phase,
+    TraceEntry,
+    run_crossing,
+    transition,
+)
 from railhandover.scenario import Scenario
 
 STAT_FIELDS = ("trials", "completed", "front_failed_trials", "rear_failed_trials",
@@ -62,3 +71,40 @@ def format_stats(stats: ProtocolStats) -> str:
         lines.append(name + "\t" + " ".join(repr(v.item() if isinstance(v, np.generic)
                                                  else v) for v in values))
     return "\n".join(lines) + "\n"
+
+
+def replay(trace: list[TraceEntry], hysteresis: float) -> HandoverState:
+    """Re-run every input event of a trace through the transition table.
+
+    Verifies that the recorded phases and emitted events match what the
+    table produces; raises ProtocolViolation or AssertionError on any
+    divergence. Returns the final state.
+    """
+    state = HandoverState()
+    i = 0
+    while i < len(trace):
+        entry = trace[i]
+        if entry.event.kind not in _INPUT_KINDS:
+            raise AssertionError(
+                f"trace row {i}: emitted event {entry.event.kind.value} "
+                f"not preceded by its input transition")
+        if entry.phase_before is not state.phase:
+            raise AssertionError(
+                f"trace row {i}: recorded phase {entry.phase_before.value}, "
+                f"machine is in {state.phase.value}")
+        state, emitted = transition(state, entry.event, hysteresis)
+        if entry.phase_after is not state.phase:
+            raise AssertionError(f"trace row {i}: phase_after mismatch")
+        i += 1
+        # the emission batch follows its input row directly; reactions to
+        # the emissions appear later as their own input rows
+        for out in emitted:
+            if i >= len(trace):
+                raise AssertionError("trace ends before all emitted events")
+            got = trace[i].event
+            if got.kind is not out.kind or got.position != out.position:
+                raise AssertionError(
+                    f"trace row {i}: expected emission {out.kind.value}, "
+                    f"found {got.kind.value}")
+            i += 1
+    return state

@@ -34,9 +34,10 @@ from railhandover.montecarlo import (
     estimate_first_crossing,
     estimate_pointwise,
 )
-from railhandover.protocol import EventKind, Phase, replay, run_crossing
+from railhandover.protocol import EventKind, Phase, run_crossing
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme
 from link_oracle import cdf, link_stat, rss_distribution
+from protocol_oracle import replay
 from quadpack_oracle import integrate
 from rss_oracles import cdf_array, pdf, sample_rss_block, support
 
@@ -114,7 +115,7 @@ def test_failure_ordering_in_handover_window(report):
     curves = {}
     for scheme in (Scheme.PROPOSED, Scheme.DAS_SINGLE, Scheme.TRADITIONAL):
         cfg = sc.with_scheme(scheme)
-        curves[scheme] = np.array(failure_curve(cfg, window))
+        curves[scheme] = np.array(failure_curve((cfg,), window)[0])
     ordered = np.all(curves[Scheme.PROPOSED] <= curves[Scheme.TRADITIONAL] + 1e-12)
     close = float(np.max(np.abs(curves[Scheme.PROPOSED]
                                 - curves[Scheme.DAS_SINGLE])))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from railhandover import channel
+from railhandover import analytics, channel
 from railhandover.analytics import (
     MetricMode,
     PositionGrid,
@@ -60,7 +60,7 @@ def trigger_at(sc, x, antenna=AntennaId.FRONT):
 
 
 def failure_at(sc, x, mode=MetricMode.REDERIVED):
-    return failure_curve(sc, _at(x), mode=mode)[0]
+    return failure_curve((sc,), _at(x), mode=mode)[0][0]
 
 
 def interruption_at(sc, x, mode=MetricMode.REDERIVED):
@@ -197,7 +197,7 @@ def test_failure_stays_defined_under_tiny_triggers(sc):
         1100.0: 0.1049807564390309,
         1200.0: 0.27204119571913127,
     }
-    curve = failure_curve(sc, PositionGrid(tuple(anchors), 1.0))
+    curve = failure_curve((sc,), PositionGrid(tuple(anchors), 1.0))[0]
     for got, want in zip(curve, anchors.values()):
         assert got == pytest.approx(want, rel=1e-6)
         assert 0.0 <= got <= 1.0
@@ -379,7 +379,7 @@ def test_table_curves_equal_scalar_metrics_bitwise(scheme):
                 assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
                     [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
                 for mode in MetricMode:
-                    got = failure_curve(sc, grid, antenna, mode)
+                    got = failure_curve((sc,), grid, antenna, mode)[0]
                     want = [_scalar_failure(sc, x, antenna, mode) for x in grid.positions]
                     assert [_bits(v) for v in got] == [_bits(v) for v in want]
                     undefined += want.count(None)
@@ -411,6 +411,10 @@ def _geometries(draw) -> Scenario:
         measurement_step=ds / draw(st.integers(1, 12)))
 
 
+def _stat_bits(stats):
+    return [(float(s.mu).hex(), float(s.sigma).hex()) for s in stats]
+
+
 @settings(max_examples=150)
 @given(_geometries())
 def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
@@ -420,10 +424,11 @@ def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
     table = channel.link_table(sc, grid)
     for j, x in enumerate(grid.positions):
         for a, antenna in enumerate(sc.antennas()):
-            assert table_trigger_pair(table, j, a) == trigger_pair(sc, x, antenna)
+            assert _stat_bits(table_trigger_pair(table, j, a)) == \
+                _stat_bits(trigger_pair(sc, x, antenna))
             for c, cell in enumerate(channel.CELLS):
-                assert table_components(table, j, a, c) == \
-                    rss_distribution(sc, x, antenna, cell).components
+                assert _stat_bits(table_components(table, j, a, c)) == \
+                    _stat_bits(rss_distribution(sc, x, antenna, cell).components)
     for antenna in sc.antennas():
         assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
             [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
@@ -432,9 +437,28 @@ def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
             [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ALL_SCHEMES), st.sampled_from((0.0, 2.0, 5.0)),
+                          st.sampled_from((-60.0, -30.0, -20.0))), min_size=1, max_size=5),
+       st.sampled_from(list(MetricMode)))
+def test_joint_failure_curves_equal_single_scenario_curves(runs, mode):
+    """failure_curve integrates the distinct rows of all its scenarios in one
+    batch; each scenario's curve equals its curve alone bitwise, in any
+    order, with repeated schemes and mixed hysteresis and threshold."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    scs = tuple(Scenario(scheme=scheme, hysteresis=h, threshold=t) for scheme, h, t in runs)
+    analytics._failure_rows.cache_clear()
+    joint = failure_curve(scs, grid, mode=mode)
+    assert len(joint) == len(scs)
+    for sc, curve in zip(scs, joint):
+        analytics._failure_rows.cache_clear()
+        assert [_bits(v) for v in curve] == \
+            [_bits(v) for v in failure_curve((sc,), grid, mode=mode)[0]]
+
+
 def test_table_curves_reject_a_missing_antenna(sc, coarse_grid):
     single = sc.with_scheme(Scheme.DAS_SINGLE)
     with pytest.raises(ValueError, match="no rear antenna"):
         trigger_curve(single, coarse_grid, AntennaId.REAR)
     with pytest.raises(ValueError, match="no rear antenna"):
-        failure_curve(single, coarse_grid, AntennaId.REAR)
+        failure_curve((single,), coarse_grid, AntennaId.REAR)

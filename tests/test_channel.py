@@ -125,10 +125,11 @@ def test_link_table_rejects_a_nonfinite_link_mean(scheme):
         _table(sc, 0.0)
 
 
-@pytest.mark.parametrize("tx_power", [1e5, -1e5])
+@pytest.mark.parametrize("tx_power", [1e5, 1700.0, -1e5])
 def test_blanket_power_sum_beyond_float_range_is_rejected(tx_power):
-    """Finite unit links whose linear powers overflow or underflow: the
-    blanket sum is named as the link, without a numpy warning."""
+    """Finite unit links whose linear powers, or the square of their sum,
+    overflow or underflow: the blanket sum is named as the link, without
+    a numpy warning or an OverflowError."""
     sc = Scenario(tx_power=tx_power, scheme=Scheme.DAS_BLANKET)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -493,13 +494,13 @@ def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):
     single = sc.with_scheme(Scheme.DAS_SINGLE)
     for mode in MetricMode:
         _clear_package_caches()
-        proposed = failure_curve(sc.with_scheme(Scheme.PROPOSED), grid, mode=mode)
+        proposed = failure_curve((sc.with_scheme(Scheme.PROPOSED),), grid, mode=mode)[0]
         calls = _count_rows(monkeypatch)
-        assert failure_curve(single, grid, mode=mode) == proposed
+        assert failure_curve((single,), grid, mode=mode)[0] == proposed
         assert calls == []
         # without the proposed values das-single integrates every distinct pair once
         _clear_package_caches()
-        assert failure_curve(single, grid, mode=mode) == proposed
+        assert failure_curve((single,), grid, mode=mode)[0] == proposed
         assert sum(calls) == sum(v is not None for v in proposed)
         monkeypatch.undo()
 
@@ -556,6 +557,35 @@ def test_sample_cell_rss_is_the_component_maximum(sc):
 
 
 @pytest.mark.parametrize("selection", list(SelectionRule))
+@pytest.mark.parametrize("n_raus", [1, 2, 4, 8])
+def test_shadowed_equals_plain_scaling_in_both_layouts(selection, n_raus):
+    """shadowed's folded kernel (one position over trials whose fold is 1,
+    2 or 64) and its contiguous one (every position, under a leading
+    crossing axis) give z * sigma + mu bitwise: the cell RSS is the
+    component maximum or the mean-pathloss pick, the comparands are the
+    trigger columns."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    table = channel.link_table(Scenario(n_raus=n_raus, selection=selection), grid)
+    rng = np.random.default_rng(n_raus)
+    cases = [(slice(5, 6), (2, 2, n, n_raus)) for n in (1, 2, 57, 64, 2003)]
+    cases.append((slice(None), (3, 2, 2, len(grid.positions), n_raus)))
+    for rows, shape in cases:
+        z = rng.standard_normal(shape)
+        links = z * np.moveaxis(table.sigma[rows], 0, 2) + np.moveaxis(table.mu[rows], 0, 2)
+        if table.cell_column is None:
+            want = np.max(links, axis=-1)
+        else:
+            column = np.moveaxis(table.cell_column[rows], 0, 2)[..., np.newaxis]
+            want = np.take_along_axis(links, np.broadcast_to(column, links.shape[:-1] + (1,)),
+                                      axis=-1)[..., 0]
+        s, t = table.trigger_column
+        cell, (serving, target) = table.shadowed(z.copy(), rows)
+        assert cell.tobytes() == want.tobytes()
+        assert serving.tobytes() == links[..., 0, :, s].tobytes()
+        assert target.tobytes() == links[..., 1, :, t].tobytes()
+
+
+@pytest.mark.parametrize("selection", list(SelectionRule))
 def test_batched_shadowing_equals_one_call_per_crossing(selection):
     """One shadowed call over a batch of crossings equals one call each."""
     grid = PositionGrid.over(3000.0, 250.0)
@@ -565,7 +595,8 @@ def test_batched_shadowing_equals_one_call_per_crossing(selection):
     cell, trig = table.shadowed(z, slice(None))
     for i, (cell_i, trig_i) in enumerate(singles):
         assert cell[i].tobytes() == cell_i.tobytes()
-        assert trig[i].tobytes() == trig_i.tobytes()
+        for batch, single in zip(trig, trig_i):  # serving, then target
+            assert batch[i].tobytes() == single.tobytes()
 
 
 # --- sampling ---

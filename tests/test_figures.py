@@ -84,6 +84,25 @@ def test_quantize_pins_six_significant_digits():
     assert _quantize(float("inf")) is None
 
 
+def _parse_cell(text: str):
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _read_table(path: Path) -> ResultTable:
+    """A written table read back, each cell a float, a string or None."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("# provenance: "):
+        raise ValueError(f"{path}: missing provenance header")
+    rows = tuple(tuple(_parse_cell(c) for c in line.split(","))
+                 for line in lines[2:] if line != "")
+    return ResultTable(tuple(lines[1].split(",")), rows, lines[0][len("# provenance: "):])
+
+
 def test_result_table_round_trip(tmp_path):
     table = ResultTable.build(
         ("position_m", "value", "label"),
@@ -94,7 +113,7 @@ def test_result_table_round_trip(tmp_path):
     table.write(path)
     text = path.read_text()
     assert text.startswith("# provenance: seed=1 trials=2\n")
-    back = ResultTable.read(path)
+    back = _read_table(path)
     assert back.columns == table.columns
     assert back.provenance == table.provenance
     assert back.rows == table.rows
@@ -240,21 +259,25 @@ def test_validate_proposed_beats_traditional(tmp_path):
     ((Scheme.DAS_BLANKET, Scheme.TRADITIONAL), 2)])
 def test_compare_sweeps_once_and_shadows_repeated_links_once(tmp_path, monkeypatch,
                                                              schemes, shadowing):
-    """One pointwise sweep per compare; das-single's links are proposed's
-    front antenna's, so it reads proposed's shadowed links in either order."""
-    from railhandover import channel, figures
+    """One pointwise sweep and one failure quadrature per compare; das-single's
+    links are proposed's front antenna's, so it reads proposed's counts in
+    either order."""
+    from railhandover import analytics, channel, figures
 
-    sweeps, shadowed = [], []
+    sweeps, shadowed, failures = [], [], []
     real_sweep, real_shadowed = figures.estimate_pointwise, channel.LinkTable.shadowed
+    real_failure = analytics.failure_curve
     monkeypatch.setattr(figures, "estimate_pointwise",
                         lambda *a, **k: sweeps.append(a) or real_sweep(*a, **k))
     monkeypatch.setattr(channel.LinkTable, "shadowed",
                         lambda *a: shadowed.append(a) or real_shadowed(*a))
+    monkeypatch.setattr(analytics, "failure_curve",
+                        lambda *a, **k: failures.append(a) or real_failure(*a, **k))
     cfg = _config(scenario=Scenario(measurement_step=250.0), trials=20, schemes=schemes,
                   output_dir=tmp_path)
     compare_schemes(cfg)
     positions = len(FigureRunner(cfg).grid.positions)
-    assert (len(sweeps), len(shadowed)) == (1, shadowing * positions)
+    assert (len(sweeps), len(shadowed), len(failures)) == (1, shadowing * positions, 1)
 
 
 def test_runner_tables_are_reproducible():

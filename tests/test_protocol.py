@@ -23,12 +23,12 @@ from railhandover.protocol import (
     ProtocolEvent,
     ProtocolViolation,
     format_trace,
-    replay,
     run_crossing,
     run_crossings,
     transition,
 )
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from protocol_oracle import replay
 
 
 def _mr(position, front_rss, rear_rss):

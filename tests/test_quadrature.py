@@ -144,7 +144,7 @@ def test_failure_curve_matches_quadpack(sc, scheme, threshold):
     for antenna in sc.antennas():
         table = channel.link_table(sc, grid)
         a = table.antennas.index(antenna)
-        for j, value in enumerate(failure_curve(sc, grid, antenna)):
+        for j, value in enumerate(failure_curve((sc,), grid, antenna)[0]):
             if value is not None:
                 want = failure_rederived(*table_trigger_pair(table, j, a), sc.hysteresis,
                                          threshold)
@@ -222,7 +222,7 @@ def test_failure_probabilities_do_not_depend_on_the_batch():
     grid = PositionGrid.over(3000.0, 100.0)
     analytics._failure_rows.cache_clear()
     for mode in MetricMode:
-        curve = failure_curve(sc, grid, mode=mode)
+        curve = failure_curve((sc,), grid, mode=mode)[0]
         for x, value in zip(grid.positions, curve):
             if value is not None:
                 assert failure_prob(sc, x, mode=mode).hex() == value.hex()

@@ -22,9 +22,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcx, ndtr
 
-from . import channel
+from . import channel, statfun
 from .scenario import AntennaId, Scenario
 from .statfun import STEP_SCALE, integrate_rows, q_function, std_normal_cdf
 
@@ -186,8 +185,8 @@ def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
     mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = np.frombuffer(data).reshape(-1, 6).T
     sigma_v = np.hypot(sigma_s, sigma_t)
     z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
-    p_trig = 0.5 * erfc(z0 / _SQRT2)
-    hazard = math.sqrt(2.0 / math.pi) / erfcx(z0 / _SQRT2)
+    p_trig = 0.5 * statfun.erfc(z0 / _SQRT2)
+    hazard = math.sqrt(2.0 / math.pi) / statfun.erfcx(z0 / _SQRT2)
     # Conditional law of U given the standardized margin z: Gaussian with
     # mean mu_u(z) and a variance shrunk by the correlation with V. Its CDF
     # at the threshold steps at z = step once sigma_s << sigma_t.
@@ -197,7 +196,7 @@ def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
         step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
 
     def conditional_cdf(z, rows):
-        return ndtr((threshold[rows] - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
+        return statfun.ndtr((threshold[rows] - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
 
     def beyond_trigger(e, rows):
         # the margin z0 + e under its law truncated to z > z0, hazard-weighted
@@ -224,7 +223,7 @@ def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN stays NaN
         out = np.clip(np.where(z0 < -8.0, out / p_trig, out), 0.0, 1.0)
         if mode is MetricMode.PAPER:
-            out = np.maximum(ndtr((threshold - mu_t) / sigma_t) / p_trig - out, 0.0)
+            out = np.maximum(statfun.ndtr((threshold - mu_t) / sigma_t) / p_trig - out, 0.0)
     out.flags.writeable = False
     return out
 

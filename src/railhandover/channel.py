@@ -27,8 +27,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import statfun
 from .scenario import (
     SELECTION_SCHEMES,
     AntennaId,
@@ -105,7 +105,7 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
         z3, o, s = z[:, :, None], offset[rows], scale[rows]
         terms = mu[rows] + sigma[rows] * z3
         for j in range(n - 1):
-            terms = terms * ndtr(o[:, :, j] + s[:, :, j] * z3)
+            terms = terms * statfun.ndtr(o[:, :, j] + s[:, :, j] * z3)
         total = terms[..., 0]
         for k in range(1, n):
             total = total + terms[..., k]

@@ -202,6 +202,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # once: argparse measures the terminal per argument
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     figure = Figure(args.figure)
@@ -250,7 +253,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = {
         "run": _cmd_run,
         "compare": _cmd_compare,

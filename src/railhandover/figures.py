@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import bdtr, bdtrik
 
-from . import analytics, channel
+from . import analytics, channel, statfun
 from ._version import __version__
 from .analytics import MetricMode, PositionGrid
 from .montecarlo import (
@@ -107,48 +106,48 @@ _FIGURE_FILES = {
 SUMMARY_FILE = "summary.csv"
 
 
-def _quantize(value):
+def _cell(value) -> tuple:
+    """A cell pinned to 6 significant digits (None if not finite) and its CSV text."""
     if value is None or isinstance(value, str):
-        return value
+        return value, value or ""
     v = float(value)
-    if not math.isfinite(v):
-        return None
-    return float(f"{v:.6g}")
+    text = f"{v:.6g}" if math.isfinite(v) else ""
+    return (float(text) if text else None), text
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.6g}"
+def _quantize(value):
+    return _cell(value)[0]
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    """One CSV worth of results plus its provenance line."""
+    """One CSV worth of results: its cells, provenance line and rows' CSV text."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     provenance: str
+    lines: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("every row must match the header width")
+        if self.lines is None:
+            object.__setattr__(self, "lines", tuple(
+                ",".join(_cell(c)[1] for c in row) for row in self.rows))
 
     @classmethod
     def build(cls, columns, rows, provenance: str) -> "ResultTable":
-        cooked = tuple(tuple(_quantize(c) for c in row) for row in rows)
-        return cls(tuple(columns), cooked, provenance)
+        cells = [[_cell(c) for c in row] for row in rows]
+        return cls(tuple(columns), tuple(tuple(v for v, _ in row) for row in cells),
+                   provenance, tuple(",".join(t for _, t in row) for row in cells))
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
     def write(self, path: Path) -> None:
-        lines = [f"# provenance: {self.provenance}", ",".join(self.columns)]
-        lines.extend(",".join(_format_cell(c) for c in row) for row in self.rows)
+        lines = (f"# provenance: {self.provenance}", ",".join(self.columns), *self.lines)
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -363,9 +362,9 @@ def _binomial_quantile(q: float, trials: int, p: np.ndarray) -> np.ndarray:
     """Smallest count k with P(Binomial(trials, p) <= k) >= q, for 0 < q < 1:
     the continuous inverse rounded up (NaN, read as 0, where even k = 0
     reaches q), then one count less where that count reaches q too."""
-    k = np.ceil(np.nan_to_num(bdtrik(q, trials, p)))
+    k = np.ceil(np.nan_to_num(statfun.bdtrik(q, trials, p)))
     below = np.maximum(k - 1.0, 0.0)
-    return np.where(bdtr(below, trials, p) >= q, below, k)
+    return np.where(statfun.bdtr(below, trials, p) >= q, below, k)
 
 
 def _failure_z(analytic: float | None, mc: Estimate) -> float | None:

@@ -5,7 +5,9 @@ built from three ingredients: the standard normal CDF and its complement,
 one adaptive Gauss-Kronrod quadrature that integrates a whole batch of
 integrands as numpy arrays and raises NumericsError rather than return
 an unconverged value, and a moment-matching approximation for a sum of
-lognormal powers expressed in dB.
+lognormal powers expressed in dB. The curves read scipy.special's five
+ufuncs from here, imported on first use (rss and failure figures, `compare`,
+`validate`; never `trace`, the protocol estimator or the other figures).
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 # dB-to-natural-log scale: 10^(x/10) = exp(LAMBDA * x)
 _LAMBDA = math.log(10.0) / 10.0
+
+
+def __getattr__(name: str):  # import scipy.special on first use: most of our import time
+    if name not in ("ndtr", "erfc", "erfcx", "bdtr", "bdtrik"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.special
+    return globals().setdefault(name, getattr(scipy.special, name))
 
 
 class NumericsError(RuntimeError):

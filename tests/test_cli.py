@@ -219,6 +219,76 @@ def test_cli_import_leaves_scipy_stats_and_integrate_out():
     assert out.stdout.strip() == "[]"
 
 
+_PROTOCOL = ("from railhandover import PositionGrid, Scenario, SeedPolicy\n"
+             "from railhandover.montecarlo import estimate_protocol\n"
+             "sc = Scenario()\n"
+             "estimate_protocol(sc, PositionGrid.for_scenario(sc), 5, SeedPolicy(7))")
+_RSS = ("from railhandover.cli import main\n"
+        "assert main(['run', '--figure', 'rss', '--trials', '40', '--schemes', 'proposed',"
+        " '--out', sys.argv[1]]) == 0")
+
+
+@pytest.mark.parametrize("code, loads_special", [
+    ("import railhandover, railhandover.cli", False),
+    (_PROTOCOL, False),
+    ("from railhandover.cli import main\nassert main(['trace']) == 0", False),
+    (_RSS, True),
+], ids=["import", "estimate_protocol", "trace", "run-rss"])
+def test_scipy_special_loads_only_where_an_analytic_curve_needs_it(tmp_path, code,
+                                                                   loads_special):
+    """A structural check, not a timing, each in a fresh interpreter: importing
+    the package, the protocol estimator and `trace` leave scipy.special
+    unloaded; the rss figure loads it. No path loads scipy.stats or
+    scipy.integrate."""
+    import subprocess
+    import sys
+
+    probe = (f"import sys\n{code}\nprint(sorted(m for m in "
+             "('scipy.special', 'scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                         text=True, check=True)
+    loaded = out.stdout.strip().splitlines()[-1]
+    assert loaded == ("['scipy.special']" if loads_special else "[]")
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = f"SystemExit({exc.code})"
+    return code, capsys.readouterr()
+
+
+def test_one_parser_per_process_parses_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    """main parses with the parser built at import. Calls in a row, each
+    with other verbs and flags, exit, print and parse as they do with a
+    parser built for that call alone."""
+    from railhandover import cli
+
+    argvs = [
+        ["trace", "--seed", "7", "--schemes", "traditional", "--out", str(tmp_path / "t")],
+        ["run", "--figure", "trigger", *_base_args(tmp_path)],
+        ["trace"],
+        ["run", "--figure", "trigger", "--trials", "0"],
+        ["validate", "--seed", "3", "--bogus"],
+        ["trace", "--seed", "7", "--mode", "paper"],
+    ]
+
+    def no_new_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_new_parser)
+    shared = [_outcome(argv, capsys) for argv in argvs]
+    monkeypatch.undo()
+    for argv, outcome in zip(argvs, shared):
+        fresh = cli._build_parser()
+        if argv[-1] != "--bogus":
+            assert vars(cli._PARSER.parse_args(argv)) == vars(fresh.parse_args(argv))
+        monkeypatch.setattr(cli, "_PARSER", fresh)
+        assert _outcome(argv, capsys) == outcome
+    assert [code for code, _ in shared] == [0, 0, 0, 2, "SystemExit(2)", 0]
+
+
 def test_compare_single_scheme_exits_0(tmp_path, capsys):
     code = main(["compare", *_base_args(tmp_path), "--trials", "20000",
                  "--jobs", "8"])

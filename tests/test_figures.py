@@ -120,6 +120,25 @@ def test_result_table_round_trip(tmp_path):
     assert back.column("value") == [0.123457, None]
 
 
+def _quantized_text(cell) -> str:
+    """A cell as a table wrote it when it quantized first and formatted the result again."""
+    q = _quantize(cell)
+    return "" if q is None else q if isinstance(q, str) else f"{q:.6g}"
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.none(), st.text(alphabet="ab_", max_size=3),
+                          st.floats(), st.integers(-10**20, 10**20)), min_size=1, max_size=6))
+def test_text_kept_from_build_is_the_text_of_its_quantized_rows(cells):
+    """build formats each cell once and keeps that text for write: it equals
+    the quantized value formatted again, so a table built from read-back
+    rows writes the same bytes."""
+    columns = tuple(f"c{i}" for i in range(len(cells)))
+    built = ResultTable.build(columns, [cells], "p")
+    assert built.lines == (",".join(map(_quantized_text, cells)),)
+    assert ResultTable(columns, built.rows, "p").lines == built.lines
+
+
 def test_figure_filenames():
     assert Figure.RSS.filename == "fig3_rss.csv"
     assert Figure.TRIGGER.filename == "fig4_trigger.csv"

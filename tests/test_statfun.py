@@ -210,3 +210,28 @@ def test_geometry_component_sum_vs_draw_oracle():
              -41.80380949680779]
     sup = _sup_distance_vs_draws(means, [4.0] * 4, seed=20240309)
     assert sup <= 0.03
+
+
+def test_scipy_special_names_load_on_first_use_and_nothing_else_does():
+    """statfun's five scipy.special names are scipy's own ufuncs, read on
+    first use. Any other name raises AttributeError without importing
+    scipy.special: a probe for cache_clear, as a cache-clearing loop over
+    module attributes makes, leaves it unloaded in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    import scipy.special
+
+    from railhandover import statfun
+
+    probe = ("import sys\n"
+             "from railhandover import statfun\n"
+             "assert getattr(statfun, 'cache_clear', None) is None\n"
+             "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+    for name in ("ndtr", "erfc", "erfcx", "bdtr", "bdtrik"):
+        assert getattr(statfun, name) is getattr(scipy.special, name)
+    with pytest.raises(AttributeError, match="no attribute 'erf'"):
+        statfun.erf

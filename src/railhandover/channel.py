@@ -14,9 +14,9 @@ train antenna sees one RSS random variable per cell:
 * TRADITIONAL: a single base-station link at full power.
 
 `link_table` is the one producer of these statistics: it evaluates every
-link of a grid at once, as arrays, with the scalar `math` kernels of
-`path_loss` and `link_distance` applied elementwise, and every analytic
-curve, Monte Carlo sweep and protocol run reads its (mu, sigma) arrays.
+link of a grid at once, as arrays, with the scalar `math.hypot` distance
+and `path_loss` kernels applied elementwise, and every analytic curve,
+Monte Carlo sweep and protocol run reads its (mu, sigma) arrays.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
 if TYPE_CHECKING:
     from .analytics import PositionGrid
 
-# the scalar kernels of link_distance and path_loss, elementwise: numpy's own
-# hypot and log10 differ from math's in the last bit
+# the scalar math.hypot distance and path_loss kernels, elementwise: numpy's
+# own hypot and log10 differ from math's in the last bit
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _log10 = np.vectorize(math.log10, otypes=[float])
 

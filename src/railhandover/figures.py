@@ -115,10 +115,6 @@ def _cell(value) -> tuple:
     return (float(text) if text else None), text
 
 
-def _quantize(value):
-    return _cell(value)[0]
-
-
 @dataclass(frozen=True)
 class ResultTable:
     """One CSV worth of results: its cells, provenance line and rows' CSV text."""
@@ -126,15 +122,12 @@ class ResultTable:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     provenance: str
-    lines: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    lines: tuple[str, ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("every row must match the header width")
-        if self.lines is None:
-            object.__setattr__(self, "lines", tuple(
-                ",".join(_cell(c)[1] for c in row) for row in self.rows))
 
     @classmethod
     def build(cls, columns, rows, provenance: str) -> "ResultTable":

@@ -12,11 +12,16 @@ attempts are radio-limited only: an attempt fails when the sampled
 target RSS at the attempt position is below the usable threshold, and
 the antenna retries at the next position whose measurement satisfies
 the trigger rule.
+
+The procedure is data: `_TABLE` holds one row per legal (phase, input
+kind), `transition` is one lookup in it, and each phase has exactly one
+state (`_STATES`), since its attachments, dual-cast flag and selected
+RAU follow from the phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,6 +40,9 @@ class Phase(Enum):
     COMPLETING = "Completing"
     DONE = "Done"
 
+    # members are singletons: hash by identity, not Enum's Python-level hash
+    __hash__ = object.__hash__
+
 
 class EventKind(Enum):
     MEASUREMENT_REPORT = "MeasurementReport"
@@ -48,15 +56,8 @@ class EventKind(Enum):
     DUALCAST_FINISH = "DualcastFinish"
     DUALCAST_FINISH_ACK = "DualcastFinishAck"
 
+    __hash__ = object.__hash__
 
-# Events fed into the machine; all other kinds are only ever emitted by it.
-_INPUT_KINDS = frozenset({
-    EventKind.MEASUREMENT_REPORT,
-    EventKind.HO_REQUEST_ACK,
-    EventKind.FRONT_ATTACHED,
-    EventKind.REAR_ATTACHED,
-    EventKind.DUALCAST_FINISH_ACK,
-})
 
 # During the handover the target cell powers its boundary RAU.
 _HANDOVER_RAU_INDEX = 1
@@ -93,11 +94,44 @@ class ProtocolViolation(RuntimeError):
         self.kind = kind
 
 
-def _triggered(rss: tuple[float, float] | None, hysteresis: float) -> bool:
-    if rss is None:
-        return False
-    serving, target = rss
-    return target - serving > hysteresis
+_S, _T = CellId.SERVING, CellId.TARGET
+_FRONT, _REAR = AntennaId.FRONT, AntennaId.REAR
+
+# The one state of each phase: front cell, rear cell, dual-cast, selected RAU.
+_STATES = {phase: HandoverState(phase, *fields) for phase, fields in (
+    (Phase.IDLE, (_S, _S, False, None)),
+    (Phase.PREPARATION_FRONT, (_S, _S, False, _HANDOVER_RAU_INDEX)),
+    (Phase.EXECUTING_FRONT, (_S, _S, True, _HANDOVER_RAU_INDEX)),
+    (Phase.AWAIT_REAR, (_T, _S, True, _HANDOVER_RAU_INDEX)),
+    (Phase.EXECUTING_REAR, (_T, _S, True, _HANDOVER_RAU_INDEX)),
+    (Phase.COMPLETING, (_T, _T, True, _HANDOVER_RAU_INDEX)),
+    (Phase.DONE, (_T, _T, False, None)),
+)}
+
+# (phase, input kind) -> (antenna whose trigger rule a measurement report
+# needs, next phase, emitted (kind, antenna, RAU index) messages)
+_TABLE = {
+    (Phase.IDLE, EventKind.MEASUREMENT_REPORT): (
+        _FRONT, Phase.PREPARATION_FRONT, ((EventKind.HO_REQUEST, _FRONT, _HANDOVER_RAU_INDEX),)),
+    (Phase.PREPARATION_FRONT, EventKind.HO_REQUEST_ACK): (
+        None, Phase.EXECUTING_FRONT,
+        ((EventKind.HO_COMMAND_FRONT, _FRONT, None), (EventKind.DUALCAST_START, None, None))),
+    # retry of a failed front attempt
+    (Phase.EXECUTING_FRONT, EventKind.MEASUREMENT_REPORT): (
+        _FRONT, Phase.EXECUTING_FRONT, ((EventKind.HO_COMMAND_FRONT, _FRONT, None),)),
+    (Phase.EXECUTING_FRONT, EventKind.FRONT_ATTACHED): (None, Phase.AWAIT_REAR, ()),
+    (Phase.AWAIT_REAR, EventKind.MEASUREMENT_REPORT): (
+        _REAR, Phase.EXECUTING_REAR, ((EventKind.HO_COMMAND_REAR, _REAR, None),)),
+    # retry of a failed rear attempt
+    (Phase.EXECUTING_REAR, EventKind.MEASUREMENT_REPORT): (
+        _REAR, Phase.EXECUTING_REAR, ((EventKind.HO_COMMAND_REAR, _REAR, None),)),
+    (Phase.EXECUTING_REAR, EventKind.REAR_ATTACHED): (
+        None, Phase.COMPLETING, ((EventKind.DUALCAST_FINISH, None, None),)),
+    (Phase.COMPLETING, EventKind.DUALCAST_FINISH_ACK): (None, Phase.DONE, ()),
+}
+
+# Events fed into the machine; all other kinds are only ever emitted by it.
+_INPUT_KINDS = frozenset(kind for _, kind in _TABLE)
 
 
 def transition(state: HandoverState, event: ProtocolEvent,
@@ -105,62 +139,22 @@ def transition(state: HandoverState, event: ProtocolEvent,
     """Apply one input event; return the new state and emitted messages.
 
     Measurement reports are legal in every phase (they are periodic) and
-    act only where the transition table reacts to them; every other input
-    kind is legal in exactly one phase.
+    act only where the table has a row for them and the row's antenna
+    triggers; every other input kind is legal only in the phases whose
+    row names it.
     """
-    kind = event.kind
-    if kind not in _INPUT_KINDS:
-        raise ProtocolViolation(state.phase, kind)
-    phase = state.phase
-
-    if kind is EventKind.MEASUREMENT_REPORT:
-        if phase is Phase.IDLE and _triggered(event.front_rss, hysteresis):
-            emitted = [ProtocolEvent(EventKind.HO_REQUEST, event.position,
-                                     AntennaId.FRONT, rau_index=_HANDOVER_RAU_INDEX)]
-            return replace(state, phase=Phase.PREPARATION_FRONT,
-                           selected_rau_index=_HANDOVER_RAU_INDEX), emitted
-        if phase is Phase.EXECUTING_FRONT and _triggered(event.front_rss, hysteresis):
-            # retry of a failed front attempt
-            return state, [ProtocolEvent(EventKind.HO_COMMAND_FRONT, event.position,
-                                         AntennaId.FRONT)]
-        if phase is Phase.AWAIT_REAR and _triggered(event.rear_rss, hysteresis):
-            return (replace(state, phase=Phase.EXECUTING_REAR),
-                    [ProtocolEvent(EventKind.HO_COMMAND_REAR, event.position,
-                                   AntennaId.REAR)])
-        if phase is Phase.EXECUTING_REAR and _triggered(event.rear_rss, hysteresis):
-            # retry of a failed rear attempt
-            return state, [ProtocolEvent(EventKind.HO_COMMAND_REAR, event.position,
-                                         AntennaId.REAR)]
-        return state, []
-
-    if kind is EventKind.HO_REQUEST_ACK:
-        if phase is not Phase.PREPARATION_FRONT:
-            raise ProtocolViolation(phase, kind)
-        emitted = [
-            ProtocolEvent(EventKind.HO_COMMAND_FRONT, event.position, AntennaId.FRONT),
-            ProtocolEvent(EventKind.DUALCAST_START, event.position),
-        ]
-        return replace(state, phase=Phase.EXECUTING_FRONT, dualcast_active=True), emitted
-
-    if kind is EventKind.FRONT_ATTACHED:
-        if phase is not Phase.EXECUTING_FRONT:
-            raise ProtocolViolation(phase, kind)
-        return replace(state, phase=Phase.AWAIT_REAR,
-                       front_attached=CellId.TARGET), []
-
-    if kind is EventKind.REAR_ATTACHED:
-        if phase is not Phase.EXECUTING_REAR:
-            raise ProtocolViolation(phase, kind)
-        return (replace(state, phase=Phase.COMPLETING, rear_attached=CellId.TARGET),
-                [ProtocolEvent(EventKind.DUALCAST_FINISH, event.position)])
-
-    if kind is EventKind.DUALCAST_FINISH_ACK:
-        if phase is not Phase.COMPLETING:
-            raise ProtocolViolation(phase, kind)
-        return replace(state, phase=Phase.DONE, dualcast_active=False,
-                       selected_rau_index=None), []
-
-    raise ProtocolViolation(phase, kind)  # unreachable
+    row = _TABLE.get((state.phase, event.kind))
+    if row is None:
+        if event.kind is EventKind.MEASUREMENT_REPORT:
+            return state, []
+        raise ProtocolViolation(state.phase, event.kind)
+    antenna, phase, emits = row
+    if antenna is not None:
+        rss = event.front_rss if antenna is _FRONT else event.rear_rss
+        if rss is None or not rss[1] - rss[0] > hysteresis:
+            return state, []
+    return _STATES[phase], [ProtocolEvent(kind, event.position, to, rau_index=rau)
+                            for kind, to, rau in emits]
 
 
 # === Crossing simulation ===
@@ -215,6 +209,16 @@ def _require_two_antennas(sc: Scenario) -> None:
                          f"scheme {sc.scheme.value} has {len(sc.antennas())}")
 
 
+# The environment's response to an emitted message: an ack, or an attach
+# attempt by the antenna at index a (front 0, rear 1) that reports success.
+_RESPONSES = {
+    EventKind.HO_REQUEST: (None, EventKind.HO_REQUEST_ACK),
+    EventKind.HO_COMMAND_FRONT: (0, EventKind.FRONT_ATTACHED),
+    EventKind.HO_COMMAND_REAR: (1, EventKind.REAR_ATTACHED),
+    EventKind.DUALCAST_FINISH: (None, EventKind.DUALCAST_FINISH_ACK),
+}
+
+
 def run_crossing(sc: Scenario, grid: PositionGrid,
                  rng: np.random.Generator) -> tuple[CrossingOutcome, list[TraceEntry]]:
     """Walk the grid once and drive the handover procedure to completion.
@@ -233,8 +237,11 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     _require_two_antennas(sc)
     table = channel.link_table(sc, grid)
     (cell,), ((serving,), (target,)) = _draw_crossings(table, [rng])
-    # per antenna and position, the (serving, target) comparands as floats
-    reports = np.stack((serving, target), axis=-1).tolist()
+    # per antenna: the (serving, target) comparands at each position, whether
+    # the target comparand is usable, and per cell whether its RSS is below
+    reports = [list(zip(s, t)) for s, t in zip(serving.tolist(), target.tolist())]
+    usable = (target >= sc.threshold).tolist()
+    below = (cell < sc.threshold).tolist()
     state = HandoverState()
     trace: list[TraceEntry] = []
     attached = [0, 0]  # per antenna, front then rear: its cell's index in CELLS
@@ -251,39 +258,25 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
         trace.append(TraceEntry(event.position, before, event, after))
         # record the whole emission batch before reacting, so a trace is a
         # flat input-then-emissions sequence that a replay can verify
-        for out in emitted:
-            trace.append(TraceEntry(out.position, after, out, after))
-        for out in emitted:
-            react(out)
-
-    def react(message: ProtocolEvent) -> None:
+        trace.extend(TraceEntry(out.position, after, out, after) for out in emitted)
         # environment side: zero-latency responses within the grid step
-        if message.kind is EventKind.HO_REQUEST:
-            feed(ProtocolEvent(EventKind.HO_REQUEST_ACK, message.position))
-        elif message.kind is EventKind.HO_COMMAND_FRONT:
-            attempt(0, message.position)
-        elif message.kind is EventKind.HO_COMMAND_REAR:
-            attempt(1, message.position)
-        elif message.kind is EventKind.DUALCAST_FINISH:
-            feed(ProtocolEvent(EventKind.DUALCAST_FINISH_ACK, message.position))
+        for out in emitted:
+            if out.kind not in _RESPONSES:
+                continue
+            a, response = _RESPONSES[out.kind]
+            if a is None:
+                feed(ProtocolEvent(response, out.position))
+            elif usable[a][j]:  # an attach attempt at the walk's grid index j
+                attached[a] = 1
+                ho_position[a] = out.position
+                feed(ProtocolEvent(response, out.position, table.antennas[a]))
+            else:
+                failed[a] = True
 
-    def attempt(a: int, position: float) -> None:
-        if target[a, position_index[position]] >= sc.threshold:
-            attached[a] = 1
-            ho_position[a] = position
-            done_kind = (EventKind.FRONT_ATTACHED, EventKind.REAR_ATTACHED)[a]
-            feed(ProtocolEvent(done_kind, position, table.antennas[a]))
-        else:
-            failed[a] = True
-
-    position_index = {x: j for j, x in enumerate(grid.positions)}
-
-    for j, x in enumerate(grid.positions):
-        feed(ProtocolEvent(EventKind.MEASUREMENT_REPORT, x,
-                           front_rss=tuple(reports[0][j]), rear_rss=tuple(reports[1][j])))
+    for j, (x, front, rear) in enumerate(zip(grid.positions, *reports)):
+        feed(ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear))
         # threshold check against each antenna's attached cell
-        below = all(cell[a, attached[a], j] < sc.threshold for a in (0, 1))
-        if below:
+        if below[0][attached[0]][j] and below[1][attached[1]][j]:
             run_start = x if run_start is None else run_start
         elif run_start is not None:
             interrupted_runs.append((run_start, grid.positions[j - 1]))

@@ -162,8 +162,3 @@ def antenna_x(sc: Scenario, front_x: float, antenna: AntennaId) -> float:
     if antenna is AntennaId.FRONT:
         return front_x
     return front_x - sc.train_length
-
-
-def link_distance(antenna_along: float, node: NodePosition) -> float:
-    """Euclidean distance from a train antenna to a transmit node."""
-    return math.hypot(node.along_track - antenna_along, node.offset)

@@ -23,17 +23,22 @@ from railhandover.scenario import (
     SELECTION_SCHEMES,
     AntennaId,
     CellId,
+    NodePosition,
     Scenario,
     Scheme,
     SelectionRule,
     antenna_x,
     bs_position,
-    link_distance,
     rau_positions,
 )
 from railhandover.statfun import lognormal_sum_approx, q_function, std_normal_cdf
 
 # === Link statistics ===
+
+
+def link_distance(antenna_along: float, node: NodePosition) -> float:
+    """Euclidean distance from a train antenna to a transmit node."""
+    return math.hypot(node.along_track - antenna_along, node.offset)
 
 
 @dataclass(frozen=True)

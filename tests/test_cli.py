@@ -329,6 +329,24 @@ def test_trace_to_file_and_determinism(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == t1
 
 
+TRACE_GOLDEN = Path(__file__).parent / "golden" / "trace"
+
+
+@pytest.mark.parametrize("name,args,config", [
+    ("default", [], None),
+    ("traditional", ["--schemes", "traditional"], None),
+    ("mean_pathloss", [], "selection = mean-pathloss\n"),
+], ids=["default", "traditional", "mean_pathloss"])
+def test_trace_matches_golden(tmp_path, capsys, name, args, config):
+    """`trace --seed 7` output, byte for byte. A deliberate change to the
+    procedure or the trace format must come with regenerated files."""
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = [*args, "--config", str(tmp_path / "run.cfg")]
+    assert main(["trace", "--seed", "7", *args]) == 0
+    assert capsys.readouterr().out == (TRACE_GOLDEN / f"{name}.tsv").read_text()
+
+
 def test_trace_rejects_single_antenna_scheme(capsys):
     code = main(["trace", "--schemes", "das-single"])
     assert code == 2

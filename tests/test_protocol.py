@@ -157,6 +157,83 @@ def test_emitted_kinds_cannot_be_fed_back():
                    hysteresis=2.0)
 
 
+_S, _T, _F, _B = CellId.SERVING, CellId.TARGET, AntennaId.FRONT, AntennaId.REAR
+
+# the one state of each phase: front cell, rear cell, dual-cast, selected RAU
+PHASE_STATES = {
+    Phase.IDLE: HandoverState(Phase.IDLE, _S, _S, False, None),
+    Phase.PREPARATION_FRONT: HandoverState(Phase.PREPARATION_FRONT, _S, _S, False, 1),
+    Phase.EXECUTING_FRONT: HandoverState(Phase.EXECUTING_FRONT, _S, _S, True, 1),
+    Phase.AWAIT_REAR: HandoverState(Phase.AWAIT_REAR, _T, _S, True, 1),
+    Phase.EXECUTING_REAR: HandoverState(Phase.EXECUTING_REAR, _T, _S, True, 1),
+    Phase.COMPLETING: HandoverState(Phase.COMPLETING, _T, _T, True, 1),
+    Phase.DONE: HandoverState(Phase.DONE, _T, _T, False, None),
+}
+
+# Measurement reports by which antenna's (serving, target) pair triggers at
+# hysteresis 2; a quiet pair sits exactly at the hysteresis, a missing one
+# carries no comparands.
+_QUIET, _LEADS = (-40.0, -38.0), (-40.0, -30.0)
+REPORTS = {
+    "quiet": (_QUIET, _QUIET),
+    "front": (_LEADS, _QUIET),
+    "rear": (_QUIET, _LEADS),
+    "both": (_LEADS, _LEADS),
+    "missing": (None, None),
+}
+
+_FRONT_CMD = (EventKind.HO_COMMAND_FRONT, _F, None)
+_REAR_CMD = (EventKind.HO_COMMAND_REAR, _B, None)
+_MR = EventKind.MEASUREMENT_REPORT
+# (phase, input) -> (next phase, emitted (kind, antenna, rau_index)); a report
+# not listed leaves the state as it is, any other input not listed is illegal
+TABLE = {
+    (Phase.IDLE, "front"): (Phase.PREPARATION_FRONT, [(EventKind.HO_REQUEST, _F, 1)]),
+    (Phase.IDLE, "both"): (Phase.PREPARATION_FRONT, [(EventKind.HO_REQUEST, _F, 1)]),
+    (Phase.PREPARATION_FRONT, EventKind.HO_REQUEST_ACK): (
+        Phase.EXECUTING_FRONT, [_FRONT_CMD, (EventKind.DUALCAST_START, None, None)]),
+    (Phase.EXECUTING_FRONT, "front"): (Phase.EXECUTING_FRONT, [_FRONT_CMD]),
+    (Phase.EXECUTING_FRONT, "both"): (Phase.EXECUTING_FRONT, [_FRONT_CMD]),
+    (Phase.EXECUTING_FRONT, EventKind.FRONT_ATTACHED): (Phase.AWAIT_REAR, []),
+    (Phase.AWAIT_REAR, "rear"): (Phase.EXECUTING_REAR, [_REAR_CMD]),
+    (Phase.AWAIT_REAR, "both"): (Phase.EXECUTING_REAR, [_REAR_CMD]),
+    (Phase.EXECUTING_REAR, "rear"): (Phase.EXECUTING_REAR, [_REAR_CMD]),
+    (Phase.EXECUTING_REAR, "both"): (Phase.EXECUTING_REAR, [_REAR_CMD]),
+    (Phase.EXECUTING_REAR, EventKind.REAR_ATTACHED): (
+        Phase.COMPLETING, [(EventKind.DUALCAST_FINISH, None, None)]),
+    (Phase.COMPLETING, EventKind.DUALCAST_FINISH_ACK): (Phase.DONE, []),
+}
+
+_INPUTS = [*REPORTS, *(kind for kind in EventKind if kind is not _MR)]
+
+
+@pytest.mark.parametrize("phase,given", [(p, g) for p in Phase for g in _INPUTS],
+                         ids=lambda v: getattr(v, "value", v))
+def test_transition_table(phase, given):
+    """Every phase against every input: the next state and the emitted
+    (kind, position, antenna, rau_index) list, or the exact violation.
+    Emitted kinds fed back in are illegal in every phase."""
+    state = PHASE_STATES[phase]
+    if given in REPORTS:
+        front, rear = REPORTS[given]
+        event = ProtocolEvent(_MR, 1500.0, front_rss=front, rear_rss=rear)
+    else:
+        event = ProtocolEvent(given, 1500.0)
+    if (phase, given) in TABLE:
+        after, emitted = TABLE[phase, given]
+        expected = (PHASE_STATES[after], [(k, 1500.0, a, r) for k, a, r in emitted])
+    elif given in REPORTS:
+        expected = (state, [])
+    else:
+        with pytest.raises(ProtocolViolation) as err:
+            transition(state, event, hysteresis=2.0)
+        assert str(err.value) == f"event {given.value} is illegal in phase {phase.value}"
+        assert (err.value.phase, err.value.kind) == (phase, given)
+        return
+    got, out = transition(state, event, hysteresis=2.0)
+    assert (got, [(e.kind, e.position, e.antenna, e.rau_index) for e in out]) == expected
+
+
 # --- full crossings ---
 
 

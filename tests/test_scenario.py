@@ -16,9 +16,9 @@ from railhandover.scenario import (
     SelectionRule,
     antenna_x,
     bs_position,
-    link_distance,
     rau_positions,
 )
+from link_oracle import link_distance
 
 
 def test_default_parameters(sc):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -75,16 +74,16 @@ class PositionGrid:
         return np.asarray(self.positions, dtype=float)
 
 
-def _check_antenna(sc: Scenario, antenna: AntennaId) -> None:
-    if antenna not in sc.antennas():
-        raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
-
-
 # === Trigger probability ===
 
 
-def _comparands(table: channel.LinkTable, antenna: AntennaId) -> tuple[np.ndarray, ...]:
-    """Serving mu, sigma and target mu, sigma of the handover rule at every position."""
+def comparands(sc: Scenario, grid: PositionGrid,
+               antenna: AntennaId = AntennaId.FRONT) -> tuple[np.ndarray, ...]:
+    """Serving mu, sigma and target mu, sigma of the antenna's handover rule
+    at every grid position; ValueError if the scheme has no such antenna."""
+    if antenna not in sc.antennas():
+        raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
+    table = channel.link_table(sc, grid)
     a, (s, t) = table.antennas.index(antenna), table.trigger_column
     return (table.mu[:, a, 0, s], table.sigma[:, a, 0, s],
             table.mu[:, a, 1, t], table.sigma[:, a, 1, t])
@@ -98,8 +97,7 @@ def trigger_curve(sc: Scenario, grid: PositionGrid,
     selection, the cell RSS otherwise), so P(target - serving > hysteresis)
     is the closed form Q((hysteresis - margin) / hypot(sigma_s, sigma_t)).
     """
-    _check_antenna(sc, antenna)
-    mu_s, sigma_s, mu_t, sigma_t = _comparands(channel.link_table(sc, grid), antenna)
+    mu_s, sigma_s, mu_t, sigma_t = comparands(sc, grid, antenna)
     return _q((sc.hysteresis - (mu_t - mu_s)) / _hypot(sigma_s, sigma_t))
 
 
@@ -161,28 +159,24 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
     scenarios is integrated once, in one batch, so schemes with equal
     pairs (das-single and the proposed front antenna) share them.
     """
-    for sc in scs:
-        _check_antenna(sc, antenna)
     count = len(grid.positions)
-    rows = np.concatenate([np.column_stack(_comparands(channel.link_table(sc, grid), antenna)
+    rows = np.concatenate([np.column_stack(comparands(sc, grid, antenna)
                                            + (np.full(count, sc.hysteresis),
                                               np.full(count, sc.threshold)))
                            for sc in scs])
     distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    values = _failure_rows(distinct.tobytes(), mode, antenna,
-                           tuple(grid.positions[j % count] for j in first))
+    values = _failure_rows(distinct, mode, antenna,
+                           [grid.positions[j % count] for j in first])
     values = [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
     return tuple(values[k * count:(k + 1) * count] for k in range(len(scs)))
 
 
-@lru_cache(maxsize=32)
-def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
-                  at: tuple[float, ...]) -> np.ndarray:
+def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
+                  at: Sequence[float]) -> np.ndarray:
     """Conditional failure of each (serving mu, sigma, target mu, sigma,
-    hysteresis, threshold) row of data (float64 bytes), NaN below
-    TRIGGER_FLOOR; errors name row r by the antenna and at[r]. Calls with
-    equal rows share the cached values."""
-    mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = np.frombuffer(data).reshape(-1, 6).T
+    hysteresis, threshold) row of pairs, NaN below TRIGGER_FLOOR; errors
+    name row r by the antenna and at[r]."""
+    mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = pairs.T
     sigma_v = np.hypot(sigma_s, sigma_t)
     z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
     p_trig = 0.5 * statfun.erfc(z0 / _SQRT2)
@@ -224,7 +218,6 @@ def _failure_rows(data: bytes, mode: MetricMode, antenna: AntennaId,
         out = np.clip(np.where(z0 < -8.0, out / p_trig, out), 0.0, 1.0)
         if mode is MetricMode.PAPER:
             out = np.maximum(statfun.ndtr((threshold - mu_t) / sigma_t) / p_trig - out, 0.0)
-    out.flags.writeable = False
     return out
 
 

@@ -24,7 +24,6 @@ from ._version import __version__
 from .analytics import MetricMode, PositionGrid
 from .montecarlo import (
     Estimate,
-    FirstCrossingEstimate,
     PointwiseEstimate,
     SeedPolicy,
     estimate_first_crossing,
@@ -135,10 +134,6 @@ class ResultTable:
         return cls(tuple(columns), tuple(tuple(v for v, _ in row) for row in cells),
                    provenance, tuple(",".join(t for _, t in row) for row in cells))
 
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def write(self, path: Path) -> None:
         lines = (f"# provenance: {self.provenance}", ",".join(self.columns), *self.lines)
         Path(path).write_text("\n".join(lines) + "\n")
@@ -151,29 +146,34 @@ def _tag(scheme: Scheme) -> str:
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
-    The Monte Carlo sweeps run once per run, for every configured scheme
-    together, on the first request: one pointwise sweep computing every
-    position-wise metric as arrays, mean RSS included only once a figure
-    asks for it, and one first-crossing sweep. Every scheme reads a prefix
-    of the same keyed substreams, so a sweep rerun with mean RSS
-    reproduces the earlier arrays exactly, and a scheme whose links repeat
-    another's reads that scheme's counts. The results are kept per scheme;
-    the failure curves of every scheme come from one quadrature batch per
-    mode, and the other analytic curves are cached per (scheme, mode).
+    Every curve figure (trigger, occurrence, failure, interruption) is an
+    analytic curve beside a Monte Carlo Estimate, read through
+    analytic(scheme, figure, mode) and mc(scheme, figure). Each is
+    computed on the first request, for every configured scheme together,
+    and kept per scheme. The Monte Carlo sweeps run once per run: one
+    pointwise sweep computing every position-wise metric as arrays, mean
+    RSS included only once a figure asks for it, and one first-crossing
+    sweep for occurrence. Every scheme reads a prefix of the same keyed
+    substreams, so a sweep rerun with mean RSS reproduces the earlier
+    arrays exactly, and a scheme whose links repeat another's reads that
+    scheme's counts. The analytic curves are kept per mode, trigger's
+    without one, and the failure curves of every scheme come from one
+    quadrature batch per mode.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.grid = PositionGrid.over(config.scenario.ds, config.step)
         self.seed = SeedPolicy(config.master_seed)
-        self.scenarios = tuple(self.scenario_for(s) for s in config.schemes)
+        self.scenarios = tuple(config.scenario.with_scheme(s) for s in config.schemes)
         self._pointwise: dict[Scheme, PointwiseEstimate] = {}
-        self._cache: dict[tuple, object] = {}
+        self._cache: dict[tuple, dict] = {}
 
-    def scenario_for(self, scheme: Scheme) -> Scenario:
-        return self.config.scenario.with_scheme(scheme)
-
-    # --- Monte Carlo caches ---
+    def _per_scheme(self, key: tuple, compute: Callable) -> dict:
+        """compute()'s values, one per configured scheme, computed once per key."""
+        if key not in self._cache:
+            self._cache[key] = dict(zip(self.config.schemes, compute()))
+        return self._cache[key]
 
     def pointwise(self, scheme: Scheme, mean_rss: bool) -> PointwiseEstimate:
         cached = self._pointwise.get(scheme)
@@ -184,8 +184,13 @@ class FigureRunner:
         return self._pointwise[scheme]
 
     def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
-        """The figure's Monte Carlo column: the front antenna's, or for
-        interruption the scheme-level one."""
+        """The figure's Monte Carlo column: the front antenna's first-trigger
+        masses for occurrence, else the front antenna's pointwise column,
+        or for interruption the scheme-level one."""
+        if figure is Figure.OCCURRENCE:
+            return self._per_scheme(("crossing",), lambda: estimate_first_crossing(
+                self.scenarios, self.grid, self.config.trials, self.seed, AntennaId.FRONT,
+                jobs=self.config.jobs))[scheme]
         sweep = getattr(self.pointwise(scheme, figure is Figure.RSS), figure.value)
         column = -1 if figure is Figure.INTERRUPTION else 0
         return Estimate(*(a[:, column] for a in sweep))
@@ -194,43 +199,26 @@ class FigureRunner:
         """mc as one Estimate of Python numbers per position."""
         return [Estimate(*row) for row in zip(*(a.tolist() for a in self.mc(scheme, figure)))]
 
-    def crossing(self, scheme: Scheme) -> FirstCrossingEstimate:
-        return self._cached(("crossing",), lambda: dict(zip(
-            self.config.schemes, estimate_first_crossing(
-                self.scenarios, self.grid, self.config.trials, self.seed, AntennaId.FRONT,
-                jobs=self.config.jobs))))[scheme]
+    def analytic(self, scheme: Scheme, figure: Figure, mode: MetricMode) -> np.ndarray | list:
+        """The figure's analytic curve of the front antenna (failure: a list,
+        None where undefined); trigger does not depend on the mode."""
+        if figure is Figure.TRIGGER:
+            mode = None
+        return self._per_scheme((figure, mode), lambda: self._curves(figure, mode))[scheme]
 
-    # --- analytic caches ---
-
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def trigger_values(self, scheme: Scheme) -> np.ndarray:
-        return self._cached(("trigger", scheme), lambda: analytics.trigger_curve(
-            self.scenario_for(scheme), self.grid))
-
-    def occurrence_values(self, scheme: Scheme, mode: MetricMode) -> np.ndarray:
-        return self._cached(("occurrence", scheme, mode),
-                            lambda: analytics.occurrence_masses(
-                                self.trigger_values(scheme), self.grid.step, mode))
-
-    def failure_values(self, scheme: Scheme, mode: MetricMode) -> list:
-        return self._cached(("failure", mode), lambda: dict(zip(
-            self.config.schemes, analytics.failure_curve(
-                self.scenarios, self.grid, AntennaId.FRONT, mode))))[scheme]
-
-    def interruption_values(self, scheme: Scheme, mode: MetricMode) -> np.ndarray:
-        return self._cached(("interruption", scheme, mode),
-                            lambda: analytics.interruption_curve(
-                                self.scenario_for(scheme), self.grid, mode))
+    def _curves(self, figure: Figure, mode: MetricMode | None) -> list:
+        if figure is Figure.FAILURE:
+            return analytics.failure_curve(self.scenarios, self.grid, AntennaId.FRONT, mode)
+        if figure is Figure.OCCURRENCE:
+            return [analytics.occurrence_masses(self.analytic(s, Figure.TRIGGER, mode),
+                                                self.grid.step, mode) for s in self.config.schemes]
+        if figure is Figure.TRIGGER:
+            return [analytics.trigger_curve(sc, self.grid) for sc in self.scenarios]
+        return [analytics.interruption_curve(sc, self.grid, mode) for sc in self.scenarios]
 
     def rss_values(self, scheme: Scheme) -> dict[str, list]:
-        def compute():
+        def curves(means: np.ndarray) -> dict[str, list]:
             # better-cell mean per antenna: the larger of its two cell means
-            means, _ = channel.cell_means(self.scenarios, self.grid)[
-                self.config.schemes.index(scheme)]
             front, *rear = means.max(axis=2).T.tolist()
             if not rear:
                 none = [None] * len(front)
@@ -239,7 +227,8 @@ class FigureRunner:
             return {"front": front, "rear": rear[0], "best": [max(f, r) for f, r in pairs],
                     "combined": [10.0 * math.log10(10.0 ** (f / 10.0) + 10.0 ** (r / 10.0))
                                  for f, r in pairs]}
-        return self._cached(("rss", scheme), compute)
+        return self._per_scheme(("rss",), lambda: [
+            curves(means) for means, _ in channel.cell_means(self.scenarios, self.grid)])[scheme]
 
     # --- tables ---
 
@@ -257,15 +246,9 @@ class FigureRunner:
         columns, values = [], []
         for s in self.config.schemes:
             tag = _tag(s)
-            columns += [f"{tag}_analytic{suffix}", f"{tag}_mc", f"{tag}_mc_hw"]
-            if figure is Figure.OCCURRENCE:
-                mc = self.crossing(s)
-                values += [self.occurrence_values(s, mode), mc.masses, mc.half_widths]
-                continue
             mc = self.mc(s, figure)
-            values += [self.trigger_values(s) if figure is Figure.TRIGGER
-                       else self.failure_values(s, mode) if figure is Figure.FAILURE
-                       else self.interruption_values(s, mode), mc.value, mc.half_width_95]
+            columns += [f"{tag}_analytic{suffix}", f"{tag}_mc", f"{tag}_mc_hw"]
+            values += [self.analytic(s, figure, mode), mc.value, mc.half_width_95]
             if figure is Figure.FAILURE:
                 columns.append(f"{tag}_mc_base")
                 values.append(mc.base_count)
@@ -461,23 +444,23 @@ def _interruption_order(a, b, ea, eb) -> Mark:
 
 def _crossing_sides(runner: FigureRunner, *schemes: Scheme) -> list | None:
     """The first scheme's 0.5-crossing as the one position, then every crossing."""
-    xs = [analytics.first_level_crossing(runner.grid, runner.trigger_values(s), 0.5)
-          for s in schemes]
+    curves = (runner.analytic(s, Figure.TRIGGER, MetricMode.REDERIVED) for s in schemes)
+    xs = [analytics.first_level_crossing(runner.grid, curve, 0.5) for curve in curves]
     # a gap needs both crossings
     return None if len(xs) > 1 and None in xs else [[x] for x in xs[:1] + xs]
 
 
 def _occurrence_sides(runner: FigureRunner, s: Scheme) -> tuple:
-    analytic = runner.occurrence_values(s, MetricMode.REDERIVED)
-    return (runner.grid.positions, np.abs(analytic - runner.crossing(s).masses),
+    analytic = runner.analytic(s, Figure.OCCURRENCE, MetricMode.REDERIVED)
+    return (runner.grid.positions, np.abs(analytic - runner.mc(s, Figure.OCCURRENCE).value),
             _binomial_envelope(analytic, runner.config.trials))
 
 
 def _curve_sides(figure: Figure):
     """Positions, each scheme's rederived curve, then each scheme's MC rows."""
     def sides(runner: FigureRunner, *schemes: Scheme) -> list:
-        curve = runner.failure_values if figure is Figure.FAILURE else runner.interruption_values
-        return ([runner.grid.positions] + [curve(s, MetricMode.REDERIVED) for s in schemes]
+        return ([runner.grid.positions]
+                + [runner.analytic(s, figure, MetricMode.REDERIVED) for s in schemes]
                 + [runner.mc_rows(s, figure) for s in schemes])
     return sides
 
@@ -629,17 +612,12 @@ def validate_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     """
     runner, rederived, rows = FigureRunner(config), MetricMode.REDERIVED, []
     for s in config.schemes:
-        z = list(map(_failure_z, runner.failure_values(s, rederived),
+        z = list(map(_failure_z, runner.analytic(s, Figure.FAILURE, rederived),
                      runner.mc_rows(s, Figure.FAILURE)))
-        checks = {
-            "trigger": _normal_gaps(runner, runner.trigger_values(s),
-                                    runner.mc(s, Figure.TRIGGER).value),
-            "occurrence": _normal_gaps(runner, runner.occurrence_values(s, rederived),
-                                       runner.crossing(s).masses),
-            "interruption": _normal_gaps(runner, runner.interruption_values(s, rederived),
-                                         runner.mc(s, Figure.INTERRUPTION).value),
-            "failure_z": (runner.grid.positions, z, [_VALIDATE_Z_LIMIT] * len(z)),
-        }
+        checks = {figure.value: _normal_gaps(runner, runner.analytic(s, figure, rederived),
+                                             runner.mc(s, figure).value)
+                  for figure in (Figure.TRIGGER, Figure.OCCURRENCE, Figure.INTERRUPTION)}
+        checks["failure_z"] = (runner.grid.positions, z, [_VALIDATE_Z_LIMIT] * len(z))
         for name, sides in checks.items():
             worst = _tally(sides, _within_relative, floor=-math.inf).worst_values
             # no usable failure position reads as 0 standard errors

@@ -9,8 +9,10 @@ first-crossing keys name no scheme, so the two sweeps take every
 scenario of a run at once: each substream is drawn once and each
 scenario reads its prefix, the values it would draw alone, and a
 scenario whose links repeat another's reads that one's counts.
-Shadowing is drawn through `LinkTable.shadowed`, and the pointwise
-sweep returns its estimates as arrays over positions and antennas.
+Shadowing is drawn through `LinkTable.shadowed`. Both sweeps return
+`Estimate`s, arrays over positions: the pointwise sweep's have a column
+per antenna, the first-crossing sweep's hold the first-trigger masses.
+`figures.FigureRunner.mc` reads each curve figure's estimate from them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channel, protocol
-from .analytics import PositionGrid
+from .analytics import PositionGrid, comparands
 from .scenario import AntennaId, Scenario
 
 # Substream domain tags; part of the documented seed derivation.
@@ -240,23 +242,12 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
 # === First-crossing sweep ===
 
 
-@dataclass(frozen=True)
-class FirstCrossingEstimate:
-    """Histogram of the first triggering position over many crossings."""
-
-    grid: PositionGrid
-    masses: np.ndarray
-    half_widths: np.ndarray
-    no_trigger_fraction: float
-    trials: int
-    antenna: AntennaId
-
-
 def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
                             seed: SeedPolicy, antenna: AntennaId = AntennaId.FRONT,
-                            jobs: int = 1) -> tuple[FirstCrossingEstimate, ...]:
-    """Empirical occurrence distribution per scenario of scs: first position
-    whose fresh shadowing draw satisfies the trigger rule, walked left to right.
+                            jobs: int = 1) -> tuple[Estimate, ...]:
+    """Empirical occurrence distribution per scenario of scs: at each grid
+    position, the share of trials whose first fresh shadowing draw that
+    satisfies the trigger rule, walking left to right, falls there.
 
     Trials are drawn in fixed-size blocks; each block is an independent
     substream, drawn once and compared by every scenario, so an estimate
@@ -265,41 +256,26 @@ def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for sc in scs:
-        if antenna not in sc.antennas():
-            raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
-    tables, source = _sources(scs, grid)
-    comparands = {}
-    for k in sorted(set(source)):
-        t = tables[k]
-        a = t.antennas.index(antenna)
-        comparands[k] = [(t.mu[:, a, c, n], t.sigma[:, a, c, n])
-                         for c, n in enumerate(t.trigger_column)]
+    rules = [comparands(sc, grid, antenna) for sc in scs]
+    source = _sources(scs, grid)[1]
+    shadowing = sorted(set(source))
     n_pos = len(grid.positions)
-    n_blocks = (trials + _BLOCK - 1) // _BLOCK
 
-    def one_block(b: int) -> dict[int, tuple[np.ndarray, int]]:
+    def one_block(b: int) -> dict[int, np.ndarray]:
         size = min(_BLOCK, trials - b * _BLOCK)
         rng = seed.stream(DOMAIN_FIRST_CROSSING, antenna.value, b)
         z = rng.standard_normal((size, n_pos, 2))
         counts = {}
-        for k, ((mu_s, sig_s), (mu_t, sig_t)) in comparands.items():
+        for k in shadowing:
+            mu_s, sig_s, mu_t, sig_t = rules[k]
             margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
             trig = margin > scs[k].hysteresis
-            has = trig.any(axis=1)
-            first = np.argmax(trig, axis=1)
-            counts[k] = (np.bincount(first[has], minlength=n_pos),
-                         int(np.count_nonzero(~has)))
+            counts[k] = np.bincount(np.argmax(trig, axis=1)[trig.any(axis=1)], minlength=n_pos)
         return counts
 
-    blocks = _parallel_map(one_block, n_blocks, jobs)
-    estimates = {}
-    for k in comparands:
-        counts, none = (sum(part) for part in zip(*(block[k] for block in blocks)))
-        masses = counts / float(trials)
-        hw = 1.96 * np.sqrt(np.maximum(masses * (1.0 - masses), 0.0) / trials)
-        estimates[k] = FirstCrossingEstimate(grid, masses, hw, none / float(trials),
-                                             trials, antenna)
+    blocks = _parallel_map(one_block, (trials + _BLOCK - 1) // _BLOCK, jobs)
+    estimates = {k: _binomial(sum(block[k] for block in blocks), np.full(n_pos, trials))
+                 for k in shadowing}
     return tuple(estimates[m] for m in source)
 
 

@@ -130,9 +130,6 @@ _TABLE = {
     (Phase.COMPLETING, EventKind.DUALCAST_FINISH_ACK): (None, Phase.DONE, ()),
 }
 
-# Events fed into the machine; all other kinds are only ever emitted by it.
-_INPUT_KINDS = frozenset(kind for _, kind in _TABLE)
-
 
 def transition(state: HandoverState, event: ProtocolEvent,
                hysteresis: float) -> tuple[HandoverState, list[ProtocolEvent]]:

@@ -212,7 +212,7 @@ def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     serving, target = trigger_pair(sc, front_x, antenna)
     row = np.array([[serving.mu, serving.sigma, target.mu, target.sigma,
                      sc.hysteresis, sc.threshold]])
-    value = analytics._failure_rows(row.tobytes(), mode, antenna, (front_x,))[0]
+    value = analytics._failure_rows(row, mode, antenna, (front_x,))[0]
     if math.isnan(value):
         raise UndefinedConditionalError(
             f"trigger probability {trigger_prob(sc, front_x, antenna):.3g} at "

@@ -15,7 +15,7 @@ import numpy as np
 from railhandover.analytics import PositionGrid
 from railhandover.montecarlo import DOMAIN_PROTOCOL, ProtocolStats, SeedPolicy
 from railhandover.protocol import (
-    _INPUT_KINDS,
+    _TABLE,
     EventKind,
     HandoverState,
     Phase,
@@ -24,6 +24,9 @@ from railhandover.protocol import (
     transition,
 )
 from railhandover.scenario import Scenario
+
+# Events fed into the machine; all other kinds are only ever emitted by it.
+_INPUT_KINDS = frozenset(kind for _, kind in _TABLE)
 
 STAT_FIELDS = ("trials", "completed", "front_failed_trials", "rear_failed_trials",
                "front_ho_hist", "rear_ho_hist", "front_attempt_hist",

@@ -96,7 +96,7 @@ def test_occurrence_histogram_agreement(report):
     grid = PositionGrid.for_scenario(sc)
     ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
     est = estimate_first_crossing((sc,), grid, TRIALS, SeedPolicy(SEED), jobs=8)[0]
-    gap = float(np.max(np.abs(ana - est.masses)))
+    gap = float(np.max(np.abs(ana - est.value)))
     emitted = occurrence_masses(trigger_curve(sc, grid), grid.step, MetricMode.PAPER)
     ok = (gap <= 0.01 and np.all(ana >= 0.0) and ana.sum() <= 1.0 + 1e-12
           and np.all(np.isfinite(emitted)))

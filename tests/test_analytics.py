@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from railhandover import analytics, channel
+from railhandover import channel
 from railhandover.analytics import (
     MetricMode,
     PositionGrid,
@@ -447,11 +447,9 @@ def test_joint_failure_curves_equal_single_scenario_curves(runs, mode):
     order, with repeated schemes and mixed hysteresis and threshold."""
     grid = PositionGrid.over(3000.0, 250.0)
     scs = tuple(Scenario(scheme=scheme, hysteresis=h, threshold=t) for scheme, h, t in runs)
-    analytics._failure_rows.cache_clear()
     joint = failure_curve(scs, grid, mode=mode)
     assert len(joint) == len(scs)
     for sc, curve in zip(scs, joint):
-        analytics._failure_rows.cache_clear()
         assert [_bits(v) for v in curve] == \
             [_bits(v) for v in failure_curve((sc,), grid, mode=mode)[0]]
 

@@ -487,21 +487,22 @@ def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
 
 def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):
     """das-single's front trigger pairs are the proposed front antenna's, so
-    its failure curve reads back the proposed integrals, in either mode."""
+    a joint failure curve of the two integrates each distinct pair once and
+    gives both the proposed values, in either mode."""
     from railhandover.analytics import MetricMode, failure_curve
 
     grid = PositionGrid.over(3000.0, 250.0)
-    single = sc.with_scheme(Scheme.DAS_SINGLE)
+    proposed, single = sc.with_scheme(Scheme.PROPOSED), sc.with_scheme(Scheme.DAS_SINGLE)
     for mode in MetricMode:
         _clear_package_caches()
-        proposed = failure_curve((sc.with_scheme(Scheme.PROPOSED),), grid, mode=mode)[0]
+        alone = failure_curve((proposed,), grid, mode=mode)[0]
         calls = _count_rows(monkeypatch)
-        assert failure_curve((single,), grid, mode=mode)[0] == proposed
-        assert calls == []
-        # without the proposed values das-single integrates every distinct pair once
-        _clear_package_caches()
-        assert failure_curve((single,), grid, mode=mode)[0] == proposed
-        assert sum(calls) == sum(v is not None for v in proposed)
+        assert failure_curve((proposed, single), grid, mode=mode) == (alone, alone)
+        assert sum(calls) == sum(v is not None for v in alone)
+        # das-single alone integrates every distinct pair once too
+        del calls[:]
+        assert failure_curve((single,), grid, mode=mode)[0] == alone
+        assert sum(calls) == sum(v is not None for v in alone)
         monkeypatch.undo()
 
 

@@ -152,6 +152,22 @@ def test_run_jobs_do_not_change_output(tmp_path, capsys):
         (tmp_path / "parallel" / "fig6_failure.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode", [m.value for m in MetricMode])
+def test_run_writes_the_bytes_compare_writes(tmp_path, capsys, mode):
+    """`run --figure F` sweeps only what F needs (mean RSS for rss alone)
+    and writes the very bytes `compare` writes for F, in either mode."""
+    config = tmp_path / "coarse.cfg"
+    config.write_text("measurement_step = 250.0\n")
+    args = ["--trials", "200", "--seed", "12345", "--mode", mode, "--config", str(config)]
+    assert main(["compare", *args, "--out", str(tmp_path / "compare")]) == 1
+    for figure in Figure:
+        out = tmp_path / figure.value
+        assert main(["run", "--figure", figure.value, *args, "--out", str(out)]) == 0
+        assert (out / figure.filename).read_bytes() == \
+            (tmp_path / "compare" / figure.filename).read_bytes(), figure
+    capsys.readouterr()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("hysteresis = -1\n")
@@ -193,11 +209,10 @@ def test_numeric_breakdown_names_stage_and_position(tmp_path, capsys, monkeypatc
     schemes whose trigger pairs agree)."""
     import re
 
-    from railhandover import analytics, channel, statfun
+    from railhandover import channel, statfun
 
     monkeypatch.setattr(statfun, "_MAX_DEPTH", 0)
     channel.cell_means.cache_clear()
-    analytics._failure_rows.cache_clear()
     code = main(["run", "--figure", figure, *_base_args(tmp_path),
                  "--schemes", "das-single"])
     err = capsys.readouterr().err

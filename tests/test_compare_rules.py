@@ -8,7 +8,8 @@ digits. The scheme-subset cases run 200 trials. The edge cases run all
 four schemes at 20 trials: as they are, with no 0.5-crossing
 (`hysteresis = 1e6`, so the crossing-gap rule is omitted), with two
 units per cell, and with a -80 dBm threshold (every interruption
-position skipped).
+position skipped). `tests/golden/compare_250m_paper.txt` holds the
+compare part alone of `compare --mode paper --trials 200 --seed 12345`.
 
 To rewrite the goldens after a deliberate output change, run
 `PYTHONPATH=src python tests/test_compare_rules.py` and list the
@@ -36,6 +37,8 @@ from railhandover.montecarlo import Estimate
 from railhandover.scenario import Scheme
 
 GOLDEN = Path(__file__).parent / "golden" / "rules"
+PAPER_GOLDEN = Path(__file__).parent / "golden" / "compare_250m_paper.txt"
+PAPER_FLAGS = ("--mode", "paper", "--trials", "200", "--seed", "12345")
 BASE = "measurement_step = 250.0\nmaster_seed = 12345\n"
 
 CASES = {
@@ -59,16 +62,22 @@ def _cli(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def transcript(config_text: str, workdir: Path) -> str:
+def compare_transcript(config_text: str, workdir: Path, *flags: str) -> str:
     config = workdir / "case.cfg"
     config.write_text(config_text)
     out = workdir / "out"
-    code, stdout = _cli(["compare", "--config", str(config), "--out", str(out)])
+    code, stdout = _cli(["compare", "--config", str(config), "--out", str(out), *flags])
     parts = [f"$ compare -> exit {code}\n", stdout.replace(str(out), "<out>"),
              "--- summary.csv\n", (out / "summary.csv").read_text()]
     for figure in Figure:
         digest = hashlib.sha256((out / figure.filename).read_bytes()).hexdigest()
         parts.append(f"{figure.filename} sha256 {digest}\n")
+    return "".join(parts)
+
+
+def transcript(config_text: str, workdir: Path) -> str:
+    parts = [compare_transcript(config_text, workdir)]
+    config = workdir / "case.cfg"
     code, stdout = _cli(["validate", "--config", str(config)])
     parts += [f"$ validate -> exit {code}\n", stdout, "--- validate table\n"]
     table, _ = validate_schemes(parse_config(config_text))
@@ -81,6 +90,12 @@ def transcript(config_text: str, workdir: Path) -> str:
 def test_compare_and_validate_match_golden(tmp_path, name):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert transcript(CASES[name], tmp_path) == expected
+
+
+def test_paper_mode_compare_matches_golden(tmp_path):
+    """Paper-mode analytic columns, byte for byte through their digests."""
+    expected = PAPER_GOLDEN.read_text()
+    assert compare_transcript("measurement_step = 250.0\n", tmp_path, *PAPER_FLAGS) == expected
 
 
 def test_golden_cases_cover_every_scheme_subset():
@@ -113,17 +128,13 @@ class _StubRunner(FigureRunner):
         self.analytic_fail = analytic_fail
         self.base_count = base_count
 
-    def _curve(self, scheme, figure):
+    def analytic(self, scheme, figure, mode):
+        if figure not in _ANALYTIC_FAILS:
+            return super().analytic(scheme, figure, mode)
         values = [0.2] * len(self.grid.positions)
         if self.analytic_fail and scheme is Scheme.PROPOSED:
             values[self.grid.positions.index(_ANALYTIC_FAILS[figure])] = 0.5
         return values
-
-    def failure_values(self, scheme, mode):
-        return self._curve(scheme, Figure.FAILURE)
-
-    def interruption_values(self, scheme, mode):
-        return self._curve(scheme, Figure.INTERRUPTION)
 
     def mc(self, scheme, figure):
         if figure not in _MC_FAILS:
@@ -166,6 +177,9 @@ def _write_goldens() -> None:
     for name, text in CASES.items():
         with tempfile.TemporaryDirectory() as work:
             (GOLDEN / f"{name}.txt").write_text(transcript(text, Path(work)))
+    with tempfile.TemporaryDirectory() as work:
+        PAPER_GOLDEN.write_text(compare_transcript("measurement_step = 250.0\n", Path(work),
+                                                   *PAPER_FLAGS))
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ def test_first_crossing_equals_the_single_scenario_oracle(case):
     grid = PositionGrid.over(3000.0, 250.0)
     with mock.patch.object(montecarlo, "_BLOCK", block):
         got = estimate_first_crossing(scs, grid, trials, SeedPolicy(32), jobs=jobs)
-        want = [first_crossing(sc, grid, trials, SeedPolicy(32)) for sc in scs]
+        want = [first_crossing(sc, grid, trials, SeedPolicy(32))[0] for sc in scs]
     assert len(got) == len(scs)
     for g, w in zip(got, want):
         assert_crossings_equal(g, w)
@@ -189,35 +189,38 @@ def test_first_crossing_certain_trigger_concentrates_at_first_point():
     sc = replace(Scenario(), shadow_sigma=1e-9, hysteresis=0.0)
     grid = PositionGrid(np.arange(1600.0, 1700.0 + 1, 10.0), 10.0)
     est = estimate_first_crossing((sc,), grid, 50, SeedPolicy(4))[0]
-    assert est.masses[0] == 1.0
-    assert np.all(est.masses[1:] == 0.0)
-    assert est.no_trigger_fraction == 0.0
+    assert est.value[0] == 1.0
+    assert np.all(est.value[1:] == 0.0)
+    assert first_crossing(sc, grid, 50, SeedPolicy(4))[1] == 0
 
 
 def test_first_crossing_huge_hysteresis_never_triggers(grid):
     sc = replace(Scenario(), hysteresis=1e6)
     est = estimate_first_crossing((sc,), grid, 50, SeedPolicy(4))[0]
-    assert np.all(est.masses == 0.0)
-    assert est.no_trigger_fraction == 1.0
+    assert np.all(est.value == 0.0)
+    assert first_crossing(sc, grid, 50, SeedPolicy(4))[1] == 50
 
 
 def test_first_crossing_masses_partition_unity(sc, grid):
+    """The masses and the oracle's no-trigger share sum to one."""
     est = estimate_first_crossing((sc,), grid, 500, SeedPolicy(21))[0]
-    assert est.masses.sum() + est.no_trigger_fraction == pytest.approx(1.0, abs=1e-12)
-    assert np.all(est.masses >= 0.0)
+    want, none = first_crossing(sc, grid, 500, SeedPolicy(21))
+    assert_crossings_equal(est, want)
+    assert est.value.sum() + none / 500 == pytest.approx(1.0, abs=1e-12)
+    assert np.all(est.value >= 0.0)
+    assert np.all(est.base_count == 500)
 
 
 def test_first_crossing_tracks_analytic_occurrence(sc, grid):
     est = estimate_first_crossing((sc,), grid, 20_000, SeedPolicy(99), jobs=8)[0]
     ana = occurrence_masses(trigger_curve(sc, grid), grid.step)
-    assert np.max(np.abs(est.masses - ana)) <= 0.01
+    assert np.max(np.abs(est.value - ana)) <= 0.01
 
 
 def test_first_crossing_parallel_runs_are_bitwise_identical(sc, coarse_grid):
     a = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=1)[0]
     b = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=8)[0]
-    assert np.array_equal(a.masses, b.masses)
-    assert a.no_trigger_fraction == b.no_trigger_fraction
+    assert_crossings_equal(a, b)
 
 
 def test_protocol_permissive_threshold_never_fails(coarse_grid):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from railhandover import analytics, channel, statfun
+from railhandover import channel, statfun
 from railhandover.analytics import MetricMode, PositionGrid, failure_curve, trigger_curve
 from railhandover.channel import max_means
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
@@ -220,7 +220,6 @@ def test_failure_probabilities_do_not_depend_on_the_batch():
     at once, in both branches of z0 = -8; the values agree bitwise."""
     sc = Scenario()
     grid = PositionGrid.over(3000.0, 100.0)
-    analytics._failure_rows.cache_clear()
     for mode in MetricMode:
         curve = failure_curve((sc,), grid, mode=mode)[0]
         for x, value in zip(grid.positions, curve):

@@ -10,6 +10,9 @@ four schemes at 20 trials: as they are, with no 0.5-crossing
 units per cell, and with a -80 dBm threshold (every interruption
 position skipped). `tests/golden/compare_250m_paper.txt` holds the
 compare part alone of `compare --mode paper --trials 200 --seed 12345`.
+`tests/golden/default_grid/` holds the same parts on the default 10 m
+grid at seed 12345: `compare --trials 2000` in each mode and `validate
+--trials 4000`.
 
 To rewrite the goldens after a deliberate output change, run
 `PYTHONPATH=src python tests/test_compare_rules.py` and list the
@@ -40,6 +43,7 @@ GOLDEN = Path(__file__).parent / "golden" / "rules"
 PAPER_GOLDEN = Path(__file__).parent / "golden" / "compare_250m_paper.txt"
 PAPER_FLAGS = ("--mode", "paper", "--trials", "200", "--seed", "12345")
 BASE = "measurement_step = 250.0\nmaster_seed = 12345\n"
+DEFAULT_GOLDEN = Path(__file__).parent / "golden" / "default_grid"
 
 CASES = {
     "+".join(s.value for s in subset): BASE + "trials = 200\nschemes = "
@@ -75,15 +79,27 @@ def compare_transcript(config_text: str, workdir: Path, *flags: str) -> str:
     return "".join(parts)
 
 
-def transcript(config_text: str, workdir: Path) -> str:
-    parts = [compare_transcript(config_text, workdir)]
+def validate_transcript(config_text: str, workdir: Path) -> str:
     config = workdir / "case.cfg"
+    config.write_text(config_text)
     code, stdout = _cli(["validate", "--config", str(config)])
-    parts += [f"$ validate -> exit {code}\n", stdout, "--- validate table\n"]
+    parts = [f"$ validate -> exit {code}\n", stdout, "--- validate table\n"]
     table, _ = validate_schemes(parse_config(config_text))
     table.write(workdir / "validate.csv")
     parts.append((workdir / "validate.csv").read_text())
     return "".join(parts)
+
+
+def transcript(config_text: str, workdir: Path) -> str:
+    return compare_transcript(config_text, workdir) + validate_transcript(config_text, workdir)
+
+
+_DEFAULT_COMPARE = "trials = 2000\nmaster_seed = 12345\n"
+DEFAULT_CASES = {
+    "compare": lambda work: compare_transcript(_DEFAULT_COMPARE, work),
+    "compare_paper": lambda work: compare_transcript(_DEFAULT_COMPARE, work, "--mode", "paper"),
+    "validate": lambda work: validate_transcript("trials = 4000\nmaster_seed = 12345\n", work),
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -96,6 +112,12 @@ def test_paper_mode_compare_matches_golden(tmp_path):
     """Paper-mode analytic columns, byte for byte through their digests."""
     expected = PAPER_GOLDEN.read_text()
     assert compare_transcript("measurement_step = 250.0\n", tmp_path, *PAPER_FLAGS) == expected
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CASES))
+def test_default_grid_matches_golden(tmp_path, name):
+    """The default 10 m grid, which every other golden leaves out."""
+    assert DEFAULT_CASES[name](tmp_path) == (DEFAULT_GOLDEN / f"{name}.txt").read_text()
 
 
 def test_golden_cases_cover_every_scheme_subset():
@@ -180,6 +202,10 @@ def _write_goldens() -> None:
     with tempfile.TemporaryDirectory() as work:
         PAPER_GOLDEN.write_text(compare_transcript("measurement_step = 250.0\n", Path(work),
                                                    *PAPER_FLAGS))
+    DEFAULT_GOLDEN.mkdir(exist_ok=True)
+    for name, make in DEFAULT_CASES.items():
+        with tempfile.TemporaryDirectory() as work:
+            (DEFAULT_GOLDEN / f"{name}.txt").write_text(make(Path(work)))
 
 
 if __name__ == "__main__":

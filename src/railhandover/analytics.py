@@ -152,8 +152,10 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
     PAPER evaluates the printed form, whose integrand uses the upper
     tail of the serving comparand instead of the lower one; it equals
     P(U < threshold, V < hysteresis) / P(V > hysteresis) and can exceed
-    one. It is derived here from the rederived value via
-    P(U < T) = P(U < T, V > H) + P(U < T, V < H).
+    one. It integrates the conditional Gaussian of U over the hazard-weighted
+    law of V truncated to V < hysteresis, the mirror image of REDERIVED, and
+    scales that by P(V < hysteresis) / P(V > hysteresis): no difference of
+    near-equal numbers, so tiny values keep their digits.
 
     Each distinct (serving, target, hysteresis, threshold) row of all the
     scenarios is integrated once, in one batch, so schemes with equal
@@ -180,7 +182,11 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
     sigma_v = np.hypot(sigma_s, sigma_t)
     z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
     p_trig = 0.5 * statfun.erfc(z0 / _SQRT2)
-    hazard = math.sqrt(2.0 / math.pi) / statfun.erfcx(z0 / _SQRT2)
+    # the side of z0 the margin is truncated to: above it (the trigger
+    # fired) or, for PAPER, below; s0 is the truncation point seen from that side
+    side = 1.0 if mode is MetricMode.REDERIVED else -1.0
+    s0 = side * z0
+    hazard = math.sqrt(2.0 / math.pi) / statfun.erfcx(s0 / _SQRT2)
     # Conditional law of U given the standardized margin z: Gaussian with
     # mean mu_u(z) and a variance shrunk by the correlation with V. Its CDF
     # at the threshold steps at z = step once sigma_s << sigma_t.
@@ -192,22 +198,23 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
     def conditional_cdf(z, rows):
         return statfun.ndtr((threshold[rows] - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
 
-    def beyond_trigger(e, rows):
-        # the margin z0 + e under its law truncated to z > z0, hazard-weighted
-        z = z0[rows]
-        return hazard[rows] * np.exp(-z * e - 0.5 * e * e) * conditional_cdf(z + e, rows)
+    def truncated(e, rows):
+        # the margin z0 + side * e under its law truncated to that side, hazard-weighted
+        z = s0[rows]
+        return hazard[rows] * np.exp(-z * e - 0.5 * e * e) * conditional_cdf(side * (z + e), rows)
 
     def whole_margin(z, rows):
-        # trigger near-certain: the plain integral over the margin law is
-        # stable and the truncation correction is negligible
+        # trigger near-certain (REDERIVED only, as PAPER's s0 = -z0 stays above
+        # -8 where the trigger is defined): the plain integral over the margin
+        # law is stable and the truncation correction is negligible
         return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * conditional_cdf(z, rows)
 
     out = np.full(len(z0), np.nan)
     defined = p_trig >= TRIGGER_FLOOR
     for rows, integrand, lower, upper, cut in (
-            (np.flatnonzero(defined & (z0 >= -8.0)), beyond_trigger,
-             np.zeros_like(z0), 12.0 + np.maximum(0.0, -z0), step - z0),
-            (np.flatnonzero(defined & (z0 < -8.0)), whole_margin,
+            (np.flatnonzero(defined & (s0 >= -8.0)), truncated,
+             np.zeros_like(z0), 12.0 + np.maximum(0.0, -s0), side * (step - z0)),
+            (np.flatnonzero(defined & (s0 < -8.0)), whole_margin,
              np.maximum(z0, -40.0), np.full_like(z0, 10.0), step)):
         lower, upper, cut = lower[rows], upper[rows], cut[rows]
         edges = np.stack((lower, np.where((lower < cut) & (cut < upper), cut, lower), upper), 1)
@@ -215,9 +222,9 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
                                    lambda r, rows=rows: f"failure probability at x="
                                    f"{at[rows[r]]:g} m ({antenna.name.lower()} antenna)")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN stays NaN
-        out = np.clip(np.where(z0 < -8.0, out / p_trig, out), 0.0, 1.0)
+        out = np.clip(np.where(s0 < -8.0, out / p_trig, out), 0.0, 1.0)
         if mode is MetricMode.PAPER:
-            out = np.maximum(statfun.ndtr((threshold - mu_t) / sigma_t) / p_trig - out, 0.0)
+            out = out * (0.5 * statfun.erfc(-z0 / _SQRT2)) / p_trig
     return out
 
 

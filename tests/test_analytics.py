@@ -20,6 +20,7 @@ from railhandover import channel
 from railhandover.analytics import (
     MetricMode,
     PositionGrid,
+    comparands,
     failure_curve,
     first_crossing_masses,
     first_level_crossing,
@@ -201,6 +202,37 @@ def test_failure_stays_defined_under_tiny_triggers(sc):
     for got, want in zip(curve, anchors.values()):
         assert got == pytest.approx(want, rel=1e-6)
         assert 0.0 <= got <= 1.0
+
+
+def _paper_failure_mpmath(mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold):
+    """P(U < T, U - S < H) / P(U - S > H) at 40 digits, U ~ N(mu_t, sigma_t)
+    and S ~ N(mu_s, sigma_s) independent, by integrating over U."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        mu_s, sigma_s, mu_t, sigma_t, h, t = map(mp.mpf, (mu_s, sigma_s, mu_t, sigma_t,
+                                                           hysteresis, threshold))
+        joint = mp.quad(lambda u: mp.npdf(u, mu_t, sigma_t) * mp.ncdf((mu_s + h - u) / sigma_s),
+                        sorted({mu_t - 40 * sigma_t, min(mu_s + h, t), min(mu_t, t), t}))
+        z0 = (h - (mu_t - mu_s)) / mp.sqrt(sigma_s ** 2 + sigma_t ** 2)
+        return float(joint / (mp.erfc(z0 / mp.sqrt(2)) / 2))
+
+
+@pytest.mark.parametrize("scheme, positions", [
+    (Scheme.DAS_BLANKET, (2550.0, 2620.0, 2630.0, 2700.0)),
+    (Scheme.TRADITIONAL, (2850.0, 2940.0, 3000.0)),
+], ids=["das-blanket", "traditional"])
+def test_paper_failure_keeps_its_digits_in_the_far_tail(sc, scheme, positions):
+    """Where the trigger is near-certain the printed form is 1e-19 to 1e-12:
+    computed as the tail it is, not as a difference of near-equal numbers,
+    it matches mpmath to far more than the 6 digits a table keeps."""
+    sc = sc.with_scheme(scheme)
+    grid = PositionGrid(positions, sc.measurement_step)
+    got = failure_curve((sc,), grid, mode=MetricMode.PAPER)[0]
+    rows = zip(*(c.tolist() for c in comparands(sc, grid)))
+    for value, row in zip(got, rows):
+        assert value == pytest.approx(
+            _paper_failure_mpmath(*row, sc.hysteresis, sc.threshold), rel=1e-9, abs=0.0)
 
 
 def test_failure_threshold_extremes(sc):

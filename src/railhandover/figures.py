@@ -330,17 +330,53 @@ def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     budget at the acceptance trial count, where it dominates.
     """
     p = np.clip(np.asarray(analytic, dtype=float), 0.0, 1.0)
-    low, high = (_binomial_quantile(q, trials, p) / trials for q in (0.00135, 0.99865))
+    low, high = _binomial_quantile((0.00135, 0.99865), trials, p) / trials
     return np.maximum(0.01, np.maximum(high - p, p - low))
 
 
-def _binomial_quantile(q: float, trials: int, p: np.ndarray) -> np.ndarray:
-    """Smallest count k with P(Binomial(trials, p) <= k) >= q, for 0 < q < 1:
-    the continuous inverse rounded up (NaN, read as 0, where even k = 0
-    reaches q), then one count less where that count reaches q too."""
-    k = np.ceil(np.nan_to_num(statfun.bdtrik(q, trials, p)))
-    below = np.maximum(k - 1.0, 0.0)
-    return np.where(statfun.bdtr(below, trials, p) >= q, below, k)
+def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
+    """Smallest count k with P(Binomial(trials, p) <= k) >= q, for 0 < q < 1,
+    elementwise over p (NaN read as 0); for a sequence of levels q, one such
+    array per level, stacked.
+
+    The masses are summed exactly over the counts within 8 standard
+    deviations and 20 counts of the mean, beyond which less than 1e-14 is
+    left out: the lower tail up for q < 1/2, the upper tail down for the
+    others, so no tail is formed as 1 - F. Each row's masses are the one at
+    its mode (`statfun.binomial_pmf`) times the ratios pmf(k + 1) / pmf(k) =
+    (trials - k) / (k + 1) * p / (1 - p), multiplied outward from it as sums
+    of logs. p is read as 1 - (1 - p) in floating point, as scipy's bdtr
+    reads it.
+    """
+    shape = np.shape(p)
+    p = np.fmax(np.asarray(p, dtype=float).reshape(-1, 1), 0.0)  # NaN to 0
+    p = 1.0 - (1.0 - p)
+    mean = trials * p
+    reach = 8.0 * np.sqrt(mean * (1.0 - p)) + 20.0
+    lo = np.maximum(np.floor(mean - reach), 0.0)
+    hi = np.minimum(np.ceil(mean + reach), trials)
+    mode = np.minimum(np.floor(mean + p), hi)
+    counts = lo + np.arange(int((hi - lo).max(initial=0.0)) + 1)
+    logs = np.zeros(counts.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or 1: taken below
+        steps = np.log((trials - counts[:, :-1]) / counts[:, 1:] * (p / (1.0 - p)))
+        np.cumsum(steps, axis=1, out=logs[:, 1:])
+        logs -= np.take_along_axis(logs, (mode - lo).astype(np.intp), axis=1)
+        mass = np.exp(logs, out=logs)
+        mass *= statfun.binomial_pmf(mode, trials, p)
+    mass[counts > hi] = 0.0
+    out = []
+    for level in np.atleast_1d(q):
+        if level > 0.5:  # P(count > k): the masses above k, summed from the top
+            reached = np.ones(counts.shape, dtype=bool)
+            np.less_equal(np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1], 1.0 - level,
+                          out=reached[:, :-1])
+        else:
+            reached = np.cumsum(mass, axis=1) >= level
+        # a certain outcome: the count is the mean
+        out.append(np.where((p[:, 0] == 0.0) | (p[:, 0] == 1.0), mean[:, 0],
+                            lo[:, 0] + np.argmax(reached, axis=1)).reshape(shape))
+    return np.array(out) if np.ndim(q) else out[0]
 
 
 def _failure_z(analytic: float | None, mc: Estimate) -> float | None:

@@ -1,32 +1,33 @@
-"""Statistical kernels: normal tails, array quadrature, lognormal sums.
+"""Statistical kernels: normal tails, binomial masses, array quadrature, lognormal sums.
 
-Everything downstream (channel statistics, trigger/failure analytics) is
-built from three ingredients: the standard normal CDF and its complement,
+Everything downstream (channel statistics, trigger/failure analytics,
+the occurrence rule's binomial envelope) is built from four ingredients:
+the standard normal CDF and its complements, the binomial mass function,
 one adaptive Gauss-Kronrod quadrature that integrates a whole batch of
 integrands as numpy arrays and raises NumericsError rather than return
 an unconverged value, and a moment-matching approximation for a sum of
-lognormal powers expressed in dB. The curves read scipy.special's five
-ufuncs from here, imported on first use (rss and failure figures, `compare`,
-`validate`; never `trace`, the protocol estimator or the other figures).
+lognormal powers expressed in dB. The array kernels `ndtr`, `erfc`,
+`erfcx` and `binomial_pmf` are numpy code, so the package needs numpy
+only: the normal tails in the rational form of the Cephes library's
+ndtr.c (after W. J. Cody, "Rational Chebyshev approximations for the
+error function", Math. Comp. 23, 1969), the binomial mass in C. Loader's
+saddle-point form ("Fast and accurate computation of binomial
+probabilities", 2000).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+import threading
+from typing import Callable, Iterator
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT_PI = math.sqrt(math.pi)
 # dB-to-natural-log scale: 10^(x/10) = exp(LAMBDA * x)
 _LAMBDA = math.log(10.0) / 10.0
-
-
-def __getattr__(name: str):  # import scipy.special on first use: most of our import time
-    if name not in ("ndtr", "erfc", "erfcx", "bdtr", "bdtrik"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import scipy.special
-    return globals().setdefault(name, getattr(scipy.special, name))
 
 
 class NumericsError(RuntimeError):
@@ -53,6 +54,232 @@ def q_function(z: float) -> float:
     if not math.isfinite(z):
         raise ValueError(f"q_function requires finite z, got {z!r}")
     return 0.5 * math.erfc(z / _SQRT2)
+
+
+# === Normal tails ===
+
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| < 1, and erfc(x) =
+# exp(-x^2) P(x) / Q(x) on [1, 8), exp(-x^2) R(x) / S(x) from 8 on; the
+# denominators are monic. The numerators here are halved (exact in binary),
+# so each rational gives half of erf or of exp(x^2) erfc(x).
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# exp(-x^2) underflows beyond this x^2, where Cephes returns 0; clipping
+# |x| to 27 keeps R/S finite there
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _columns(num: tuple, den: tuple) -> list[np.ndarray]:
+    """The Horner steps of num / 2 and of monic den as (2, 1) columns, the
+    shorter padded with leading zeros (0 * x + c is exact)."""
+    pad = len(den) + 1 - len(num)
+    return [np.array([[a], [b]]) for a, b in
+            zip((0.0,) * pad + tuple(0.5 * c for c in num), (1.0,) + den)]
+
+
+_TU, _PQ, _RS = _columns(_T, _U), _columns(_P, _Q), _columns(_R, _S)
+_scratch_rows = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """Six rows of at least n floats, kept per thread and reused by every
+    kernel call, so a call allocates little besides its result."""
+    rows = getattr(_scratch_rows, "rows", None)
+    if rows is None or rows.shape[1] < n:
+        rows = _scratch_rows.rows = np.empty((6, max(n, 1024)))
+    return rows
+
+
+def _branches(z: np.ndarray) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """The indices of z = |x| that reach each Cephes branch, with its
+    rational: T/U below 1, P/Q below 8 (NaN too), R/S from 8."""
+    near, far = z < 1.0, z >= 8.0
+    mid = near | far
+    np.logical_not(mid, out=mid)
+    for mask, steps in ((near, _TU), (mid, _PQ), (far, _RS)):
+        i = mask.nonzero()[0]
+        if i.size:
+            yield i, steps
+
+
+def _ratio(v: np.ndarray, steps: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
+    """Numerator over denominator at v, both by Horner in the (2, n) buffer
+    acc; the quotient is acc[0]."""
+    np.multiply(steps[0], v, out=acc)
+    acc += steps[1]
+    for c in steps[2:]:
+        acc *= v
+        acc += c
+    out, den = acc
+    out /= den
+    return out
+
+
+def _gather(x: np.ndarray, i: np.ndarray, rows: np.ndarray):
+    """x at i in scratch row 2, a free row 3, and the (2, n) Horner rows 4-5."""
+    m = i.size
+    return np.take(x, i, out=rows[2, :m], mode="clip"), rows[3, :m], rows[4:, :m]
+
+
+def _half_erf(xi: np.ndarray, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """erf(x) / 2 on |x| < 1, in acc[0]; v is scratch."""
+    np.multiply(xi, xi, out=v)
+    out = _ratio(v, _TU, acc)
+    out *= xi
+    return out
+
+
+def _half_erfc(xi: np.ndarray, steps, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """erfc(|x|) / 2 on |x| >= 1 by the rational steps, in acc[0]: 0 where
+    x^2 > _MAXLOG, as in Cephes; v is scratch."""
+    np.abs(xi, out=v)
+    if steps is _RS:
+        np.minimum(v, 27.0, out=v)
+    out = _ratio(v, steps, acc)
+    e = acc[1]
+    np.multiply(v, v, out=e)
+    if steps is _RS:
+        out *= e <= _MAXLOG
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out *= e
+    return out
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF, elementwise, as Cephes computes it: with x = a /
+    sqrt(2), 1/2 + erf(x)/2 for |x| < 1, else erfc(|x|)/2, or one minus it
+    for x > 0. Within a few ULP of scipy.special.ndtr; NaN stays NaN."""
+    a = np.asarray(a, dtype=float)
+    rows = _scratch(a.size)
+    x, z = rows[0, :a.size], rows[1, :a.size]
+    np.multiply(a.reshape(-1), _SQRT1_2, out=x)
+    np.abs(x, out=z)
+    out = np.empty(a.size)
+    for i, steps in _branches(z):
+        xi, v, acc = _gather(x, i, rows)
+        if steps is _TU:
+            y = _half_erf(xi, v, acc)
+            y += 0.5
+        else:
+            y = _half_erfc(xi, steps, v, acc)
+            np.copysign(y, xi, out=y)
+            np.subtract(xi > 0.0, y, out=y)  # 1 - y for x > 0, y otherwise
+        out[i] = y
+    return out.reshape(a.shape)
+
+
+def erfc(x) -> np.ndarray:
+    """Complementary error function, elementwise, as Cephes computes it:
+    1 - erf(x) for |x| < 1, else exp(-x^2) times a rational in |x|, taken
+    from 2 for x < 0. Within a few ULP of scipy.special.erfc."""
+    x = np.asarray(x, dtype=float)
+    rows = _scratch(x.size)
+    flat = rows[0, :x.size]
+    flat[:] = x.reshape(-1)
+    out = np.empty(x.size)
+    for i, steps in _branches(np.abs(flat)):
+        xi, v, acc = _gather(flat, i, rows)
+        if steps is _TU:
+            y = _half_erf(xi, v, acc)
+            out[i] = 1.0 - 2.0 * y
+        else:
+            y = _half_erfc(xi, steps, v, acc)
+            y *= 2.0
+            out[i] = np.where(xi < 0.0, 2.0 - y, y)
+    return out.reshape(x.shape)
+
+
+def erfcx(x) -> np.ndarray:
+    """Scaled complementary error function exp(x^2) erfc(x), elementwise:
+    the erfc rationals without their exp(-x^2) factor from 1 to 50, the
+    asymptotic continued fraction beyond, exp(x^2) (1 - erf(x)) on |x| < 1,
+    and 2 exp(x^2) - erfcx(-x) from -1 down (inf once exp overflows).
+    Within a few ULP of scipy.special.erfcx."""
+    x = np.asarray(x, dtype=float)
+    rows = _scratch(x.size)
+    flat = rows[0, :x.size]
+    flat[:] = x.reshape(-1)
+    out = np.empty(x.size)
+    for i, steps in _branches(np.abs(flat)):
+        xi, v, acc = _gather(flat, i, rows)
+        with np.errstate(over="ignore"):
+            grow = np.exp(xi * xi)
+        if steps is _TU:
+            out[i] = grow * (1.0 - 2.0 * _half_erf(xi, v, acc))
+            continue
+        np.abs(xi, out=v)
+        if steps is _RS:
+            np.minimum(v, 50.0, out=v)
+        y = _ratio(v, steps, acc)
+        y *= 2.0
+        if steps is _RS:  # beyond 50 the continued fraction, in u = 1 / x^2: nothing overflows
+            r = 1.0 / np.abs(xi)
+            u = r * r
+            far = (1.0 + u * (4.5 + 2.0 * u)) / (1.0 + u * (5.0 + 3.75 * u)) * (r / _SQRT_PI)
+            y = np.where(np.abs(xi) > 50.0, far, y)
+        with np.errstate(over="ignore"):  # inf from -26.6 down, as exp(x^2) overflows
+            out[i] = np.where(xi < 0.0, 2.0 * grow - y, y)
+    return out.reshape(x.shape)
+
+
+# === Binomial masses ===
+
+# Loader's stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k), at k = 0..15,
+# then its series in 1 / k with these coefficients
+_STIRLERR = np.array([
+    0.0, 0.0810614667953272582196702, 0.0413406959554092940938221,
+    0.02767792568499833914878929, 0.02079067210376509311152277,
+    0.01664469118982119216319487, 0.01387612882307074799874573,
+    0.01189670994589177009505572, 0.010411265261972096497478567,
+    0.009255462182712732917728637, 0.008330563433362871256469318,
+    0.007573675487951840794972024, 0.006942840107209529865664152,
+    0.006408994188004207068439631, 0.005951370112758847735624416,
+    0.005554733551962801371038690])
+_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """log k! less its Stirling approximation, for whole k >= 0."""
+    u = 1.0 / np.maximum(k, 16.0)
+    uu = u * u
+    s0, s1, s2, s3, s4 = _STIRLING
+    series = (s0 - (s1 - (s2 - (s3 - s4 * uu) * uu) * uu) * uu) * u
+    return np.where(k <= 15.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], series)
+
+
+def binomial_pmf(k, n: int, p) -> np.ndarray:
+    """P(Binomial(n, p) = k) for whole 0 <= k <= n, elementwise over k and p
+    broadcast together, by Loader's saddle-point form: exp of the Stirling
+    remainders less the deviances bd0 of k from np and of n - k from
+    n(1 - p), times sqrt(n / (2 pi k (n - k))). Each bd0 = x log(x / m) + m - x
+    is formed as x log1p((x - m) / m) - (x - m), whose absolute error of a
+    few ULP of |x - m| is all the exponent needs: relative error about 1e-13
+    wherever |k - np| is below a few thousand. k = 0 and k = n are (1 - p)^n
+    and p^n in floating point, as scipy's bdtr forms them.
+    """
+    k, p = np.asarray(k, dtype=float), np.asarray(p, dtype=float)
+    q = 1.0 - p
+    rest, gap = n - k, k - n * p  # n - k less n q is -gap
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ends are taken below
+        exponent = (_stirlerr(np.float64(n)) - _stirlerr(k) - _stirlerr(rest)
+                    - (k * np.log1p(gap / (n * p)) - gap) - (rest * np.log1p(-gap / (n * q)) + gap))
+        out = np.exp(exponent) * np.sqrt(n / (2.0 * math.pi * k * rest))
+        out = np.where(k == 0.0, q ** n, np.where(rest == 0.0, p ** n, out))
+    # a certain outcome: every count but the one reached has no mass
+    return np.where(p == 0.0, k == 0.0, np.where(q == 0.0, rest == 0.0, out))
 
 
 # === Array Gauss-Kronrod quadrature ===

@@ -340,8 +340,8 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
     array per level, stacked.
 
     The masses are summed exactly over the counts within 8 standard
-    deviations and 20 counts of the mean, beyond which less than 1e-14 is
-    left out: the lower tail up for q < 1/2, the upper tail down for the
+    deviations and 20 counts of the mean (and as many more as the widest
+    row needs), beyond which less than 1e-14 is left out: the lower tail up for q < 1/2, the upper tail down for the
     others, so no tail is formed as 1 - F. Each row's masses are the one at
     its mode (`statfun.binomial_pmf`) times the ratios pmf(k + 1) / pmf(k) =
     (trials - k) / (k + 1) * p / (1 - p), multiplied outward from it as sums
@@ -358,13 +358,14 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
     mode = np.minimum(np.floor(mean + p), hi)
     counts = lo + np.arange(int((hi - lo).max(initial=0.0)) + 1)
     logs = np.zeros(counts.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or 1: taken below
-        steps = np.log((trials - counts[:, :-1]) / counts[:, 1:] * (p / (1.0 - p)))
-        np.cumsum(steps, axis=1, out=logs[:, 1:])
-        logs -= np.take_along_axis(logs, (mode - lo).astype(np.intp), axis=1)
+    # log pmf(k + 1) / pmf(k), -inf past trials (p = 0 or 1: taken below)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(np.maximum(trials - counts[:, :-1], 0.0) / counts[:, 1:] * (p / (1.0 - p)),
+               out=logs[:, 1:])
+        np.cumsum(logs[:, 1:], axis=1, out=logs[:, 1:])
+        logs -= logs[np.arange(len(p)), (mode - lo)[:, 0].astype(np.intp), np.newaxis]
         mass = np.exp(logs, out=logs)
         mass *= statfun.binomial_pmf(mode, trials, p)
-    mass[counts > hi] = 0.0
     out = []
     for level in np.atleast_1d(q):
         if level > 0.5:  # P(count > k): the masses above k, summed from the top

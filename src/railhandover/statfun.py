@@ -207,7 +207,7 @@ def erfcx(x) -> np.ndarray:
     the erfc rationals without their exp(-x^2) factor from 1 to 50, the
     asymptotic continued fraction beyond, exp(x^2) (1 - erf(x)) on |x| < 1,
     and 2 exp(x^2) - erfcx(-x) from -1 down (inf once exp overflows).
-    Within a few ULP of scipy.special.erfcx."""
+    Within 16 ULP of scipy.special.erfcx."""
     x = np.asarray(x, dtype=float)
     rows = _scratch(x.size)
     flat = rows[0, :x.size]
@@ -215,23 +215,16 @@ def erfcx(x) -> np.ndarray:
     out = np.empty(x.size)
     for i, steps in _branches(np.abs(flat)):
         xi, v, acc = _gather(flat, i, rows)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # inf from -26.6 down
             grow = np.exp(xi * xi)
-        if steps is _TU:
-            out[i] = grow * (1.0 - 2.0 * _half_erf(xi, v, acc))
-            continue
-        np.abs(xi, out=v)
-        if steps is _RS:
-            np.minimum(v, 50.0, out=v)
-        y = _ratio(v, steps, acc)
-        y *= 2.0
-        if steps is _RS:  # beyond 50 the continued fraction, in u = 1 / x^2: nothing overflows
-            r = 1.0 / np.abs(xi)
-            u = r * r
-            far = (1.0 + u * (4.5 + 2.0 * u)) / (1.0 + u * (5.0 + 3.75 * u)) * (r / _SQRT_PI)
-            y = np.where(np.abs(xi) > 50.0, far, y)
-        with np.errstate(over="ignore"):  # inf from -26.6 down, as exp(x^2) overflows
-            out[i] = np.where(xi < 0.0, 2.0 * grow - y, y)
+            if steps is _TU:
+                out[i] = grow * (1.0 - 2.0 * _half_erf(xi, v, acc))
+                continue
+            np.abs(xi, out=v)
+            y = 2.0 * _ratio(np.minimum(v, 50.0), steps, acc)
+            u = 1.0 / (v * v)  # beyond 50 the continued fraction, with no overflow
+            far = (1.0 + u * (4.5 + 2.0 * u)) / ((1.0 + u * (5.0 + 3.75 * u)) * _SQRT_PI * v)
+            out[i] = np.where(xi < 0.0, 2.0 * grow - y, np.where(v > 50.0, far, y))
     return out.reshape(x.shape)
 
 
@@ -273,8 +266,9 @@ def binomial_pmf(k, n: int, p) -> np.ndarray:
     k, p = np.asarray(k, dtype=float), np.asarray(p, dtype=float)
     q = 1.0 - p
     rest, gap = n - k, k - n * p  # n - k less n q is -gap
+    whole, part, remainder = _stirlerr(np.stack(np.broadcast_arrays(float(n), k, rest)))
     with np.errstate(divide="ignore", invalid="ignore"):  # the ends are taken below
-        exponent = (_stirlerr(np.float64(n)) - _stirlerr(k) - _stirlerr(rest)
+        exponent = (whole - part - remainder
                     - (k * np.log1p(gap / (n * p)) - gap) - (rest * np.log1p(-gap / (n * q)) + gap))
         out = np.exp(exponent) * np.sqrt(n / (2.0 * math.pi * k * rest))
         out = np.where(k == 0.0, q ** n, np.where(rest == 0.0, p ** n, out))

@@ -341,9 +341,10 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
 
     The masses are summed exactly over the counts within 8 standard
     deviations and 20 counts of the mean (and as many more as the widest
-    row needs), beyond which less than 1e-14 is left out: the lower tail up for q < 1/2, the upper tail down for the
-    others, so no tail is formed as 1 - F. Each row's masses are the one at
-    its mode (`statfun.binomial_pmf`) times the ratios pmf(k + 1) / pmf(k) =
+    row needs), beyond which less than 1e-14 is left out: the lower tail up
+    for q < 1/2, the upper tail down for the others, so no tail is formed
+    as 1 - F. Each row's masses are the one at its mode
+    (`statfun.binomial_pmf`) times the ratios pmf(k + 1) / pmf(k) =
     (trials - k) / (k + 1) * p / (1 - p), multiplied outward from it as sums
     of logs. p is read as 1 - (1 - p) in floating point, as scipy's bdtr
     reads it.

@@ -91,16 +91,21 @@ def _columns(num: tuple, den: tuple) -> list[np.ndarray]:
 _TU, _PQ, _RS = _columns(_T, _U), _columns(_P, _Q), _columns(_R, _S)
 
 
-def _branches(z: np.ndarray) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """The indices of z = |x| that reach each Cephes branch, with its
-    rational: T/U below 1, P/Q below 8 (NaN too), R/S from 8."""
+def _branches(x: np.ndarray) -> Iterator[tuple]:
+    """Each Cephes branch that some element of the flat array x reaches, by
+    |x|: T/U below 1, P/Q below 8 (NaN too), R/S from 8. Yields the indices,
+    the rational, x at the indices, a free row and the (2, n) Horner rows,
+    all three in one scratch array that every branch reuses."""
+    z = np.abs(x)
     near, far = z < 1.0, z >= 8.0
     mid = near | far
     np.logical_not(mid, out=mid)
+    rows = np.empty((4, x.size))
     for mask, steps in ((near, _TU), (mid, _PQ), (far, _RS)):
         i = mask.nonzero()[0]
-        if i.size:
-            yield i, steps
+        m = i.size
+        if m:
+            yield i, steps, np.take(x, i, out=rows[0, :m], mode="clip"), rows[1, :m], rows[2:, :m]
 
 
 def _ratio(v: np.ndarray, steps: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
@@ -114,13 +119,6 @@ def _ratio(v: np.ndarray, steps: list[np.ndarray], acc: np.ndarray) -> np.ndarra
     out, den = acc
     out /= den
     return out
-
-
-def _gather(x: np.ndarray, i: np.ndarray, rows: np.ndarray):
-    """x at i in row 0 of the (4, n) scratch rows, a free row 1, and the
-    (2, n) Horner rows 2-3."""
-    m = i.size
-    return np.take(x, i, out=rows[0, :m], mode="clip"), rows[1, :m], rows[2:, :m]
 
 
 def _half_erf(xi: np.ndarray, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
@@ -153,10 +151,8 @@ def ndtr(a) -> np.ndarray:
     x = a / sqrt(2), 1/2 + erf(x)/2 for |x| < 1, else erfc(|x|)/2, or one
     minus it for x > 0. Within 4 ULP of scipy.special.ndtr; NaN stays NaN."""
     a = np.asarray(a, dtype=float)
-    x = a.reshape(-1) * _SQRT1_2
-    rows, out = np.empty((4, a.size)), np.empty(a.size)
-    for i, steps in _branches(np.abs(x)):
-        xi, v, acc = _gather(x, i, rows)
+    out = np.empty(a.size)
+    for i, steps, xi, v, acc in _branches(a.reshape(-1) * _SQRT1_2):
         if steps is _TU:
             y = _half_erf(xi, v, acc)
             y += 0.5
@@ -173,10 +169,8 @@ def erfc(x) -> np.ndarray:
     1 - erf(x) for |x| < 1, else exp(-x^2) times a rational in |x|, taken
     from 2 for x < 0. Within 4 ULP of scipy.special.erfc."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    rows, out = np.empty((4, x.size)), np.empty(x.size)
-    for i, steps in _branches(np.abs(flat)):
-        xi, v, acc = _gather(flat, i, rows)
+    out = np.empty(x.size)
+    for i, steps, xi, v, acc in _branches(x.reshape(-1)):
         if steps is _TU:
             y = _half_erf(xi, v, acc)
             out[i] = 1.0 - 2.0 * y
@@ -194,10 +188,8 @@ def erfcx(x) -> np.ndarray:
     and 2 exp(x^2) - erfcx(-x) from -1 down (inf once exp overflows).
     Within 16 ULP of scipy.special.erfcx."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    rows, out = np.empty((4, x.size)), np.empty(x.size)
-    for i, steps in _branches(np.abs(flat)):
-        xi, v, acc = _gather(flat, i, rows)
+    out = np.empty(x.size)
+    for i, steps, xi, v, acc in _branches(x.reshape(-1)):
         with np.errstate(over="ignore"):  # inf from -26.6 down
             grow = np.exp(xi * xi)
             if steps is _TU:
@@ -251,8 +243,8 @@ def binomial_pmf(k, n: int, p) -> np.ndarray:
     rest, gap = n - k, k - n * p  # n - k less n q is -gap
     whole, part, remainder = _stirlerr(np.stack(np.broadcast_arrays(float(n), k, rest)))
     with np.errstate(divide="ignore", invalid="ignore"):  # the ends are taken below
-        exponent = (whole - part - remainder
-                    - (k * np.log1p(gap / (n * p)) - gap) - (rest * np.log1p(-gap / (n * q)) + gap))
+        exponent = (whole - part - remainder - (k * np.log1p(gap / (n * p)) - gap)
+                    - (rest * np.log1p(-gap / (n * q)) + gap))
         out = np.exp(exponent) * np.sqrt(n / (2.0 * math.pi * k * rest))
         out = np.where(k == 0.0, q ** n, np.where(rest == 0.0, p ** n, out))
     # a certain outcome: every count but the one reached has no mass

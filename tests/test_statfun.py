@@ -275,15 +275,6 @@ def test_normal_tails_no_worse_than_scipy_where_they_differ(name):
             assert excess <= _ULP_BOUND[name], (name, _SWEEP[i])
 
 
-def test_ndtr_erfc_and_erfcx_agree():
-    """The three kernels are one function: up to the rounding of the argument
-    and of exp(x^2), which grows with x^2."""
-    x = np.linspace(-8.0, 8.0, 1601)
-    assert np.allclose(statfun.ndtr(x * math.sqrt(2.0)), 0.5 * statfun.erfc(-x),
-                       rtol=1e-13, atol=0.0)
-    assert np.allclose(statfun.erfcx(x), np.exp(x * x) * statfun.erfc(x), rtol=1e-13, atol=0.0)
-
-
 # --- binomial masses ---
 
 

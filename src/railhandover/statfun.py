@@ -10,7 +10,9 @@ lognormal powers expressed in dB. The array kernels `ndtr`, `erfc`,
 `erfcx` and `binomial_pmf` are numpy code, so the package needs numpy
 only: the normal tails in the rational form of the Cephes library's
 ndtr.c (after W. J. Cody, "Rational Chebyshev approximations for the
-error function", Math. Comp. 23, 1969), the binomial mass in C. Loader's
+error function", Math. Comp. 23, 1969), with the rational that most
+arguments reach run over every element and the other two overwriting
+only their own elements, the binomial mass in C. Loader's
 saddle-point form ("Fast and accurate computation of binomial
 probabilities", 2000).
 """
@@ -18,7 +20,7 @@ probabilities", 2000).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +78,7 @@ _R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.0190504225118047741
 _S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 # exp(-x^2) underflows beyond this x^2, where Cephes returns 0; clipping
-# |x| to 27 keeps R/S finite there
+# |x| to 27 keeps the P/Q and R/S Horners finite there
 _MAXLOG = 7.09782712893383996843e2
 
 
@@ -89,23 +91,6 @@ def _columns(num: tuple, den: tuple) -> list[np.ndarray]:
 
 
 _TU, _PQ, _RS = _columns(_T, _U), _columns(_P, _Q), _columns(_R, _S)
-
-
-def _branches(x: np.ndarray) -> Iterator[tuple]:
-    """Each Cephes branch that some element of the flat array x reaches, by
-    |x|: T/U below 1, P/Q below 8 (NaN too), R/S from 8. Yields the indices,
-    the rational, x at the indices, a free row and the (2, n) Horner rows,
-    all three in one scratch array that every branch reuses."""
-    z = np.abs(x)
-    near, far = z < 1.0, z >= 8.0
-    mid = near | far
-    np.logical_not(mid, out=mid)
-    rows = np.empty((4, x.size))
-    for mask, steps in ((near, _TU), (mid, _PQ), (far, _RS)):
-        i = mask.nonzero()[0]
-        m = i.size
-        if m:
-            yield i, steps, np.take(x, i, out=rows[0, :m], mode="clip"), rows[1, :m], rows[2:, :m]
 
 
 def _ratio(v: np.ndarray, steps: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
@@ -121,47 +106,51 @@ def _ratio(v: np.ndarray, steps: list[np.ndarray], acc: np.ndarray) -> np.ndarra
     return out
 
 
-def _half_erf(xi: np.ndarray, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """erf(x) / 2 on |x| < 1, in acc[0]; v is scratch."""
-    np.multiply(xi, xi, out=v)
-    out = _ratio(v, _TU, acc)
-    out *= xi
-    return out
+def _pq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(x^2) erfc(|x|) / 2 by P/Q over the flat x, at |x| clipped to 27 so
+    that its Horner stays finite: a (2, n) buffer with the values in row 0,
+    |x| clipped, and the indices of |x| >= 8, which R/S must replace."""
+    v = np.abs(x)
+    np.minimum(v, 27.0, out=v)
+    acc = np.empty((2, x.size))
+    _ratio(v, _PQ, acc)
+    return acc, v, (v >= 8.0).nonzero()[0]
 
 
-def _half_erfc(xi: np.ndarray, steps, v: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """erfc(|x|) / 2 on |x| >= 1 by the rational steps, in acc[0]: 0 where
-    x^2 > _MAXLOG, as in Cephes; v is scratch."""
-    np.abs(xi, out=v)
-    if steps is _RS:
-        np.minimum(v, 27.0, out=v)
-    out = _ratio(v, steps, acc)
-    e = acc[1]
+def _half_erfc(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """erfc(|x|) / 2 over the flat x, 0 where x^2 > _MAXLOG as in Cephes,
+    and |x| clipped to 27."""
+    (y, e), v, far = _pq(x)
+    if far.size:
+        w = np.take(v, far)
+        r = _ratio(w, _RS, np.empty((2, far.size)))
+        r *= w * w <= _MAXLOG
+        y[far] = r
     np.multiply(v, v, out=e)
-    if steps is _RS:
-        out *= e <= _MAXLOG
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out *= e
-    return out
+    y *= np.exp(np.negative(e, out=e), out=e)
+    return y, v
+
+
+def _half_erf(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices where |x| < 1 (v is |x|, clipped), and erf(x) / 2 there."""
+    near = (v < 1.0).nonzero()[0]
+    xi = np.take(x, near)
+    return near, _ratio(xi * xi, _TU, np.empty((2, near.size))) * xi
 
 
 def ndtr(a) -> np.ndarray:
     """Standard normal CDF, elementwise, from the Cephes rationals: with
-    x = a / sqrt(2), 1/2 + erf(x)/2 for |x| < 1, else erfc(|x|)/2, or one
-    minus it for x > 0. Within 4 ULP of scipy.special.ndtr; NaN stays NaN."""
+    x = a / sqrt(2), erfc(|x|)/2 by P/Q over every element, R/S overwriting
+    it from |x| = 8, taken from one for x > 0; then 1/2 + erf(x)/2 by T/U
+    where |x| < 1. Within 4 ULP of scipy.special.ndtr; NaN stays NaN."""
     a = np.asarray(a, dtype=float)
-    out = np.empty(a.size)
-    for i, steps, xi, v, acc in _branches(a.reshape(-1) * _SQRT1_2):
-        if steps is _TU:
-            y = _half_erf(xi, v, acc)
-            y += 0.5
-        else:
-            y = _half_erfc(xi, steps, v, acc)
-            np.copysign(y, xi, out=y)
-            np.subtract(xi > 0.0, y, out=y)  # 1 - y for x > 0, y otherwise
-        out[i] = y
-    return out.reshape(a.shape)
+    x = a.reshape(-1) * _SQRT1_2
+    y, v = _half_erfc(x)
+    np.copysign(y, x, out=y)
+    np.subtract(x > 0.0, y, out=y)  # 1 - y for x > 0, y otherwise
+    near, half = _half_erf(x, v)
+    y[near] = half + 0.5
+    return y.reshape(a.shape)
 
 
 def erfc(x) -> np.ndarray:
@@ -169,15 +158,12 @@ def erfc(x) -> np.ndarray:
     1 - erf(x) for |x| < 1, else exp(-x^2) times a rational in |x|, taken
     from 2 for x < 0. Within 4 ULP of scipy.special.erfc."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i, steps, xi, v, acc in _branches(x.reshape(-1)):
-        if steps is _TU:
-            y = _half_erf(xi, v, acc)
-            out[i] = 1.0 - 2.0 * y
-        else:
-            y = _half_erfc(xi, steps, v, acc)
-            y *= 2.0
-            out[i] = np.where(xi < 0.0, 2.0 - y, y)
+    flat = x.reshape(-1)
+    y, v = _half_erfc(flat)
+    y *= 2.0
+    out = np.where(flat < 0.0, 2.0 - y, y)
+    near, half = _half_erf(flat, v)
+    out[near] = 1.0 - 2.0 * half
     return out.reshape(x.shape)
 
 
@@ -188,18 +174,19 @@ def erfcx(x) -> np.ndarray:
     and 2 exp(x^2) - erfcx(-x) from -1 down (inf once exp overflows).
     Within 16 ULP of scipy.special.erfcx."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i, steps, xi, v, acc in _branches(x.reshape(-1)):
-        with np.errstate(over="ignore"):  # inf from -26.6 down
-            grow = np.exp(xi * xi)
-            if steps is _TU:
-                out[i] = grow * (1.0 - 2.0 * _half_erf(xi, v, acc))
-                continue
-            np.abs(xi, out=v)
-            y = 2.0 * _ratio(np.minimum(v, 50.0), steps, acc)
-            u = 1.0 / (v * v)  # beyond 50 the continued fraction, with no overflow
-            far = (1.0 + u * (4.5 + 2.0 * u)) / ((1.0 + u * (5.0 + 3.75 * u)) * _SQRT_PI * v)
-            out[i] = np.where(xi < 0.0, 2.0 * grow - y, np.where(v > 50.0, far, y))
+    flat = x.reshape(-1)
+    with np.errstate(over="ignore"):  # inf from -26.6 down
+        (y, _), v, far = _pq(flat)
+        y *= 2.0
+        t = np.abs(np.take(flat, far))
+        u = 1.0 / (t * t)  # beyond 50 the continued fraction, with no overflow
+        y[far] = np.where(t > 50.0, (1.0 + u * (4.5 + 2.0 * u))
+                          / ((1.0 + u * (5.0 + 3.75 * u)) * _SQRT_PI * t),
+                          2.0 * _ratio(np.minimum(t, 50.0), _RS, np.empty((2, far.size))))
+        grow = np.exp(flat * flat)
+        out = np.where(flat < 0.0, 2.0 * grow - y, y)
+    near, half = _half_erf(flat, v)
+    out[near] = np.take(grow, near) * (1.0 - 2.0 * half)
     return out.reshape(x.shape)
 
 

@@ -275,6 +275,47 @@ def test_normal_tails_no_worse_than_scipy_where_they_differ(name):
             assert excess <= _ULP_BOUND[name], (name, _SWEEP[i])
 
 
+# --- array normal tails against the branch-gather oracle ---
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _edges() -> np.ndarray:
+    """The branch edges 1 and 8, the clips at 27 and 50 and the overflow of
+    exp(x^2) near 26.6, as arguments of erfc and erfcx and, times sqrt(2), of
+    ndtr, with their neighbours and negatives."""
+    x = np.array([1.0, 8.0, 27.0, 50.0, 26.6])
+    a = np.concatenate((x, _SQRT2 * x))
+    a = np.concatenate((a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)))
+    return np.concatenate((a, -a))
+
+
+@pytest.mark.parametrize("name", sorted(_ULP_BOUND))
+def test_normal_tails_equal_branch_gather_oracle_bitwise(name):
+    """Bit for bit (signed zeros included) the branch-gather kernels, with
+    NaN where they give NaN, over the sweep, the far tails and the branch
+    edges, on flat, empty, 0-d and 3-D inputs, and with no warning raised."""
+    import warnings
+
+    import normal_tail_oracle
+
+    kernel, oracle = getattr(statfun, name), getattr(normal_tail_oracle, name)
+    x = np.concatenate((_SWEEP, _FAR, _edges()))
+    with np.errstate(over="ignore"):
+        want = oracle(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel(x)
+        shaped = [kernel(np.empty(0)), kernel(np.float64(-0.3)),
+                  kernel(x[-120:].reshape(2, 3, 20))]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert shaped[0].shape == (0,) and shaped[1].shape == ()
+    assert shaped[1].view(np.int64) == oracle(np.float64(-0.3)).view(np.int64)
+    assert shaped[2].shape == (2, 3, 20)
+    assert np.array_equal(shaped[2].view(np.int64), want[-120:].reshape(2, 3, 20).view(np.int64))
+
+
 # --- binomial masses ---
 
 

@@ -82,8 +82,15 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
     E[max] = sum_n integral over z in [-10, 10] of (mu_n + sigma_n z) phi(z)
     prod_{j != n} Phi((mu_n - mu_j)/sigma_j + (sigma_n/sigma_j) z), z being
     component n's standardized draw. Unlike an integral over r, this keeps
-    unit width and loses no digits to r - mu_j even at sigma = 1e-9.
+    unit width and loses no digits to r - mu_j even at sigma = 1e-9. Each
+    row's (mu, sigma) pairs are sorted, as E[max] does not depend on their
+    order, and each distinct sorted row is integrated once; where(i) names
+    input row i.
     """
+    order = np.lexsort((sigma, mu), axis=1)
+    key = np.hstack([np.take_along_axis(a, order, axis=1) for a in (mu, sigma)])
+    key, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    mu, sigma = np.hsplit(key, 2)
     n = mu.shape[1]
     others = ~np.eye(n, dtype=bool)  # the components j != n of each n, in order
     with np.errstate(over="ignore"):
@@ -92,8 +99,8 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
     # a finite bound keeps every CDF argument offset + scale * z, |z| <= 10, finite
     finite = np.isfinite(np.abs(offset) + 10.0 * np.abs(scale)).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{where(int(np.argmin(finite)))}: the normal CDF arguments are not "
-                         "finite; the component sigmas are too small for their mean gaps")
+        raise ValueError(f"{where(int(first[np.argmin(finite)]))}: the normal CDF arguments "
+                         "are not finite; the component sigmas are too small for their mean gaps")
     # the standard partition, and an edge wherever another component's CDF
     # rises as a step (else a repeat of -10)
     steps = -offset / scale
@@ -111,7 +118,7 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
             total = total + terms[..., k]
         return total * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
 
-    return integrate_rows(integrand, edges, where)
+    return integrate_rows(integrand, edges, lambda r: where(int(first[r])))[inverse.reshape(-1)]
 
 
 # === Link table ===
@@ -246,30 +253,27 @@ def cell_means(scs: tuple[Scenario, ...],
     Returns, per scenario, the means, shape (positions, antennas, cells),
     and a boolean array of shape (positions, antennas) that is True where
     the target cell's mean exceeds the serving cell's by more than
-    BETTER_CELL_MARGIN. The distinct max-of-Gaussians rows of all the
-    scenarios are integrated in one batch per component count, so a row
-    two scenarios share is integrated once.
+    BETTER_CELL_MARGIN. All the scenarios' max-of-Gaussians rows go to
+    max_means in one batch per component count, which integrates a row two
+    scenarios share, or its mirror image at the mirrored position, once.
     """
     tables = [link_table(sc, grid) for sc in scs]
     parts = [t.cell_components() for t in tables]
     means = [mu[..., 0].copy() for mu, _ in parts]  # single Gaussians: their mu
     for n in sorted({mu.shape[3] for mu, _ in parts} - {1}):
         ks = [k for k, (mu, _) in enumerate(parts) if mu.shape[3] == n]
-        stats = np.concatenate([np.concatenate(parts[k], axis=-1).reshape(-1, 2 * n)
-                                for k in ks])
-        distinct, first, inverse = np.unique(stats, axis=0, return_index=True,
-                                             return_inverse=True)
         ends = np.cumsum([means[k].size for k in ks])
 
-        def where(r: int) -> str:
-            i = int(np.searchsorted(ends, first[r], side="right"))
-            k = ks[i]
-            j, a, c = np.unravel_index(first[r] - ends[i] + means[k].size, means[k].shape)
+        def where(i: int) -> str:
+            m = int(np.searchsorted(ends, i, side="right"))
+            k = ks[m]
+            j, a, c = np.unravel_index(i - ends[m] + means[k].size, means[k].shape)
             return (f"cell mean of {scs[k].scheme.value} at x={grid.positions[j]:g} m "
                     f"({tables[k].antennas[a].name.lower()} antenna, "
                     f"{CELLS[c].name.lower()} cell)")
 
-        values = max_means(distinct[:, :n], distinct[:, n:], where)[inverse.reshape(-1)]
+        values = max_means(*(np.concatenate([parts[k][i].reshape(-1, n) for k in ks])
+                             for i in (0, 1)), where)
         for k, part in zip(ks, np.split(values, ends[:-1])):
             means[k] = part.reshape(means[k].shape)
     return tuple((_frozen(m), _frozen(m[..., 1] - m[..., 0] > BETTER_CELL_MARGIN))

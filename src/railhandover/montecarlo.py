@@ -166,9 +166,21 @@ def _best_series(cell: np.ndarray, target_better: np.ndarray) -> np.ndarray:
     trace (linear power sum), as rows of shape (rows, trials)."""
     series = cell[np.arange(len(cell)), target_better.astype(int)]
     if len(series) == 2:
-        series = np.vstack((series, 10.0 * np.log10(np.power(10.0, series[0] / 10.0)
-                                                    + np.power(10.0, series[1] / 10.0))))
+        linear = np.power(10.0, series / 10.0)
+        series = np.vstack((series, 10.0 * np.log10(linear[0] + linear[1])))
     return series
+
+
+def _row_stats(rows: np.ndarray) -> np.ndarray:
+    """Mean and 95% half-width of each row of trials from one sum per row, as
+    np.mean and 1.96 np.std(ddof=1) / sqrt(n) give them bit for bit; overwrites rows."""
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1, keepdims=True)
+    mean /= n
+    np.square(np.subtract(rows, mean, out=rows), out=rows)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for one trial
+        hw = 1.96 * np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / math.sqrt(n)
+    return np.column_stack((mean[:, 0], hw))
 
 
 def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> PointwiseEstimate:
@@ -226,11 +238,8 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
                 series[m] = _best_series(cell, better[m][j])
         if better is None:
             return {m: (c, None) for m, c in counts.items()}
-        # the mean and 95% half-width of every scenario's series in one call each
-        rows = np.concatenate(list(series.values()))
-        hw = (1.96 * np.std(rows, axis=1, ddof=1) / math.sqrt(trials) if trials > 1
-              else np.full(len(rows), math.nan))
-        means = np.split(np.column_stack((np.mean(rows, axis=1), hw)),
+        # the mean and 95% half-width of every scenario's series at once
+        means = np.split(_row_stats(np.concatenate(list(series.values()))),
                          np.cumsum([len(s) for s in series.values()])[:-1])
         return {m: (counts[m], mean) for m, mean in zip(series, means)}
 

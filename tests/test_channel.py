@@ -451,9 +451,10 @@ def _count_rows(monkeypatch) -> list:
     Scenario(), Scenario(shadow_sigma_per_rau=(0.5, 4.0, 8.0, 12.0)), Scenario(n_raus=8),
     Scenario(selection=SelectionRule.MEAN_PATHLOSS)])
 def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
-    """Cell means keyed by their distinct component rows equal one-row
+    """Cell means keyed by their distinct component multisets equal one-row
     distribution_mean integrals bitwise, and one call integrates each
-    distinct multi-component row of its scenarios exactly once."""
+    distinct multiset of a multi-component row of its scenarios exactly
+    once, whatever the order of its components."""
     grid = PositionGrid.over(3000.0, 100.0)
     _clear_package_caches()
     calls = _count_rows(monkeypatch)
@@ -471,7 +472,7 @@ def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
                 for c in range(len(channel.CELLS)):
                     dist = table_distribution(table, j, a, c)
                     if len(dist.components) > 1:
-                        distinct.add(dist)
+                        distinct.add(tuple(sorted((u.mu, u.sigma) for u in dist.components)))
                     assert float(means[j, a, c]).hex() == distribution_mean(dist).hex()
         assert batch == ([len(distinct)] if distinct else [])
         every |= distinct
@@ -483,6 +484,28 @@ def test_keyed_cell_means_equal_uncached_means(scenario, monkeypatch):
         assert calls == ([len(every)] if every else [])
         for scheme, (means, _) in zip(order, joint):
             assert means.tobytes() == alone[list(Scheme).index(scheme)].tobytes()
+
+
+def test_mirrored_rows_share_one_integration(sc, monkeypatch):
+    """On the 250 m grid the front antenna's serving cell at x holds the
+    components of its target cell at 3000 - x in reverse order: the two
+    means are bit-identical, from one integrated row."""
+    grid = PositionGrid.over(sc.ds, 250.0)
+    _clear_package_caches()
+    calls = _count_rows(monkeypatch)
+    table = channel.link_table(sc, grid)
+    means, _ = channel.cell_means((sc,), grid)[0]
+    front = table.antennas.index(AntennaId.FRONT)
+    mu, sigma = table.cell_components()
+    serving = np.concatenate((mu[:, front, 0], sigma[:, front, 0]), axis=-1)
+    target = np.concatenate((mu[::-1, front, 1, ::-1], sigma[::-1, front, 1, ::-1]), axis=-1)
+    assert grid.positions == tuple(sc.ds - x for x in reversed(grid.positions))
+    assert np.array_equal(serving, target)
+    assert means[:, front, 0].tobytes() == means[::-1, front, 1].tobytes()
+    k = mu.shape[-1]
+    rows = [tuple(zip(m, s)) for m, s in zip(mu.reshape(-1, k), sigma.reshape(-1, k))]
+    assert calls == [len({tuple(sorted(row)) for row in rows})]
+    assert calls[0] < len(set(rows))
 
 
 def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):

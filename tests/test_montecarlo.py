@@ -86,6 +86,24 @@ def test_pointwise_parallel_runs_are_bitwise_identical():
     assert_sweeps_equal(parallel, serial)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3, 2000])
+def test_mean_rss_rows_equal_numpy_mean_and_std(trials):
+    """Each mean-RSS row's mean and half-width, from one sum per row, are
+    np.mean and 1.96 np.std(ddof=1) / sqrt(n) bit for bit, of the rows at
+    once and of each row alone; one trial leaves the half-width NaN."""
+    rows = np.random.default_rng(trials).normal(-70.0, 8.0, (5, trials))
+    mean, hw = montecarlo._row_stats(rows.copy()).T
+    assert mean.tobytes() == np.mean(rows, axis=1).tobytes()
+    assert mean.tolist() == [float(np.mean(row)) for row in rows]
+    if trials == 1:
+        assert np.isnan(hw).all()
+    else:
+        want = 1.96 * np.std(rows, axis=1, ddof=1) / np.sqrt(trials)
+        assert hw.tobytes() == want.tobytes()
+        assert hw.tolist() == [1.96 * float(np.std(row, ddof=1)) / np.sqrt(trials)
+                               for row in rows]
+
+
 @pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.DAS_SINGLE])
 def test_counts_do_not_depend_on_mean_rss(scheme):
     sc = Scenario().with_scheme(scheme)

@@ -2,11 +2,14 @@
 
 All metrics are evaluated position-wise on a measurement grid, with the
 front antenna's along-track coordinate as the reference, and every curve
-reads its Gaussian link statistics from `channel.link_table`. Values are
-produced by the scalar `math` kernels (`q_function`, `math.hypot`,
-`std_normal_cdf`) applied elementwise, so a position's value does not
-depend on the grid it sits on: the value at one position x is the curve
-on PositionGrid((x,), step). Two evaluation modes exist because the
+reads its Gaussian link statistics from `channel.link_table`. Trigger
+and failure are the front antenna's curves, interruption the scheme's.
+Trigger and interruption apply the scalar `math` kernels (`q_function`,
+`math.hypot`, `std_normal_cdf`) elementwise; failure integrates numpy
+arrays, with `np.hypot` and the array normal tails `statfun.ndtr` and
+`statfun.erfcx`. Either way a position's value does not depend on the
+grid it sits on: the value at one position x is the curve on
+PositionGrid((x,), step). Two evaluation modes exist because the
 published closed forms for occurrence, failure and interruption are not
 self-consistent: MetricMode.PAPER evaluates them exactly as printed,
 MetricMode.REDERIVED (the default) evaluates the first-principles forms
@@ -23,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel, statfun
-from .scenario import AntennaId, Scenario
+from .scenario import Scenario
 from .statfun import STEP_SCALE, integrate_rows, q_function, std_normal_cdf
 
 # Conditional metrics are undefined once the conditioning event is this rare.
@@ -32,7 +35,6 @@ TRIGGER_FLOOR = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 # the scalar kernels, elementwise: numpy's own functions differ in the last bit
-_hypot = np.vectorize(math.hypot, otypes=[float])
 _q = np.vectorize(q_function, otypes=[float])
 _ncdf = np.vectorize(std_normal_cdf, otypes=[float])
 
@@ -77,28 +79,25 @@ class PositionGrid:
 # === Trigger probability ===
 
 
-def comparands(sc: Scenario, grid: PositionGrid,
-               antenna: AntennaId = AntennaId.FRONT) -> tuple[np.ndarray, ...]:
-    """Serving mu, sigma and target mu, sigma of the antenna's handover rule
-    at every grid position; ValueError if the scheme has no such antenna."""
-    if antenna not in sc.antennas():
-        raise ValueError(f"scheme {sc.scheme.value} has no {antenna.name.lower()} antenna")
+def comparands(sc: Scenario, grid: PositionGrid) -> tuple[np.ndarray, ...]:
+    """Serving mu, sigma and target mu, sigma of the front antenna's
+    handover rule at every grid position."""
     table = channel.link_table(sc, grid)
-    a, (s, t) = table.antennas.index(antenna), table.trigger_column
-    return (table.mu[:, a, 0, s], table.sigma[:, a, 0, s],
-            table.mu[:, a, 1, t], table.sigma[:, a, 1, t])
+    s, t = table.trigger_column
+    return (table.mu[:, 0, 0, s], table.sigma[:, 0, 0, s],
+            table.mu[:, 0, 1, t], table.sigma[:, 0, 1, t])
 
 
-def trigger_curve(sc: Scenario, grid: PositionGrid,
-                  antenna: AntennaId = AntennaId.FRONT) -> np.ndarray:
-    """Probability that the handover rule fires at each grid position.
+def trigger_curve(sc: Scenario, grid: PositionGrid) -> np.ndarray:
+    """Probability that the front antenna's handover rule fires at each
+    grid position.
 
     The rule compares a Gaussian pair (the boundary RAUs under RAU
     selection, the cell RSS otherwise), so P(target - serving > hysteresis)
     is the closed form Q((hysteresis - margin) / hypot(sigma_s, sigma_t)).
     """
-    mu_s, sigma_s, mu_t, sigma_t = comparands(sc, grid, antenna)
-    return _q((sc.hysteresis - (mu_t - mu_s)) / _hypot(sigma_s, sigma_t))
+    mu_s, sigma_s, mu_t, sigma_t = comparands(sc, grid)
+    return _q((sc.hysteresis - (mu_t - mu_s)) / channel._hypot(sigma_s, sigma_t))
 
 
 # === Occurrence probability ===
@@ -138,11 +137,11 @@ def occurrence_masses(trigger_probs: np.ndarray, step: float,
 
 
 def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
-                  antenna: AntennaId = AntennaId.FRONT,
                   mode: MetricMode = MetricMode.REDERIVED) -> tuple[list[float | None], ...]:
-    """P(target RSS at the trigger moment < threshold | trigger fired) at
-    every grid position, per scenario of scs, None where the trigger
-    probability is below TRIGGER_FLOOR and the conditional is undefined.
+    """P(target RSS at the trigger moment < threshold | trigger fired) of
+    the front antenna at every grid position, per scenario of scs, None
+    where the trigger probability is below TRIGGER_FLOOR and the
+    conditional is undefined.
 
     Let U be the target comparand and V the target-minus-serving margin.
     REDERIVED evaluates P(U < threshold | V > hysteresis) by integrating
@@ -162,26 +161,24 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
     pairs (das-single and the proposed front antenna) share them.
     """
     count = len(grid.positions)
-    rows = np.concatenate([np.column_stack(comparands(sc, grid, antenna)
+    rows = np.concatenate([np.column_stack(comparands(sc, grid)
                                            + (np.full(count, sc.hysteresis),
                                               np.full(count, sc.threshold)))
                            for sc in scs])
     distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    values = _failure_rows(distinct, mode, antenna,
-                           [grid.positions[j % count] for j in first])
+    values = _failure_rows(distinct, mode, [grid.positions[j % count] for j in first])
     values = [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
     return tuple(values[k * count:(k + 1) * count] for k in range(len(scs)))
 
 
-def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
-                  at: Sequence[float]) -> np.ndarray:
+def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> np.ndarray:
     """Conditional failure of each (serving mu, sigma, target mu, sigma,
     hysteresis, threshold) row of pairs, NaN below TRIGGER_FLOOR; errors
-    name row r by the antenna and at[r]."""
+    name row r by at[r]."""
     mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = pairs.T
     sigma_v = np.hypot(sigma_s, sigma_t)
     z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
-    p_trig = 0.5 * statfun.erfc(z0 / _SQRT2)
+    p_trig = statfun.ndtr(-z0)
     # the side of z0 the margin is truncated to: above it (the trigger
     # fired) or, for PAPER, below; s0 is the truncation point seen from that side
     side = 1.0 if mode is MetricMode.REDERIVED else -1.0
@@ -220,11 +217,11 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, antenna: AntennaId,
         edges = np.stack((lower, np.where((lower < cut) & (cut < upper), cut, lower), upper), 1)
         out[rows] = integrate_rows(lambda x, r, rows=rows, f=integrand: f(x, rows[r]), edges,
                                    lambda r, rows=rows: f"failure probability at x="
-                                   f"{at[rows[r]]:g} m ({antenna.name.lower()} antenna)")
+                                   f"{at[rows[r]]:g} m (front antenna)")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN stays NaN
         out = np.clip(np.where(s0 < -8.0, out / p_trig, out), 0.0, 1.0)
         if mode is MetricMode.PAPER:
-            out = out * (0.5 * statfun.erfc(-z0 / _SQRT2)) / p_trig
+            out = out * statfun.ndtr(z0) / p_trig
     return out
 
 

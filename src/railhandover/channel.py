@@ -46,7 +46,8 @@ if TYPE_CHECKING:
     from .analytics import PositionGrid
 
 # the scalar math.hypot distance and path_loss kernels, elementwise: numpy's
-# own hypot and log10 differ from math's in the last bit
+# own hypot and log10 differ from math's in the last bit (analytics' trigger
+# curve takes its hypot too)
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _log10 = np.vectorize(math.log10, otypes=[float])
 

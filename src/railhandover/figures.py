@@ -29,7 +29,7 @@ from .montecarlo import (
     estimate_first_crossing,
     estimate_pointwise,
 )
-from .scenario import AntennaId, Scenario, Scheme
+from .scenario import Scenario, Scheme
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class FigureRunner:
         or for interruption the scheme-level one."""
         if figure is Figure.OCCURRENCE:
             return self._per_scheme(("crossing",), lambda: estimate_first_crossing(
-                self.scenarios, self.grid, self.config.trials, self.seed, AntennaId.FRONT,
+                self.scenarios, self.grid, self.config.trials, self.seed,
                 jobs=self.config.jobs))[scheme]
         sweep = getattr(self.pointwise(scheme, figure is Figure.RSS), figure.value)
         column = -1 if figure is Figure.INTERRUPTION else 0
@@ -208,7 +208,7 @@ class FigureRunner:
 
     def _curves(self, figure: Figure, mode: MetricMode | None) -> list:
         if figure is Figure.FAILURE:
-            return analytics.failure_curve(self.scenarios, self.grid, AntennaId.FRONT, mode)
+            return analytics.failure_curve(self.scenarios, self.grid, mode)
         if figure is Figure.OCCURRENCE:
             return [analytics.occurrence_masses(self.analytic(s, Figure.TRIGGER, mode),
                                                 self.grid.step, mode) for s in self.config.schemes]
@@ -260,8 +260,8 @@ class FigureRunner:
             tag = _tag(s)
             curves = self.rss_values(s)
             mc = self.pointwise(s, True).rss
-            if mc.value.shape[1] == 3:  # front, rear, combined
-                comb_val, comb_hw = mc.value[:, 2], mc.half_width_95[:, 2]
+            if mc.value.shape[1] == 2:  # front, combined
+                comb_val, comb_hw = mc.value[:, 1], mc.half_width_95[:, 1]
             else:
                 comb_val = comb_hw = [None] * len(self.grid.positions)
             columns += [f"{tag}_front_dbm", f"{tag}_rear_dbm", f"{tag}_best_dbm",

@@ -11,7 +11,8 @@ scenario reads its prefix, the values it would draw alone, and a
 scenario whose links repeat another's reads that one's counts.
 Shadowing is drawn through `LinkTable.shadowed`. Both sweeps return
 `Estimate`s, arrays over positions: the pointwise sweep's have a column
-per antenna, the first-crossing sweep's hold the first-trigger masses.
+per antenna (mean RSS: the front antenna's and the combined trace), the
+first-crossing sweep's hold the front antenna's first-trigger masses.
 `figures.FigureRunner.mc` reads each curve figure's estimate from them.
 """
 
@@ -81,8 +82,9 @@ class PointwiseEstimate(NamedTuple):
     """The pointwise sweep: Estimates of shape (positions, columns).
 
     Columns follow the scheme's antennas. interruption adds one last
-    column, every antenna below the threshold at once; rss, None unless
-    requested, adds the combined two-antenna trace on two antennas.
+    column, every antenna below the threshold at once. rss, None unless
+    requested, holds the front antenna's column and, on two antennas, the
+    combined two-antenna trace.
     """
 
     trigger: Estimate
@@ -162,12 +164,13 @@ def _position_counts(sc: Scenario, cell: np.ndarray, serving: np.ndarray,
 
 
 def _best_series(cell: np.ndarray, target_better: np.ndarray) -> np.ndarray:
-    """The best-cell RSS of each antenna, then for two antennas the combined
-    trace (linear power sum), as rows of shape (rows, trials)."""
+    """The front antenna's best-cell RSS, then for two antennas the combined
+    trace (linear power sum of both antennas' best cells), as rows of shape
+    (rows, trials)."""
     series = cell[np.arange(len(cell)), target_better.astype(int)]
     if len(series) == 2:
         linear = np.power(10.0, series / 10.0)
-        series = np.vstack((series, 10.0 * np.log10(linear[0] + linear[1])))
+        series = np.vstack((series[0], 10.0 * np.log10(linear[0] + linear[1])))
     return series
 
 
@@ -185,15 +188,15 @@ def _row_stats(rows: np.ndarray) -> np.ndarray:
 
 def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> PointwiseEstimate:
     """The estimate of a scenario from each position's (counts, mean rows),
-    read on its first antennas; a reader of fewer antennas than the rows
-    cover takes only their per-antenna mean rows."""
+    read on its first antennas. There are as many mean rows as antennas
+    (front, then combined), so a one-antenna reader of two-antenna rows
+    takes the front one."""
     counts, means = zip(*rows)
     fired, failed, below, every = np.moveaxis(np.array(counts)[:, :, :antennas], 1, 0)
     below = np.concatenate((below, every[:, -1:]), axis=1)
     rss = None
     if means[0] is not None:
-        full = antennas == counts[0].shape[1]
-        value, hw = np.moveaxis(np.array([m if full else m[:antennas] for m in means]), 2, 0)
+        value, hw = np.moveaxis(np.array(means)[:, :antennas], 2, 0)
         rss = Estimate(value, hw, np.full(value.shape, trials))
     return PointwiseEstimate(_binomial(fired, np.full_like(fired, trials)),
                              _binomial(failed, fired),
@@ -212,7 +215,7 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     (_sources). The same draws give trigger, failure (conditional on
     trigger, NaN where no trial triggered) and per-antenna and
     scheme-level interruption counts. Only if mean_rss does it add the
-    mean best-cell RSS per antenna and the combined two-antenna trace
+    front antenna's mean best-cell RSS and the combined two-antenna trace
     (linear power sum), since picking the better cell needs the
     analytic cell means.
     """
@@ -252,11 +255,11 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
 
 
 def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
-                            seed: SeedPolicy, antenna: AntennaId = AntennaId.FRONT,
-                            jobs: int = 1) -> tuple[Estimate, ...]:
+                            seed: SeedPolicy, jobs: int = 1) -> tuple[Estimate, ...]:
     """Empirical occurrence distribution per scenario of scs: at each grid
     position, the share of trials whose first fresh shadowing draw that
-    satisfies the trigger rule, walking left to right, falls there.
+    satisfies the front antenna's trigger rule, walking left to right,
+    falls there.
 
     Trials are drawn in fixed-size blocks; each block is an independent
     substream, drawn once and compared by every scenario, so an estimate
@@ -265,14 +268,14 @@ def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rules = [comparands(sc, grid, antenna) for sc in scs]
+    rules = [comparands(sc, grid) for sc in scs]
     source = _sources(scs, grid)[1]
     shadowing = sorted(set(source))
     n_pos = len(grid.positions)
 
     def one_block(b: int) -> dict[int, np.ndarray]:
         size = min(_BLOCK, trials - b * _BLOCK)
-        rng = seed.stream(DOMAIN_FIRST_CROSSING, antenna.value, b)
+        rng = seed.stream(DOMAIN_FIRST_CROSSING, AntennaId.FRONT.value, b)
         z = rng.standard_normal((size, n_pos, 2))
         counts = {}
         for k in shadowing:

@@ -6,10 +6,10 @@ the standard normal CDF and its complements, the binomial mass function,
 one adaptive Gauss-Kronrod quadrature that integrates a whole batch of
 integrands as numpy arrays and raises NumericsError rather than return
 an unconverged value, and a moment-matching approximation for a sum of
-lognormal powers expressed in dB. The array kernels `ndtr`, `erfc`,
-`erfcx` and `binomial_pmf` are numpy code, so the package needs numpy
-only: the normal tails in the rational form of the Cephes library's
-ndtr.c (after W. J. Cody, "Rational Chebyshev approximations for the
+lognormal powers expressed in dB. The array kernels `ndtr`, `erfcx`
+and `binomial_pmf` are numpy code, so the package needs numpy only:
+the normal tails in the rational form of the Cephes library's ndtr.c
+(after W. J. Cody, "Rational Chebyshev approximations for the
 error function", Math. Comp. 23, 1969), with the rational that most
 arguments reach run over every element and the other two overwriting
 only their own elements, the binomial mass in C. Loader's
@@ -151,20 +151,6 @@ def ndtr(a) -> np.ndarray:
     near, half = _half_erf(x, v)
     y[near] = half + 0.5
     return y.reshape(a.shape)
-
-
-def erfc(x) -> np.ndarray:
-    """Complementary error function, elementwise, as Cephes computes it:
-    1 - erf(x) for |x| < 1, else exp(-x^2) times a rational in |x|, taken
-    from 2 for x < 0. Within 4 ULP of scipy.special.erfc."""
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    y, v = _half_erfc(flat)
-    y *= 2.0
-    out = np.where(flat < 0.0, 2.0 - y, y)
-    near, half = _half_erf(flat, v)
-    out[near] = 1.0 - 2.0 * half
-    return out.reshape(x.shape)
 
 
 def erfcx(x) -> np.ndarray:

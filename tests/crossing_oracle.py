@@ -4,7 +4,7 @@
 `estimate_first_crossing` runs for every scenario of a run at once: it
 draws each block of trials from its own substream, (trials, positions,
 2) standard normals, shadows them into the serving and target
-comparands of one antenna and histograms the first position whose
+comparands of the front antenna and histograms the first position whose
 margin exceeds the hysteresis. The joint sweep must give each scenario
 this Estimate bit for bit. It also counts the trials that never
 trigger, which the joint sweep does not report.
@@ -20,14 +20,13 @@ from railhandover.montecarlo import DOMAIN_FIRST_CROSSING, Estimate, SeedPolicy
 from railhandover.scenario import AntennaId, Scenario
 
 
-def first_crossing(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPolicy,
-                   antenna: AntennaId = AntennaId.FRONT) -> tuple[Estimate, int]:
+def first_crossing(sc: Scenario, grid: PositionGrid, trials: int,
+                   seed: SeedPolicy) -> tuple[Estimate, int]:
     """What estimate_first_crossing returns for sc, one block after another,
     and the number of trials in which no position triggers."""
     table = channel.link_table(sc, grid)
-    a = table.antennas.index(antenna)
     (mu_s, sig_s), (mu_t, sig_t) = [
-        (table.mu[:, a, c, n], table.sigma[:, a, c, n])
+        (table.mu[:, 0, c, n], table.sigma[:, 0, c, n])
         for c, n in enumerate(table.trigger_column)]
     n_pos = len(grid.positions)
     counts = np.zeros(n_pos, dtype=np.int64)
@@ -35,7 +34,7 @@ def first_crossing(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPoli
     block = montecarlo._BLOCK
     for b in range((trials + block - 1) // block):
         size = min(block, trials - b * block)
-        z = seed.stream(DOMAIN_FIRST_CROSSING, antenna.value, b).standard_normal(
+        z = seed.stream(DOMAIN_FIRST_CROSSING, AntennaId.FRONT.value, b).standard_normal(
             (size, n_pos, 2))
         margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
         trig = margin > sc.hysteresis

@@ -200,22 +200,22 @@ def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FR
     return trigger_prob_closed_form(*trigger_pair(sc, front_x, antenna), sc.hysteresis)
 
 
-def failure_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT,
+def failure_prob(sc: Scenario, front_x: float,
                  mode: MetricMode = MetricMode.REDERIVED) -> float:
-    """The conditional failure probability of one (serving, target) pair,
-    integrated alone: `analytics._failure_rows` on a batch of one row.
+    """The front antenna's conditional failure probability, its (serving,
+    target) pair integrated alone: `analytics._failure_rows` on a batch of
+    one row.
 
     Raises UndefinedConditionalError when the trigger probability is
     below TRIGGER_FLOOR.
     """
-    _check_antenna(sc, antenna)
-    serving, target = trigger_pair(sc, front_x, antenna)
+    serving, target = trigger_pair(sc, front_x, AntennaId.FRONT)
     row = np.array([[serving.mu, serving.sigma, target.mu, target.sigma,
                      sc.hysteresis, sc.threshold]])
-    value = analytics._failure_rows(row, mode, antenna, (front_x,))[0]
+    value = analytics._failure_rows(row, mode, (front_x,))[0]
     if math.isnan(value):
         raise UndefinedConditionalError(
-            f"trigger probability {trigger_prob(sc, front_x, antenna):.3g} at "
+            f"trigger probability {trigger_prob(sc, front_x):.3g} at "
             f"x={front_x:.6g} is below {TRIGGER_FLOOR:.0e}; conditional failure undefined")
     return float(value)
 

@@ -1,6 +1,6 @@
 """Reference normal-tail kernels, used by tests only.
 
-`ndtr`, `erfc` and `erfcx` in the branch-gather form that
+`ndtr` and `erfcx` in the branch-gather form that
 `railhandover.statfun` replaced: each Cephes branch (T/U below |x| = 1,
 P/Q below 8 and NaN, R/S from 8) is gathered into scratch rows, evaluated
 only on the elements that reach it and scattered back. The package's
@@ -89,23 +89,6 @@ def ndtr(a) -> np.ndarray:
             np.subtract(xi > 0.0, y, out=y)  # 1 - y for x > 0, y otherwise
         out[i] = y
     return out.reshape(a.shape)
-
-
-def erfc(x) -> np.ndarray:
-    """Complementary error function, elementwise, as Cephes computes it:
-    1 - erf(x) for |x| < 1, else exp(-x^2) times a rational in |x|, taken
-    from 2 for x < 0. Within 4 ULP of scipy.special.erfc."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i, steps, xi, v, acc in _branches(x.reshape(-1)):
-        if steps is _TU:
-            y = _half_erf(xi, v, acc)
-            out[i] = 1.0 - 2.0 * y
-        else:
-            y = _half_erfc(xi, steps, v, acc)
-            y *= 2.0
-            out[i] = np.where(xi < 0.0, 2.0 - y, y)
-    return out.reshape(x.shape)
 
 
 def erfcx(x) -> np.ndarray:

@@ -56,8 +56,8 @@ def _at(x):
     return PositionGrid((x,), 1.0)
 
 
-def trigger_at(sc, x, antenna=AntennaId.FRONT):
-    return float(trigger_curve(sc, _at(x), antenna)[0])
+def trigger_at(sc, x):
+    return float(trigger_curve(sc, _at(x))[0])
 
 
 def failure_at(sc, x, mode=MetricMode.REDERIVED):
@@ -391,31 +391,30 @@ def _bits(value):
     return None if value is None else float(value).hex()
 
 
-def _scalar_failure(sc, x, antenna, mode):
+def _scalar_failure(sc, x, mode):
     try:
-        return failure_prob(sc, x, antenna, mode)
+        return failure_prob(sc, x, mode=mode)
     except UndefinedConditionalError:
         return None
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_table_curves_equal_scalar_metrics_bitwise(scheme):
-    """trigger_curve, failure_curve and interruption_curve read the link
-    table; every value equals the scalar metric's bits, undefined failure
-    positions read None, in both modes."""
+    """trigger_curve, failure_curve (the front antenna's) and
+    interruption_curve read the link table; every value equals the scalar
+    metric's bits, undefined failure positions read None, in both modes."""
     undefined = defined = 0
     for sc in _curve_scenarios(scheme):
         for step in (250.0, 50.0):
             grid = PositionGrid.over(sc.ds, step)
-            for antenna in sc.antennas():
-                assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
-                    [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
-                for mode in MetricMode:
-                    got = failure_curve((sc,), grid, antenna, mode)[0]
-                    want = [_scalar_failure(sc, x, antenna, mode) for x in grid.positions]
-                    assert [_bits(v) for v in got] == [_bits(v) for v in want]
-                    undefined += want.count(None)
-                    defined += len(want) - want.count(None)
+            assert [_bits(v) for v in trigger_curve(sc, grid)] == \
+                [_bits(trigger_prob(sc, x)) for x in grid.positions]
+            for mode in MetricMode:
+                got = failure_curve((sc,), grid, mode)[0]
+                want = [_scalar_failure(sc, x, mode) for x in grid.positions]
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+                undefined += want.count(None)
+                defined += len(want) - want.count(None)
             for mode in MetricMode:
                 assert [_bits(v) for v in interruption_curve(sc, grid, mode)] == \
                     [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
@@ -450,7 +449,8 @@ def _stat_bits(stats):
 @settings(max_examples=150)
 @given(_geometries())
 def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
-    """The link table, the trigger curve and the interruption curve in both
+    """The link table (every antenna's trigger pairs and cell components),
+    the front antenna's trigger curve and the interruption curve in both
     modes equal the scalar oracle's values bitwise."""
     grid = PositionGrid.for_scenario(sc)
     table = channel.link_table(sc, grid)
@@ -461,9 +461,8 @@ def test_table_and_curves_equal_the_oracle_on_generated_geometry(sc):
             for c, cell in enumerate(channel.CELLS):
                 assert _stat_bits(table_components(table, j, a, c)) == \
                     _stat_bits(rss_distribution(sc, x, antenna, cell).components)
-    for antenna in sc.antennas():
-        assert [_bits(v) for v in trigger_curve(sc, grid, antenna)] == \
-            [_bits(trigger_prob(sc, x, antenna)) for x in grid.positions]
+    assert [_bits(v) for v in trigger_curve(sc, grid)] == \
+        [_bits(trigger_prob(sc, x)) for x in grid.positions]
     for mode in MetricMode:
         assert [_bits(v) for v in interruption_curve(sc, grid, mode)] == \
             [_bits(interruption_prob(sc, x, mode)) for x in grid.positions]
@@ -485,10 +484,3 @@ def test_joint_failure_curves_equal_single_scenario_curves(runs, mode):
         assert [_bits(v) for v in curve] == \
             [_bits(v) for v in failure_curve((sc,), grid, mode=mode)[0]]
 
-
-def test_table_curves_reject_a_missing_antenna(sc, coarse_grid):
-    single = sc.with_scheme(Scheme.DAS_SINGLE)
-    with pytest.raises(ValueError, match="no rear antenna"):
-        trigger_curve(single, coarse_grid, AntennaId.REAR)
-    with pytest.raises(ValueError, match="no rear antenna"):
-        failure_curve((single,), coarse_grid, AntennaId.REAR)

@@ -25,13 +25,19 @@ from railhandover.montecarlo import (
     estimate_pointwise,
     estimate_protocol,
 )
-from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
+from railhandover.scenario import Scenario, Scheme, SelectionRule
 
 from crossing_oracle import assert_crossings_equal, first_crossing
+from link_oracle import trigger_prob
 from pointwise_oracle import assert_sweeps_equal, pointwise_sweep
 from protocol_oracle import STAT_FIELDS, format_stats, protocol_stats
 
 GOLDEN_PROTOCOL = Path(__file__).parent / "golden" / "protocol_200.txt"
+
+
+def _trigger_probs(sc, grid, antenna):
+    """The scalar oracle's trigger probability of the antenna at every position."""
+    return np.array([trigger_prob(sc, x, antenna) for x in grid.positions])
 
 
 def test_seed_policy_rejects_out_of_range():
@@ -63,7 +69,7 @@ def test_pointwise_matches_analytic_step_with_degenerate_fading():
     assert np.isin(est.value, (0.0, 1.0)).all()
     assert (est.half_width_95 == 0.0).all()
     for a, antenna in enumerate(sc.antennas()):
-        assert est.value[:, a] == pytest.approx(trigger_curve(sc, grid, antenna), abs=1e-9)
+        assert est.value[:, a] == pytest.approx(_trigger_probs(sc, grid, antenna), abs=1e-9)
 
 
 def test_half_width_halves_when_trials_quadruple():
@@ -111,9 +117,32 @@ def test_counts_do_not_depend_on_mean_rss(scheme):
     without = estimate_pointwise((sc,), grid, 300, SeedPolicy(9))[0]
     with_rss = estimate_pointwise((sc,), grid, 300, SeedPolicy(9), mean_rss=True)[0]
     assert without.rss is None
-    assert with_rss.rss.value.shape == (len(grid.positions), 3 if scheme is Scheme.PROPOSED
+    # front and combined on two antennas, front alone on one
+    assert with_rss.rss.value.shape == (len(grid.positions), 2 if scheme is Scheme.PROPOSED
                                         else 1)
     assert_sweeps_equal(with_rss._replace(rss=None), without)
+
+
+def test_mean_rss_reduces_the_front_and_combined_rows_only(monkeypatch):
+    """A four-scheme sweep on the 250 m grid reduces 6 mean-RSS rows per
+    position: front and combined for proposed, das-blanket and
+    traditional, while das-single reads proposed's front row."""
+    reduced, row_stats = [], montecarlo._row_stats
+
+    def counting(rows):
+        reduced.append(len(rows))
+        return row_stats(rows)
+
+    monkeypatch.setattr(montecarlo, "_row_stats", counting)
+    grid = PositionGrid.over(3000.0, 250.0)
+    scs = tuple(Scenario().with_scheme(s) for s in Scheme)
+    sweeps = dict(zip(Scheme, estimate_pointwise(scs, grid, 50, SeedPolicy(3), mean_rss=True)))
+    assert reduced == [6] * len(grid.positions)
+    assert {s: e.rss.value.shape[1] for s, e in sweeps.items()} == {
+        Scheme.PROPOSED: 2, Scheme.DAS_BLANKET: 2, Scheme.DAS_SINGLE: 1, Scheme.TRADITIONAL: 2}
+    for field in ("value", "half_width_95"):
+        single = getattr(sweeps[Scheme.DAS_SINGLE].rss, field)
+        assert single.tobytes() == getattr(sweeps[Scheme.PROPOSED].rss, field)[:, :1].tobytes()
 
 
 @st.composite
@@ -191,7 +220,7 @@ def test_mean_pathloss_trigger_estimate_tracks_analytic():
     trials = 20_000
     est = estimate_pointwise((sc,), grid, trials, SeedPolicy(12345), jobs=2)[0].trigger
     for a, antenna in enumerate(sc.antennas()):
-        p = trigger_curve(sc, grid, antenna)
+        p = _trigger_probs(sc, grid, antenna)
         limit = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
         assert (np.abs(est.value[:, a] - p) <= limit).all()
 
@@ -339,13 +368,6 @@ def test_protocol_modal_bin_failure_rate_matches_analytic(sc, grid):
 def test_estimators_reject_no_scenarios(estimator, coarse_grid):
     with pytest.raises(ValueError, match="at least one scenario"):
         estimator((), coarse_grid, 10, SeedPolicy(1))
-
-
-def test_first_crossing_names_a_scenario_without_the_antenna(sc, coarse_grid):
-    scs = (sc, sc.with_scheme(Scheme.DAS_SINGLE))
-    with pytest.raises(ValueError, match="scheme das-single has no rear antenna"):
-        estimate_first_crossing(scs, coarse_grid, 10, SeedPolicy(1), AntennaId.REAR)
-    estimate_first_crossing(scs, coarse_grid, 10, SeedPolicy(1), AntennaId.FRONT)
 
 
 def test_estimators_validate_trials(sc, coarse_grid):

@@ -141,14 +141,12 @@ def test_cell_means_match_quadpack(sc):
 def test_failure_curve_matches_quadpack(sc, scheme, threshold):
     sc = replace(sc, scheme=scheme, threshold=threshold)
     grid = PositionGrid.for_scenario(sc)
-    for antenna in sc.antennas():
-        table = channel.link_table(sc, grid)
-        a = table.antennas.index(antenna)
-        for j, value in enumerate(failure_curve((sc,), grid, antenna)[0]):
-            if value is not None:
-                want = failure_rederived(*table_trigger_pair(table, j, a), sc.hysteresis,
-                                         threshold)
-                assert abs(value - want) <= AGREEMENT
+    table = channel.link_table(sc, grid)
+    for j, value in enumerate(failure_curve((sc,), grid)[0]):
+        if value is not None:
+            want = failure_rederived(*table_trigger_pair(table, j, 0), sc.hysteresis,
+                                     threshold)
+            assert abs(value - want) <= AGREEMENT
 
 
 # --- the cells QUADPACK failed on, against mpmath ---

@@ -184,16 +184,14 @@ class FigureRunner:
         return self._pointwise[scheme]
 
     def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
-        """The figure's Monte Carlo column: the front antenna's first-trigger
-        masses for occurrence, else the front antenna's pointwise column,
-        or for interruption the scheme-level one."""
+        """The curve figure's Monte Carlo estimate: the front antenna's
+        first-trigger masses for occurrence, else the pointwise sweep's
+        field, the front antenna's or for interruption the scheme's."""
         if figure is Figure.OCCURRENCE:
             return self._per_scheme(("crossing",), lambda: estimate_first_crossing(
                 self.scenarios, self.grid, self.config.trials, self.seed,
                 jobs=self.config.jobs))[scheme]
-        sweep = getattr(self.pointwise(scheme, figure is Figure.RSS), figure.value)
-        column = -1 if figure is Figure.INTERRUPTION else 0
-        return Estimate(*(a[:, column] for a in sweep))
+        return getattr(self.pointwise(scheme, False), figure.value)
 
     def mc_rows(self, scheme: Scheme, figure: Figure) -> list[Estimate]:
         """mc as one Estimate of Python numbers per position."""

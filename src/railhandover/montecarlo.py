@@ -10,9 +10,10 @@ scenario of a run at once: each substream is drawn once and each
 scenario reads its prefix, the values it would draw alone, and a
 scenario whose links repeat another's reads that one's counts.
 Shadowing is drawn through `LinkTable.shadowed`. Both sweeps return
-`Estimate`s, arrays over positions: the pointwise sweep's have a column
-per antenna (mean RSS: the front antenna's and the combined trace), the
-first-crossing sweep's hold the front antenna's first-trigger masses.
+`Estimate`s, arrays over positions: the pointwise sweep's hold the front
+antenna's trigger and failure and the scheme-level interruption (mean
+RSS: a column for the front antenna's and the combined trace), the
+first-crossing sweep's the front antenna's first-trigger masses.
 `figures.FigureRunner.mc` reads each curve figure's estimate from them.
 """
 
@@ -79,12 +80,12 @@ class Estimate(NamedTuple):
 
 
 class PointwiseEstimate(NamedTuple):
-    """The pointwise sweep: Estimates of shape (positions, columns).
+    """The pointwise sweep: Estimates of shape (positions,).
 
-    Columns follow the scheme's antennas. interruption adds one last
-    column, every antenna below the threshold at once. rss, None unless
-    requested, holds the front antenna's column and, on two antennas, the
-    combined two-antenna trace.
+    trigger and failure are the front antenna's, interruption the
+    scheme's: every antenna below the threshold at once. rss, None unless
+    requested, has shape (positions, columns): the front antenna's column
+    and, on two antennas, the combined two-antenna trace.
     """
 
     trigger: Estimate
@@ -149,18 +150,18 @@ def _sources(scs: Sequence[Scenario], grid: PositionGrid,
 
 
 def _position_counts(sc: Scenario, cell: np.ndarray, serving: np.ndarray,
-                     target: np.ndarray) -> np.ndarray:
-    """Counts of one position's shadowed links, shape (4, antennas): per
-    antenna the fired, failed and below-threshold trials, and the trials
-    in which it and every antenna before it are below. A reader of the
-    first a antennas takes counts[:, :a]."""
-    fired = target - serving > sc.hysteresis
+                     target: np.ndarray) -> list[int]:
+    """Counts of one position's shadowed links: the front antenna's fired and
+    failed trials, then per antenna the trials in which it and every antenna
+    before it are below the threshold. A reader of the first a antennas
+    takes counts 0, 1 and 1 + a."""
+    fired = target[0] - serving[0] > sc.hysteresis
     below = np.maximum(cell[:, 0], cell[:, 1]) < sc.threshold
     every = [below[0]]
     for row in below[1:]:
         every.append(every[-1] & row)
-    return np.array([[np.count_nonzero(row) for row in flags]
-                     for flags in (fired, fired & (target < sc.threshold), below, every)])
+    return [np.count_nonzero(fired), np.count_nonzero(fired & (target[0] < sc.threshold)),
+            *map(np.count_nonzero, every)]
 
 
 def _best_series(cell: np.ndarray, target_better: np.ndarray) -> np.ndarray:
@@ -192,15 +193,14 @@ def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> Pointw
     (front, then combined), so a one-antenna reader of two-antenna rows
     takes the front one."""
     counts, means = zip(*rows)
-    fired, failed, below, every = np.moveaxis(np.array(counts)[:, :, :antennas], 1, 0)
-    below = np.concatenate((below, every[:, -1:]), axis=1)
+    fired, failed, every = np.array(counts)[:, [0, 1, 1 + antennas]].T
     rss = None
     if means[0] is not None:
         value, hw = np.moveaxis(np.array(means)[:, :antennas], 2, 0)
         rss = Estimate(value, hw, np.full(value.shape, trials))
-    return PointwiseEstimate(_binomial(fired, np.full_like(fired, trials)),
-                             _binomial(failed, fired),
-                             _binomial(below, np.full_like(below, trials)), rss)
+    base = np.full_like(fired, trials)
+    return PointwiseEstimate(_binomial(fired, base), _binomial(failed, fired),
+                             _binomial(every, base), rss)
 
 
 def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
@@ -212,9 +212,9 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     each scenario shadows the first of them, shaped (antennas, cells,
     trials, components), the values it would draw alone, and counts
     them, or reads the counts of a scenario that repeats its links
-    (_sources). The same draws give trigger, failure (conditional on
-    trigger, NaN where no trial triggered) and per-antenna and
-    scheme-level interruption counts. Only if mean_rss does it add the
+    (_sources). The same draws give the front antenna's trigger and
+    failure (conditional on trigger, NaN where no trial triggered) and
+    the scheme-level interruption. Only if mean_rss does it add the
     front antenna's mean best-cell RSS and the combined two-antenna trace
     (linear power sum), since picking the better cell needs the
     analytic cell means.

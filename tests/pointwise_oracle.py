@@ -49,9 +49,10 @@ def _binomial_row(p: float, base: int) -> tuple[float, float, int]:
     return (p, _binomial_hw(p, base), base) if base else (math.nan, math.nan, 0)
 
 
-def _estimate(rows: list[list[tuple]]) -> Estimate:
-    """Rows of (value, half-width, base) per position and column, as arrays."""
-    value, hw, base = np.moveaxis(np.array(rows, dtype=object), 2, 0)
+def _estimate(rows: list) -> Estimate:
+    """Rows of (value, half-width, base) per position, or per position and
+    column, as arrays."""
+    value, hw, base = np.moveaxis(np.array(rows, dtype=object), -1, 0)
     return Estimate(value.astype(float), hw.astype(float), base.astype(np.int64))
 
 
@@ -65,26 +66,21 @@ def pointwise_sweep(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPol
         rng = seed.stream(DOMAIN_POINTWISE, j)
         draws = [[_sample(table, j, a, c, rng, trials) for c in range(len(channel.CELLS))]
                  for a in range(len(table.antennas))]
-        trigger, failure, interruption = [], [], []
+        (_, trig_s), (_, trig_t) = draws[0]
+        fired = trig_t - trig_s > sc.hysteresis
+        fields["trigger"].append(_binomial_row(float(np.mean(fired)), trials))
+        base = int(np.count_nonzero(fired))
+        failed = float(np.count_nonzero(fired & (trig_t < sc.threshold)))
+        fields["failure"].append(_binomial_row(failed / base if base else math.nan, base))
         all_below = np.ones(trials, dtype=bool)
-        for (serving, trig_s), (target, trig_t) in draws:
-            fired = trig_t - trig_s > sc.hysteresis
-            trigger.append(_binomial_row(float(np.mean(fired)), trials))
-            base = int(np.count_nonzero(fired))
-            failed = float(np.count_nonzero(fired & (trig_t < sc.threshold)))
-            failure.append(_binomial_row(failed / base if base else math.nan, base))
-            below = np.maximum(serving, target) < sc.threshold
-            interruption.append(_binomial_row(float(np.mean(below)), trials))
-            all_below &= below
-        interruption.append(_binomial_row(float(np.mean(all_below)), trials))
-        fields["trigger"].append(trigger)
-        fields["failure"].append(failure)
-        fields["interruption"].append(interruption)
+        for (serving, _), (target, _) in draws:
+            all_below &= np.maximum(serving, target) < sc.threshold
+        fields["interruption"].append(_binomial_row(float(np.mean(all_below)), trials))
         if mean_rss:
             best = [draws[a][int(target_better[j, a])][0] for a in range(len(draws))]
             if len(best) == 2:
                 linear = sum(np.power(10.0, s / 10.0) for s in best)
-                best.append(10.0 * np.log10(linear))
+                best[1] = 10.0 * np.log10(linear)
             fields["rss"].append([(float(np.mean(s)), _mean_hw(s), trials) for s in best])
     return PointwiseEstimate(*(_estimate(fields[name]) if fields[name] else None
                                for name in PointwiseEstimate._fields))
@@ -92,10 +88,7 @@ def pointwise_sweep(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPol
 
 def assert_sweeps_equal(got: PointwiseEstimate, want: PointwiseEstimate) -> None:
     """Every value, half-width and base count equal bit for bit (NaN equal to
-    NaN); rss against want's front and combined columns, as the sweep
-    reduces no rear row."""
-    if want.rss is not None and want.rss.value.shape[1] == 3:
-        want = want._replace(rss=Estimate(*(a[:, [0, 2]] for a in want.rss)))
+    NaN)."""
     for name in PointwiseEstimate._fields:
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name

@@ -63,7 +63,7 @@ def test_trigger_curve_agreement(report):
     grid = PositionGrid.over(sc.ds, 50.0)
     est = estimate_pointwise((sc,), grid, TRIALS, SeedPolicy(SEED), jobs=8)[0]
     curve = trigger_curve(sc, grid)
-    gaps = np.abs(est.trigger.value[:, 0] - curve)  # the front antenna's column
+    gaps = np.abs(est.trigger.value - curve)  # the front antenna's column
     anchor = curve[grid.positions.index(1500.0)]
     anchor_gap = abs(anchor - 0.3618)
     ok = max(gaps) <= 0.01 and anchor_gap <= 1e-4
@@ -125,7 +125,7 @@ def test_failure_ordering_in_handover_window(report):
     for (scheme, ana), sweep in zip(curves.items(), sweeps):
         failure = sweep.failure
         # the front antenna's column, position by position
-        for value, hw, base, a in zip(*(f[:, 0].tolist() for f in failure), ana):
+        for value, hw, base, a in zip(*(f.tolist() for f in failure), ana):
             if base < 25:
                 continue
             se = hw / 1.96
@@ -148,7 +148,7 @@ def _interruption_tables(schemes):
     sweeps = estimate_pointwise(scenarios, grid, TRIALS, SeedPolicy(SEED), jobs=8)
     ana = {s: interruption_curve(cfg, grid) for s, cfg in zip(schemes, scenarios)}
     # the scheme-level column: every antenna below the threshold
-    mc = {s: sweep.interruption.value[:, -1] for s, sweep in zip(schemes, sweeps)}
+    mc = {s: sweep.interruption.value for s, sweep in zip(schemes, sweeps)}
     return xs, ana, mc
 
 

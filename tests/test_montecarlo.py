@@ -25,7 +25,7 @@ from railhandover.montecarlo import (
     estimate_pointwise,
     estimate_protocol,
 )
-from railhandover.scenario import Scenario, Scheme, SelectionRule
+from railhandover.scenario import AntennaId, Scenario, Scheme, SelectionRule
 
 from crossing_oracle import assert_crossings_equal, first_crossing
 from link_oracle import trigger_prob
@@ -65,11 +65,10 @@ def test_pointwise_matches_analytic_step_with_degenerate_fading():
     sc = replace(Scenario(), shadow_sigma=1e-9)
     grid = PositionGrid.over(3000.0, 250.0)
     est = estimate_pointwise((sc,), grid, 1, SeedPolicy(5))[0].trigger
-    assert est.value.shape == (len(grid.positions), 2)  # one column per antenna
+    assert est.value.shape == (len(grid.positions),)  # the front antenna's
     assert np.isin(est.value, (0.0, 1.0)).all()
     assert (est.half_width_95 == 0.0).all()
-    for a, antenna in enumerate(sc.antennas()):
-        assert est.value[:, a] == pytest.approx(_trigger_probs(sc, grid, antenna), abs=1e-9)
+    assert est.value == pytest.approx(_trigger_probs(sc, grid, AntennaId.FRONT), abs=1e-9)
 
 
 def test_half_width_halves_when_trials_quadruple():
@@ -78,7 +77,7 @@ def test_half_width_halves_when_trials_quadruple():
 
     def front_hw(trials):
         est = estimate_pointwise((sc,), grid, trials, SeedPolicy(77))[0]
-        return est.trigger.half_width_95[0, 0]
+        return est.trigger.half_width_95[0]
 
     ratio = front_hw(8000) / front_hw(2000)
     assert 0.4 <= ratio <= 0.6
@@ -143,6 +142,23 @@ def test_mean_rss_reduces_the_front_and_combined_rows_only(monkeypatch):
     for field in ("value", "half_width_95"):
         single = getattr(sweeps[Scheme.DAS_SINGLE].rss, field)
         assert single.tobytes() == getattr(sweeps[Scheme.PROPOSED].rss, field)[:, :1].tobytes()
+
+
+def test_pointwise_returns_the_columns_outputs_read():
+    """A four-scheme sweep on the 250 m grid gives each scheme the front
+    antenna's trigger and failure and the scheme-level interruption, one
+    value per position; das-single reads proposed's counts."""
+    grid = PositionGrid.over(3000.0, 250.0)
+    scs = tuple(Scenario().with_scheme(s) for s in Scheme)
+    sweeps = dict(zip(Scheme, estimate_pointwise(scs, grid, 200, SeedPolicy(3))))
+    for sweep in sweeps.values():
+        for name in ("trigger", "failure", "interruption"):
+            for a in getattr(sweep, name):
+                assert a.shape == (len(grid.positions),), name
+    single, proposed = sweeps[Scheme.DAS_SINGLE], sweeps[Scheme.PROPOSED]
+    for name in ("trigger", "failure"):
+        for a, b in zip(getattr(single, name), getattr(proposed, name)):
+            assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -219,10 +235,9 @@ def test_mean_pathloss_trigger_estimate_tracks_analytic():
     grid = PositionGrid.over(3000.0, 250.0)
     trials = 20_000
     est = estimate_pointwise((sc,), grid, trials, SeedPolicy(12345), jobs=2)[0].trigger
-    for a, antenna in enumerate(sc.antennas()):
-        p = _trigger_probs(sc, grid, antenna)
-        limit = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
-        assert (np.abs(est.value[:, a] - p) <= limit).all()
+    p = _trigger_probs(sc, grid, AntennaId.FRONT)
+    limit = np.maximum(0.01, 3.0 * np.sqrt(p * (1.0 - p) / trials))
+    assert (np.abs(est.value - p) <= limit).all()
 
 
 def test_protocol_runs_under_mean_pathloss_selection(coarse_grid):

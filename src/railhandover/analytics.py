@@ -4,11 +4,10 @@ All metrics are evaluated position-wise on a measurement grid, with the
 front antenna's along-track coordinate as the reference, and every curve
 reads its Gaussian link statistics from `channel.link_table`. Trigger
 and failure are the front antenna's curves, interruption the scheme's.
-Trigger and interruption apply the scalar `math` kernels (`q_function`,
-`math.hypot`, `std_normal_cdf`) elementwise; failure integrates numpy
-arrays, with `np.hypot` and the array normal tails `statfun.ndtr` and
-`statfun.erfcx`. Either way a position's value does not depend on the
-grid it sits on: the value at one position x is the curve on
+Every normal tail is the array kernel `statfun.ndtr`: trigger and
+interruption apply it to standardized comparands, and failure integrates
+it with `statfun.erfcx`. A position's value does not depend on the grid
+it sits on: the value at one position x is the curve on
 PositionGrid((x,), step). Two evaluation modes exist because the
 published closed forms for occurrence, failure and interruption are not
 self-consistent: MetricMode.PAPER evaluates them exactly as printed,
@@ -27,16 +26,12 @@ import numpy as np
 
 from . import channel, statfun
 from .scenario import Scenario
-from .statfun import STEP_SCALE, integrate_rows, q_function, std_normal_cdf
+from .statfun import STEP_SCALE, integrate_rows
 
 # Conditional metrics are undefined once the conditioning event is this rare.
 TRIGGER_FLOOR = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
-
-# the scalar kernels, elementwise: numpy's own functions differ in the last bit
-_q = np.vectorize(q_function, otypes=[float])
-_ncdf = np.vectorize(std_normal_cdf, otypes=[float])
 
 
 class MetricMode(Enum):
@@ -88,16 +83,20 @@ def comparands(sc: Scenario, grid: PositionGrid) -> tuple[np.ndarray, ...]:
             table.mu[:, 0, 1, t], table.sigma[:, 0, 1, t])
 
 
+def _trigger_point(mu_s, sigma_s, mu_t, sigma_t, hysteresis):
+    """sigma_v = hypot(sigma_s, sigma_t), the sigma of the margin V = target
+    - serving, and the trigger point z0 = (hysteresis - E[V]) / sigma_v:
+    the rule fires with probability P(V > hysteresis) = ndtr(-z0)."""
+    sigma_v = np.hypot(sigma_s, sigma_t)
+    return sigma_v, (hysteresis - (mu_t - mu_s)) / sigma_v
+
+
 def trigger_curve(sc: Scenario, grid: PositionGrid) -> np.ndarray:
     """Probability that the front antenna's handover rule fires at each
-    grid position.
-
-    The rule compares a Gaussian pair (the boundary RAUs under RAU
-    selection, the cell RSS otherwise), so P(target - serving > hysteresis)
-    is the closed form Q((hysteresis - margin) / hypot(sigma_s, sigma_t)).
-    """
-    mu_s, sigma_s, mu_t, sigma_t = comparands(sc, grid)
-    return _q((sc.hysteresis - (mu_t - mu_s)) / channel._hypot(sigma_s, sigma_t))
+    grid position: the closed form ndtr(-z0) of its Gaussian pair (the
+    boundary RAUs under RAU selection, the cell RSS otherwise)."""
+    _, z0 = _trigger_point(*comparands(sc, grid), sc.hysteresis)
+    return statfun.ndtr(-z0)
 
 
 # === Occurrence probability ===
@@ -176,8 +175,7 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> n
     hysteresis, threshold) row of pairs, NaN below TRIGGER_FLOOR; errors
     name row r by at[r]."""
     mu_s, sigma_s, mu_t, sigma_t, hysteresis, threshold = pairs.T
-    sigma_v = np.hypot(sigma_s, sigma_t)
-    z0 = (hysteresis - (mu_t - mu_s)) / sigma_v
+    sigma_v, z0 = _trigger_point(mu_s, sigma_s, mu_t, sigma_t, hysteresis)
     p_trig = statfun.ndtr(-z0)
     # the side of z0 the margin is truncated to: above it (the trigger
     # fired) or, for PAPER, below; s0 is the truncation point seen from that side
@@ -248,7 +246,7 @@ def interruption_curve(sc: Scenario, grid: PositionGrid,
     values multiply.
     """
     mu, sigma = channel.link_table(sc, grid).cell_components()
-    cells = _running_product(_ncdf((sc.threshold - mu) / sigma))
+    cells = _running_product(statfun.ndtr((sc.threshold - mu) / sigma))
     if mode is MetricMode.REDERIVED:
         antennas = cells[..., 0] * cells[..., 1]
     else:

@@ -46,8 +46,7 @@ if TYPE_CHECKING:
     from .analytics import PositionGrid
 
 # the scalar math.hypot distance and path_loss kernels, elementwise: numpy's
-# own hypot and log10 differ from math's in the last bit (analytics' trigger
-# curve takes its hypot too)
+# own hypot and log10 differ from math's in the last bit
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _log10 = np.vectorize(math.log10, otypes=[float])
 
@@ -207,7 +206,8 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
 
     Raises ValueError naming the first bad link in (position, antenna,
     cell) order: a zero distance, else a unit link mean or blanket sum
-    that is not finite.
+    that is not finite, else a sigma that is not > 0 (a blanket sum's
+    moment-matched sigma underflows for shadow sigmas below about 1e-155).
     """
     antennas = sc.antennas()
     if sc.scheme is Scheme.TRADITIONAL:
@@ -229,7 +229,9 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
                 np.where(np.isfinite(unit_mu), unit_mu, 0.0), sigma))
     checks = ((near, distance, "link distance {:g} m {}: path loss requires distance > 0"),
               (~np.isfinite(unit_mu), unit_mu, "link mean {} {} is not finite"),
-              (~np.isfinite(mu), mu, "link mean {} {} is not finite"))
+              (~np.isfinite(mu), mu, "link mean {} {} is not finite"),
+              (~(sigma > 0.0), sigma,
+               "link sigma {:g} dB {} is not > 0: its normal CDF arguments are not finite"))
     bad = np.any([flags.any(axis=-1) for flags, _, _ in checks], axis=0)
     if bad.any():
         j, a, c = np.unravel_index(np.argmax(bad), bad.shape)

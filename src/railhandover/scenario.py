@@ -10,7 +10,7 @@ reference coordinate and the rear antenna trails it by train_length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 
@@ -103,15 +103,17 @@ class Scenario:
         _require(self.hysteresis >= 0.0, "hysteresis", "must be >= 0", self.hysteresis)
         _require(self.measurement_step > 0.0, "measurement_step", "must be > 0",
                  self.measurement_step)
-        for name in ("tx_power", "pathloss_a", "pathloss_gamma", "threshold"):
-            _require(math.isfinite(getattr(self, name)), name, "must be finite",
-                     getattr(self, name))
         if self.shadow_sigma_per_rau is not None:
             _require(len(self.shadow_sigma_per_rau) == self.n_raus,
                      "shadow_sigma_per_rau", f"must list exactly n_raus={self.n_raus} values",
                      self.shadow_sigma_per_rau)
             _require(all(s > 0.0 for s in self.shadow_sigma_per_rau),
                      "shadow_sigma_per_rau", "entries must be > 0", self.shadow_sigma_per_rau)
+        # inf passes every range check above, as nan does where a field has none
+        values = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        values += [("shadow_sigma_per_rau", s) for s in self.shadow_sigma_per_rau or ()]
+        for name, value in values:
+            _require(math.isfinite(value), name, "must be finite", value)
 
     def with_scheme(self, scheme: Scheme) -> "Scenario":
         return replace(self, scheme=scheme)

@@ -2,7 +2,8 @@
 
 Everything downstream (channel statistics, trigger/failure analytics,
 the occurrence rule's binomial envelope) is built from four ingredients:
-the standard normal CDF and its complements, the binomial mass function,
+the standard normal CDF `ndtr`, the one normal-tail kernel of every curve
+(with the scaled complement `erfcx` for hazards), the binomial mass function,
 one adaptive Gauss-Kronrod quadrature that integrates a whole batch of
 integrands as numpy arrays and raises NumericsError rather than return
 an unconverged value, and a moment-matching approximation for a sum of
@@ -24,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
 _SQRT_PI = math.sqrt(math.pi)
 # dB-to-natural-log scale: 10^(x/10) = exp(LAMBDA * x)
@@ -33,28 +33,6 @@ _LAMBDA = math.log(10.0) / 10.0
 
 class NumericsError(RuntimeError):
     """A numerical routine could not reach its requested accuracy."""
-
-
-def std_normal_cdf(z: float) -> float:
-    """CDF of the standard normal distribution at z.
-
-    Raises ValueError for non-finite input.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"std_normal_cdf requires finite z, got {z!r}")
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def q_function(z: float) -> float:
-    """Upper-tail probability Q(z) = 1 - CDF(z).
-
-    Uses the complementary error function so the result keeps full
-    relative accuracy deep into the tail (z well beyond 8) instead of
-    cancelling against 1.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"q_function requires finite z, got {z!r}")
-    return 0.5 * math.erfc(z / _SQRT2)
 
 
 # === Normal tails ===

@@ -5,7 +5,8 @@ The package builds every link statistic once per grid in
 module is the independent scalar route the table and the curves are
 checked against bitwise: one `LinkStat` per link, one `RssDistribution`
 per (antenna, cell), and each metric at one position from plain floats
-through the same `math` kernels.
+through the same kernels (`math.hypot` and `math.log10` for the links,
+`statfun.ndtr` on one value at a time for the normal tails).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from railhandover.scenario import (
     bs_position,
     rau_positions,
 )
-from railhandover.statfun import lognormal_sum_approx, q_function, std_normal_cdf
+from railhandover.statfun import lognormal_sum_approx, ndtr
 
 # === Link statistics ===
 
@@ -162,7 +163,7 @@ def cdf(dist: RssDistribution, r: float) -> float:
     """P(RSS <= r): product of the per-component Gaussian CDFs."""
     out = 1.0
     for c in dist.components:
-        out *= std_normal_cdf((r - c.mu) / c.sigma)
+        out *= float(ndtr((r - c.mu) / c.sigma))
     return out
 
 
@@ -189,9 +190,9 @@ def _check_antenna(sc: Scenario, antenna: AntennaId) -> None:
 
 def trigger_prob_closed_form(serving: LinkStat, target: LinkStat, hysteresis: float) -> float:
     """P(target RSS - serving RSS > hysteresis) for one Gaussian pair."""
-    gap = math.hypot(serving.sigma, target.sigma)
+    gap = np.hypot(serving.sigma, target.sigma)
     margin = target.mu - serving.mu
-    return q_function((hysteresis - margin) / gap)
+    return float(ndtr(-((hysteresis - margin) / gap)))
 
 
 def trigger_prob(sc: Scenario, front_x: float, antenna: AntennaId = AntennaId.FRONT) -> float:

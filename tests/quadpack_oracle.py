@@ -5,7 +5,9 @@ The package integrates with its own array Gauss-Kronrod rule
 and the integrals built on it (the general trigger integral, the mean
 of a max of Gaussians, the conditional failure probability) are the
 independent routes that rule and the closed-form trigger probability
-are checked against.
+are checked against. Their scalar normal kernels (`std_normal_cdf`,
+`q_function`, `std_normal_pdf`, `gaussian_hazard`) take libm's erf and
+erfc, not the package's `statfun.ndtr`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,30 @@ from typing import Callable
 from scipy import integrate as _sci_integrate
 from scipy.special import erfcx
 
-from railhandover.statfun import NumericsError, q_function, std_normal_cdf
+from railhandover.statfun import NumericsError
 from link_oracle import LinkStat, RssDistribution
+
+
+def std_normal_cdf(z: float) -> float:
+    """CDF of the standard normal distribution at z, as 1/2 (1 + erf).
+
+    Raises ValueError for non-finite input.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"std_normal_cdf requires finite z, got {z!r}")
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def q_function(z: float) -> float:
+    """Upper-tail probability Q(z) = 1 - CDF(z).
+
+    Uses the complementary error function so the result keeps full
+    relative accuracy deep into the tail (z well beyond 8) instead of
+    cancelling against 1.
+    """
+    if not math.isfinite(z):
+        raise ValueError(f"q_function requires finite z, got {z!r}")
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def std_normal_pdf(z: float) -> float:

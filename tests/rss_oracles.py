@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from railhandover.statfun import std_normal_cdf
 from link_oracle import RssDistribution
-from quadpack_oracle import Quadrature, integrate, std_normal_pdf
+from quadpack_oracle import Quadrature, integrate, std_normal_cdf, std_normal_pdf
 
 
 def pdf(dist: RssDistribution, r: float) -> float:

@@ -18,6 +18,7 @@ from scipy.special import ndtr
 
 from railhandover import channel
 from railhandover.analytics import (
+    TRIGGER_FLOOR,
     MetricMode,
     PositionGrid,
     comparands,
@@ -30,7 +31,6 @@ from railhandover.analytics import (
 )
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from link_oracle import (
-    LinkStat,
     UndefinedConditionalError,
     failure_prob,
     interruption_prob,
@@ -41,7 +41,6 @@ from link_oracle import (
     table_trigger_pair,
     trigger_pair,
     trigger_prob,
-    trigger_prob_closed_form,
 )
 from quadpack_oracle import trigger_prob_integral
 
@@ -121,12 +120,6 @@ def test_trigger_in_unit_interval(scheme):
     sc = Scenario().with_scheme(scheme)
     curve = trigger_curve(sc, PositionGrid((0.0, 600.0, 1500.0, 2400.0, 3000.0), 1.0))
     assert ((0.0 <= curve) & (curve <= 1.0)).all()
-
-
-def test_closed_form_rejects_nonfinite_hysteresis():
-    stat = LinkStat(-40.0, 4.0)
-    with pytest.raises(ValueError):
-        trigger_prob_closed_form(stat, stat, float("nan"))
 
 
 # --- first-crossing / occurrence ---
@@ -291,6 +284,28 @@ def test_interruption_single_antenna_scheme_uses_front_only(sc):
         single, 1500.0, AntennaId.FRONT)
 
 
+def test_interruption_keeps_its_digits_in_the_far_tail():
+    """At a -80 dBm threshold every below-threshold probability is a far
+    lower tail, 1e-35 to 1e-238 on the 250 m grid: each cell of each
+    scheme matches mpmath at 40 digits, from the link table's float64
+    statistics, to 1e-13 relative."""
+    import mpmath as mp
+
+    grid = PositionGrid.over(3000.0, 250.0)
+    for scheme in ALL_SCHEMES:
+        sc = Scenario(scheme=scheme, threshold=-80.0)
+        got = interruption_curve(sc, grid)
+        mu, sigma = channel.link_table(sc, grid).cell_components()
+        with mp.workdps(40):
+            for j in range(len(grid.positions)):
+                want = mp.fprod(mp.ncdf((mp.mpf(sc.threshold) - mp.mpf(m)) / mp.mpf(s))
+                                for m, s in zip(mu[j].ravel().tolist(), sigma[j].ravel().tolist()))
+                assert abs(got[j] - want) <= 1e-13 * want, (scheme.value, grid.positions[j])
+    # mpmath: 7.94374e-41; 1/2 (1 + erf(z / sqrt(2))) gives 6.95303e-41 here, 12% low
+    assert float(interruption_curve(Scenario(scheme=Scheme.TRADITIONAL, threshold=-80.0),
+                                    _at(1000.0))[0]) == pytest.approx(7.94374e-41, rel=1e-6)
+
+
 def test_interruption_zero_when_serving_never_drops(sc):
     for mode in MetricMode:
         assert interruption_at(replace(sc, threshold=-1e6), 1500.0, mode) == 0.0
@@ -402,15 +417,18 @@ def _scalar_failure(sc, x, mode):
 def test_table_curves_equal_scalar_metrics_bitwise(scheme):
     """trigger_curve, failure_curve (the front antenna's) and
     interruption_curve read the link table; every value equals the scalar
-    metric's bits, undefined failure positions read None, in both modes."""
+    metric's bits, and failure reads None, in both modes, exactly where
+    trigger_curve is below TRIGGER_FLOOR."""
     undefined = defined = 0
     for sc in _curve_scenarios(scheme):
         for step in (250.0, 50.0):
             grid = PositionGrid.over(sc.ds, step)
-            assert [_bits(v) for v in trigger_curve(sc, grid)] == \
+            trigger = trigger_curve(sc, grid)
+            assert [_bits(v) for v in trigger] == \
                 [_bits(trigger_prob(sc, x)) for x in grid.positions]
             for mode in MetricMode:
                 got = failure_curve((sc,), grid, mode)[0]
+                assert [v is None for v in got] == (trigger < TRIGGER_FLOOR).tolist()
                 want = [_scalar_failure(sc, x, mode) for x in grid.positions]
                 assert [_bits(v) for v in got] == [_bits(v) for v in want]
                 undefined += want.count(None)

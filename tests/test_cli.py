@@ -438,7 +438,9 @@ def test_zero_link_distance_exits_2_naming_the_link(tmp_path, capsys, verb, text
 
 
 def test_compare_with_subnormal_sigma_exits_2(tmp_path, capsys):
-    """Mean gaps over a subnormal sigma overflow the normal CDF arguments."""
+    """A tiny shadow sigma leaves normal CDF arguments that are not finite:
+    below about 1e-155 the blanket sum's moment-matched sigma underflows to
+    0, a configuration error naming the link."""
     config = tmp_path / "tiny.cfg"
     config.write_text("measurement_step = 250\nshadow_sigma = 1e-320\n")
     code = main(["compare", "--config", str(config), "--trials", "200", "--seed", "3",
@@ -448,3 +450,27 @@ def test_compare_with_subnormal_sigma_exits_2(tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert "finite" in err
     assert "Traceback" not in err
+    config.write_text("measurement_step = 250\nshadow_sigma = 1e-170\n")
+    code = main(["compare", "--config", str(config), "--trials", "200", "--seed", "3",
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == ("configuration error: link sigma 0 dB of das-blanket at x=0 m "
+                   "(front antenna, serving cell) is not > 0: its normal CDF arguments "
+                   "are not finite\n")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("ds = inf\n", "ds must be finite (got inf)"),
+    ("hysteresis = inf\n", "hysteresis must be finite (got inf)"),
+    ("noise_density = nan\n", "noise_density must be finite (got nan)"),
+], ids=["ds", "hysteresis", "noise_density"])
+def test_nonfinite_scenario_value_exits_2_naming_the_key(tmp_path, capsys, text, key):
+    """inf passes a value's range check, nan a field's without one: each is
+    a configuration error naming the key, never a traceback."""
+    config = tmp_path / "inf.cfg"
+    config.write_text("measurement_step = 250\n" + text)
+    code = main(["compare", "--config", str(config), "--trials", "20", "--seed", "3",
+                 "--out", str(tmp_path / "results")])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {key}\n"

@@ -67,6 +67,14 @@ def test_dr_defaults_to_even_coverage():
         ({"threshold": float("nan")}, "threshold"),
         ({"shadow_sigma_per_rau": (4.0, 4.0)}, "shadow_sigma_per_rau"),
         ({"shadow_sigma_per_rau": (4.0, 4.0, 4.0, 0.0)}, "shadow_sigma_per_rau"),
+        ({"ds": float("inf")}, "ds"),
+        ({"hysteresis": float("inf")}, "hysteresis"),
+        ({"speed": float("inf")}, "speed"),
+        ({"shadow_sigma": float("inf")}, "shadow_sigma"),
+        ({"measurement_step": float("inf")}, "measurement_step"),
+        ({"noise_density": float("inf")}, "noise_density"),
+        ({"noise_density": float("nan")}, "noise_density"),
+        ({"shadow_sigma_per_rau": (4.0, float("inf"), 4.0, 4.0)}, "shadow_sigma_per_rau"),
     ],
 )
 def test_validation_names_the_offending_key(kwargs, key):

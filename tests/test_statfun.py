@@ -5,7 +5,8 @@ Reference values were frozen from independent oracles (trapezoid
 integration of the normal density on a 1e-5 grid, raw numpy Monte
 Carlo); the comments next to each constant say which. The checked
 QUADPACK wrapper the other tests use as their reference quadrature, and
-the scalar density and hazard rate its integrands use, live in
+the scalar normal CDF, Q-function, density and hazard rate its
+integrands use, live in
 `tests/quadpack_oracle.py` and are tested here; the package's own array
 rule is tested in `tests/test_quadrature.py`. The array normal tails are
 checked against scipy.special, which stays their oracle, and against
@@ -20,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railhandover import statfun
-from railhandover.statfun import NumericsError, lognormal_sum_approx, q_function, std_normal_cdf
+from railhandover.statfun import NumericsError, lognormal_sum_approx
 from quadpack_oracle import (
     IntegralResult,
     Quadrature,
     gaussian_hazard,
     integrate,
+    q_function,
+    std_normal_cdf,
     std_normal_pdf,
 )
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analytics, channel, statfun
+from . import analytics, channel
 from ._version import __version__
 from .analytics import MetricMode, PositionGrid
 from .montecarlo import (
@@ -341,11 +341,10 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
     deviations and 20 counts of the mean (and as many more as the widest
     row needs), beyond which less than 1e-14 is left out: the lower tail up
     for q < 1/2, the upper tail down for the others, so no tail is formed
-    as 1 - F. Each row's masses are the one at its mode
-    (`statfun.binomial_pmf`) times the ratios pmf(k + 1) / pmf(k) =
-    (trials - k) / (k + 1) * p / (1 - p), multiplied outward from it as sums
-    of logs. p is read as 1 - (1 - p) in floating point, as scipy's bdtr
-    reads it.
+    as 1 - F. Each row's masses are the ratios pmf(k + 1) / pmf(k) =
+    (trials - k) / (k + 1) * p / (1 - p), multiplied outward from its mode
+    as sums of logs, then divided by their own sum. p is read as
+    1 - (1 - p) in floating point, as scipy's bdtr reads it.
     """
     shape = np.shape(p)
     p = np.fmax(np.asarray(p, dtype=float).reshape(-1, 1), 0.0)  # NaN to 0
@@ -364,7 +363,7 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
         np.cumsum(logs[:, 1:], axis=1, out=logs[:, 1:])
         logs -= logs[np.arange(len(p)), (mode - lo)[:, 0].astype(np.intp), np.newaxis]
         mass = np.exp(logs, out=logs)
-        mass *= statfun.binomial_pmf(mode, trials, p)
+        mass /= mass.sum(axis=1, keepdims=True)
     out = []
     for level in np.atleast_1d(q):
         if level > 0.5:  # P(count > k): the masses above k, summed from the top

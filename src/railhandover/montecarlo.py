@@ -110,17 +110,16 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
 # === Shared draws ===
 
 
-def _sources(scs: Sequence[Scenario], grid: PositionGrid,
-             better: Sequence[np.ndarray] | None = None) -> tuple[list[channel.LinkTable],
-                                                                  list[int]]:
+def _sources(scs: Sequence[Scenario],
+             grid: PositionGrid) -> tuple[list[channel.LinkTable], list[int]]:
     """The link tables of scs and, per scenario, the scenario whose draws it reads.
 
     Scenario k reads scenario m's results on m's first antennas (m = k:
     its own) when, on those antennas, the two tables hold equal mu,
-    sigma, cell_column and trigger_column, the scenarios share hysteresis
-    and threshold, and, if given, the better-cell flags are equal. Wider
-    tables are taken first, so the choice does not depend on the order
-    of scs.
+    sigma, cell_column and trigger_column (so equal cell means and
+    better-cell flags too) and the scenarios share hysteresis and
+    threshold. Wider tables are taken first, so the choice does not
+    depend on the order of scs.
     """
     if len(scs) == 0:
         raise ValueError("at least one scenario is required")
@@ -137,8 +136,7 @@ def _sources(scs: Sequence[Scenario], grid: PositionGrid,
         return (wide.trigger_column == narrow.trigger_column
                 and scs[m].hysteresis == scs[k].hysteresis
                 and scs[m].threshold == scs[k].threshold
-                and same("mu") and same("sigma") and same("cell_column")
-                and (better is None or np.array_equal(better[m][:, :a], better[k])))
+                and same("mu") and same("sigma") and same("cell_column"))
 
     source: dict[int, int] = {}
     for k in sorted(range(len(scs)), key=lambda k: -len(tables[k].antennas)):
@@ -222,7 +220,7 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     better = [b for _, b in channel.cell_means(tuple(scs), grid)] if mean_rss else None
-    tables, source = _sources(scs, grid, better)
+    tables, source = _sources(scs, grid)
     shapes = [t.mu.shape[1:3] + (trials, t.mu.shape[3]) for t in tables]
     # shadowing scales in place: every scenario but the widest scales a copy
     # of its prefix, and the widest, last, scales the draw itself

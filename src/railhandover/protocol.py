@@ -135,6 +135,10 @@ _TABLE = {
     (Phase.COMPLETING, EventKind.DUALCAST_FINISH_ACK): (None, Phase.DONE, ()),
 }
 
+# phase -> the antenna whose trigger rule lets a measurement report act there
+_REPORT_ANTENNA = {phase: antenna for (phase, kind), (antenna, _, _) in _TABLE.items()
+                   if kind is EventKind.MEASUREMENT_REPORT}
+
 
 def transition(state: HandoverState, event: ProtocolEvent,
                hysteresis: float) -> tuple[HandoverState, list[ProtocolEvent]]:
@@ -242,6 +246,10 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     # the target comparand is usable, and per cell whether its RSS is below
     reports = [list(zip(s, t)) for s, t in zip(serving.tolist(), target.tolist())]
     usable = (target >= sc.threshold).tolist()
+    # per phase whose measurement report has a row: at each position, whether
+    # the row's antenna triggers, by transition's own comparison
+    triggered = dict(zip(table.antennas, (target - serving > sc.hysteresis).tolist()))
+    acts = {phase: triggered[antenna] for phase, antenna in _REPORT_ANTENNA.items()}
     below = (cell < sc.threshold).tolist()
     state = HandoverState()
     trace: list[TraceEntry] = []
@@ -275,7 +283,12 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
                 failed[a] = True
 
     for j, (x, front, rear) in enumerate(zip(grid.positions, *reports)):
-        feed(ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear))
+        report = ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear)
+        fires = acts.get(state.phase)
+        if fires is not None and fires[j]:
+            feed(report)
+        else:  # a report that cannot act leaves the phase as it is
+            trace.append(TraceEntry(x, state.phase, report, state.phase))
         # threshold check against each antenna's attached cell
         if below[0][attached[0]][j] and below[1][attached[1]][j]:
             run_start = x if run_start is None else run_start

@@ -1,21 +1,18 @@
-"""Statistical kernels: normal tails, binomial masses, array quadrature, lognormal sums.
+"""Statistical kernels: normal tails, array quadrature, lognormal sums.
 
-Everything downstream (channel statistics, trigger/failure analytics,
-the occurrence rule's binomial envelope) is built from four ingredients:
-the standard normal CDF `ndtr`, the one normal-tail kernel of every curve
-(with the scaled complement `erfcx` for hazards), the binomial mass function,
-one adaptive Gauss-Kronrod quadrature that integrates a whole batch of
-integrands as numpy arrays and raises NumericsError rather than return
-an unconverged value, and a moment-matching approximation for a sum of
-lognormal powers expressed in dB. The array kernels `ndtr`, `erfcx`
-and `binomial_pmf` are numpy code, so the package needs numpy only:
-the normal tails in the rational form of the Cephes library's ndtr.c
-(after W. J. Cody, "Rational Chebyshev approximations for the
+Everything downstream (channel statistics, trigger/failure analytics)
+is built from three ingredients: the standard normal CDF `ndtr`, the one
+normal-tail kernel of every curve (with the scaled complement `erfcx`
+for hazards), one adaptive Gauss-Kronrod quadrature that integrates a
+whole batch of integrands as numpy arrays and raises NumericsError
+rather than return an unconverged value, and a moment-matching
+approximation for a sum of lognormal powers expressed in dB. The array
+kernels `ndtr` and `erfcx` are numpy code, so the package needs numpy
+only: the normal tails in the rational form of the Cephes library's
+ndtr.c (after W. J. Cody, "Rational Chebyshev approximations for the
 error function", Math. Comp. 23, 1969), with the rational that most
 arguments reach run over every element and the other two overwriting
-only their own elements, the binomial mass in C. Loader's
-saddle-point form ("Fast and accurate computation of binomial
-probabilities", 2000).
+only their own elements.
 """
 
 from __future__ import annotations
@@ -152,54 +149,6 @@ def erfcx(x) -> np.ndarray:
     near, half = _half_erf(flat, v)
     out[near] = np.take(grow, near) * (1.0 - 2.0 * half)
     return out.reshape(x.shape)
-
-
-# === Binomial masses ===
-
-# Loader's stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k), at k = 0..15,
-# then its series in 1 / k with these coefficients
-_STIRLERR = np.array([
-    0.0, 0.0810614667953272582196702, 0.0413406959554092940938221,
-    0.02767792568499833914878929, 0.02079067210376509311152277,
-    0.01664469118982119216319487, 0.01387612882307074799874573,
-    0.01189670994589177009505572, 0.010411265261972096497478567,
-    0.009255462182712732917728637, 0.008330563433362871256469318,
-    0.007573675487951840794972024, 0.006942840107209529865664152,
-    0.006408994188004207068439631, 0.005951370112758847735624416,
-    0.005554733551962801371038690])
-_STIRLING = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
-
-
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """log k! less its Stirling approximation, for whole k >= 0."""
-    u = 1.0 / np.maximum(k, 16.0)
-    uu = u * u
-    s0, s1, s2, s3, s4 = _STIRLING
-    series = (s0 - (s1 - (s2 - (s3 - s4 * uu) * uu) * uu) * uu) * u
-    return np.where(k <= 15.0, _STIRLERR[np.minimum(k, 15.0).astype(np.intp)], series)
-
-
-def binomial_pmf(k, n: int, p) -> np.ndarray:
-    """P(Binomial(n, p) = k) for whole 0 <= k <= n, elementwise over k and p
-    broadcast together, by Loader's saddle-point form: exp of the Stirling
-    remainders less the deviances bd0 of k from np and of n - k from
-    n(1 - p), times sqrt(n / (2 pi k (n - k))). Each bd0 = x log(x / m) + m - x
-    is formed as x log1p((x - m) / m) - (x - m), whose absolute error of a
-    few ULP of |x - m| is all the exponent needs: relative error about 1e-13
-    wherever |k - np| is below a few thousand. k = 0 and k = n are (1 - p)^n
-    and p^n in floating point, as scipy's bdtr forms them.
-    """
-    k, p = np.asarray(k, dtype=float), np.asarray(p, dtype=float)
-    q = 1.0 - p
-    rest, gap = n - k, k - n * p  # n - k less n q is -gap
-    whole, part, remainder = _stirlerr(np.stack(np.broadcast_arrays(float(n), k, rest)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the ends are taken below
-        exponent = (whole - part - remainder - (k * np.log1p(gap / (n * p)) - gap)
-                    - (rest * np.log1p(-gap / (n * q)) + gap))
-        out = np.exp(exponent) * np.sqrt(n / (2.0 * math.pi * k * rest))
-        out = np.where(k == 0.0, q ** n, np.where(rest == 0.0, p ** n, out))
-    # a certain outcome: every count but the one reached has no mass
-    return np.where(p == 0.0, k == 0.0, np.where(q == 0.0, rest == 0.0, out))
 
 
 # === Array Gauss-Kronrod quadrature ===

@@ -438,6 +438,18 @@ def test_kernel_matches_state_machine_on_generated_scenarios(sc, seed):
     _assert_kernel_matches_machine(sc, PositionGrid.for_scenario(sc), seed, 20)
 
 
+@settings(max_examples=60)
+@given(_scenarios(), st.integers(0, 2 ** 32 - 1))
+def test_replay_accepts_traces_on_generated_scenarios(sc, seed):
+    """run_crossing records a report that cannot act without calling
+    transition; replay feeds every report to transition and must agree."""
+    grid = PositionGrid.for_scenario(sc)
+    policy = SeedPolicy(seed)
+    for t in range(20):
+        out, trace = run_crossing(sc, grid, policy.stream(DOMAIN_PROTOCOL, t))
+        assert replay(trace, sc.hysteresis) == out.final_state, t
+
+
 def test_kernel_rejects_single_antenna_scheme():
     sc = Scenario().with_scheme(Scheme.DAS_SINGLE)
     with pytest.raises(ValueError, match="needs two antennas"):

@@ -1,5 +1,5 @@
-"""Kernels: normal CDF/Q and their array forms, binomial masses, the
-lognormal-sum approximation, and the QUADPACK oracle.
+"""Kernels: normal CDF/Q and their array forms, the lognormal-sum
+approximation, and the QUADPACK oracle.
 
 Reference values were frozen from independent oracles (trapezoid
 integration of the normal density on a 1e-5 grid, raw numpy Monte
@@ -10,7 +10,7 @@ integrands use, live in
 `tests/quadpack_oracle.py` and are tested here; the package's own array
 rule is tested in `tests/test_quadrature.py`. The array normal tails are
 checked against scipy.special, which stays their oracle, and against
-mpmath where the two disagree; the binomial masses against mpmath.
+mpmath where the two disagree.
 """
 
 import math
@@ -316,46 +316,3 @@ def test_normal_tails_equal_branch_gather_oracle_bitwise(name):
     assert shaped[1].view(np.int64) == oracle(np.float64(-0.3)).view(np.int64)
     assert shaped[2].shape == (2, 3, 20)
     assert np.array_equal(shaped[2].view(np.int64), want[-120:].reshape(2, 3, 20).view(np.int64))
-
-
-# --- binomial masses ---
-
-
-def test_stirling_remainders_match_mpmath():
-    """Within 2e-16 of mpmath: the remainders enter a mass's exponent, so
-    their absolute error is its relative one."""
-    import mpmath as mp
-
-    k = np.arange(0.0, 60.0)
-    with mp.workdps(30):
-        want = [0.0] + [float(mp.loggamma(j + 1) - (j + mp.mpf(1) / 2) * mp.log(j) + j
-                              - mp.log(mp.sqrt(2 * mp.pi))) for j in range(1, 60)]
-    assert np.allclose(statfun._stirlerr(k), want, rtol=0.0, atol=2e-16)
-
-
-@pytest.mark.parametrize("n", [1, 2, 20, 2000, 100_000])
-def test_binomial_pmf_matches_mpmath(n):
-    """Relative error below 1e-12 from 8 standard deviations and 20 counts
-    below the mean to as far above; k = 0 is (1 - p)^n in floating point,
-    as scipy's bdtr forms it."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        for p in (1e-12, 1e-6, 0.013, 0.3, 0.5, 0.97, 1.0 - 1e-9):
-            sd = math.sqrt(n * p * (1.0 - p))
-            k = np.unique(np.clip(np.round(n * p + np.linspace(-8 * sd - 20, 8 * sd + 20, 41)),
-                                  0, n))
-            got = statfun.binomial_pmf(k, n, p)
-            for j, g in zip(k.astype(int).tolist(), got.tolist()):
-                want = (mp.mpf(1.0 - p) ** n if j == 0 else
-                        mp.binomial(n, j) * mp.mpf(p) ** j * (1 - mp.mpf(p)) ** (n - j))
-                if want > 1e-300:
-                    assert abs(g - want) <= 1e-12 * want, (n, p, j)
-
-
-def test_binomial_pmf_of_a_certain_outcome():
-    k = np.arange(4.0)
-    assert statfun.binomial_pmf(k, 3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert statfun.binomial_pmf(k, 3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert statfun.binomial_pmf(np.arange(201.0), 200, 0.37).sum() == pytest.approx(1.0, rel=1e-14)
-

@@ -36,9 +36,6 @@ from .scenario import (
     Scenario,
     Scheme,
     SelectionRule,
-    antenna_x,
-    bs_position,
-    rau_positions,
 )
 from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
 
@@ -204,6 +201,9 @@ def _folded(a: np.ndarray, f: int) -> np.ndarray:
 def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
     """The scenario's link statistics over the grid, built once per pair.
 
+    Base stations stand at 0 and ds along the track, RAU n of a cell at
+    (n - (n_raus+1)/2) * dr from its own, the rear antenna train_length behind.
+
     Raises ValueError naming the first bad link in (position, antenna,
     cell) order: a zero distance, else a unit link mean or blanket sum
     that is not finite, else a sigma that is not > 0 (a blanket sum's
@@ -211,15 +211,13 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
     """
     antennas = sc.antennas()
     if sc.scheme is Scheme.TRADITIONAL:
-        nodes = [(bs_position(sc, cell),) for cell in CELLS]
-        sigmas = [sc.shadow_sigma]
+        along, offset, sigmas = np.zeros(1), sc.d0, [sc.shadow_sigma]
     else:
-        nodes = [rau_positions(sc, cell) for cell in CELLS]
-        sigmas = [sc.rau_sigma(n) for n in range(1, sc.n_raus + 1)]
-    along = np.array([[node.along_track for node in cell] for cell in nodes])
-    at = np.stack([antenna_x(sc, grid.as_array(), antenna) for antenna in antennas], axis=1)
+        along = (np.arange(1, sc.n_raus + 1) - (sc.n_raus + 1) / 2.0) * sc.dr
+        offset, sigmas = sc.du, [sc.rau_sigma(n) for n in range(1, sc.n_raus + 1)]
+    at = grid.as_array()[:, np.newaxis] - [0.0, sc.train_length][:len(antennas)]
     # shape (positions, antennas, cells, units)
-    distance = _hypot(along - at[:, :, np.newaxis, np.newaxis], nodes[0][0].offset)
+    distance = _hypot(along + [[0.0], [sc.ds]] - at[:, :, np.newaxis, np.newaxis], offset)
     near = ~(distance > 0.0)
     with np.errstate(all="ignore"):  # a link beyond the float range is named below
         unit_mu = per_rau_power(sc) - path_loss(sc, np.where(near, 1.0, distance))

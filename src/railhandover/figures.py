@@ -143,6 +143,18 @@ def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
 
 
+def _power_sum_db(a: float, b: float) -> float:
+    """10 log10(10^(a/10) + 10^(b/10)), the larger term factored out where
+    that form overflows or its sum underflows to 0."""
+    try:
+        total = 10.0 * math.log10(10.0 ** (a / 10.0) + 10.0 ** (b / 10.0))
+    except (OverflowError, ValueError):
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    return max(a, b) + 10.0 * math.log10(1.0 + 10.0 ** (-abs(a - b) / 10.0))
+
+
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
@@ -223,8 +235,7 @@ class FigureRunner:
                 return {"front": front, "rear": none, "best": front, "combined": none}
             pairs = list(zip(front, rear[0]))
             return {"front": front, "rear": rear[0], "best": [max(f, r) for f, r in pairs],
-                    "combined": [10.0 * math.log10(10.0 ** (f / 10.0) + 10.0 ** (r / 10.0))
-                                 for f, r in pairs]}
+                    "combined": [_power_sum_db(f, r) for f, r in pairs]}
         return self._per_scheme(("rss",), lambda: [
             curves(means) for means, _ in channel.cell_means(self.scenarios, self.grid)])[scheme]
 

@@ -1,4 +1,4 @@
-"""Track geometry and deployment parameters.
+"""Deployment and model parameters.
 
 One cell consists of a base station plus n_raus remote antenna units
 fed over fiber, evenly spaced along the track and centered on the base
@@ -46,20 +46,6 @@ class AntennaId(Enum):
 class CellId(Enum):
     SERVING = "serving"
     TARGET = "target"
-
-
-@dataclass(frozen=True)
-class NodePosition:
-    """A transmit node: along-track coordinate plus lateral offset, meters."""
-
-    along_track: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.along_track) and math.isfinite(self.offset)):
-            raise ValueError("node coordinates must be finite")
-        if self.offset < 0.0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -134,33 +120,3 @@ class Scenario:
 def _require(cond: bool, key: str, constraint: str, value) -> None:
     if not cond:
         raise ValueError(f"{key} {constraint} (got {value!r})")
-
-
-def rau_positions(sc: Scenario, cell: CellId) -> tuple[NodePosition, ...]:
-    """RAU nodes of a cell, ordered by RAU index 1..n_raus.
-
-    RAUs are evenly spaced with pitch dr, centered on their base station:
-    RAU n of the serving cell sits at along_track (n - (n_raus+1)/2) * dr,
-    so consecutive serving/target boundary RAUs are symmetric about the
-    midpoint ds/2 of the overlap. The target cell layout is the serving
-    one shifted by ds.
-    """
-    shift = 0.0 if cell is CellId.SERVING else sc.ds
-    center = (sc.n_raus + 1) / 2.0
-    return tuple(
-        NodePosition((n - center) * sc.dr + shift, sc.du)
-        for n in range(1, sc.n_raus + 1)
-    )
-
-
-def bs_position(sc: Scenario, cell: CellId) -> NodePosition:
-    """Base-station node of a cell (used directly by the traditional scheme)."""
-    along = 0.0 if cell is CellId.SERVING else sc.ds
-    return NodePosition(along, sc.d0)
-
-
-def antenna_x(sc: Scenario, front_x: float, antenna: AntennaId) -> float:
-    """Along-track coordinate of a train antenna, given the front position."""
-    if antenna is AntennaId.FRONT:
-        return front_x
-    return front_x - sc.train_length

@@ -3,15 +3,17 @@
 The package builds every link statistic once per grid in
 `channel.link_table` and evaluates every curve on those arrays. This
 module is the independent scalar route the table and the curves are
-checked against bitwise: one `LinkStat` per link, one `RssDistribution`
-per (antenna, cell), and each metric at one position from plain floats
-through the same kernels (`math.hypot` and `math.log10` for the links,
+checked against bitwise: its own node geometry from the `Scenario`
+fields, one `LinkStat` per link, one `RssDistribution` per (antenna,
+cell), and each metric at one position from plain floats through the
+same kernels (`math.hypot` and `math.log10` for the links,
 `statfun.ndtr` on one value at a time for the normal tails).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,22 +26,42 @@ from railhandover.scenario import (
     SELECTION_SCHEMES,
     AntennaId,
     CellId,
-    NodePosition,
     Scenario,
     Scheme,
     SelectionRule,
-    antenna_x,
-    bs_position,
-    rau_positions,
 )
 from railhandover.statfun import lognormal_sum_approx, ndtr
 
-# === Link statistics ===
+# === Geometry ===
 
 
-def link_distance(antenna_along: float, node: NodePosition) -> float:
+# A transmit node: along-track coordinate plus lateral offset, meters.
+Node = namedtuple("Node", "along_track offset")
+
+
+def rau_positions(sc: Scenario, cell: CellId) -> tuple[Node, ...]:
+    """A cell's RAU nodes by index 1..n_raus: pitch dr about its base station, du off the track."""
+    shift = 0.0 if cell is CellId.SERVING else sc.ds
+    center = (sc.n_raus + 1) / 2.0
+    return tuple(Node((n - center) * sc.dr + shift, sc.du) for n in range(1, sc.n_raus + 1))
+
+
+def bs_position(sc: Scenario, cell: CellId) -> Node:
+    """Base-station node of a cell: at 0 or ds, d0 off the track."""
+    return Node(0.0 if cell is CellId.SERVING else sc.ds, sc.d0)
+
+
+def antenna_x(sc: Scenario, front_x: float, antenna: AntennaId) -> float:
+    """Along-track coordinate of a train antenna, given the front position."""
+    return front_x if antenna is AntennaId.FRONT else front_x - sc.train_length
+
+
+def link_distance(antenna_along: float, node: Node) -> float:
     """Euclidean distance from a train antenna to a transmit node."""
     return math.hypot(node.along_track - antenna_along, node.offset)
+
+
+# === Link statistics ===
 
 
 @dataclass(frozen=True)

@@ -337,3 +337,22 @@ def test_compare_matches_golden_output(tmp_path, capsys, jobs):
     assert sorted(p.name for p in out.iterdir()) == golden
     for name in golden:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("text", ["tx_power = 5000\n", "d0 = 1e300\n"],
+                         ids=["overflow", "underflow"])
+def test_combined_trace_stays_finite_at_extreme_means(tmp_path, capsys, recwarn, text):
+    """Cell means near 4 900 dBm overflow the plain power sum of the two
+    antennas, and near -10 446 dBm underflow it to 0: the analytic and the
+    Monte Carlo combined traces stay finite, with nothing on stderr."""
+    config = tmp_path / "extreme.cfg"
+    config.write_text("measurement_step = 250\n" + text)
+    code = main(["compare", "--trials", "50", "--schemes", "traditional",
+                 "--config", str(config), "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in recwarn] == []
+    table = np.genfromtxt(tmp_path / "fig3_rss.csv", delimiter=",", names=True, skip_header=1)
+    assert len(table) == 13
+    assert np.isfinite(table["traditional_combined_dbm"]).all()
+    assert np.isfinite(table["traditional_mc_combined_dbm"]).all()

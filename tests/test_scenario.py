@@ -1,24 +1,13 @@
-"""Geometry and parameter model: defaults, validation, node placement."""
+"""Parameter model (defaults, validation) and the oracle's node placement."""
 
-import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railhandover.scenario import (
-    AntennaId,
-    CellId,
-    NodePosition,
-    Scenario,
-    Scheme,
-    SelectionRule,
-    antenna_x,
-    bs_position,
-    rau_positions,
-)
-from link_oracle import link_distance
+from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from link_oracle import Node, antenna_x, bs_position, link_distance, rau_positions
 
 
 def test_default_parameters(sc):
@@ -75,6 +64,10 @@ def test_dr_defaults_to_even_coverage():
         ({"noise_density": float("inf")}, "noise_density"),
         ({"noise_density": float("nan")}, "noise_density"),
         ({"shadow_sigma_per_rau": (4.0, float("inf"), 4.0, 4.0)}, "shadow_sigma_per_rau"),
+        ({"d0": float("inf")}, "d0"),
+        ({"d0": float("nan")}, "d0"),
+        ({"du": float("inf")}, "du"),
+        ({"du": float("nan")}, "du"),
     ],
 )
 def test_validation_names_the_offending_key(kwargs, key):
@@ -117,13 +110,6 @@ def test_four_schemes():
         "proposed", "das-blanket", "das-single", "traditional"}
 
 
-def test_node_position_rejects_negative_offset():
-    with pytest.raises(ValueError, match="offset"):
-        NodePosition(0.0, -1.0)
-    with pytest.raises(ValueError):
-        NodePosition(float("nan"), 0.0)
-
-
 def test_serving_rau_positions(sc):
     got = rau_positions(sc, CellId.SERVING)
     assert [p.along_track for p in got] == [-1125.0, -375.0, 375.0, 1125.0]
@@ -154,8 +140,8 @@ def test_rau_positions_strictly_increasing(n, dr):
 
 
 def test_bs_positions(sc):
-    assert bs_position(sc, CellId.SERVING) == NodePosition(0.0, 100.0)
-    assert bs_position(sc, CellId.TARGET) == NodePosition(3000.0, 100.0)
+    assert bs_position(sc, CellId.SERVING) == Node(0.0, 100.0)
+    assert bs_position(sc, CellId.TARGET) == Node(3000.0, 100.0)
 
 
 def test_bs_on_track_is_legal():
@@ -170,9 +156,9 @@ def test_antenna_coordinates(sc):
 
 
 def test_link_distance_cases():
-    assert link_distance(375.0, NodePosition(375.0, 60.0)) == 60.0
-    assert link_distance(10.0, NodePosition(0.0, 0.0)) == 10.0
-    assert link_distance(1500.0, NodePosition(1125.0, 60.0)) == pytest.approx(
+    assert link_distance(375.0, Node(375.0, 60.0)) == 60.0
+    assert link_distance(10.0, Node(0.0, 0.0)) == 10.0
+    assert link_distance(1500.0, Node(1125.0, 60.0)) == pytest.approx(
         379.7696670351649, abs=1e-9)
 
 

@@ -57,6 +57,9 @@ _MEAN_EDGES = (-10.0, -5.0, -2.5, 0.0, 2.5, 5.0, 10.0)
 # the serving cell's by more than this (dB); exact ties stay on SERVING.
 BETTER_CELL_MARGIN = 1e-9
 
+# dB values at or above this have a normal float power 10^(x/10)
+_POWER_SUM_FLOOR = -3000.0
+
 
 def path_loss(sc: Scenario, distance: float | np.ndarray) -> float | np.ndarray:
     """Log-distance path loss in dB at the given link distance in meters,
@@ -71,6 +74,19 @@ def per_rau_power(sc: Scenario) -> float:
     if sc.scheme is Scheme.DAS_BLANKET:
         return sc.tx_power - 10.0 * math.log10(sc.n_raus)
     return sc.tx_power
+
+
+def power_sum_db(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """10 log10(10^(a/10) + 10^(b/10)) elementwise: the plain form where its sum is
+    finite and a, b >= _POWER_SUM_FLOOR dB, else (a power overflows, is subnormal
+    or is 0) the larger term factored out. NaN propagates."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = 10.0 * np.log10(np.power(10.0, a / 10.0) + np.power(10.0, b / 10.0))
+        plain = np.isfinite(total) & (np.minimum(a, b) >= _POWER_SUM_FLOOR)
+        if plain.all():
+            return total
+        return np.where(plain, total, np.maximum(a, b)
+                        + 10.0 * np.log10(1.0 + 10.0 ** (-np.abs(a - b) / 10.0)))
 
 
 def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) -> np.ndarray:

@@ -6,8 +6,8 @@ curves against their Monte Carlo estimators, `trace` prints one seeded
 protocol trace. Configuration is a flat key/value file; every key
 matches a scenario or run field and unknown keys are rejected.
 
-Exit codes: 0 ok, 1 assertion failure, 2 configuration error,
-3 numeric non-convergence.
+Exit codes: 0 ok, 1 assertion failure, 2 configuration error or an
+output path that cannot be written, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 
 from .analytics import MetricMode, PositionGrid
-from .figures import Figure, RunConfig, compare_schemes, run_figure, validate_schemes
+from .figures import SUMMARY_FILE, Figure, RunConfig, compare_schemes, run_figure, validate_schemes
 from .montecarlo import DOMAIN_PROTOCOL, SeedPolicy
 from .protocol import format_trace, run_crossing
 from .scenario import Scenario, Scheme
@@ -222,7 +222,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     summary, status = compare_schemes(config)
     for row in summary.rows:
         print(f"{row[2]:>12}  {row[0]}  [{row[7]}]")
-    print(f"summary written to {Path(config.output_dir) / 'summary.csv'}")
+    print(f"summary written to {Path(config.output_dir) / SUMMARY_FILE}")
     return EXIT_ASSERTION if status else EXIT_OK
 
 
@@ -270,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading the config is a ConfigError already
+        print(f"configuration error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -143,18 +143,6 @@ def _tag(scheme: Scheme) -> str:
     return scheme.value.replace("-", "_")
 
 
-def _power_sum_db(a: float, b: float) -> float:
-    """10 log10(10^(a/10) + 10^(b/10)), the larger term factored out where
-    that form overflows or its sum underflows to 0."""
-    try:
-        total = 10.0 * math.log10(10.0 ** (a / 10.0) + 10.0 ** (b / 10.0))
-    except (OverflowError, ValueError):
-        total = math.inf
-    if math.isfinite(total):
-        return total
-    return max(a, b) + 10.0 * math.log10(1.0 + 10.0 ** (-abs(a - b) / 10.0))
-
-
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
@@ -226,25 +214,26 @@ class FigureRunner:
             return [analytics.trigger_curve(sc, self.grid) for sc in self.scenarios]
         return [analytics.interruption_curve(sc, self.grid, mode) for sc in self.scenarios]
 
-    def rss_values(self, scheme: Scheme) -> dict[str, list]:
-        def curves(means: np.ndarray) -> dict[str, list]:
-            # better-cell mean per antenna: the larger of its two cell means
-            front, *rear = means.max(axis=2).T.tolist()
-            if not rear:
-                none = [None] * len(front)
-                return {"front": front, "rear": none, "best": front, "combined": none}
-            pairs = list(zip(front, rear[0]))
-            return {"front": front, "rear": rear[0], "best": [max(f, r) for f, r in pairs],
-                    "combined": [_power_sum_db(f, r) for f, r in pairs]}
+    def rss_values(self, scheme: Scheme) -> dict[str, np.ndarray]:
+        """Each antenna's cell mean by channel.cell_means' better-cell flags (front,
+        rear, NaN on one antenna), the larger (best) and their power sum (combined)."""
+        def curves(means: np.ndarray, better: np.ndarray) -> dict[str, np.ndarray]:
+            cell = np.full((2, len(means)), np.nan)
+            cell[:means.shape[1]] = np.where(better, means[..., 1], means[..., 0]).T
+            front, rear = cell
+            return {"front": front, "rear": rear, "best": np.fmax(front, rear),
+                    "combined": channel.power_sum_db(front, rear)}
         return self._per_scheme(("rss",), lambda: [
-            curves(means) for means, _ in channel.cell_means(self.scenarios, self.grid)])[scheme]
+            curves(*pair) for pair in channel.cell_means(self.scenarios, self.grid)])[scheme]
 
     # --- tables ---
 
     def table(self, figure: Figure) -> ResultTable:
         columns, column_values = (self._rss_table() if figure is Figure.RSS
                                   else self._curve_table(figure))
-        rows = list(zip(self.grid.positions, *column_values))
+        # as Python numbers, which _cell formats at half the cost of numpy scalars
+        rows = list(zip(self.grid.positions, *(c.tolist() if isinstance(c, np.ndarray) else c
+                                               for c in column_values)))
         return ResultTable.build(("position_m",) + tuple(columns), rows,
                                  self.config.provenance())
 
@@ -269,17 +258,15 @@ class FigureRunner:
             tag = _tag(s)
             curves = self.rss_values(s)
             mc = self.pointwise(s, True).rss
-            if mc.value.shape[1] == 2:  # front, combined
-                comb_val, comb_hw = mc.value[:, 1], mc.half_width_95[:, 1]
-            else:
-                comb_val = comb_hw = [None] * len(self.grid.positions)
+            # the front and combined rows, the combined NaN on one antenna
+            value, hw = (np.vstack((a.T, np.full((2 - a.shape[1], len(a)), np.nan)))
+                         for a in (mc.value, mc.half_width_95))
             columns += [f"{tag}_front_dbm", f"{tag}_rear_dbm", f"{tag}_best_dbm",
                         f"{tag}_combined_dbm", f"{tag}_mc_front_dbm",
                         f"{tag}_mc_front_hw", f"{tag}_mc_combined_dbm",
                         f"{tag}_mc_combined_hw"]
             values += [curves["front"], curves["rear"], curves["best"],
-                       curves["combined"], mc.value[:, 0], mc.half_width_95[:, 0],
-                       comb_val, comb_hw]
+                       curves["combined"], value[0], hw[0], value[1], hw[1]]
         return columns, values
 
 

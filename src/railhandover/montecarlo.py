@@ -164,17 +164,10 @@ def _position_counts(sc: Scenario, cell: np.ndarray, serving: np.ndarray,
 
 def _best_series(cell: np.ndarray, target_better: np.ndarray) -> np.ndarray:
     """The front antenna's best-cell RSS, then for two antennas the combined
-    trace (linear power sum of both antennas' best cells, the larger factored
-    out where the sum overflows or underflows to 0), as rows (rows, trials)."""
+    trace (channel.power_sum_db of both antennas' best cells), as rows (rows, trials)."""
     series = cell[np.arange(len(cell)), target_better.astype(int)]
     if len(series) == 2:
-        with np.errstate(over="ignore", divide="ignore"):
-            combined = 10.0 * np.log10(np.add(*np.power(10.0, series / 10.0)))
-        bad = ~np.isfinite(combined)
-        if bad.any():
-            a, b = series[:, bad]
-            combined[bad] = np.maximum(a, b) + 10.0 * np.log10(1.0 + 10.0 ** (-abs(a - b) / 10.0))
-        series = np.vstack((series[0], combined))
+        series = np.vstack((series[0], channel.power_sum_db(*series)))
     return series
 
 

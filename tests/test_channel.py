@@ -12,6 +12,7 @@ import sys
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -419,6 +420,43 @@ def test_better_cell_ties_stay_on_serving(sc, grid):
     j = grid.positions.index(1500.0)
     assert means[j, 0, 0] == means[j, 0, 1]
     assert not target_better[j, 0]
+
+
+def _plain_power_sum_db(a, b):
+    with np.errstate(over="ignore", divide="ignore"):
+        return 10.0 * np.log10(np.power(10.0, a / 10.0) + np.power(10.0, b / 10.0))
+
+
+@pytest.mark.parametrize("a, b, plain", [
+    (-3230.0, -3231.0, -3227.04),  # subnormal powers: finite, but 0.42 dB off
+    (3100.0, 3090.0, math.inf),  # the powers overflow
+    (-20.0, -3300.0, -20.0),  # one power underflows to 0
+    (-1e4, -1e4 - 1.0, -math.inf),  # both underflow
+], ids=["subnormal", "overflow", "one-underflows", "both-underflow"])
+def test_power_sum_db_matches_mpmath(a, b, plain):
+    """Outside the normal float range the kernel factors out the larger
+    power; it is exact to a few ulps where the plain form is off or not finite."""
+    with mpmath.workdps(40):
+        want = float(10 * mpmath.log10(mpmath.power(10, mpmath.mpf(a) / 10)
+                                       + mpmath.power(10, mpmath.mpf(b) / 10)))
+    got = channel.power_sum_db(np.array([a, b]), np.array([b, a]))
+    assert got == pytest.approx([want, want], rel=1e-15, abs=0.0)
+    assert got[0] == got[1]
+    assert _plain_power_sum_db(np.float64(a), np.float64(b)) == pytest.approx(plain, abs=0.005)
+    if a == -3230.0:
+        assert want == pytest.approx(-3227.46098, abs=1e-5)
+
+
+def test_power_sum_db_propagates_nan():
+    got = channel.power_sum_db(np.array([np.nan, 0.0, np.nan, -4000.0]),
+                               np.array([0.0, np.nan, np.nan, np.nan]))
+    assert np.isnan(got).all()
+
+
+def test_power_sum_db_is_the_plain_form_in_the_normal_range():
+    """Bit for bit the plain numpy form, as tests/pointwise_oracle.py writes it."""
+    a, b = np.random.default_rng(20).uniform(-300.0, 300.0, (2, 10 ** 5))
+    assert channel.power_sum_db(a, b).tobytes() == _plain_power_sum_db(a, b).tobytes()
 
 
 def _clear_package_caches():

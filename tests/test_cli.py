@@ -185,6 +185,30 @@ def test_bad_scheme_override_exits_2(tmp_path, capsys):
     assert "expected one of" in capsys.readouterr().err
 
 
+_VERBS = {"compare": ["compare"], "run": ["run", "--figure", "rss"], "trace": ["trace"]}
+
+
+# trace reads only --out, not output_dir
+@pytest.mark.parametrize("verb, where", [
+    (verb, where) for verb in _VERBS for where in ("file", "under-file", "output_dir")
+    if (verb, where) != ("trace", "output_dir")])
+def test_unwritable_output_exits_2(tmp_path, capsys, verb, where):
+    """--out or output_dir naming a regular file, or a path under one, is one
+    configuration error line on stderr and exit 2, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "results" if where == "under-file" else taken
+    config = tmp_path / "run.cfg"
+    config.write_text("measurement_step = 250\nschemes = proposed\n"
+                      + (f"output_dir = {out}\n" if where == "output_dir" else ""))
+    args = [] if where == "output_dir" else ["--out", str(out)]
+    code = main([*_VERBS[verb], "--config", str(config), "--trials", "20", *args])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("configuration error: cannot write output: ")
+    assert err.count("\n") == 1 and str(taken) in err
+
+
 def test_numeric_breakdown_exits_3(tmp_path, capsys, monkeypatch):
     import railhandover.cli as cli_mod
 

@@ -5,6 +5,7 @@ trial counts and grid steps are pinned to combinations whose margins
 were checked against independent large-trial re-runs.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -339,12 +340,14 @@ def test_compare_matches_golden_output(tmp_path, capsys, jobs):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("text", ["tx_power = 5000\n", "d0 = 1e300\n"],
-                         ids=["overflow", "underflow"])
+@pytest.mark.parametrize("text", ["tx_power = 5000\n", "d0 = 1e300\n", "tx_power = -3110\n"],
+                         ids=["overflow", "underflow", "subnormal"])
 def test_combined_trace_stays_finite_at_extreme_means(tmp_path, capsys, recwarn, text):
     """Cell means near 4 900 dBm overflow the plain power sum of the two
-    antennas, and near -10 446 dBm underflow it to 0: the analytic and the
-    Monte Carlo combined traces stay finite, with nothing on stderr."""
+    antennas, near -10 446 dBm underflow it to 0, and near -3 230 dBm make
+    its terms subnormal: the analytic and the Monte Carlo combined traces
+    stay finite, with nothing on stderr, and the analytic one is the power
+    sum of its row's front and rear columns up to their 6-digit rounding."""
     config = tmp_path / "extreme.cfg"
     config.write_text("measurement_step = 250\n" + text)
     code = main(["compare", "--trials", "50", "--schemes", "traditional",
@@ -356,3 +359,7 @@ def test_combined_trace_stays_finite_at_extreme_means(tmp_path, capsys, recwarn,
     assert len(table) == 13
     assert np.isfinite(table["traditional_combined_dbm"]).all()
     assert np.isfinite(table["traditional_mc_combined_dbm"]).all()
+    for front, rear, combined in table[["traditional_front_dbm", "traditional_rear_dbm",
+                                        "traditional_combined_dbm"]]:
+        factored = max(front, rear) + 10.0 * math.log10(1.0 + 10.0 ** (-abs(front - rear) / 10.0))
+        assert combined == pytest.approx(factored, abs=0.02)

@@ -2,9 +2,9 @@
 
 Verbs: `run` writes one figure table, `compare` writes all of them plus
 a summary of the cross-scheme assertions, `validate` sweeps analytic
-curves against their Monte Carlo estimators, `trace` prints one seeded
-protocol trace. Configuration is a flat key/value file; every key
-matches a scenario or run field and unknown keys are rejected.
+curves against their Monte Carlo estimators, `trace` prints or writes one
+seeded protocol trace. Configuration is a flat key/value file; every key
+matches a run field or a scenario field but `scheme`, and others are rejected.
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error or an
 output path that cannot be written, 3 numeric non-convergence.
@@ -37,8 +37,8 @@ class ConfigError(Exception):
     pass
 
 
-# every Scenario field is a config key of its annotated type
-_SCENARIO_TYPES = typing.get_type_hints(Scenario)
+# every Scenario field but scheme (see schemes) is a config key of its annotated type
+_SCENARIO_TYPES = {k: v for k, v in typing.get_type_hints(Scenario).items() if k != "scheme"}
 _RUN_INT_KEYS = frozenset({"trials", "master_seed", "jobs"})
 
 
@@ -90,6 +90,10 @@ def parse_config(text: str) -> RunConfig:
     key may appear only once. Unknown keys or invariant violations raise
     ConfigError naming the key.
     """
+    return _parse_config(text)[0]
+
+
+def _parse_config(text: str) -> tuple[RunConfig, set[str]]:
     if not text.lstrip().startswith("["):
         text = "[run]\n" + text
     parser = configparser.ConfigParser(interpolation=None)
@@ -119,24 +123,25 @@ def parse_config(text: str) -> RunConfig:
         elif key == "output_dir":
             run_kwargs[key] = Path(raw)
         else:
-            raise ConfigError(f"unknown key {key!r}")
+            hint = "; list the schemes to run in schemes" if key == "scheme" else ""
+            raise ConfigError(f"unknown key {key!r}{hint}")
 
     try:
         scenario = Scenario(**scenario_kwargs)
-        return RunConfig(scenario=scenario, **run_kwargs)
+        return RunConfig(scenario=scenario, **run_kwargs), set(seen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
+    """The run config of args, and whether --out or the file names output_dir."""
+    config, keys = RunConfig(), set()
     if args.config is not None:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        config = parse_config(text)
-    else:
-        config = RunConfig()
+        config, keys = _parse_config(text)
     overrides: dict = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
@@ -150,8 +155,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         overrides["output_dir"] = Path(args.out)
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
+    named = args.out is not None or "output_dir" in keys
     try:
-        return dataclasses.replace(config, **overrides) if overrides else config
+        return (dataclasses.replace(config, **overrides) if overrides else config), named
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -206,7 +212,7 @@ _PARSER = _build_parser()  # once: argparse measures the terminal per argument
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     figure = Figure(args.figure)
     table = run_figure(config, figure)
     out_dir = Path(config.output_dir)
@@ -218,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     summary, status = compare_schemes(config)
     for row in summary.rows:
         print(f"{row[2]:>12}  {row[0]}  [{row[7]}]")
@@ -227,7 +233,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config, _ = _load_config(args)
     table, status = validate_schemes(config)
     for scheme, check, value, limit, verdict in table.rows:
         print(f"{verdict:>6}  {scheme:<12} {check:<14} {value:.4g} (limit {limit:g})")
@@ -235,14 +241,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config, named_out = _load_config(args)
     sc = config.scenario.with_scheme(config.schemes[0])
-    grid = PositionGrid.over(sc.ds, config.step)
     rng = SeedPolicy(config.master_seed).stream(DOMAIN_PROTOCOL, 0)
-    _, trace = run_crossing(sc, grid, rng)
+    _, trace = run_crossing(sc, PositionGrid.for_scenario(sc), rng)
     text = format_trace(trace)
-    if args.out is not None:
-        out_dir = Path(args.out)
+    if named_out:
+        out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "trace.tsv"
         path.write_text(text)

@@ -163,7 +163,7 @@ class FigureRunner:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.grid = PositionGrid.over(config.scenario.ds, config.step)
+        self.grid = PositionGrid.for_scenario(config.scenario)
         self.seed = SeedPolicy(config.master_seed)
         self.scenarios = tuple(config.scenario.with_scheme(s) for s in config.schemes)
         self._pointwise: dict[Scheme, PointwiseEstimate] = {}

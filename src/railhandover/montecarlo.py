@@ -183,22 +183,6 @@ def _row_stats(rows: np.ndarray) -> np.ndarray:
     return np.column_stack((mean[:, 0], hw))
 
 
-def _pointwise_estimate(rows: list[tuple], antennas: int, trials: int) -> PointwiseEstimate:
-    """The estimate of a scenario from each position's (counts, mean rows),
-    read on its first antennas. There are as many mean rows as antennas
-    (front, then combined), so a one-antenna reader of two-antenna rows
-    takes the front one."""
-    counts, means = zip(*rows)
-    fired, failed, every = np.array(counts)[:, [0, 1, 1 + antennas]].T
-    rss = None
-    if means[0] is not None:
-        value, hw = np.moveaxis(np.array(means)[:, :antennas], 2, 0)
-        rss = Estimate(value, hw, np.full(value.shape, trials))
-    base = np.full_like(fired, trials)
-    return PointwiseEstimate(_binomial(fired, base), _binomial(failed, fired),
-                             _binomial(every, base), rss)
-
-
 def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
                        seed: SeedPolicy, jobs: int = 1,
                        mean_rss: bool = False) -> tuple[PointwiseEstimate, ...]:
@@ -225,26 +209,38 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     shadowing = sorted(set(source), key=lambda k: math.prod(shapes[k]))
     widest = shadowing[-1]
 
-    def one_position(j: int) -> dict[int, tuple]:
+    # per source scenario and position: counts, and mean rows (front, combined)
+    n_pos = len(grid.positions)
+    counts = {m: np.empty((n_pos, 2 + len(tables[m].antennas)), int) for m in shadowing}
+    means = {m: np.empty((n_pos, len(tables[m].antennas), 2)) for m in shadowing}
+    cuts = np.cumsum([len(tables[m].antennas) for m in shadowing])[:-1]
+
+    def one_position(j: int) -> None:
         z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(math.prod(shapes[widest]))
-        counts, series = {}, {}
+        series = []
         for m in shadowing:
             block = z[:math.prod(shapes[m])].reshape(shapes[m])
             cell, (serving, target) = tables[m].shadowed(
                 block if m == widest else block.copy(), slice(j, j + 1))
-            counts[m] = _position_counts(scs[m], cell, serving, target)
-            if better is not None:
-                series[m] = _best_series(cell, better[m][j])
-        if better is None:
-            return {m: (c, None) for m, c in counts.items()}
-        # the mean and 95% half-width of every scenario's series at once
-        means = np.split(_row_stats(np.concatenate(list(series.values()))),
-                         np.cumsum([len(s) for s in series.values()])[:-1])
-        return {m: (counts[m], mean) for m, mean in zip(series, means)}
+            counts[m][j] = _position_counts(scs[m], cell, serving, target)
+            if mean_rss:
+                series.append(_best_series(cell, better[m][j]))
+        if mean_rss:
+            # the mean and 95% half-width of every scenario's series at once
+            for m, rows in zip(shadowing, np.split(_row_stats(np.concatenate(series)), cuts)):
+                means[m][j] = rows
 
-    rows = _parallel_map(one_position, len(grid.positions), jobs)
-    return tuple(_pointwise_estimate([row[m] for row in rows], len(t.antennas), trials)
-                 for t, m in zip(tables, source))
+    _parallel_map(one_position, n_pos, jobs)
+    estimates = []
+    for t, m in zip(tables, source):
+        a = len(t.antennas)  # a reader of scenario m's first a antennas
+        fired, failed, every = counts[m][:, [0, 1, 1 + a]].T
+        value, hw = np.moveaxis(means[m][:, :a], 2, 0)
+        rss = Estimate(value, hw, np.full(value.shape, trials)) if mean_rss else None
+        base = np.full_like(fired, trials)
+        estimates.append(PointwiseEstimate(_binomial(fired, base), _binomial(failed, fired),
+                                           _binomial(every, base), rss))
+    return tuple(estimates)
 
 
 # === First-crossing sweep ===
@@ -325,21 +321,20 @@ def estimate_protocol(sc: Scenario, grid: PositionGrid, trials: int,
 
     blocks = _parallel_map(one_block, (trials + _PROTOCOL_BLOCK - 1) // _PROTOCOL_BLOCK,
                            jobs)
+    out = protocol.CrossingArrays(*map(np.concatenate, zip(*blocks)))
     n_pos = len(grid.positions)
-    front = np.concatenate([b.front_index for b in blocks])
-    rear = np.concatenate([b.rear_index for b in blocks])
-    front_hist = np.bincount(front[front >= 0], minlength=n_pos)
-    attempt_hist = sum(b.front_attempts.sum(axis=0) for b in blocks)
-    runs = np.concatenate([b.interruptions for b in blocks])
+    front_hist = np.bincount(out.front_index[out.front_index >= 0], minlength=n_pos)
+    attempt_hist = out.front_attempts.sum(axis=0)
     xs = grid.as_array()
+    runs = out.interruptions  # the crossing's row in its block is not read
     lengths = (xs[runs[:, 2]] - xs[runs[:, 1]]) + grid.step
     return ProtocolStats(
         grid, trials,
-        completed=int(np.count_nonzero(rear >= 0)),
-        front_failed_trials=sum(int(np.count_nonzero(b.front_failed)) for b in blocks),
-        rear_failed_trials=sum(int(np.count_nonzero(b.rear_failed)) for b in blocks),
+        completed=int(np.count_nonzero(out.rear_index >= 0)),
+        front_failed_trials=int(np.count_nonzero(out.front_failed)),
+        rear_failed_trials=int(np.count_nonzero(out.rear_failed)),
         front_ho_hist=front_hist,
-        rear_ho_hist=np.bincount(rear[rear >= 0], minlength=n_pos),
+        rear_ho_hist=np.bincount(out.rear_index[out.rear_index >= 0], minlength=n_pos),
         front_attempt_hist=attempt_hist,
         front_failure_hist=attempt_hist - front_hist,
         interruption_lengths=tuple(lengths.tolist()))

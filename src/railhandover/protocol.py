@@ -190,28 +190,29 @@ class CrossingOutcome:
     final_state: HandoverState
 
 
-def _draw_crossings(table: channel.LinkTable, rngs: list[np.random.Generator]
-                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _draw_crossings(sc: Scenario, grid: PositionGrid, rngs: list[np.random.Generator]
+                    ) -> tuple[np.ndarray, ...]:
     """Draw every shadowing realization of each crossing, one generator each.
 
     Each generator makes one standard-normal draw of shape (antennas,
     cells, positions, components), which fixes the order: front antenna
     first, serving cell first, grid position outermost within a cell.
     Returns the cell RSS, of shape (crossings, antennas, cells,
-    positions), and the serving and target trigger comparands, of shape
-    (crossings, antennas, positions).
+    positions), then, each of shape (crossings, antennas, positions),
+    the serving and target trigger comparands, where the trigger rule
+    fires and where the target comparand is usable.
     """
+    if len(sc.antennas()) != 2:
+        raise ValueError(f"the handover procedure needs two antennas; "
+                         f"scheme {sc.scheme.value} has {len(sc.antennas())}")
+    table = channel.link_table(sc, grid)
     positions, antennas, cells, components = table.mu.shape
     z = np.empty((len(rngs), antennas, cells, positions, components))
     for rng, out in zip(rngs, z):
         rng.standard_normal(out=out)
-    return table.shadowed(z, slice(None))
-
-
-def _require_two_antennas(sc: Scenario) -> None:
-    if len(sc.antennas()) != 2:
-        raise ValueError(f"the handover procedure needs two antennas; "
-                         f"scheme {sc.scheme.value} has {len(sc.antennas())}")
+    cell, (serving, target) = table.shadowed(z, slice(None))
+    # the array form of transition's trigger check, and the attach rule
+    return cell, serving, target, target - serving > sc.hysteresis, target >= sc.threshold
 
 
 # The environment's response to an emitted message: an ack, or an attach
@@ -239,21 +240,17 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     from its attached cell is below the threshold; intervals are reported
     as (first, last) grid coordinates of each below-threshold run.
     """
-    _require_two_antennas(sc)
-    table = channel.link_table(sc, grid)
-    (cell,), ((serving,), (target,)) = _draw_crossings(table, [rng])
+    (cell,), (serving,), (target,), (triggers,), (usable,) = _draw_crossings(sc, grid, [rng])
     # per antenna: the (serving, target) comparands at each position, whether
     # the target comparand is usable, and per cell whether its RSS is below
     reports = [list(zip(s, t)) for s, t in zip(serving.tolist(), target.tolist())]
-    usable = (target >= sc.threshold).tolist()
+    usable, below = usable.tolist(), (cell < sc.threshold).tolist()
     # per phase whose measurement report has a row: at each position, whether
-    # the row's antenna triggers, by transition's own comparison
-    triggered = dict(zip(table.antennas, (target - serving > sc.hysteresis).tolist()))
+    # the row's antenna triggers
+    triggered = dict(zip(sc.antennas(), triggers.tolist()))
     acts = {phase: triggered[antenna] for phase, antenna in _REPORT_ANTENNA.items()}
-    below = (cell < sc.threshold).tolist()
     state = HandoverState()
     trace: list[TraceEntry] = []
-    attached = [0, 0]  # per antenna, front then rear: its cell's index in CELLS
     ho_position: list[float | None] = [None, None]
     failed = [False, False]
     interrupted_runs: list[tuple[float, float]] = []
@@ -276,9 +273,8 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             if a is None:
                 feed(ProtocolEvent(response, out.position))
             elif usable[a][j]:  # an attach attempt at the walk's grid index j
-                attached[a] = 1
                 ho_position[a] = out.position
-                feed(ProtocolEvent(response, out.position, table.antennas[a]))
+                feed(ProtocolEvent(response, out.position, out.antenna))
             else:
                 failed[a] = True
 
@@ -289,8 +285,9 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             feed(report)
         else:  # a report that cannot act leaves the phase as it is
             trace.append(TraceEntry(x, state.phase, report, state.phase))
-        # threshold check against each antenna's attached cell
-        if below[0][attached[0]][j] and below[1][attached[1]][j]:
+        # threshold check against each antenna's attached cell (index 1: target)
+        if (below[0][state.front_attached is _T][j]
+                and below[1][state.rear_attached is _T][j]):
             run_start = x if run_start is None else run_start
         elif run_start is not None:
             interrupted_runs.append((run_start, grid.positions[j - 1]))
@@ -312,16 +309,15 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
 # === Array kernel ===
 
 
-@dataclass(frozen=True)
-class CrossingArrays:
+class CrossingArrays(NamedTuple):
     """Outcomes of a batch of crossings, one row per crossing.
 
     front_index and rear_index hold the grid index where each antenna
     attached to the target cell, -1 where it never did; a crossing is
     done exactly when its rear antenna attached. front_attempts marks
     the positions of every front attach attempt. interruptions lists
-    each interruption run as (crossing, first index, last index), by
-    crossing, then position.
+    each interruption run as (crossing's row, first index, last index),
+    by crossing, then position.
     """
 
     front_index: np.ndarray
@@ -358,10 +354,7 @@ def run_crossings(sc: Scenario, grid: PositionGrid,
     attaches inside that position's own measurement report; each
     antenna's RSS comes from the target cell from its attach on.
     """
-    _require_two_antennas(sc)
-    cell, (serving, target) = _draw_crossings(channel.link_table(sc, grid), rngs)
-    triggered = target - serving > sc.hysteresis
-    usable = target >= sc.threshold
+    cell, _, _, triggered, usable = _draw_crossings(sc, grid, rngs)
     positions = np.arange(len(grid.positions))
     front, front_attempts, front_failed = _attach(triggered[:, 0], usable[:, 0], True)
     after_front = (front[:, np.newaxis] >= 0) & (positions > front[:, np.newaxis])

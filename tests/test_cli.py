@@ -75,10 +75,12 @@ def _default_text(name: str) -> str:
     return str(value)
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scenario)])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scenario)
+                                  if f.name != "scheme"])
 def test_config_parses_every_scenario_field_from_its_default(name):
-    """Each Scenario field is a config key; the text of its default (the
-    per-unit sigmas spelled out) gives the default scenario back."""
+    """Each Scenario field but scheme is a config key; the text of its
+    default (the per-unit sigmas spelled out) gives the default scenario
+    back."""
     got = parse_config(f"{name} = {_default_text(name)}").scenario
     if name == "shadow_sigma_per_rau":
         assert got.shadow_sigma_per_rau == (4.0,) * 4
@@ -86,10 +88,23 @@ def test_config_parses_every_scenario_field_from_its_default(name):
     assert got == Scenario()
 
 
-@pytest.mark.parametrize("key", ["frobnicate", "antennas", "rau_sigma", "with_scheme"])
+@pytest.mark.parametrize("key", ["frobnicate", "antennas", "rau_sigma", "with_scheme",
+                                 "scheme"])
 def test_config_rejects_scenario_attributes_that_are_not_fields(key):
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1")
+
+
+def test_scheme_key_exits_2_pointing_at_schemes(tmp_path, capsys):
+    """Every verb runs the schemes of `schemes`, so a `scheme` key would
+    change nothing but the fingerprint; it is a configuration error."""
+    config = tmp_path / "run.cfg"
+    config.write_text("measurement_step = 250\nscheme = traditional\n")
+    code = main(["trace", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("configuration error: unknown key 'scheme'; "
+                            "list the schemes to run in schemes\n")
 
 
 def test_config_per_rau_sigma_list():
@@ -188,10 +203,8 @@ def test_bad_scheme_override_exits_2(tmp_path, capsys):
 _VERBS = {"compare": ["compare"], "run": ["run", "--figure", "rss"], "trace": ["trace"]}
 
 
-# trace reads only --out, not output_dir
 @pytest.mark.parametrize("verb, where", [
-    (verb, where) for verb in _VERBS for where in ("file", "under-file", "output_dir")
-    if (verb, where) != ("trace", "output_dir")])
+    (verb, where) for verb in _VERBS for where in ("file", "under-file", "output_dir")])
 def test_unwritable_output_exits_2(tmp_path, capsys, verb, where):
     """--out or output_dir naming a regular file, or a path under one, is one
     configuration error line on stderr and exit 2, not a traceback."""
@@ -376,6 +389,23 @@ def test_trace_to_file_and_determinism(tmp_path, capsys):
     stdout_run = main(["trace", "--seed", "7"])
     assert stdout_run == 0
     assert capsys.readouterr().out.encode() == t1
+
+
+@pytest.mark.parametrize("out_dir", ["results", "elsewhere"])
+def test_trace_writes_to_output_dir_of_config(tmp_path, monkeypatch, capsys, out_dir):
+    """A config file that names output_dir, the default `results` too,
+    sends the trace to output_dir/trace.tsv, with the bytes that a run
+    naming no directory prints and writes nowhere."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output_dir = {out_dir}\n")
+    assert main(["trace", "--seed", "7"]) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    assert main(["trace", "--seed", "7", "--config", str(config)]) == 0
+    path = Path(out_dir) / "trace.tsv"
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text() == printed
 
 
 TRACE_GOLDEN = Path(__file__).parent / "golden" / "trace"

@@ -8,7 +8,6 @@ that reproduces the comparison figures as CSV tables.
 from ._version import __version__
 from .analytics import (
     MetricMode,
-    PositionGrid,
     failure_curve,
     first_crossing_masses,
     interruption_curve,
@@ -24,7 +23,7 @@ from .montecarlo import (
     estimate_protocol,
 )
 from .protocol import HandoverState, ProtocolViolation, run_crossing, transition
-from .scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from .scenario import AntennaId, CellId, PositionGrid, Scenario, Scheme, SelectionRule
 
 __all__ = [
     "__version__",

@@ -8,7 +8,9 @@ Every normal tail is the array kernel `statfun.ndtr`: trigger and
 interruption apply it to standardized comparands, and failure integrates
 it with `statfun.erfcx`. A position's value does not depend on the grid
 it sits on: the value at one position x is the curve on
-PositionGrid((x,), step). Two evaluation modes exist because the
+PositionGrid((x,), step) (the grid type lives in `scenario`). Every
+curve is a float array; failure, a conditional, is NaN where the
+trigger almost never fires. Two evaluation modes exist because the
 published closed forms for occurrence, failure and interruption are not
 self-consistent: MetricMode.PAPER evaluates them exactly as printed,
 MetricMode.REDERIVED (the default) evaluates the first-principles forms
@@ -18,14 +20,13 @@ that Monte Carlo estimates converge to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import channel, statfun
-from .scenario import Scenario
+from .scenario import PositionGrid, Scenario
 from .statfun import STEP_SCALE, integrate_rows
 
 # Conditional metrics are undefined once the conditioning event is this rare.
@@ -37,38 +38,6 @@ _SQRT2 = math.sqrt(2.0)
 class MetricMode(Enum):
     PAPER = "paper"
     REDERIVED = "rederived"
-
-
-@dataclass(frozen=True)
-class PositionGrid:
-    """Uniformly spaced front-antenna positions covering [0, length]."""
-
-    positions: tuple[float, ...]
-    step: float
-
-    def __post_init__(self) -> None:
-        # plain floats keep the grid hashable, so link tables can be cached by it
-        object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if len(self.positions) < 1:
-            raise ValueError("grid needs at least one position")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError("grid positions must be strictly increasing")
-
-    @classmethod
-    def over(cls, length: float, step: float) -> "PositionGrid":
-        if not (length >= 0.0 and step > 0.0):
-            raise ValueError("length must be >= 0 and step > 0")
-        count = int(math.floor(length / step + 1e-9))
-        return cls(tuple(k * step for k in range(count + 1)), step)
-
-    @classmethod
-    def for_scenario(cls, sc: Scenario) -> "PositionGrid":
-        return cls.over(sc.ds, sc.measurement_step)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.positions, dtype=float)
 
 
 # === Trigger probability ===
@@ -136,10 +105,10 @@ def occurrence_masses(trigger_probs: np.ndarray, step: float,
 
 
 def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
-                  mode: MetricMode = MetricMode.REDERIVED) -> tuple[list[float | None], ...]:
+                  mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
     """P(target RSS at the trigger moment < threshold | trigger fired) of
-    the front antenna at every grid position, per scenario of scs, None
-    where the trigger probability is below TRIGGER_FLOOR and the
+    the front antenna at every grid position, one row per scenario of scs,
+    NaN where the trigger probability is below TRIGGER_FLOOR and the
     conditional is undefined.
 
     Let U be the target comparand and V the target-minus-serving margin.
@@ -166,8 +135,7 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
                            for sc in scs])
     distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     values = _failure_rows(distinct, mode, [grid.positions[j % count] for j in first])
-    values = [None if math.isnan(v) else v for v in values[inverse.reshape(-1)].tolist()]
-    return tuple(values[k * count:(k + 1) * count] for k in range(len(scs)))
+    return values[inverse.reshape(-1)].reshape(len(scs), count)
 
 
 def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> np.ndarray:

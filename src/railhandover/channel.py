@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -33,14 +33,12 @@ from .scenario import (
     SELECTION_SCHEMES,
     AntennaId,
     CellId,
+    PositionGrid,
     Scenario,
     Scheme,
     SelectionRule,
 )
 from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
-
-if TYPE_CHECKING:
-    from .analytics import PositionGrid
 
 # the scalar math.hypot distance and path_loss kernels, elementwise: numpy's
 # own hypot and log10 differ from math's in the last bit
@@ -214,7 +212,7 @@ def _folded(a: np.ndarray, f: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
+def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
     """The scenario's link statistics over the grid, built once per pair.
 
     Base stations stand at 0 and ds along the track, RAU n of a cell at
@@ -264,7 +262,7 @@ def link_table(sc: Scenario, grid: "PositionGrid") -> LinkTable:
 
 @lru_cache(maxsize=32)
 def cell_means(scs: tuple[Scenario, ...],
-               grid: "PositionGrid") -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+               grid: PositionGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Mean RSS of every cell distribution of each scenario's link table, and the better cell.
 
     Returns, per scenario, the means, shape (positions, antennas, cells),

@@ -20,11 +20,11 @@ import typing
 from enum import Enum
 from pathlib import Path
 
-from .analytics import MetricMode, PositionGrid
+from .analytics import MetricMode
 from .figures import SUMMARY_FILE, Figure, RunConfig, compare_schemes, run_figure, validate_schemes
 from .montecarlo import DOMAIN_PROTOCOL, SeedPolicy
 from .protocol import format_trace, run_crossing
-from .scenario import Scenario, Scheme
+from .scenario import PositionGrid, Scenario, Scheme
 from .statfun import NumericsError
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -156,10 +156,7 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
     if args.jobs is not None:
         overrides["jobs"] = args.jobs
     named = args.out is not None or "output_dir" in keys
-    try:
-        return (dataclasses.replace(config, **overrides) if overrides else config), named
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return (dataclasses.replace(config, **overrides) if overrides else config), named
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -267,13 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     }[args.verb]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericsError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # reading the config is a ConfigError already

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytics, channel
 from ._version import __version__
-from .analytics import MetricMode, PositionGrid
+from .analytics import MetricMode
 from .montecarlo import (
     Estimate,
     PointwiseEstimate,
@@ -29,7 +29,7 @@ from .montecarlo import (
     estimate_first_crossing,
     estimate_pointwise,
 )
-from .scenario import Scenario, Scheme
+from .scenario import PositionGrid, Scenario, Scheme
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,6 @@ class FigureRunner:
         self.grid = PositionGrid.for_scenario(config.scenario)
         self.seed = SeedPolicy(config.master_seed)
         self.scenarios = tuple(config.scenario.with_scheme(s) for s in config.schemes)
-        self._pointwise: dict[Scheme, PointwiseEstimate] = {}
         self._cache: dict[tuple, dict] = {}
 
     def _per_scheme(self, key: tuple, compute: Callable) -> dict:
@@ -176,12 +175,11 @@ class FigureRunner:
         return self._cache[key]
 
     def pointwise(self, scheme: Scheme, mean_rss: bool) -> PointwiseEstimate:
-        cached = self._pointwise.get(scheme)
-        if cached is None or (mean_rss and cached.rss is None):
-            self._pointwise = dict(zip(self.config.schemes, estimate_pointwise(
-                self.scenarios, self.grid, self.config.trials, self.seed,
-                jobs=self.config.jobs, mean_rss=mean_rss)))
-        return self._pointwise[scheme]
+        """The pointwise sweep's estimates; a sweep with mean RSS serves either request."""
+        key = ("pointwise", mean_rss or ("pointwise", True) in self._cache)
+        return self._per_scheme(key, lambda: estimate_pointwise(
+            self.scenarios, self.grid, self.config.trials, self.seed,
+            jobs=self.config.jobs, mean_rss=key[1]))[scheme]
 
     def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
         """The curve figure's Monte Carlo estimate: the front antenna's
@@ -197,9 +195,9 @@ class FigureRunner:
         """mc as one Estimate of Python numbers per position."""
         return [Estimate(*row) for row in zip(*(a.tolist() for a in self.mc(scheme, figure)))]
 
-    def analytic(self, scheme: Scheme, figure: Figure, mode: MetricMode) -> np.ndarray | list:
-        """The figure's analytic curve of the front antenna (failure: a list,
-        None where undefined); trigger does not depend on the mode."""
+    def analytic(self, scheme: Scheme, figure: Figure, mode: MetricMode) -> np.ndarray:
+        """The figure's analytic curve of the front antenna (failure NaN where
+        undefined); trigger does not depend on the mode."""
         if figure is Figure.TRIGGER:
             mode = None
         return self._per_scheme((figure, mode), lambda: self._curves(figure, mode))[scheme]
@@ -232,8 +230,7 @@ class FigureRunner:
         columns, column_values = (self._rss_table() if figure is Figure.RSS
                                   else self._curve_table(figure))
         # as Python numbers, which _cell formats at half the cost of numpy scalars
-        rows = list(zip(self.grid.positions, *(c.tolist() if isinstance(c, np.ndarray) else c
-                                               for c in column_values)))
+        rows = list(zip(self.grid.positions, *(c.tolist() for c in column_values)))
         return ResultTable.build(("position_m",) + tuple(columns), rows,
                                  self.config.provenance())
 
@@ -376,14 +373,14 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
     return np.array(out) if np.ndim(q) else out[0]
 
 
-def _failure_z(analytic: float | None, mc: Estimate) -> float | None:
+def _failure_z(analytic: float, mc: Estimate) -> float:
     """|analytic - mc| of a conditional failure estimate in standard errors.
 
-    None where the analytic value is undefined or fewer than
+    NaN where the analytic value is undefined (NaN) or fewer than
     MIN_CONDITION_COUNT trials triggered; a zero half-width scores 0.
     """
-    if analytic is None or mc.base_count < MIN_CONDITION_COUNT:
-        return None
+    if math.isnan(analytic) or mc.base_count < MIN_CONDITION_COUNT:
+        return math.nan
     se = mc.half_width_95 / 1.96
     return abs(analytic - mc.value) / se if se > 0 else 0.0
 
@@ -439,15 +436,15 @@ def _tally(sides, verdict, window=None, floor=0.0, mc_moves_worst=False) -> Tall
     return Tally(checked, failed, inconclusive, skipped, worst_x, worst_score, worst_values)
 
 
-def _within(value: float | None, limit: float) -> Mark:
-    """value <= limit, scored by value; None leaves the position inconclusive."""
-    return _UNDEFINED if value is None else Mark(True, int(value > limit), score=value)
+def _within(value: float, limit: float) -> Mark:
+    """value <= limit, scored by value; NaN leaves the position inconclusive."""
+    return _UNDEFINED if math.isnan(value) else Mark(True, int(value > limit), score=value)
 
 
-def _within_relative(value: float | None, limit: float) -> Mark:
+def _within_relative(value: float, limit: float) -> Mark:
     """value <= limit, scored by value / limit."""
-    return _UNDEFINED if value is None else Mark(True, int(value > limit),
-                                                 score=value / limit)
+    return _UNDEFINED if math.isnan(value) else Mark(True, int(value > limit),
+                                                     score=value / limit)
 
 
 def _first_failure(bad: bool) -> Mark:
@@ -463,7 +460,7 @@ def _ordered(a, b, ea: Estimate, eb: Estimate, mc_usable: bool = True) -> Mark:
 
 
 def _failure_order(a, b, ea, eb) -> Mark:
-    if a is None or b is None:
+    if math.isnan(a) or math.isnan(b):
         return _UNDEFINED
     return _ordered(a, b, ea, eb, min(ea.base_count, eb.base_count) >= MIN_CONDITION_COUNT)
 
@@ -556,7 +553,7 @@ RULES = (
          "rederived failure, window [1200, 1800] m", _FAILURE_WINDOW, mc_moves_worst=True),
     Rule("failure_similar[{0}~{1}]", Figure.FAILURE,
          _against("proposed", "das-single"), _FAILURE_SIDES,
-         lambda a, b, *_: _within(None if a is None or b is None else abs(a - b), 0.02),
+         lambda a, b, *_: _within(abs(a - b), 0.02),
          "max |gap| = {worst_score:.4g} (limit 0.02), window [1200, 1800] m", _FAILURE_WINDOW),
     Rule("failure_mc_agreement[{0}]", Figure.FAILURE, _each("das-blanket"), _FAILURE_SIDES,
          lambda a, mc: _within(_failure_z(a, mc), 3.0),

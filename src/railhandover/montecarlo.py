@@ -12,8 +12,9 @@ scenario whose links repeat another's reads that one's counts.
 Shadowing is drawn through `LinkTable.shadowed`. Both sweeps return
 `Estimate`s, arrays over positions: the pointwise sweep's hold the front
 antenna's trigger and failure and the scheme-level interruption (mean
-RSS: a column for the front antenna's and the combined trace), the
-first-crossing sweep's the front antenna's first-trigger masses.
+RSS: a column for the front antenna's and the combined trace, each
+scenario's rows reduced where it shadows them), the first-crossing
+sweep's the front antenna's first-trigger masses.
 `figures.FigureRunner.mc` reads each curve figure's estimate from them.
 """
 
@@ -27,8 +28,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channel, protocol
-from .analytics import PositionGrid, comparands
-from .scenario import AntennaId, Scenario
+from .analytics import comparands
+from .scenario import AntennaId, PositionGrid, Scenario
 
 # Substream domain tags; part of the documented seed derivation.
 DOMAIN_POINTWISE = 0
@@ -213,22 +214,16 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     n_pos = len(grid.positions)
     counts = {m: np.empty((n_pos, 2 + len(tables[m].antennas)), int) for m in shadowing}
     means = {m: np.empty((n_pos, len(tables[m].antennas), 2)) for m in shadowing}
-    cuts = np.cumsum([len(tables[m].antennas) for m in shadowing])[:-1]
 
     def one_position(j: int) -> None:
         z = seed.stream(DOMAIN_POINTWISE, j).standard_normal(math.prod(shapes[widest]))
-        series = []
         for m in shadowing:
             block = z[:math.prod(shapes[m])].reshape(shapes[m])
             cell, (serving, target) = tables[m].shadowed(
                 block if m == widest else block.copy(), slice(j, j + 1))
             counts[m][j] = _position_counts(scs[m], cell, serving, target)
             if mean_rss:
-                series.append(_best_series(cell, better[m][j]))
-        if mean_rss:
-            # the mean and 95% half-width of every scenario's series at once
-            for m, rows in zip(shadowing, np.split(_row_stats(np.concatenate(series)), cuts)):
-                means[m][j] = rows
+                means[m][j] = _row_stats(_best_series(cell, better[m][j]))
 
     _parallel_map(one_position, n_pos, jobs)
     estimates = []

@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel
-from .analytics import PositionGrid
-from .scenario import AntennaId, CellId, Scenario
+from .scenario import AntennaId, CellId, PositionGrid, Scenario
 
 
 class Phase(Enum):

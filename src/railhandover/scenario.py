@@ -5,6 +5,8 @@ fed over fiber, evenly spaced along the track and centered on the base
 station. Two neighboring cells (serving and target) overlap along the
 span [0, ds] walked by the train; the front antenna position is the
 reference coordinate and the rear antenna trails it by train_length.
+Every curve and sweep is evaluated on a PositionGrid of front-antenna
+positions, by default the span's measurement grid (for_scenario).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+
+import numpy as np
 
 
 class Scheme(Enum):
@@ -120,3 +124,35 @@ class Scenario:
 def _require(cond: bool, key: str, constraint: str, value) -> None:
     if not cond:
         raise ValueError(f"{key} {constraint} (got {value!r})")
+
+
+@dataclass(frozen=True)
+class PositionGrid:
+    """Uniformly spaced front-antenna positions covering [0, length]."""
+
+    positions: tuple[float, ...]
+    step: float
+
+    def __post_init__(self) -> None:
+        # plain floats keep the grid hashable, so link tables can be cached by it
+        object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
+        if not (self.step > 0.0):
+            raise ValueError(f"step must be > 0, got {self.step}")
+        if len(self.positions) < 1:
+            raise ValueError("grid needs at least one position")
+        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
+            raise ValueError("grid positions must be strictly increasing")
+
+    @classmethod
+    def over(cls, length: float, step: float) -> "PositionGrid":
+        if not (length >= 0.0 and step > 0.0):
+            raise ValueError("length must be >= 0 and step > 0")
+        count = int(math.floor(length / step + 1e-9))
+        return cls(tuple(k * step for k in range(count + 1)), step)
+
+    @classmethod
+    def for_scenario(cls, sc: Scenario) -> "PositionGrid":
+        return cls.over(sc.ds, sc.measurement_step)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.positions, dtype=float)

@@ -238,10 +238,10 @@ def test_failure_threshold_extremes(sc):
 
 
 def test_failure_undefined_below_trigger_floor(sc):
-    """The curve reads None there; the scalar oracle raises."""
+    """The curve reads NaN there; the scalar oracle raises."""
     stubborn = replace(sc, hysteresis=12.0)
     for mode in MetricMode:
-        assert failure_at(stubborn, 1100.0, mode) is None
+        assert math.isnan(failure_at(stubborn, 1100.0, mode))
     with pytest.raises(UndefinedConditionalError, match="below 1e-12"):
         failure_prob(stubborn, 1100.0)
 
@@ -403,7 +403,7 @@ def _curve_scenarios(scheme):
 
 
 def _bits(value):
-    return None if value is None else float(value).hex()
+    return None if value is None or math.isnan(value) else float(value).hex()
 
 
 def _scalar_failure(sc, x, mode):
@@ -417,7 +417,7 @@ def _scalar_failure(sc, x, mode):
 def test_table_curves_equal_scalar_metrics_bitwise(scheme):
     """trigger_curve, failure_curve (the front antenna's) and
     interruption_curve read the link table; every value equals the scalar
-    metric's bits, and failure reads None, in both modes, exactly where
+    metric's bits, and failure reads NaN, in both modes, exactly where
     trigger_curve is below TRIGGER_FLOOR."""
     undefined = defined = 0
     for sc in _curve_scenarios(scheme):
@@ -428,7 +428,7 @@ def test_table_curves_equal_scalar_metrics_bitwise(scheme):
                 [_bits(trigger_prob(sc, x)) for x in grid.positions]
             for mode in MetricMode:
                 got = failure_curve((sc,), grid, mode)[0]
-                assert [v is None for v in got] == (trigger < TRIGGER_FLOOR).tolist()
+                assert np.isnan(got).tolist() == (trigger < TRIGGER_FLOOR).tolist()
                 want = [_scalar_failure(sc, x, mode) for x in grid.positions]
                 assert [_bits(v) for v in got] == [_bits(v) for v in want]
                 undefined += want.count(None)

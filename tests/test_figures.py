@@ -318,6 +318,54 @@ def test_runner_tables_are_reproducible():
     assert runner.table(Figure.TRIGGER) == FigureRunner(cfg).table(Figure.TRIGGER)
 
 
+@pytest.mark.parametrize("mode", list(MetricMode))
+def test_every_analytic_curve_is_a_float_array(mode):
+    """Each curve figure's analytic side is a float64 array over the grid;
+    failure is NaN exactly where the trigger curve is below TRIGGER_FLOOR."""
+    from railhandover.analytics import TRIGGER_FLOOR
+
+    cfg = _config(scenario=Scenario(measurement_step=250.0, hysteresis=12.0),
+                  schemes=tuple(Scheme))
+    runner = FigureRunner(cfg)
+    undefined = defined = 0
+    for s in cfg.schemes:
+        for figure in (Figure.TRIGGER, Figure.OCCURRENCE, Figure.FAILURE, Figure.INTERRUPTION):
+            curve = runner.analytic(s, figure, mode)
+            assert isinstance(curve, np.ndarray)
+            assert (curve.dtype, curve.shape) == (np.float64, (len(runner.grid.positions),))
+        nan = np.isnan(runner.analytic(s, Figure.FAILURE, mode))
+        assert nan.tolist() == (runner.analytic(s, Figure.TRIGGER, mode) < TRIGGER_FLOOR).tolist()
+        undefined += np.count_nonzero(nan)
+        defined += np.count_nonzero(~nan)
+    assert undefined > 0 and defined > 0
+
+
+def test_runner_sweeps_again_only_to_add_mean_rss(monkeypatch):
+    """The runner keeps one pointwise sweep per run, and sweeps again only
+    when a table needs mean RSS that the kept sweep lacks; the sweep with
+    mean RSS gives the trigger table unchanged."""
+    from railhandover import figures
+
+    flags, real_sweep = [], figures.estimate_pointwise
+
+    def counting(*args, mean_rss=False, **kwargs):
+        flags.append(mean_rss)
+        return real_sweep(*args, mean_rss=mean_rss, **kwargs)
+
+    monkeypatch.setattr(figures, "estimate_pointwise", counting)
+    cfg = _config(scenario=Scenario(measurement_step=250.0), trials=20, schemes=tuple(Scheme))
+    runner = FigureRunner(cfg)
+    trigger = runner.table(Figure.TRIGGER)
+    runner.table(Figure.RSS)
+    runner.table(Figure.RSS)
+    assert flags == [False, True]
+    assert runner.table(Figure.TRIGGER) == trigger
+    fresh = FigureRunner(cfg)
+    fresh.table(Figure.RSS)
+    assert fresh.table(Figure.TRIGGER) == trigger
+    assert flags == [False, True, True]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_compare_matches_golden_output(tmp_path, capsys, jobs):
     """`compare --trials 200 --seed 12345` on a 250 m grid, byte for byte.

@@ -124,8 +124,8 @@ def test_counts_do_not_depend_on_mean_rss(scheme):
 
 def test_mean_rss_reduces_the_front_and_combined_rows_only(monkeypatch):
     """A four-scheme sweep on the 250 m grid reduces 6 mean-RSS rows per
-    position: front and combined for proposed, das-blanket and
-    traditional, while das-single reads proposed's front row."""
+    position, two per shadowing scheme: front and combined for proposed,
+    das-blanket and traditional, while das-single reads proposed's front row."""
     reduced, row_stats = [], montecarlo._row_stats
 
     def counting(rows):
@@ -136,7 +136,7 @@ def test_mean_rss_reduces_the_front_and_combined_rows_only(monkeypatch):
     grid = PositionGrid.over(3000.0, 250.0)
     scs = tuple(Scenario().with_scheme(s) for s in Scheme)
     sweeps = dict(zip(Scheme, estimate_pointwise(scs, grid, 50, SeedPolicy(3), mean_rss=True)))
-    assert reduced == [6] * len(grid.positions)
+    assert reduced == [2] * 3 * len(grid.positions)
     assert {s: e.rss.value.shape[1] for s, e in sweeps.items()} == {
         Scheme.PROPOSED: 2, Scheme.DAS_BLANKET: 2, Scheme.DAS_SINGLE: 1, Scheme.TRADITIONAL: 2}
     for field in ("value", "half_width_95"):

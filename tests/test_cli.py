@@ -4,10 +4,15 @@ Exit codes: 0 ok, 1 failed agreement assertion, 2 bad configuration,
 3 numeric breakdown.
 """
 
+import contextlib
 import dataclasses
+import io
+import os
+import tempfile
 import warnings
 from enum import Enum
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -528,3 +533,104 @@ def test_nonfinite_scenario_value_exits_2_naming_the_key(tmp_path, capsys, text,
                  "--out", str(tmp_path / "results")])
     assert code == 2
     assert capsys.readouterr().err == f"configuration error: {key}\n"
+
+
+# --- every configuration and flag error, byte for byte ---
+
+ERRORS_GOLDEN = Path(__file__).parent / "golden" / "cli_errors.txt"
+_VERB_ARGV = {"run": ["run", "--figure", "rss"], "compare": ["compare"],
+              "validate": ["validate"], "trace": ["trace"]}
+_COARSE = "measurement_step = 250\n"
+_BAD_CONFIGS = {
+    "unknown-key": _COARSE + "frobnicate = 3\n",
+    "scheme-key": _COARSE + "scheme = traditional\n",
+    "duplicate-key": "[a]\n" + _COARSE + "trials = 10\n[b]\ntrials = 20\n",
+    "malformed-section": "[run\n" + _COARSE,
+    "bad-float": _COARSE + "ds = tall\n",
+    "bad-scenario-int": _COARSE + "n_raus = 2.5\n",
+    "bad-run-int": _COARSE + "trials = 3.5\n",
+    "bad-scenario-enum": _COARSE + "selection = best\n",
+    "bad-run-enum": _COARSE + "mode = guesswork\n",
+    "bad-scheme-list": _COARSE + "schemes = proposed, bogus\n",
+    "empty-scheme-list": _COARSE + "schemes = ,\n",
+    "bad-unit-sigma": _COARSE + "shadow_sigma_per_rau = 4, x, 4, 4\n",
+    "unit-sigma-count": _COARSE + "shadow_sigma_per_rau = 4, 4\n",
+    "negative-hysteresis": _COARSE + "hysteresis = -1\n",
+    "nan-tx-power": _COARSE + "tx_power = nan\n",
+    "infinite-ds": _COARSE + "ds = inf\n",
+    "zero-jobs": _COARSE + "jobs = 0\n",
+    "zero-trials": _COARSE + "trials = 0\n",
+    "negative-seed": _COARSE + "master_seed = -1\n",
+    "zero-units": _COARSE + "n_raus = 0\n",
+    "zero-link-distance": _COARSE + "d0 = 0\nschemes = traditional\n",
+    "blanket-sigma-underflow": _COARSE + "shadow_sigma = 1e-170\nschemes = das-blanket\n",
+    "output-dir-is-a-file": _COARSE + "output_dir = {tmp}/taken\n",
+}
+_BAD_FLAGS = {
+    "trials-not-an-integer": ["--trials", "x"],
+    "negative-seed": ["--seed", "-1"],
+    "zero-jobs": ["--jobs", "0"],
+    "bad-mode": ["--mode", "bogus"],
+    "empty-schemes": ["--schemes", ""],
+    "bad-schemes": ["--schemes", "proposed,bogus"],
+    "single-antenna-trace": ["--schemes", "das-single"],
+    "out-is-a-file": ["--out", "{tmp}/taken"],
+    "missing-config": ["--config", "{tmp}/missing.cfg"],
+    "unknown-flag": ["--frob"],
+}
+
+
+def _shown(name: str, text: str) -> list[str]:
+    lines = [f"{name}:"] + [f"  | {line.rstrip(chr(10))}" for line in text.splitlines(True)]
+    if text and not text.endswith("\n"):
+        lines.append("  (no newline at end)")
+    return lines
+
+
+def error_transcript(work: Path) -> str:
+    """Exit code, stdout and stderr of every verb on each bad config file and
+    bad flag, on the 250 m grid at 20 trials, with work shown as <tmp>.
+
+    argparse wraps its usage line to the terminal, so COLUMNS is fixed at 80;
+    the runs start in work, where an output a case writes by default lands."""
+    (work / "taken").write_text("")
+    (work / "coarse.cfg").write_text(_COARSE)
+    runs = [(f"config {name}", text.format(tmp=work), verb, [])
+            for name, text in _BAD_CONFIGS.items() for verb in _VERB_ARGV]
+    runs += [(f"flags {name}", None, verb, [arg.format(tmp=work) for arg in flags])
+             for name, flags in _BAD_FLAGS.items() for verb in _VERB_ARGV
+             if name != "single-antenna-trace" or verb == "trace"]
+    lines, cwd = [], os.getcwd()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.chdir(work)
+        try:
+            for title, text, verb, flags in runs:
+                config = work / "coarse.cfg"
+                if text is not None:
+                    config = work / "case.cfg"
+                    config.write_text(text)
+                argv = [*_VERB_ARGV[verb], "--config", str(config), "--trials", "20", *flags]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse rejects the command line
+                        code = exc.code
+                lines += [f"=== {title}", "$ railhandover " + " ".join(argv), f"exit {code}"]
+                lines += _shown("stdout", stdout.getvalue()) + _shown("stderr", stderr.getvalue())
+        finally:
+            os.chdir(cwd)
+    return "\n".join(lines).replace(str(work), "<tmp>") + "\n"
+
+
+def test_error_paths_match_golden(tmp_path):
+    """Every configuration and flag error of every verb: one configuration
+    error line and exit 2 (argparse's usage and exit 2 for a flag it
+    rejects), never a traceback. Rewrite the golden after a deliberate
+    change with `PYTHONPATH=src python tests/test_cli.py`."""
+    assert error_transcript(tmp_path) == ERRORS_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        ERRORS_GOLDEN.write_text(error_transcript(Path(work)))

@@ -3,8 +3,9 @@
 Verbs: `run` writes one figure table, `compare` writes all of them plus
 a summary of the cross-scheme assertions, `validate` sweeps analytic
 curves against their Monte Carlo estimators, `trace` prints or writes one
-seeded protocol trace. Configuration is a flat key/value file; every key
-matches a run field or a scenario field but `scheme`, and others are rejected.
+seeded protocol trace. Configuration is a flat key/value file. Its keys are
+the fields of Scenario but `scheme` and of RunConfig but `scenario`, each
+parsed by its annotated type, and others are rejected.
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error or an
 output path that cannot be written, 3 numeric non-convergence.
@@ -15,9 +16,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import enum
 import sys
 import typing
-from enum import Enum
 from pathlib import Path
 
 from .analytics import MetricMode
@@ -37,50 +38,39 @@ class ConfigError(ValueError):
     pass
 
 
-# every Scenario field but scheme (see schemes) is a config key of its annotated type
-_SCENARIO_TYPES = {k: v for k, v in typing.get_type_hints(Scenario).items() if k != "scheme"}
-_RUN_INT_KEYS = frozenset({"trials", "master_seed", "jobs"})
+# the config keys and their types; a flag that sets a RunConfig field has its name as dest
+_SCENARIO_KEYS = {k: v for k, v in typing.get_type_hints(Scenario).items() if k != "scheme"}
+_RUN_KEYS = {k: v for k, v in typing.get_type_hints(RunConfig).items() if k != "scenario"}
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _parse_enum(key: str, raw: str, enum_cls):
-    try:
-        return enum_cls(raw.strip().lower())
-    except ValueError:
-        legal = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{key}: expected one of {legal}, got {raw!r}") from None
-
-
-def _parse_scenario_value(key: str, raw: str):
-    kind = _SCENARIO_TYPES[key]
-    if kind is float:
-        return _parse_float(key, raw)
-    if kind is int:
-        return _parse_int(key, raw)
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        return _parse_enum(key, raw, kind)
+def _parse_value(key: str, raw: str, kind):
+    """raw as a value of kind, the annotated type of the field that key sets."""
+    if kind is float or kind is int:
+        try:
+            return kind(raw)
+        except ValueError:
+            expected = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    if kind is Path:
+        return Path(raw)
+    # not isinstance(kind, type): Python 3.10 counts a tuple[...] alias as a type
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(raw.strip().lower())
+        except ValueError:
+            legal = ", ".join(e.value for e in kind)
+            raise ConfigError(f"{key}: expected one of {legal}, got {raw!r}") from None
+    if kind == tuple[Scheme, ...]:
+        return _parse_schemes(key, raw)
     # the per-unit sigmas, a comma-separated list of numbers
-    return tuple(_parse_float(key, part) for part in raw.split(","))
+    return tuple(_parse_value(key, part, float) for part in raw.split(","))
 
 
 def _parse_schemes(key: str, raw: str) -> tuple[Scheme, ...]:
     names = [part.strip() for part in raw.split(",") if part.strip()]
     if not names:
         raise ConfigError(f"{key}: expected a comma-separated scheme list")
-    return tuple(_parse_enum(key, name, Scheme) for name in names)
+    return tuple(_parse_value(key, name, Scheme) for name in names)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -109,26 +99,17 @@ def _parse_config(text: str) -> tuple[RunConfig, set[str]]:
                 raise ConfigError(f"{key}: duplicate key")
             seen[key] = raw
 
-    scenario_kwargs: dict = {}
-    run_kwargs: dict = {}
+    values: dict = {}
     for key, raw in seen.items():
-        if key in _SCENARIO_TYPES:
-            scenario_kwargs[key] = _parse_scenario_value(key, raw)
-        elif key in _RUN_INT_KEYS:
-            run_kwargs[key] = _parse_int(key, raw)
-        elif key == "mode":
-            run_kwargs[key] = _parse_enum(key, raw, MetricMode)
-        elif key == "schemes":
-            run_kwargs[key] = _parse_schemes(key, raw)
-        elif key == "output_dir":
-            run_kwargs[key] = Path(raw)
-        else:
+        kind = _SCENARIO_KEYS.get(key) or _RUN_KEYS.get(key)
+        if kind is None:
             hint = "; list the schemes to run in schemes" if key == "scheme" else ""
             raise ConfigError(f"unknown key {key!r}{hint}")
+        values[key] = _parse_value(key, raw, kind)
 
+    run = {key: values.pop(key) for key in _RUN_KEYS if key in values}
     try:
-        scenario = Scenario(**scenario_kwargs)
-        return RunConfig(scenario=scenario, **run_kwargs), set(seen)
+        return RunConfig(Scenario(**values), **run), set(seen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -142,27 +123,17 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         config, keys = _parse_config(text)
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.mode is not None:
-        overrides["mode"] = MetricMode(args.mode)
-    if args.schemes is not None:
-        overrides["schemes"] = _parse_schemes("--schemes", args.schemes)
-    if args.out is not None:
-        overrides["output_dir"] = Path(args.out)
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    named = args.out is not None or "output_dir" in keys
-    return (dataclasses.replace(config, **overrides) if overrides else config), named
+    # argparse has made the int flags ints; the string flags parse as the file's keys
+    overrides = {key: _parse_value(f"--{key}", value, kind) if isinstance(value, str) else value
+                 for key, kind in _RUN_KEYS.items() if (value := getattr(args, key)) is not None}
+    named = args.output_dir is not None or "output_dir" in keys
+    return dataclasses.replace(config, **overrides), named
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="key/value configuration file")
-    sub.add_argument("--seed", type=int, metavar="U64",
+    sub.add_argument("--seed", type=int, dest="master_seed", metavar="U64",
                      help="master seed for all substreams")
     sub.add_argument("--trials", type=int, metavar="N",
                      help="Monte Carlo trials per estimate")
@@ -171,7 +142,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--schemes", metavar="LIST",
                      help="comma-separated subset of: "
                           + ", ".join(s.value for s in Scheme))
-    sub.add_argument("--out", metavar="DIR", help="output directory")
+    sub.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
     sub.add_argument("--jobs", type=int, metavar="N",
                      help="worker threads (results are identical at any count)")
 

@@ -68,29 +68,31 @@ def test_config_rejects_non_numeric():
 
 
 def _default_text(name: str) -> str:
-    """The configuration text of a Scenario field's default value."""
+    """The configuration text of a Scenario or RunConfig field's default value."""
     default = Scenario()
-    value = getattr(default, name)
+    owner = default if name in Scenario.__dataclass_fields__ else RunConfig()
+    value = getattr(owner, name)
     if value is None:  # no per-unit sigmas: every unit at shadow_sigma
         value = (default.shadow_sigma,) * default.n_raus
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, tuple):
-        return ", ".join(map(str, value))
-    return str(value)
+        return ", ".join(v.value if isinstance(v, Enum) else str(v) for v in value)
+    return value.value if isinstance(value, Enum) else str(value)
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scenario)
-                                  if f.name != "scheme"])
+                                  if f.name != "scheme"]
+                         + [f.name for f in dataclasses.fields(RunConfig)
+                            if f.name != "scenario"])
 def test_config_parses_every_scenario_field_from_its_default(name):
-    """Each Scenario field but scheme is a config key; the text of its
-    default (the per-unit sigmas spelled out) gives the default scenario
-    back."""
-    got = parse_config(f"{name} = {_default_text(name)}").scenario
+    """Each Scenario field but scheme and each RunConfig field but scenario
+    is a config key; the text of its default (the per-unit sigmas spelled
+    out) gives the default configuration back."""
+    got = parse_config(f"{name} = {_default_text(name)}")
     if name == "shadow_sigma_per_rau":
-        assert got.shadow_sigma_per_rau == (4.0,) * 4
-        got = dataclasses.replace(got, shadow_sigma_per_rau=None)
-    assert got == Scenario()
+        assert got.scenario.shadow_sigma_per_rau == (4.0,) * 4
+        got = dataclasses.replace(got, scenario=dataclasses.replace(
+            got.scenario, shadow_sigma_per_rau=None))
+    assert got == RunConfig()
 
 
 @pytest.mark.parametrize("key", ["frobnicate", "antennas", "rau_sigma", "with_scheme",

@@ -57,7 +57,8 @@ def _trigger_point(mu_s, sigma_s, mu_t, sigma_t, hysteresis):
     - serving, and the trigger point z0 = (hysteresis - E[V]) / sigma_v:
     the rule fires with probability P(V > hysteresis) = ndtr(-z0)."""
     sigma_v = np.hypot(sigma_s, sigma_t)
-    return sigma_v, (hysteresis - (mu_t - mu_s)) / sigma_v
+    with np.errstate(over="ignore"):  # +-inf: a certain or an impossible trigger
+        return sigma_v, (hysteresis - (mu_t - mu_s)) / sigma_v
 
 
 def trigger_curve(sc: Scenario, grid: PositionGrid) -> np.ndarray:
@@ -138,6 +139,9 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
     return values[inverse.reshape(-1)].reshape(len(scs), count)
 
 
+# +-inf in here is a limit (a certain or an impossible trigger, a step CDF) and NaN
+# an undefined row, or a quadrature that integrate_rows reports as a NumericsError
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> np.ndarray:
     """Conditional failure of each (serving mu, sigma, target mu, sigma,
     hysteresis, threshold) row of pairs, NaN below TRIGGER_FLOOR; errors
@@ -155,8 +159,7 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> n
     # at the threshold steps at z = step once sigma_s << sigma_t.
     slope = sigma_t ** 2 / sigma_v
     sigma_c = sigma_s * sigma_t / sigma_v
-    with np.errstate(divide="ignore", over="ignore"):
-        step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
+    step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
 
     def conditional_cdf(z, rows):
         return statfun.ndtr((threshold[rows] - (mu_t[rows] + slope[rows] * z)) / sigma_c[rows])
@@ -184,10 +187,9 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> n
         out[rows] = integrate_rows(lambda x, r, rows=rows, f=integrand: f(x, rows[r]), edges,
                                    lambda r, rows=rows: f"failure probability at x="
                                    f"{at[rows[r]]:g} m (front antenna)")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # NaN stays NaN
-        out = np.clip(np.where(s0 < -8.0, out / p_trig, out), 0.0, 1.0)
-        if mode is MetricMode.PAPER:
-            out = out * statfun.ndtr(z0) / p_trig
+    out = np.clip(np.where(s0 < -8.0, out / p_trig, out), 0.0, 1.0)
+    if mode is MetricMode.PAPER:
+        out = out * statfun.ndtr(z0) / p_trig
     return out
 
 
@@ -214,7 +216,8 @@ def interruption_curve(sc: Scenario, grid: PositionGrid,
     values multiply.
     """
     mu, sigma = channel.link_table(sc, grid).cell_components()
-    cells = _running_product(statfun.ndtr((sc.threshold - mu) / sigma))
+    with np.errstate(over="ignore"):  # +-inf: a step CDF
+        cells = _running_product(statfun.ndtr((sc.threshold - mu) / sigma))
     if mode is MetricMode.REDERIVED:
         antennas = cells[..., 0] * cells[..., 1]
     else:

@@ -178,8 +178,8 @@ def _row_stats(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[1]
     mean = np.add.reduce(rows, axis=1, keepdims=True)
     mean /= n
-    np.square(np.subtract(rows, mean, out=rows), out=rows)
-    with np.errstate(invalid="ignore"):  # 0 / 0 for one trial
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is written empty; 0 / 0, one trial
+        np.square(np.subtract(rows, mean, out=rows), out=rows)
         hw = 1.96 * np.sqrt(np.add.reduce(rows, axis=1) / (n - 1)) / math.sqrt(n)
     return np.column_stack((mean[:, 0], hw))
 

@@ -95,6 +95,20 @@ def test_config_parses_every_scenario_field_from_its_default(name):
     assert got == RunConfig()
 
 
+def test_readme_lists_every_config_key():
+    """The README's command-line paragraph names each config key once:
+    the schema's, no more and no fewer."""
+    import re
+
+    from railhandover import cli
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"each parsed by its annotated type: (.*?)\.", readme, re.DOTALL).group(1)
+    keys = re.findall(r"`([^`]+)`", listed)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli._SCENARIO_KEYS | cli._RUN_KEYS)
+
+
 @pytest.mark.parametrize("key", ["frobnicate", "antennas", "rau_sigma", "with_scheme",
                                  "scheme"])
 def test_config_rejects_scenario_attributes_that_are_not_fields(key):

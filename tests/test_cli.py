@@ -597,7 +597,7 @@ _BAD_FLAGS = {
 
 
 def _shown(name: str, text: str) -> list[str]:
-    lines = [f"{name}:"] + [f"  | {line.rstrip(chr(10))}" for line in text.splitlines(True)]
+    lines = [f"{name}:"] + [f"  | {line}" for line in text.splitlines()]
     if text and not text.endswith("\n"):
         lines.append("  (no newline at end)")
     return lines

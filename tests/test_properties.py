@@ -136,11 +136,12 @@ def _extreme_settings(draw) -> dict:
             fields[key] = sign * draw(magnitude)
     fields["n_raus"] = n_raus = draw(st.integers(1, 12))
     fields["measurement_step"] = fields["ds"] / draw(st.integers(1, 40))
-    for key, value in (("dr", draw(st.none() | magnitude)),
-                       ("shadow_sigma_per_rau", draw(st.none() | st.lists(
-                           magnitude, min_size=n_raus, max_size=n_raus).map(tuple)))):
-        if value is not None:
-            fields[key] = value
+    dr = draw(st.none() | magnitude)
+    if dr is not None:
+        fields["dr"] = dr
+    per_rau = draw(st.none() | st.lists(magnitude, min_size=n_raus, max_size=n_raus))
+    if per_rau is not None:
+        fields["shadow_sigma_per_rau"] = tuple(per_rau)
     fields["selection"] = draw(st.sampled_from(list(SelectionRule)))
     return fields
 

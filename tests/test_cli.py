@@ -4,6 +4,7 @@ Exit codes: 0 ok, 1 failed agreement assertion, 2 bad configuration,
 3 numeric breakdown.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -647,6 +648,41 @@ def test_error_paths_match_golden(tmp_path):
     assert error_transcript(tmp_path) == ERRORS_GOLDEN.read_text()
 
 
+# --- the parser, action by action ---
+
+PARSER_GOLDEN = Path(__file__).parent / "golden" / "cli_parser.txt"
+
+
+def parser_transcript() -> str:
+    """One line per argparse action of the top-level parser and of each verb:
+    what `--help` shows, read from the actions, so no Python version's help
+    layout enters it."""
+    from railhandover import cli
+
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in verbs._choices_actions}
+    lines = [f"[railhandover] description={parser.description!r} epilog={parser.epilog!r}"]
+    for name, sub in [(None, parser), *verbs.choices.items()]:
+        if name is not None:
+            lines.append(f"[railhandover {name}] help={helps[name]!r}")
+        for a in sub._actions:
+            choices = list(a.choices) if a.choices is not None else None
+            lines.append(f"  {a.option_strings} dest={a.dest!r} metavar={a.metavar!r} "
+                         f"type={getattr(a.type, '__name__', a.type)} nargs={a.nargs!r} "
+                         f"choices={choices} required={a.required} default={a.default!r} "
+                         f"help={a.help!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parser_matches_golden():
+    """Every verb, flag, dest, metavar, type, choice, default and help line.
+    Rewrite the golden after a deliberate change with
+    `PYTHONPATH=src python tests/test_cli.py`."""
+    assert parser_transcript() == PARSER_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         ERRORS_GOLDEN.write_text(error_transcript(Path(work)))
+    PARSER_GOLDEN.write_text(parser_transcript())

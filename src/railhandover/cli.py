@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Verbs: `run` writes one figure table, `compare` writes all of them plus
-a summary of the cross-scheme assertions, `validate` sweeps analytic
-curves against their Monte Carlo estimators, `trace` prints or writes one
-seeded protocol trace. Configuration is a flat key/value file. Its keys are
-the fields of Scenario but `scheme` and of RunConfig but `scenario`, each
-parsed by its annotated type, and others are rejected.
+Verbs, the rows of `_VERBS`: `run` writes one figure table, `compare`
+writes all of them plus a summary of the cross-scheme assertions,
+`validate` sweeps analytic curves against their Monte Carlo estimators,
+`trace` prints or writes one seeded protocol trace. Configuration is a
+flat key/value file. Its keys are the fields of Scenario but `scheme` and
+of RunConfig but `scenario`, each parsed by its annotated type, and others
+are rejected.
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error or an
 output path that cannot be written, 3 numeric non-convergence.
@@ -61,16 +62,12 @@ def _parse_value(key: str, raw: str, kind):
             legal = ", ".join(e.value for e in kind)
             raise ConfigError(f"{key}: expected one of {legal}, got {raw!r}") from None
     if kind == tuple[Scheme, ...]:
-        return _parse_schemes(key, raw)
+        names = [part.strip() for part in raw.split(",") if part.strip()]
+        if not names:
+            raise ConfigError(f"{key}: expected a comma-separated scheme list")
+        return tuple(_parse_value(key, name, Scheme) for name in names)
     # the per-unit sigmas, a comma-separated list of numbers
     return tuple(_parse_value(key, part, float) for part in raw.split(","))
-
-
-def _parse_schemes(key: str, raw: str) -> tuple[Scheme, ...]:
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise ConfigError(f"{key}: expected a comma-separated scheme list")
-    return tuple(_parse_value(key, name, Scheme) for name in names)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -130,21 +127,53 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
     return dataclasses.replace(config, **overrides), named
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="key/value configuration file")
-    sub.add_argument("--seed", type=int, dest="master_seed", metavar="U64",
-                     help="master seed for all substreams")
-    sub.add_argument("--trials", type=int, metavar="N",
-                     help="Monte Carlo trials per estimate")
-    sub.add_argument("--mode", choices=[m.value for m in MetricMode],
-                     help="analytic mode for occurrence/failure/interruption")
-    sub.add_argument("--schemes", metavar="LIST",
-                     help="comma-separated subset of: "
-                          + ", ".join(s.value for s in Scheme))
-    sub.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
-    sub.add_argument("--jobs", type=int, metavar="N",
-                     help="worker threads (results are identical at any count)")
+def _cmd_run(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:
+    figure = Figure(args.figure)
+    table = run_figure(config, figure)
+    path = Path(config.output_dir) / figure.filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    table.write(path)
+    print(f"wrote {path} ({len(table.rows)} rows)")
+    return EXIT_OK
+
+
+def _cmd_compare(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:
+    summary, status = compare_schemes(config)
+    for row in summary.rows:
+        print(f"{row[2]:>12}  {row[0]}  [{row[7]}]")
+    print(f"summary written to {Path(config.output_dir) / SUMMARY_FILE}")
+    return EXIT_ASSERTION if status else EXIT_OK
+
+
+def _cmd_validate(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:
+    table, status = validate_schemes(config)
+    for scheme, check, value, limit, verdict in table.rows:
+        print(f"{verdict:>6}  {scheme:<12} {check:<14} {value:.4g} (limit {limit:g})")
+    return EXIT_ASSERTION if status else EXIT_OK
+
+
+def _cmd_trace(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:
+    sc = config.scenario.with_scheme(config.schemes[0])
+    rng = SeedPolicy(config.master_seed).stream(DOMAIN_PROTOCOL, 0)
+    _, trace = run_crossing(sc, PositionGrid.for_scenario(sc), rng)
+    text = format_trace(trace)
+    if named_out:
+        path = Path(config.output_dir) / "trace.tsv"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
+# the verb set: (verb, help line, handler); each handler takes (args, config, named_out)
+_VERBS = (
+    ("run", "compute one figure table", _cmd_run),
+    ("compare", "all figures plus cross-scheme assertions", _cmd_compare),
+    ("validate", "analytic curves against Monte Carlo estimates", _cmd_validate),
+    ("trace", "emit one seeded protocol trace", _cmd_trace),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,84 +186,32 @@ def _build_parser() -> argparse.ArgumentParser:
                "86 dBm transmit power, 4 dB shadowing, 2 dB hysteresis, "
                "-30 dBm usable threshold, 10 m grid step.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_run = sub.add_parser("run", help="compute one figure table")
-    p_run.add_argument("--figure", required=True,
-                       choices=[f.value for f in Figure])
-    _add_common(p_run)
-
-    p_cmp = sub.add_parser("compare",
-                           help="all figures plus cross-scheme assertions")
-    _add_common(p_cmp)
-
-    p_val = sub.add_parser("validate",
-                           help="analytic curves against Monte Carlo estimates")
-    _add_common(p_val)
-
-    p_trace = sub.add_parser("trace", help="emit one seeded protocol trace")
-    _add_common(p_trace)
+    for verb, help_line, handler in _VERBS:
+        p = sub.add_parser(verb, help=help_line)
+        p.set_defaults(handler=handler)
+        if verb == "run":
+            p.add_argument("--figure", required=True, choices=[f.value for f in Figure])
+        p.add_argument("--config", metavar="PATH", help="key/value configuration file")
+        p.add_argument("--seed", type=int, dest="master_seed", metavar="U64",
+                       help="master seed for all substreams")
+        p.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials per estimate")
+        p.add_argument("--mode", choices=[m.value for m in MetricMode],
+                       help="analytic mode for occurrence/failure/interruption")
+        p.add_argument("--schemes", metavar="LIST",
+                       help="comma-separated subset of: " + ", ".join(s.value for s in Scheme))
+        p.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
+        p.add_argument("--jobs", type=int, metavar="N",
+                       help="worker threads (results are identical at any count)")
     return parser
 
 
 _PARSER = _build_parser()  # once: argparse measures the terminal per argument
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config, _ = _load_config(args)
-    figure = Figure(args.figure)
-    table = run_figure(config, figure)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / figure.filename
-    table.write(path)
-    print(f"wrote {path} ({len(table.rows)} rows)")
-    return EXIT_OK
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config, _ = _load_config(args)
-    summary, status = compare_schemes(config)
-    for row in summary.rows:
-        print(f"{row[2]:>12}  {row[0]}  [{row[7]}]")
-    print(f"summary written to {Path(config.output_dir) / SUMMARY_FILE}")
-    return EXIT_ASSERTION if status else EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config, _ = _load_config(args)
-    table, status = validate_schemes(config)
-    for scheme, check, value, limit, verdict in table.rows:
-        print(f"{verdict:>6}  {scheme:<12} {check:<14} {value:.4g} (limit {limit:g})")
-    return EXIT_ASSERTION if status else EXIT_OK
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    config, named_out = _load_config(args)
-    sc = config.scenario.with_scheme(config.schemes[0])
-    rng = SeedPolicy(config.master_seed).stream(DOMAIN_PROTOCOL, 0)
-    _, trace = run_crossing(sc, PositionGrid.for_scenario(sc), rng)
-    text = format_trace(trace)
-    if named_out:
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "trace.tsv"
-        path.write_text(text)
-        print(f"wrote {path}")
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "validate": _cmd_validate,
-        "trace": _cmd_trace,
-    }[args.verb]
     try:
-        return handler(args)
+        return args.handler(args, *_load_config(args))
     except NumericsError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

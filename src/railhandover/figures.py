@@ -106,9 +106,11 @@ SUMMARY_FILE = "summary.csv"
 
 
 def _cell(value) -> tuple:
-    """A cell pinned to 6 significant digits (None if not finite) and its CSV text."""
+    """A cell pinned to 6 significant digits (None if not finite) and its CSV text,
+    a text cell quoted as csv.QUOTE_MINIMAL quotes it."""
     if value is None or isinstance(value, str):
-        return value, value or ""
+        text = (value or "").replace('"', '""')
+        return value, f'"{text}"' if any(c in text for c in ',"\r\n') else text
     v = float(value)
     text = f"{v:.6g}" if math.isfinite(v) else ""
     return (float(text) if text else None), text

@@ -5,6 +5,8 @@ trial counts and grid steps are pinned to combinations whose margins
 were checked against independent large-trial re-runs.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -100,13 +102,13 @@ def _parse_cell(text: str):
 
 
 def _read_table(path: Path) -> ResultTable:
-    """A written table read back, each cell a float, a string or None."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# provenance: "):
+    """A written table read back as CSV, each cell a float, a string or None."""
+    first, _, body = Path(path).read_text().partition("\n")
+    if not first.startswith("# provenance: "):
         raise ValueError(f"{path}: missing provenance header")
-    rows = tuple(tuple(_parse_cell(c) for c in line.split(","))
-                 for line in lines[2:] if line != "")
-    return ResultTable.build(tuple(lines[1].split(",")), rows, lines[0][len("# provenance: "):])
+    columns, *rows = (fields for fields in csv.reader(io.StringIO(body)) if fields)
+    rows = tuple(tuple(_parse_cell(c) for c in fields) for fields in rows)
+    return ResultTable.build(tuple(columns), rows, first[len("# provenance: "):])
 
 
 def _column(table: ResultTable, name: str) -> list:
@@ -117,7 +119,7 @@ def _column(table: ResultTable, name: str) -> list:
 def test_result_table_round_trip(tmp_path):
     table = ResultTable.build(
         ("position_m", "value", "label"),
-        [(0.0, 0.123456789, "a"), (10.0, None, "b")],
+        [(0.0, 0.123456789, "a"), (10.0, None, 'window [1, 2] m, "b"')],
         provenance="seed=1 trials=2",
     )
     path = tmp_path / "t.csv"
@@ -130,6 +132,7 @@ def test_result_table_round_trip(tmp_path):
     assert back.rows == table.rows
     assert back.lines == table.lines
     assert _column(back, "value") == [0.123457, None]
+    assert _column(back, "label") == ["a", 'window [1, 2] m, "b"']
 
 
 def _quantized_text(cell) -> str:
@@ -386,6 +389,7 @@ def test_compare_matches_golden_output(tmp_path, capsys, jobs):
     assert sorted(p.name for p in out.iterdir()) == golden
     for name in golden:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        _read_table(out / name)  # a CSV reader finds every row as wide as the header
 
 
 @pytest.mark.parametrize("text", ["tx_power = 5000\n", "d0 = 1e300\n", "tx_power = -3110\n"],

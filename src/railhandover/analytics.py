@@ -157,8 +157,9 @@ def _failure_rows(pairs: np.ndarray, mode: MetricMode, at: Sequence[float]) -> n
     # Conditional law of U given the standardized margin z: Gaussian with
     # mean mu_u(z) and a variance shrunk by the correlation with V. Its CDF
     # at the threshold steps at z = step once sigma_s << sigma_t.
-    slope = sigma_t ** 2 / sigma_v
-    sigma_c = sigma_s * sigma_t / sigma_v
+    ratio = sigma_t / sigma_v  # sigma_t ** 2 would overflow past about 1.3e154
+    slope = sigma_t * ratio
+    sigma_c = sigma_s * ratio
     step = np.where(sigma_t > STEP_SCALE * sigma_s, (threshold - mu_t) / slope, np.nan)
 
     def conditional_cdf(z, rows):

@@ -246,6 +246,20 @@ def test_failure_undefined_below_trigger_floor(sc):
         failure_prob(stubborn, 1100.0)
 
 
+@pytest.mark.parametrize("sigma", [1e160, 1e300])
+@pytest.mark.parametrize("scheme", [Scheme.PROPOSED, Scheme.DAS_SINGLE, Scheme.TRADITIONAL])
+def test_failure_reads_its_limit_at_huge_link_sigmas(sigma, scheme):
+    """Once shadowing swamps every mean, U and the serving comparand S are
+    independent with one sigma and the threshold and hysteresis are 0 on
+    their scale: REDERIVED reads P(U < 0 | U > S) = 1/4 and PAPER
+    P(U < 0, U < S) / P(U > S) = 3/4 at every position. sigma ** 2
+    overflows past about 1.3e154, so the integral must never form it."""
+    sc = Scenario(scheme=scheme, shadow_sigma=sigma)
+    grid = PositionGrid.over(sc.ds, 250.0)
+    for mode, limit in ((MetricMode.REDERIVED, 0.25), (MetricMode.PAPER, 0.75)):
+        np.testing.assert_allclose(failure_curve((sc,), grid, mode)[0], limit, rtol=0, atol=1e-12)
+
+
 # --- interruption ---
 
 

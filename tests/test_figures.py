@@ -107,8 +107,8 @@ def _read_table(path: Path) -> ResultTable:
     if not first.startswith("# provenance: "):
         raise ValueError(f"{path}: missing provenance header")
     columns, *rows = (fields for fields in csv.reader(io.StringIO(body)) if fields)
-    rows = tuple(tuple(_parse_cell(c) for c in fields) for fields in rows)
-    return ResultTable.build(tuple(columns), rows, first[len("# provenance: "):])
+    cells = tuple(tuple(_parse_cell(c) for c in fields) for fields in rows)
+    return ResultTable.build(tuple(columns), cells, first[len("# provenance: "):])
 
 
 def _column(table: ResultTable, name: str) -> list:

@@ -50,6 +50,8 @@ CELLS = (CellId.SERVING, CellId.TARGET)
 
 # initial intervals of a mean integral, as the rule would bisect [-10, 10]
 _MEAN_EDGES = (-10.0, -5.0, -2.5, 0.0, 2.5, 5.0, 10.0)
+# elements of the largest temporary that a mean integrand forms at once
+_SLICE_ELEMENTS = 2 ** 13
 
 # The target cell counts as the better one only when its mean RSS beats
 # the serving cell's by more than this (dB); exact ties stay on SERVING.
@@ -120,14 +122,20 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
     offset, scale = offset.reshape(len(mu), n, n - 1), scale.reshape(len(mu), n, n - 1)
 
     def integrand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        z3, o, s = z[:, :, None], offset[rows], scale[rows]
-        terms = mu[rows] + sigma[rows] * z3
-        for j in range(n - 1):
-            terms = terms * statfun.ndtr(o[:, :, j] + s[:, :, j] * z3)
-        total = terms[..., 0]
-        for k in range(1, n):
-            total = total + terms[..., k]
-        return total * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+        # over slices of the intervals, so that each (nodes, intervals, n)
+        # temporary stays within _SLICE_ELEMENTS; each column is computed alone
+        out, width = np.empty(z.shape), max(1, _SLICE_ELEMENTS // (z.shape[0] * n))
+        for c in (slice(lo, lo + width) for lo in range(0, z.shape[1], width)):
+            zc, r = z[:, c], rows[c]
+            z3, o, s = zc[:, :, None], offset[r], scale[r]
+            terms = mu[r] + sigma[r] * z3
+            for j in range(n - 1):
+                terms = terms * statfun.ndtr(o[:, :, j] + s[:, :, j] * z3)
+            total = terms[..., 0]
+            for k in range(1, n):
+                total = total + terms[..., k]
+            out[:, c] = total * (np.exp(-0.5 * zc * zc) / math.sqrt(2.0 * math.pi))
+        return out
 
     return integrate_rows(integrand, edges, lambda r: where(int(first[r])))[inverse.reshape(-1)]
 
@@ -220,7 +228,9 @@ def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
 
     Raises ValueError naming the first bad link in (position, antenna,
     cell) order: a zero distance, else a unit link mean or blanket sum
-    that is not finite, else a sigma that is not > 0 (a blanket sum's
+    that is not finite (the sum's moment match overflows for shadow
+    sigmas of about 90 dB and more, and the message then names the
+    sigma key), else a sigma that is not > 0 (a blanket sum's
     moment-matched sigma underflows for shadow sigmas below about 1e-155).
     """
     antennas = sc.antennas()
@@ -247,11 +257,19 @@ def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
     bad = np.any([flags.any(axis=-1) for flags, _, _ in checks], axis=0)
     if bad.any():
         j, a, c = np.unravel_index(np.argmax(bad), bad.shape)
-        flags, values, text = next(check for check in checks if check[0][j, a, c].any())
-        raise ValueError(text.format(
+        flags, values, text = check = next(ch for ch in checks if ch[0][j, a, c].any())
+        message = text.format(
             float(values[j, a, c][np.argmax(flags[j, a, c])]),
             f"of {sc.scheme.value} at x={grid.positions[j]:g} m "
-            f"({antennas[a].name.lower()} antenna, {CELLS[c].name.lower()} cell)"))
+            f"({antennas[a].name.lower()} antenna, {CELLS[c].name.lower()} cell)")
+        units = unit_mu[j, a, c]
+        # a blanket sum that is finite without fading overflows by its sigmas
+        with np.errstate(all="ignore"):
+            if check is checks[2] and np.isfinite(lognormal_sum_approx(units, 0.0 * units)).all():
+                key = "shadow_sigma_per_rau" if sc.shadow_sigma_per_rau else "shadow_sigma"
+                message += (f": the blanket power sum's moment match overflows at {key} = "
+                            + ",".join(f"{s:g}" for s in np.atleast_1d(getattr(sc, key))))
+        raise ValueError(message)
     selection = sc.scheme in SELECTION_SCHEMES
     picky = selection and sc.selection is SelectionRule.MEAN_PATHLOSS
     return LinkTable(

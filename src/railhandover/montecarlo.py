@@ -21,7 +21,6 @@ sweep's the front antenna's first-trigger masses.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -39,6 +38,10 @@ DOMAIN_PROTOCOL = 2
 # Trials are drawn in blocks of this size inside the first-crossing
 # estimator; the block index is part of the substream key.
 _BLOCK = 8192
+# Each block is drawn and compared in sub-blocks of this many trials, which
+# bounds the sweep's memory; the generator fills sequentially, so the
+# sub-blocks together hold the block's one draw.
+_SUB_BLOCK = 256
 
 # Crossings go through the protocol kernel in blocks of this size, which
 # bounds its memory; every crossing keeps its own substream, so the block
@@ -104,6 +107,7 @@ def _binomial(hits: np.ndarray, base: np.ndarray) -> Estimate:
 def _parallel_map(fn, count: int, jobs: int) -> list:
     if jobs <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, range(count)))
 
@@ -249,7 +253,8 @@ def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials:
     falls there.
 
     Trials are drawn in fixed-size blocks; each block is an independent
-    substream, drawn once and compared by every scenario, so an estimate
+    substream, drawn once, in sub-blocks of _SUB_BLOCK trials that every
+    scenario compares before the next is drawn, so an estimate
     depends neither on execution order nor on the other scenarios. A
     scenario whose links repeat another's reads its counts (see _sources).
     """
@@ -263,13 +268,15 @@ def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials:
     def one_block(b: int) -> dict[int, np.ndarray]:
         size = min(_BLOCK, trials - b * _BLOCK)
         rng = seed.stream(DOMAIN_FIRST_CROSSING, AntennaId.FRONT.value, b)
-        z = rng.standard_normal((size, n_pos, 2))
-        counts = {}
-        for k in shadowing:
-            mu_s, sig_s, mu_t, sig_t = rules[k]
-            margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
-            trig = margin > scs[k].hysteresis
-            counts[k] = np.bincount(np.argmax(trig, axis=1)[trig.any(axis=1)], minlength=n_pos)
+        counts = {k: np.zeros(n_pos, dtype=np.intp) for k in shadowing}
+        for first in range(0, size, _SUB_BLOCK):
+            z = rng.standard_normal((min(_SUB_BLOCK, size - first), n_pos, 2))
+            for k in shadowing:
+                mu_s, sig_s, mu_t, sig_t = rules[k]
+                margin = (mu_t + sig_t * z[:, :, 1]) - (mu_s + sig_s * z[:, :, 0])
+                trig = margin > scs[k].hysteresis
+                counts[k] += np.bincount(np.argmax(trig, axis=1)[trig.any(axis=1)],
+                                         minlength=n_pos)
         return counts
 
     blocks = _parallel_map(one_block, (trials + _BLOCK - 1) // _BLOCK, jobs)

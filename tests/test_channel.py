@@ -9,6 +9,7 @@ geometry and from seeded draw oracles; each constant notes its source.
 
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -135,8 +136,10 @@ def test_blanket_power_sum_beyond_float_range_is_rejected(tx_power):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"link mean \S+ of das-blanket at x=0 m "
-                                             r"\(front antenna, serving cell\) is not finite"):
+                                             r"\(front antenna, serving cell\) is not finite"
+                           ) as caught:
             _table(sc, 0.0)
+    assert "shadow_sigma" not in str(caught.value)  # the sum overflows without fading too
 
 
 def test_rss_distribution_kinds(sc):
@@ -398,6 +401,36 @@ def test_cell_means_match_scalar_means(sc):
                 for c, cell in enumerate(channel.CELLS):
                     assert means[j, a, c] == distribution_mean(
                         rss_distribution(s, x, antenna, cell))
+
+
+def _four_scheme_means(sc, grid):
+    """channel.cell_means of the four schemes, computed afresh."""
+    scs = tuple(sc.with_scheme(scheme) for scheme in Scheme)
+    return channel.cell_means.__wrapped__(scs, grid)
+
+
+@pytest.mark.parametrize("elements", [1, 10 ** 9], ids=["one-interval", "every-interval"])
+def test_cell_means_do_not_depend_on_the_slice_width(sc, grid, monkeypatch, elements):
+    """The mean integrand runs over its intervals in slices; one interval
+    per slice, or every interval in one, gives the same bits."""
+    want = _four_scheme_means(sc, grid)
+    monkeypatch.setattr(channel, "_SLICE_ELEMENTS", elements)
+    for (m, b), (w, v) in zip(_four_scheme_means(sc, grid), want):
+        assert m.tobytes() == w.tobytes() and b.tobytes() == v.tobytes()
+
+
+def test_cell_means_peak_memory_is_bounded(sc, grid):
+    """The mean integrand's temporaries stay within a fixed element budget,
+    so the traced peak of the four schemes' cell means on the default grid
+    is a few MiB (about 10 MiB when every interval was evaluated at once)."""
+    _four_scheme_means(sc, grid)  # builds the cached link tables
+    tracemalloc.start()
+    try:
+        _four_scheme_means(sc, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_better_cell_ties_stay_on_serving(sc, grid):

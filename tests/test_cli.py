@@ -495,6 +495,26 @@ def test_nonfinite_link_mean_exits_2_naming_the_link(tmp_path, capsys, verb):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize("text, mean, named", [
+    ("shadow_sigma = 90\n", "-inf", "shadow_sigma = 90"),
+    ("shadow_sigma = 160\n", "nan", "shadow_sigma = 160"),
+    ("shadow_sigma_per_rau = 4,90,4,4\n", "-inf", "shadow_sigma_per_rau = 4,90,4,4"),
+], ids=["sigma-90", "sigma-160", "per-rau"])
+def test_blanket_moment_overflow_exits_2_naming_the_sigma_key(tmp_path, capsys, text, mean,
+                                                              named):
+    """A shadow sigma of about 90 dB or more overflows the blanket power
+    sum's moment match: a configuration error that names the sigma key."""
+    config = tmp_path / "wide.cfg"
+    config.write_text("measurement_step = 250\n" + text)
+    code = main(["run", "--figure", "trigger", "--schemes", "das-blanket", "--config",
+                 str(config), "--trials", "20", "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == (f"configuration error: link mean {mean} of das-blanket at x=0 m "
+                   "(front antenna, serving cell) is not finite: the blanket power sum's "
+                   f"moment match overflows at {named}\n")
+
+
 @pytest.mark.parametrize("verb", [["compare"], ["validate"], ["trace"]], ids=" ".join)
 @pytest.mark.parametrize("text, link", [
     ("du = 0\nmeasurement_step = 375\n", "proposed at x=375 m (front antenna, serving cell)"),

@@ -1,5 +1,6 @@
 """Seeded estimators: substream policy, convergence, parallel invariance."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -204,13 +205,19 @@ def test_pointwise_equals_the_scalar_oracle(case):
 
 
 @settings(max_examples=100)
-@given(_sweep_case())
-def test_first_crossing_equals_the_single_scenario_oracle(case):
-    """Each block drawn once for every scenario gives each the histogram
-    of its own single-scenario sweep bit for bit, at any block size."""
+@given(_sweep_case(), st.sampled_from((3, 5, montecarlo._SUB_BLOCK)))
+# one block of sub-blocks ending mid-sub-block; several blocks, each ending
+# mid-sub-block, in one thread and in two
+@example(((Scenario(),), 2003, False, 1, montecarlo._BLOCK), montecarlo._SUB_BLOCK)
+@example(((Scenario(), Scenario(scheme=Scheme.TRADITIONAL)), 2003, False, 1, 8), 3)
+@example(((Scenario(), Scenario(scheme=Scheme.TRADITIONAL)), 2003, False, 2, 8), 3)
+def test_first_crossing_equals_the_single_scenario_oracle(case, sub_block):
+    """Each block drawn once for every scenario, in sub-blocks, gives each
+    the histogram of its own single-scenario sweep, which draws the block
+    at once, bit for bit, at any block and sub-block size."""
     scs, trials, _, jobs, block = case
     grid = PositionGrid.over(3000.0, 250.0)
-    with mock.patch.object(montecarlo, "_BLOCK", block):
+    with mock.patch.multiple(montecarlo, _BLOCK=block, _SUB_BLOCK=sub_block):
         got = estimate_first_crossing(scs, grid, trials, SeedPolicy(32), jobs=jobs)
         want = [first_crossing(sc, grid, trials, SeedPolicy(32))[0] for sc in scs]
     assert len(got) == len(scs)
@@ -283,6 +290,24 @@ def test_first_crossing_parallel_runs_are_bitwise_identical(sc, coarse_grid):
     a = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=1)[0]
     b = estimate_first_crossing((sc,), coarse_grid, 600, SeedPolicy(31), jobs=8)[0]
     assert_crossings_equal(a, b)
+
+
+def test_first_crossing_peak_memory_does_not_grow_with_trials(grid):
+    """Blocks are drawn and compared in sub-blocks, so the sweep's traced
+    peak on the default grid reads the same at 20 000 and 60 000 trials,
+    a few MiB (about 120 MiB when a whole 8192-trial block was drawn at once)."""
+    scs = tuple(Scenario().with_scheme(scheme) for scheme in Scheme)
+    estimate_first_crossing(scs, grid, 10, SeedPolicy(5))  # builds the cached link tables
+    peaks = []
+    for trials in (20_000, 60_000):
+        tracemalloc.start()
+        try:
+            estimate_first_crossing(scs, grid, trials, SeedPolicy(5), jobs=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+    assert max(peaks) < 8 * 2 ** 20
 
 
 def test_protocol_permissive_threshold_never_fails(coarse_grid):

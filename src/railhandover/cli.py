@@ -138,11 +138,11 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig, named_out: bool) -> in
 
 
 def _cmd_compare(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:
-    summary, status = compare_schemes(config)
-    for row in summary.rows:
-        print(f"{row[2]:>12}  {row[0]}  [{row[7]}]")
+    summary, failed = compare_schemes(config)
+    for name, _, status, *_, detail in summary.rows:
+        print(f"{status:>12}  {name}  [{detail}]")
     print(f"summary written to {Path(config.output_dir) / SUMMARY_FILE}")
-    return EXIT_ASSERTION if status else EXIT_OK
+    return EXIT_ASSERTION if failed else EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace, config: RunConfig, named_out: bool) -> int:

@@ -59,7 +59,7 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
-    def step(self) -> float:
+    def step(self) -> float:  # perfbench/workloads.py reads it too
         return self.scenario.measurement_step
 
     def fingerprint(self) -> str:
@@ -139,10 +139,6 @@ class ResultTable:
     def write(self, path: Path) -> None:
         lines = (f"# provenance: {self.provenance}", ",".join(self.columns), *self.lines)
         Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _tag(scheme: Scheme) -> str:
-    return scheme.value.replace("-", "_")
 
 
 class FigureRunner:
@@ -229,44 +225,33 @@ class FigureRunner:
     # --- tables ---
 
     def table(self, figure: Figure) -> ResultTable:
-        columns, column_values = (self._rss_table() if figure is Figure.RSS
-                                  else self._curve_table(figure))
+        names, values = zip(*(pair for s in self.config.schemes
+                              for pair in self._columns(s, figure)))
         # as Python numbers, which _cell formats at half the cost of numpy scalars
-        rows = list(zip(self.grid.positions, *(c.tolist() for c in column_values)))
-        return ResultTable.build(("position_m",) + tuple(columns), rows,
-                                 self.config.provenance())
+        rows = list(zip(self.grid.positions, *(v.tolist() for v in values)))
+        return ResultTable.build(("position_m",) + names, rows, self.config.provenance())
 
-    def _curve_table(self, figure: Figure):
-        """analytic, mc and mc_hw columns per scheme, plus mc_base for failure."""
-        mode = self.config.mode
-        suffix = "" if figure is Figure.TRIGGER else f"_{mode.value}"
-        columns, values = [], []
-        for s in self.config.schemes:
-            tag = _tag(s)
-            mc = self.mc(s, figure)
-            columns += [f"{tag}_analytic{suffix}", f"{tag}_mc", f"{tag}_mc_hw"]
-            values += [self.analytic(s, figure, mode), mc.value, mc.half_width_95]
-            if figure is Figure.FAILURE:
-                columns.append(f"{tag}_mc_base")
-                values.append(mc.base_count)
-        return columns, values
-
-    def _rss_table(self):
-        columns, values = [], []
-        for s in self.config.schemes:
-            tag = _tag(s)
-            curves = self.rss_values(s)
-            mc = self.pointwise(s, True).rss
+    def _columns(self, scheme: Scheme, figure: Figure) -> list[tuple[str, np.ndarray]]:
+        """The scheme's (name, values) columns: rss's cell-mean curves, then its MC
+        front and combined traces; a curve's analytic, mc, mc_hw (failure: mc_base)."""
+        tag = scheme.value.replace("-", "_")
+        if figure is Figure.RSS:
+            columns = [(f"{tag}_{name}_dbm", v) for name, v in self.rss_values(scheme).items()]
+            mc = self.pointwise(scheme, True).rss
             # the front and combined rows, the combined NaN on one antenna
             value, hw = (np.vstack((a.T, np.full((2 - a.shape[1], len(a)), np.nan)))
                          for a in (mc.value, mc.half_width_95))
-            columns += [f"{tag}_front_dbm", f"{tag}_rear_dbm", f"{tag}_best_dbm",
-                        f"{tag}_combined_dbm", f"{tag}_mc_front_dbm",
-                        f"{tag}_mc_front_hw", f"{tag}_mc_combined_dbm",
-                        f"{tag}_mc_combined_hw"]
-            values += [curves["front"], curves["rear"], curves["best"],
-                       curves["combined"], value[0], hw[0], value[1], hw[1]]
-        return columns, values
+            return columns + [(f"{tag}_mc_front_dbm", value[0]), (f"{tag}_mc_front_hw", hw[0]),
+                              (f"{tag}_mc_combined_dbm", value[1]),
+                              (f"{tag}_mc_combined_hw", hw[1])]
+        mode = self.config.mode
+        suffix = "" if figure is Figure.TRIGGER else f"_{mode.value}"
+        mc = self.mc(scheme, figure)
+        columns = [(f"{tag}_analytic{suffix}", self.analytic(scheme, figure, mode)),
+                   (f"{tag}_mc", mc.value), (f"{tag}_mc_hw", mc.half_width_95)]
+        if figure is Figure.FAILURE:
+            columns.append((f"{tag}_mc_base", mc.base_count))
+        return columns
 
 
 def run_figure(config: RunConfig, figure: Figure) -> ResultTable:
@@ -276,17 +261,17 @@ def run_figure(config: RunConfig, figure: Figure) -> ResultTable:
 # === Scheme comparison ===
 
 
-@dataclass(frozen=True)
-class Assertion:
-    """Outcome of one comparison rule across the grid.
+class Assertion(NamedTuple):
+    """One comparison rule's outcome across the grid: a row of summary.csv,
+    whose columns are these fields in order; figure is the figure's file.
 
     checked counts positions where the rule was evaluated, failed those
     where it conclusively failed, inconclusive those where overlapping
     Monte Carlo intervals (or an undefined value) prevented a verdict.
     """
 
-    name: str
-    figure: Figure
+    assertion: str
+    figure: str
     status: str
     checked: int
     failed: int
@@ -308,14 +293,6 @@ _FAILURE_WINDOW = (1200.0, 1800.0)
 _VALIDATE_Z_LIMIT = 4.0
 
 
-def _status(checked: int, failed: int) -> str:
-    if failed > 0:
-        return "fail"
-    if checked == 0:
-        return "inconclusive"
-    return "pass"
-
-
 def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     """Two-sided per-bin fluctuation allowance at 3-sigma coverage.
 
@@ -329,10 +306,10 @@ def _binomial_envelope(analytic: np.ndarray, trials: int) -> np.ndarray:
     return np.maximum(0.01, np.maximum(high - p, p - low))
 
 
-def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
-    """Smallest count k with P(Binomial(trials, p) <= k) >= q, for 0 < q < 1,
-    elementwise over p (NaN read as 0); for a sequence of levels q, one such
-    array per level, stacked.
+def _binomial_quantile(levels, trials: int, p: np.ndarray) -> np.ndarray:
+    """For each level q in levels, the smallest count k with
+    P(Binomial(trials, p) <= k) >= q, for 0 < q < 1, elementwise over p
+    (NaN read as 0): one such array per level, stacked.
 
     The masses are summed exactly over the counts within 8 standard
     deviations and 20 counts of the mean (and as many more as the widest
@@ -362,7 +339,7 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
         mass = np.exp(logs, out=logs)
         mass /= mass.sum(axis=1, keepdims=True)
     out = []
-    for level in np.atleast_1d(q):
+    for level in levels:
         if level > 0.5:  # P(count > k): the masses above k, summed from the top
             reached = np.ones(counts.shape, dtype=bool)
             np.less_equal(np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1], 1.0 - level,
@@ -372,7 +349,7 @@ def _binomial_quantile(q, trials: int, p: np.ndarray) -> np.ndarray:
         # a certain outcome: the count is the mean
         out.append(np.where((p[:, 0] == 0.0) | (p[:, 0] == 1.0), mean[:, 0],
                             lo[:, 0] + np.argmax(reached, axis=1)).reshape(shape))
-    return np.array(out) if np.ndim(q) else out[0]
+    return np.array(out)
 
 
 def _failure_z(analytic: float, mc: Estimate) -> float:
@@ -519,7 +496,8 @@ class Rule:
     """One `compare` rule, evaluated for each scheme tuple that bind yields.
 
     sides(runner, *schemes) returns the columns _tally walks, or None to
-    omit the rule. The status is _status of the counts, or with min_share
+    omit the rule. The status is fail on any failed position, else pass if
+    any position was checked, else inconclusive; with min_share it is
     whether that share of the checked positions passes. detail is
     formatted with the Tally's fields and percent, the passing share.
     """
@@ -588,23 +566,15 @@ def evaluate_assertions(runner: FigureRunner) -> list[Assertion]:
                 continue
             t = _tally(sides, rule.verdict, rule.window, rule.floor, rule.mc_moves_worst)
             share = 1.0 - t.failed / t.checked if t.checked else 0.0
-            status, failed = _status(t.checked, t.failed), t.failed
+            status = "fail" if t.failed else "pass" if t.checked else "inconclusive"
+            failed = t.failed
             if rule.min_share is not None:
                 status, failed = ("pass", 0) if share >= rule.min_share else ("fail", failed)
             out.append(Assertion(
-                rule.name.format(*(s.value for s in schemes)), rule.figure, status,
+                rule.name.format(*(s.value for s in schemes)), rule.figure.filename, status,
                 t.checked, failed, t.inconclusive, t.worst_position,
                 rule.detail.format(**t._asdict(), percent=100.0 * share)))
     return out
-
-
-def summary_table(assertions: list[Assertion], config: RunConfig) -> ResultTable:
-    columns = ("assertion", "figure", "status", "checked", "failed",
-               "inconclusive", "worst_position", "detail")
-    rows = [(a.name, a.figure.filename, a.status, float(a.checked),
-             float(a.failed), float(a.inconclusive), a.worst_position, a.detail)
-            for a in assertions]
-    return ResultTable.build(columns, rows, config.provenance())
 
 
 def compare_schemes(config: RunConfig) -> tuple[ResultTable, int]:
@@ -619,10 +589,9 @@ def compare_schemes(config: RunConfig) -> tuple[ResultTable, int]:
     for figure in Figure:
         runner.table(figure).write(out_dir / figure.filename)
     assertions = evaluate_assertions(runner)
-    summary = summary_table(assertions, config)
+    summary = ResultTable.build(Assertion._fields, assertions, config.provenance())
     summary.write(out_dir / SUMMARY_FILE)
-    exit_status = 1 if any(a.status == "fail" for a in assertions) else 0
-    return summary, exit_status
+    return summary, int(any(a.status == "fail" for a in assertions))
 
 
 def _normal_gaps(runner: FigureRunner, analytic, mc) -> tuple:

@@ -29,10 +29,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from railhandover import figures
 from railhandover.cli import main, parse_config
 from railhandover.figures import (
+    _SKIP,
+    _UNDEFINED,
     Figure,
     FigureRunner,
+    Mark,
+    Rule,
+    _each,
     evaluate_assertions,
     validate_schemes,
 )
@@ -188,10 +194,28 @@ def test_monte_carlo_only_ordering_failures(analytic_fail, base_count, expected)
     an analytic one; interruption_lowest takes an MC failure only while no
     analytic failure has set the worst position."""
     config = parse_config(BASE + "trials = 20\nschemes = proposed,traditional\n")
-    got = {a.name: (a.status, a.checked, a.failed, a.inconclusive, a.worst_position)
+    got = {a.assertion: (a.status, a.checked, a.failed, a.inconclusive, a.worst_position)
            for a in evaluate_assertions(_StubRunner(config, analytic_fail, base_count))
-           if a.name in expected}
+           if a.assertion in expected}
     assert got == expected
+
+
+@pytest.mark.parametrize("marks, min_share, expected", [
+    ((Mark(True), Mark(True)), None, ("pass", 2, 0)),
+    ((Mark(True, 1), Mark(True)), None, ("fail", 2, 1)),
+    ((_UNDEFINED, _SKIP), None, ("inconclusive", 0, 0)),
+    ((Mark(True, 1),) + (Mark(True),) * 9, 0.9, ("pass", 10, 0)),
+    ((Mark(True, 1),) + (Mark(True),) * 8, 0.9, ("fail", 9, 1)),
+    # a share rule with no position checked fails, with nothing failed
+    ((_UNDEFINED, _SKIP), 0.9, ("fail", 0, 0)),
+])
+def test_status_of_the_counts_and_of_min_share(monkeypatch, marks, min_share, expected):
+    rule = Rule("rule[{0}]", Figure.RSS, _each(), lambda runner, s: (range(len(marks)), marks),
+                lambda mark: mark, "", min_share=min_share)
+    monkeypatch.setattr(figures, "RULES", (rule,))
+    config = parse_config(BASE + "trials = 20\nschemes = proposed\n")
+    [a] = evaluate_assertions(FigureRunner(config))
+    assert (a.status, a.checked, a.failed) == expected
 
 
 def _write_goldens() -> None:

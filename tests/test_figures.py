@@ -203,9 +203,8 @@ _QUANTILES = (0.00135, 0.99865)
 def _assert_binomial_quantiles_match_scipy(trials, p):
     from scipy.stats import binom
 
-    for q in _QUANTILES:
-        assert np.array_equal(_binomial_quantile(q, trials, p), binom.ppf(q, trials, p)), \
-            (q, trials)
+    for q, got in zip(_QUANTILES, _binomial_quantile(_QUANTILES, trials, p)):
+        assert np.array_equal(got, binom.ppf(q, trials, p)), (q, trials)
 
 
 def test_binomial_quantile_matches_scipy_on_the_goldens_and_acceptance_runs():
@@ -250,7 +249,8 @@ def test_binomial_quantile_matches_scipy_beside_its_steps(trials):
         steps = bdtri(counts, trials, q)
         for side in (1.0 - 1e-9, 1.0 + 1e-9):
             p = np.clip(steps * side, 0.0, 1.0)
-            assert np.array_equal(_binomial_quantile(q, trials, p), binom.ppf(q, trials, p))
+            assert np.array_equal(_binomial_quantile((q,), trials, p)[0],
+                                  binom.ppf(q, trials, p))
     _assert_binomial_quantiles_match_scipy(trials, np.array([0.0, 1.0]))
 
 

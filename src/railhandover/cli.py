@@ -3,7 +3,8 @@
 Verbs, the rows of `_VERBS`: `run` writes one figure table, `compare`
 writes all of them plus a summary of the cross-scheme assertions,
 `validate` sweeps analytic curves against their Monte Carlo estimators,
-`trace` prints or writes one seeded protocol trace. Configuration is a
+`trace` prints or writes one seeded protocol trace of the first listed
+scheme only, which trials, mode and jobs do not change. Configuration is a
 flat key/value file. Its keys are the fields of Scenario but `scheme` and
 of RunConfig but `scenario`, each parsed by its annotated type, and others
 are rejected.

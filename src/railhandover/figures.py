@@ -24,7 +24,6 @@ from ._version import __version__
 from .analytics import MetricMode
 from .montecarlo import (
     Estimate,
-    PointwiseEstimate,
     SeedPolicy,
     estimate_first_crossing,
     estimate_pointwise,
@@ -91,16 +90,8 @@ class Figure(Enum):
 
     @property
     def filename(self) -> str:
-        return _FIGURE_FILES[self]
-
-
-_FIGURE_FILES = {
-    Figure.RSS: "fig3_rss.csv",
-    Figure.TRIGGER: "fig4_trigger.csv",
-    Figure.OCCURRENCE: "fig5_occurrence.csv",
-    Figure.FAILURE: "fig6_failure.csv",
-    Figure.INTERRUPTION: "fig7_interruption.csv",
-}
+        """The paper's Figs. 3-7 in member order: fig3_rss.csv to fig7_interruption.csv."""
+        return f"fig{list(Figure).index(self) + 3}_{self.value}.csv"
 
 SUMMARY_FILE = "summary.csv"
 
@@ -144,19 +135,18 @@ class ResultTable:
 class FigureRunner:
     """Shared sweep cache behind run_figure / compare_schemes.
 
-    Every curve figure (trigger, occurrence, failure, interruption) is an
-    analytic curve beside a Monte Carlo Estimate, read through
-    analytic(scheme, figure, mode) and mc(scheme, figure). Each is
+    Every figure is an analytic value beside a Monte Carlo Estimate, read
+    through analytic(scheme, figure, mode) and mc(scheme, figure). Each is
     computed on the first request, for every configured scheme together,
     and kept per scheme. The Monte Carlo sweeps run once per run: one
     pointwise sweep computing every position-wise metric as arrays, mean
-    RSS included only once a figure asks for it, and one first-crossing
-    sweep for occurrence. Every scheme reads a prefix of the same keyed
+    RSS included only once rss asks for it, and one first-crossing sweep
+    for occurrence. Every scheme reads a prefix of the same keyed
     substreams, so a sweep rerun with mean RSS reproduces the earlier
     arrays exactly, and a scheme whose links repeat another's reads that
-    scheme's counts. The analytic curves are kept per mode, trigger's
-    without one, and the failure curves of every scheme come from one
-    quadrature batch per mode.
+    scheme's counts. The analytic values are kept per mode, rss's and
+    trigger's without one, and the failure curves of every scheme come
+    from one quadrature batch per mode.
     """
 
     def __init__(self, config: RunConfig):
@@ -172,35 +162,36 @@ class FigureRunner:
             self._cache[key] = dict(zip(self.config.schemes, compute()))
         return self._cache[key]
 
-    def pointwise(self, scheme: Scheme, mean_rss: bool) -> PointwiseEstimate:
-        """The pointwise sweep's estimates; a sweep with mean RSS serves either request."""
-        key = ("pointwise", mean_rss or ("pointwise", True) in self._cache)
-        return self._per_scheme(key, lambda: estimate_pointwise(
-            self.scenarios, self.grid, self.config.trials, self.seed,
-            jobs=self.config.jobs, mean_rss=key[1]))[scheme]
-
     def mc(self, scheme: Scheme, figure: Figure) -> Estimate:
-        """The curve figure's Monte Carlo estimate: the front antenna's
-        first-trigger masses for occurrence, else the pointwise sweep's
-        field, the front antenna's or for interruption the scheme's."""
+        """The figure's Monte Carlo estimate: the front antenna's first-trigger
+        masses for occurrence, else the pointwise sweep's field, the front
+        antenna's or for interruption the scheme's. Only rss asks the sweep
+        for mean RSS; a sweep with it serves every later request."""
         if figure is Figure.OCCURRENCE:
             return self._per_scheme(("crossing",), lambda: estimate_first_crossing(
                 self.scenarios, self.grid, self.config.trials, self.seed,
                 jobs=self.config.jobs))[scheme]
-        return getattr(self.pointwise(scheme, False), figure.value)
+        mean_rss = figure is Figure.RSS or ("pointwise", True) in self._cache
+        return getattr(self._per_scheme(("pointwise", mean_rss), lambda: estimate_pointwise(
+            self.scenarios, self.grid, self.config.trials, self.seed,
+            jobs=self.config.jobs, mean_rss=mean_rss))[scheme], figure.value)
 
     def mc_rows(self, scheme: Scheme, figure: Figure) -> list[Estimate]:
         """mc as one Estimate of Python numbers per position."""
         return [Estimate(*row) for row in zip(*(a.tolist() for a in self.mc(scheme, figure)))]
 
-    def analytic(self, scheme: Scheme, figure: Figure, mode: MetricMode) -> np.ndarray:
+    def analytic(self, scheme: Scheme, figure: Figure,
+                 mode: MetricMode) -> np.ndarray | dict[str, np.ndarray]:
         """The figure's analytic curve of the front antenna (failure NaN where
-        undefined); trigger does not depend on the mode."""
-        if figure is Figure.TRIGGER:
+        undefined), for rss _rss_curves' dict; rss and trigger do not depend
+        on the mode."""
+        if figure in (Figure.RSS, Figure.TRIGGER):
             mode = None
         return self._per_scheme((figure, mode), lambda: self._curves(figure, mode))[scheme]
 
     def _curves(self, figure: Figure, mode: MetricMode | None) -> list:
+        if figure is Figure.RSS:
+            return [_rss_curves(*pair) for pair in channel.cell_means(self.scenarios, self.grid)]
         if figure is Figure.FAILURE:
             return analytics.failure_curve(self.scenarios, self.grid, mode)
         if figure is Figure.OCCURRENCE:
@@ -209,18 +200,6 @@ class FigureRunner:
         if figure is Figure.TRIGGER:
             return [analytics.trigger_curve(sc, self.grid) for sc in self.scenarios]
         return [analytics.interruption_curve(sc, self.grid, mode) for sc in self.scenarios]
-
-    def rss_values(self, scheme: Scheme) -> dict[str, np.ndarray]:
-        """Each antenna's cell mean by channel.cell_means' better-cell flags (front,
-        rear, NaN on one antenna), the larger (best) and their power sum (combined)."""
-        def curves(means: np.ndarray, better: np.ndarray) -> dict[str, np.ndarray]:
-            cell = np.full((2, len(means)), np.nan)
-            cell[:means.shape[1]] = np.where(better, means[..., 1], means[..., 0]).T
-            front, rear = cell
-            return {"front": front, "rear": rear, "best": np.fmax(front, rear),
-                    "combined": channel.power_sum_db(front, rear)}
-        return self._per_scheme(("rss",), lambda: [
-            curves(*pair) for pair in channel.cell_means(self.scenarios, self.grid)])[scheme]
 
     # --- tables ---
 
@@ -234,24 +213,31 @@ class FigureRunner:
     def _columns(self, scheme: Scheme, figure: Figure) -> list[tuple[str, np.ndarray]]:
         """The scheme's (name, values) columns: rss's cell-mean curves, then its MC
         front and combined traces; a curve's analytic, mc, mc_hw (failure: mc_base)."""
-        tag = scheme.value.replace("-", "_")
+        tag, mode = scheme.value.replace("-", "_"), self.config.mode
+        analytic, mc = self.analytic(scheme, figure, mode), self.mc(scheme, figure)
         if figure is Figure.RSS:
-            columns = [(f"{tag}_{name}_dbm", v) for name, v in self.rss_values(scheme).items()]
-            mc = self.pointwise(scheme, True).rss
             # the front and combined rows, the combined NaN on one antenna
             value, hw = (np.vstack((a.T, np.full((2 - a.shape[1], len(a)), np.nan)))
                          for a in (mc.value, mc.half_width_95))
-            return columns + [(f"{tag}_mc_front_dbm", value[0]), (f"{tag}_mc_front_hw", hw[0]),
-                              (f"{tag}_mc_combined_dbm", value[1]),
-                              (f"{tag}_mc_combined_hw", hw[1])]
-        mode = self.config.mode
+            return [(f"{tag}_{name}_dbm", v) for name, v in analytic.items()] + [
+                (f"{tag}_mc_front_dbm", value[0]), (f"{tag}_mc_front_hw", hw[0]),
+                (f"{tag}_mc_combined_dbm", value[1]), (f"{tag}_mc_combined_hw", hw[1])]
         suffix = "" if figure is Figure.TRIGGER else f"_{mode.value}"
-        mc = self.mc(scheme, figure)
-        columns = [(f"{tag}_analytic{suffix}", self.analytic(scheme, figure, mode)),
+        columns = [(f"{tag}_analytic{suffix}", analytic),
                    (f"{tag}_mc", mc.value), (f"{tag}_mc_hw", mc.half_width_95)]
         if figure is Figure.FAILURE:
             columns.append((f"{tag}_mc_base", mc.base_count))
         return columns
+
+
+def _rss_curves(means: np.ndarray, better: np.ndarray) -> dict[str, np.ndarray]:
+    """Each antenna's cell mean by channel.cell_means' better-cell flags (front,
+    rear, NaN on one antenna), the larger (best) and their power sum (combined)."""
+    cell = np.full((2, len(means)), np.nan)
+    cell[:means.shape[1]] = np.where(better, means[..., 1], means[..., 0]).T
+    front, rear = cell
+    return {"front": front, "rear": rear, "best": np.fmax(front, rear),
+            "combined": channel.power_sum_db(front, rear)}
 
 
 def run_figure(config: RunConfig, figure: Figure) -> ResultTable:
@@ -451,31 +437,30 @@ def _interruption_order(a, b, ea, eb) -> Mark:
     return mark._replace(inconclusive=int(not mark.mc_failed and ea.value > eb.value))
 
 
-def _crossing_sides(runner: FigureRunner, *schemes: Scheme) -> list | None:
+def _crossing_sides(runner: FigureRunner, figure: Figure, *schemes: Scheme) -> list | None:
     """The first scheme's 0.5-crossing as the one position, then every crossing."""
-    curves = (runner.analytic(s, Figure.TRIGGER, MetricMode.REDERIVED) for s in schemes)
+    curves = (runner.analytic(s, figure, MetricMode.REDERIVED) for s in schemes)
     xs = [analytics.first_level_crossing(runner.grid, curve, 0.5) for curve in curves]
     # a gap needs both crossings
     return None if len(xs) > 1 and None in xs else [[x] for x in xs[:1] + xs]
 
 
-def _occurrence_sides(runner: FigureRunner, s: Scheme) -> tuple:
-    analytic = runner.analytic(s, Figure.OCCURRENCE, MetricMode.REDERIVED)
-    return (runner.grid.positions, np.abs(analytic - runner.mc(s, Figure.OCCURRENCE).value),
+def _occurrence_sides(runner: FigureRunner, figure: Figure, s: Scheme) -> tuple:
+    analytic = runner.analytic(s, figure, MetricMode.REDERIVED)
+    return (runner.grid.positions, np.abs(analytic - runner.mc(s, figure).value),
             _binomial_envelope(analytic, runner.config.trials))
 
 
-def _curve_sides(figure: Figure):
+def _curve_sides(runner: FigureRunner, figure: Figure, *schemes: Scheme) -> list:
     """Positions, each scheme's rederived curve, then each scheme's MC rows."""
-    def sides(runner: FigureRunner, *schemes: Scheme) -> list:
-        return ([runner.grid.positions]
-                + [runner.analytic(s, figure, MetricMode.REDERIVED) for s in schemes]
-                + [runner.mc_rows(s, figure) for s in schemes])
-    return sides
+    return ([runner.grid.positions]
+            + [runner.analytic(s, figure, MetricMode.REDERIVED) for s in schemes]
+            + [runner.mc_rows(s, figure) for s in schemes])
 
 
-def _rss_sides(runner: FigureRunner, a: Scheme, b: Scheme) -> tuple:
-    return runner.grid.positions, runner.rss_values(a)["best"], runner.rss_values(b)["front"]
+def _rss_sides(runner: FigureRunner, figure: Figure, a: Scheme, b: Scheme) -> tuple:
+    best, other = (runner.analytic(s, figure, MetricMode.REDERIVED) for s in (a, b))
+    return runner.grid.positions, best["best"], other["front"]
 
 
 def _each(*excluded: str):
@@ -495,10 +480,10 @@ def _against(name: str, *others: str):
 class Rule:
     """One `compare` rule, evaluated for each scheme tuple that bind yields.
 
-    sides(runner, *schemes) returns the columns _tally walks, or None to
-    omit the rule. The status is fail on any failed position, else pass if
-    any position was checked, else inconclusive; with min_share it is
-    whether that share of the checked positions passes. detail is
+    sides(runner, figure, *schemes) returns the columns _tally walks, or
+    None to omit the rule. The status is fail on any failed position, else
+    pass if any position was checked, else inconclusive; with min_share it
+    is whether that share of the checked positions passes. detail is
     formatted with the Tally's fields and percent, the passing share.
     """
 
@@ -514,8 +499,6 @@ class Rule:
     min_share: float | None = None
 
 
-_FAILURE_SIDES = _curve_sides(Figure.FAILURE)
-
 RULES = (
     Rule("trigger_half_crossing[{0}]", Figure.TRIGGER, _each(), _crossing_sides,
          lambda x: Mark(True, int(not (x is not None and 1500.0 <= x <= 1700.0)), score=0.0),
@@ -529,17 +512,17 @@ RULES = (
          "max |analytic - mc| = {worst_values[0]:.4g} (limit {worst_values[1]:.4g})",
          floor=-math.inf),
     Rule("failure_order[{0}<={1}]", Figure.FAILURE,
-         _against("proposed", "traditional"), _FAILURE_SIDES, _failure_order,
+         _against("proposed", "traditional"), _curve_sides, _failure_order,
          "rederived failure, window [1200, 1800] m", _FAILURE_WINDOW, mc_moves_worst=True),
     Rule("failure_similar[{0}~{1}]", Figure.FAILURE,
-         _against("proposed", "das-single"), _FAILURE_SIDES,
+         _against("proposed", "das-single"), _curve_sides,
          lambda a, b, *_: _within(abs(a - b), 0.02),
          "max |gap| = {worst_score:.4g} (limit 0.02), window [1200, 1800] m", _FAILURE_WINDOW),
-    Rule("failure_mc_agreement[{0}]", Figure.FAILURE, _each("das-blanket"), _FAILURE_SIDES,
+    Rule("failure_mc_agreement[{0}]", Figure.FAILURE, _each("das-blanket"), _curve_sides,
          lambda a, mc: _within(_failure_z(a, mc), 3.0),
          "max |analytic - mc| = {worst_score:.3g} standard errors (limit 3)", _FAILURE_WINDOW),
     Rule("interruption_lowest[{0}<={1}]", Figure.INTERRUPTION,
-         _against("proposed"), _curve_sides(Figure.INTERRUPTION), _interruption_order,
+         _against("proposed"), _curve_sides, _interruption_order,
          "{skipped} positions skipped below " f"{NEGLIGIBLE_INTERRUPTION:g}"),
     Rule("rss_dominates[{0}>={1}]", Figure.RSS, _against("proposed", "das-single"), _rss_sides,
          lambda best, other: _first_failure(best < other - 1e-9),
@@ -561,7 +544,7 @@ def evaluate_assertions(runner: FigureRunner) -> list[Assertion]:
     out = []
     for rule in RULES:
         for schemes in rule.bind(runner.config.schemes):
-            sides = rule.sides(runner, *schemes)
+            sides = rule.sides(runner, rule.figure, *schemes)
             if sides is None:
                 continue
             t = _tally(sides, rule.verdict, rule.window, rule.floor, rule.mc_moves_worst)

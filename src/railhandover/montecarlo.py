@@ -15,7 +15,7 @@ antenna's trigger and failure and the scheme-level interruption (mean
 RSS: a column for the front antenna's and the combined trace, each
 scenario's rows reduced where it shadows them), the first-crossing
 sweep's the front antenna's first-trigger masses.
-`figures.FigureRunner.mc` reads each curve figure's estimate from them.
+`figures.FigureRunner.mc` reads each figure's estimate from them.
 """
 
 from __future__ import annotations

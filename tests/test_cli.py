@@ -437,10 +437,12 @@ TRACE_GOLDEN = Path(__file__).parent / "golden" / "trace"
     ("default", [], None),
     ("traditional", ["--schemes", "traditional"], None),
     ("mean_pathloss", [], "selection = mean-pathloss\n"),
-], ids=["default", "traditional", "mean_pathloss"])
+    ("traditional", ["--schemes", "traditional,proposed"], None),
+], ids=["default", "traditional", "mean_pathloss", "first_listed"])
 def test_trace_matches_golden(tmp_path, capsys, name, args, config):
     """`trace --seed 7` output, byte for byte. A deliberate change to the
-    procedure or the trace format must come with regenerated files."""
+    procedure or the trace format must come with regenerated files. trace
+    runs the first listed scheme only."""
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         args = [*args, "--config", str(tmp_path / "run.cfg")]

@@ -210,7 +210,8 @@ def test_monte_carlo_only_ordering_failures(analytic_fail, base_count, expected)
     ((_UNDEFINED, _SKIP), 0.9, ("fail", 0, 0)),
 ])
 def test_status_of_the_counts_and_of_min_share(monkeypatch, marks, min_share, expected):
-    rule = Rule("rule[{0}]", Figure.RSS, _each(), lambda runner, s: (range(len(marks)), marks),
+    rule = Rule("rule[{0}]", Figure.RSS, _each(),
+                lambda runner, figure, s: (range(len(marks)), marks),
                 lambda mark: mark, "", min_share=min_share)
     monkeypatch.setattr(figures, "RULES", (rule,))
     config = parse_config(BASE + "trials = 20\nschemes = proposed\n")

@@ -50,8 +50,6 @@ CELLS = (CellId.SERVING, CellId.TARGET)
 
 # initial intervals of a mean integral, as the rule would bisect [-10, 10]
 _MEAN_EDGES = (-10.0, -5.0, -2.5, 0.0, 2.5, 5.0, 10.0)
-# elements of the largest temporary that a mean integrand forms at once
-_SLICE_ELEMENTS = 2 ** 13
 
 # The target cell counts as the better one only when its mean RSS beats
 # the serving cell's by more than this (dB); exact ties stay on SERVING.
@@ -112,7 +110,7 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
     # a finite bound keeps every CDF argument offset + scale * z, |z| <= 10, finite
     finite = np.isfinite(np.abs(offset) + 10.0 * np.abs(scale)).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{where(int(first[np.argmin(finite)]))}: the normal CDF arguments "
+        raise ValueError(f"{where(int(first[~finite].min()))}: the normal CDF arguments "
                          "are not finite; the component sigmas are too small for their mean gaps")
     # the standard partition, and an edge wherever another component's CDF
     # rises as a step (else a repeat of -10)
@@ -122,22 +120,17 @@ def max_means(mu: np.ndarray, sigma: np.ndarray, where: Callable[[int], str]) ->
     offset, scale = offset.reshape(len(mu), n, n - 1), scale.reshape(len(mu), n, n - 1)
 
     def integrand(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # over slices of the intervals, so that each (nodes, intervals, n)
-        # temporary stays within _SLICE_ELEMENTS; each column is computed alone
-        out, width = np.empty(z.shape), max(1, _SLICE_ELEMENTS // (z.shape[0] * n))
-        for c in (slice(lo, lo + width) for lo in range(0, z.shape[1], width)):
-            zc, r = z[:, c], rows[c]
-            z3, o, s = zc[:, :, None], offset[r], scale[r]
-            terms = mu[r] + sigma[r] * z3
-            for j in range(n - 1):
-                terms = terms * statfun.ndtr(o[:, :, j] + s[:, :, j] * z3)
-            total = terms[..., 0]
-            for k in range(1, n):
-                total = total + terms[..., k]
-            out[:, c] = total * (np.exp(-0.5 * zc * zc) / math.sqrt(2.0 * math.pi))
-        return out
+        # n elements a node in each (nodes, intervals, n) temporary; columns computed alone
+        z3, o, s = z[:, :, None], offset[rows], scale[rows]
+        terms = mu[rows] + sigma[rows] * z3
+        for j in range(n - 1):
+            terms = terms * statfun.ndtr(o[:, :, j] + s[:, :, j] * z3)
+        total = terms[..., 0]
+        for k in range(1, n):
+            total = total + terms[..., k]
+        return total * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
 
-    return integrate_rows(integrand, edges, lambda r: where(int(first[r])))[inverse.reshape(-1)]
+    return integrate_rows(integrand, edges, lambda r: where(int(first[r])), n)[inverse.ravel()]
 
 
 # === Link table ===

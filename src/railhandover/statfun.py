@@ -4,11 +4,11 @@ Everything downstream (channel statistics, trigger/failure analytics)
 is built from three ingredients: the standard normal CDF `ndtr`, the one
 normal-tail kernel of every curve (with the scaled complement `erfcx`
 for hazards), one adaptive Gauss-Kronrod quadrature that integrates a
-whole batch of integrands as numpy arrays and raises NumericsError
-rather than return an unconverged value, and a moment-matching
-approximation for a sum of lognormal powers expressed in dB. The array
-kernels `ndtr` and `erfcx` are numpy code, so the package needs numpy
-only: the normal tails in the rational form of the Cephes library's
+whole batch of integrands as numpy arrays, slice by bounded slice, and
+raises NumericsError rather than return an unconverged value, and a
+moment-matching approximation for a sum of lognormal powers in dB. The
+array kernels `ndtr` and `erfcx` are numpy code, so the package needs
+numpy only: the normal tails in the rational form of the Cephes library's
 ndtr.c (after W. J. Cody, "Rational Chebyshev approximations for the
 error function", Math. Comp. 23, 1969), with the rational that most
 arguments reach run over every element and the other two overwriting
@@ -173,36 +173,43 @@ _TOLERANCE, _MAX_DEPTH, _MAX_INTERVALS = 1e-10, 50, 1024
 # A normal CDF rising faster than this per unit of the integration variable
 # is a step that 21 nodes cannot place; callers put an interval edge there.
 STEP_SCALE = 1e3
+# elements of the largest temporary that an integrand forms at once
+_SLICE_ELEMENTS = 2 ** 13
 
 
-def _qk21(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
-    """Kronrod value and |Kronrod - Gauss| of f over each interval [a, b]."""
-    half = 0.5 * (b - a)
-    fx = f(0.5 * (a + b) + half * _NODES[:, None], rows)
+def _qk21(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray, per_node: int):
+    """Kronrod value and |Kronrod - Gauss| of f over each interval [a, b], f taking
+    as many intervals at once as keep per_node elements a node in _SLICE_ELEMENTS."""
+    half, fx = 0.5 * (b - a), np.empty((len(_NODES), len(a)))
+    width = max(1, _SLICE_ELEMENTS // (len(_NODES) * per_node))
+    for c in (slice(lo, lo + width) for lo in range(0, len(a), width)):
+        fx[:, c] = f(0.5 * (a[c] + b[c]) + half[c] * _NODES[:, None], rows[c])
     # weighted sums term by term, so an interval's value never depends on its batch
     kronrod = sum(w * row for w, row in zip(_KRONROD, fx))
     gauss = sum(w * fx[i] for i, w in _GAUSS)
     return half * kronrod, np.abs(half * (kronrod - gauss))
 
 
-def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   edges: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], edges: np.ndarray,
+                   where: Callable[[int], str], per_node: int = 1) -> np.ndarray:
     """Integral of row r's integrand from edges[r, 0] to edges[r, -1], for all rows at once.
 
     Row r starts as the intervals between its non-decreasing edges (zero
     widths dropped, so a row can pad by repeating an end). f(x, rows) gives
     the integrand at nodes x of shape (21, k), column i on an interval of
-    row rows[i]. Until a row's |Kronrod - Gauss| estimates sum to at most
-    1e-10, its intervals above an equal share of that budget are bisected:
-    a per-row budget, so an interval holding a steep rise is split until
-    its error is negligible. Sums over a row run in a fixed order, so a
-    row's value does not depend on its batch. Raises NumericsError naming
-    where(r) for a row not finite or not done within the bounds.
+    row rows[i] and computed alone: f runs on slices of the intervals that
+    keep its temporaries, per_node elements a node, within _SLICE_ELEMENTS.
+    Until a row's |Kronrod - Gauss| estimates sum to at most 1e-10, its
+    intervals above an equal share of that budget are bisected: a per-row
+    budget, so an interval holding a steep rise is split until its error
+    is negligible. Sums over a row run in a fixed order, so a row's value
+    does not depend on its batch. Raises NumericsError naming where(r) for
+    a row not finite or not done within the bounds.
     """
     a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     rows = np.repeat(np.arange(len(edges)), edges.shape[1] - 1)
     a, b, rows = a[a != b], b[a != b], rows[a != b]
-    value, error = _qk21(f, a, b, rows)
+    value, error = _qk21(f, a, b, rows, per_node)
     depth = 0
     while True:
         total = np.bincount(rows, error, len(edges))
@@ -225,7 +232,7 @@ def integrate_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         left = (np.cumsum(parts) - parts)[split]
         b[left] = a[left + 1] = 0.5 * (a[left] + b[left])
         halves = np.concatenate((left, left + 1))
-        value[halves], error[halves] = _qk21(f, a[halves], b[halves], rows[halves])
+        value[halves], error[halves] = _qk21(f, a[halves], b[halves], rows[halves], per_node)
         depth += 1
 
 

@@ -20,8 +20,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from railhandover import channel
-from railhandover.analytics import MetricMode, PositionGrid, interruption_curve
+from railhandover import channel, statfun
+from railhandover.analytics import MetricMode, PositionGrid, failure_curve, interruption_curve
 from railhandover.channel import path_loss, per_rau_power
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from link_oracle import (
@@ -414,9 +414,25 @@ def test_cell_means_do_not_depend_on_the_slice_width(sc, grid, monkeypatch, elem
     """The mean integrand runs over its intervals in slices; one interval
     per slice, or every interval in one, gives the same bits."""
     want = _four_scheme_means(sc, grid)
-    monkeypatch.setattr(channel, "_SLICE_ELEMENTS", elements)
+    monkeypatch.setattr(statfun, "_SLICE_ELEMENTS", elements)
     for (m, b), (w, v) in zip(_four_scheme_means(sc, grid), want):
         assert m.tobytes() == w.tobytes() and b.tobytes() == v.tobytes()
+
+
+def _four_scheme_failure(sc, grid, mode=MetricMode.REDERIVED):
+    """failure_curve of the four schemes in one call."""
+    return failure_curve(tuple(sc.with_scheme(scheme) for scheme in Scheme), grid, mode)
+
+
+@pytest.mark.parametrize("elements", [1, 10 ** 9], ids=["one-interval", "every-interval"])
+@pytest.mark.parametrize("mode", list(MetricMode))
+def test_failure_curve_does_not_depend_on_the_slice_width(sc, grid, monkeypatch, elements,
+                                                          mode):
+    """The failure integrands run over their intervals in slices too; one
+    interval per slice, or every interval in one, gives the same bits."""
+    want = _four_scheme_failure(sc, grid, mode)
+    monkeypatch.setattr(statfun, "_SLICE_ELEMENTS", elements)
+    assert _four_scheme_failure(sc, grid, mode).tobytes() == want.tobytes()
 
 
 def test_cell_means_peak_memory_is_bounded(sc, grid):
@@ -431,6 +447,21 @@ def test_cell_means_peak_memory_is_bounded(sc, grid):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_failure_curve_peak_memory_is_bounded(sc, grid):
+    """The failure integrands' temporaries stay within the same element
+    budget: the traced peak of the four schemes' failure curve on the
+    default grid is under 2.5 MiB (about 3.3 MiB when every interval was
+    evaluated at once)."""
+    _four_scheme_failure(sc, grid)  # builds the cached link tables
+    tracemalloc.start()
+    try:
+        _four_scheme_failure(sc, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_better_cell_ties_stay_on_serving(sc, grid):
@@ -510,9 +541,9 @@ def _count_rows(monkeypatch) -> list:
     for module in (channel, analytics):
         real = module.integrate_rows
 
-        def counted(f, edges, where, _real=real):
+        def counted(f, edges, where, per_node=1, _real=real):
             calls.append(len(edges))
-            return _real(f, edges, where)
+            return _real(f, edges, where, per_node)
 
         monkeypatch.setattr(module, "integrate_rows", counted)
     return calls
@@ -583,8 +614,6 @@ def test_das_single_failure_pairs_are_integrated_once(sc, monkeypatch):
     """das-single's front trigger pairs are the proposed front antenna's, so
     a joint failure curve of the two integrates each distinct pair once and
     gives both the proposed values, in either mode."""
-    from railhandover.analytics import MetricMode, failure_curve
-
     grid = PositionGrid.over(3000.0, 250.0)
     proposed, single = sc.with_scheme(Scheme.PROPOSED), sc.with_scheme(Scheme.DAS_SINGLE)
     for mode in MetricMode:

@@ -517,6 +517,21 @@ def test_blanket_moment_overflow_exits_2_naming_the_sigma_key(tmp_path, capsys, 
                    f"moment match overflows at {named}\n")
 
 
+def test_too_small_sigmas_exit_2_naming_the_first_bad_link(tmp_path, capsys):
+    """A shadow sigma of 1e-308 makes every cell mean's normal CDF arguments
+    overflow: a configuration error naming the first bad link in (position,
+    antenna, cell) order, not the first of the sorted distinct rows."""
+    config = tmp_path / "narrow.cfg"
+    config.write_text("shadow_sigma = 1e-308\nmeasurement_step = 250\nschemes = proposed\n")
+    code = main(["run", "--figure", "rss", "--config", str(config),
+                 "--out", str(tmp_path / "results")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == ("configuration error: cell mean of proposed at x=0 m (front antenna, "
+                   "serving cell): the normal CDF arguments are not finite; the component "
+                   "sigmas are too small for their mean gaps\n")
+
+
 @pytest.mark.parametrize("verb", [["compare"], ["validate"], ["trace"]], ids=" ".join)
 @pytest.mark.parametrize("text, link", [
     ("du = 0\nmeasurement_step = 375\n", "proposed at x=375 m (front antenna, serving cell)"),

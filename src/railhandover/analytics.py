@@ -2,16 +2,16 @@
 
 All metrics are evaluated position-wise on a measurement grid, with the
 front antenna's along-track coordinate as the reference, and every curve
-reads its Gaussian link statistics from `channel.link_table`. Trigger
-and failure are the front antenna's curves, interruption the scheme's.
-Every normal tail is the array kernel `statfun.ndtr`: trigger and
-interruption apply it to standardized comparands, and failure integrates
-it with `statfun.erfcx`. A position's value does not depend on the grid
-it sits on: the value at one position x is the curve on
-PositionGrid((x,), step) (the grid type lives in `scenario`). Every
-curve is a float array; failure, a conditional, is NaN where the
-trigger almost never fires. Two evaluation modes exist because the
-published closed forms for occurrence, failure and interruption are not
+reads its Gaussian link statistics from `channel.link_table`. Trigger and
+failure are the front antenna's curves, of its `LinkTable.comparands`,
+interruption the scheme's. Every normal tail is the array kernel
+`statfun.ndtr`: trigger and interruption apply it to standardized values,
+failure integrates it with `statfun.erfcx`. A position's value does not
+depend on the grid it sits on: the value at one position x is the curve
+on PositionGrid((x,), step) (the grid type lives in `scenario`). Every
+curve is a float array; failure, a conditional, is NaN where the trigger
+almost never fires. Two evaluation modes exist because the published
+closed forms for occurrence, failure and interruption are not
 self-consistent: MetricMode.PAPER evaluates them exactly as printed,
 MetricMode.REDERIVED (the default) evaluates the first-principles forms
 that Monte Carlo estimates converge to.
@@ -43,15 +43,6 @@ class MetricMode(Enum):
 # === Trigger probability ===
 
 
-def comparands(sc: Scenario, grid: PositionGrid) -> tuple[np.ndarray, ...]:
-    """Serving mu, sigma and target mu, sigma of the front antenna's
-    handover rule at every grid position."""
-    table = channel.link_table(sc, grid)
-    s, t = table.trigger_column
-    return (table.mu[:, 0, 0, s], table.sigma[:, 0, 0, s],
-            table.mu[:, 0, 1, t], table.sigma[:, 0, 1, t])
-
-
 def _trigger_point(mu_s, sigma_s, mu_t, sigma_t, hysteresis):
     """sigma_v = hypot(sigma_s, sigma_t), the sigma of the margin V = target
     - serving, and the trigger point z0 = (hysteresis - E[V]) / sigma_v:
@@ -65,7 +56,7 @@ def trigger_curve(sc: Scenario, grid: PositionGrid) -> np.ndarray:
     """Probability that the front antenna's handover rule fires at each
     grid position: the closed form ndtr(-z0) of its Gaussian pair (the
     boundary RAUs under RAU selection, the cell RSS otherwise)."""
-    _, z0 = _trigger_point(*comparands(sc, grid), sc.hysteresis)
+    _, z0 = _trigger_point(*channel.link_table(sc, grid).comparands(), sc.hysteresis)
     return statfun.ndtr(-z0)
 
 
@@ -130,7 +121,7 @@ def failure_curve(scs: Sequence[Scenario], grid: PositionGrid,
     pairs (das-single and the proposed front antenna) share them.
     """
     count = len(grid.positions)
-    rows = np.concatenate([np.column_stack(comparands(sc, grid)
+    rows = np.concatenate([np.column_stack(channel.link_table(sc, grid).comparands()
                                            + (np.full(count, sc.hysteresis),
                                               np.full(count, sc.threshold)))
                            for sc in scs])

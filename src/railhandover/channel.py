@@ -169,6 +169,12 @@ class LinkTable:
         return (np.take_along_axis(self.mu, pick, axis=-1),
                 np.take_along_axis(self.sigma, pick, axis=-1))
 
+    def comparands(self) -> tuple[np.ndarray, ...]:
+        """Serving mu, sigma, target mu, sigma of the front antenna's trigger rule per position."""
+        s, t = self.trigger_column
+        return (self.mu[:, 0, 0, s], self.sigma[:, 0, 0, s],
+                self.mu[:, 0, 1, t], self.sigma[:, 0, 1, t])
+
     def shadowed(self, z: np.ndarray,
                  rows: slice) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Shadow standard normals z into link RSS at the grid rows; z may be overwritten.
@@ -271,7 +277,6 @@ def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
         trigger_column=(sc.n_raus - 1, 0) if selection else (0, 0))
 
 
-@lru_cache(maxsize=32)
 def cell_means(scs: tuple[Scenario, ...],
                grid: PositionGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Mean RSS of every cell distribution of each scenario's link table, and the better cell.

@@ -71,17 +71,13 @@ def _parse_value(key: str, raw: str, kind):
     return tuple(_parse_value(key, part, float) for part in raw.split(","))
 
 
-def parse_config(text: str) -> RunConfig:
-    """Flat key/value configuration to a RunConfig; unset keys take the defaults.
+def parse_config(text: str) -> tuple[RunConfig, set[str]]:
+    """Flat key/value text to a RunConfig and the keys it sets; unset keys take the defaults.
 
     A leading section header is optional; sections are merged flat and a
     key may appear only once. Unknown keys or invariant violations raise
     ConfigError naming the key.
     """
-    return _parse_config(text)[0]
-
-
-def _parse_config(text: str) -> tuple[RunConfig, set[str]]:
     if not text.lstrip().startswith("["):
         text = "[run]\n" + text
     parser = configparser.ConfigParser(interpolation=None)
@@ -120,7 +116,7 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        config, keys = _parse_config(text)
+        config, keys = parse_config(text)
     # argparse has made the int flags ints; the string flags parse as the file's keys
     overrides = {key: _parse_value(f"--{key}", value, kind) if isinstance(value, str) else value
                  for key, kind in _RUN_KEYS.items() if (value := getattr(args, key)) is not None}

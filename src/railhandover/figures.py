@@ -144,9 +144,10 @@ class FigureRunner:
     for occurrence. Every scheme reads a prefix of the same keyed
     substreams, so a sweep rerun with mean RSS reproduces the earlier
     arrays exactly, and a scheme whose links repeat another's reads that
-    scheme's counts. The analytic values are kept per mode, rss's and
-    trigger's without one, and the failure curves of every scheme come
-    from one quadrature batch per mode.
+    scheme's counts. The cell means are integrated once per run, for rss's
+    curves and the sweep's better-cell flags alike. The analytic values are
+    kept per mode, rss's and trigger's without one, and the failure curves
+    of every scheme come from one quadrature batch per mode.
     """
 
     def __init__(self, config: RunConfig):
@@ -172,9 +173,10 @@ class FigureRunner:
                 self.scenarios, self.grid, self.config.trials, self.seed,
                 jobs=self.config.jobs))[scheme]
         mean_rss = figure is Figure.RSS or ("pointwise", True) in self._cache
+        better = [b for _, b in self._cell_means().values()] if mean_rss else None
         return getattr(self._per_scheme(("pointwise", mean_rss), lambda: estimate_pointwise(
             self.scenarios, self.grid, self.config.trials, self.seed,
-            jobs=self.config.jobs, mean_rss=mean_rss))[scheme], figure.value)
+            jobs=self.config.jobs, better=better))[scheme], figure.value)
 
     def mc_rows(self, scheme: Scheme, figure: Figure) -> list[Estimate]:
         """mc as one Estimate of Python numbers per position."""
@@ -189,9 +191,12 @@ class FigureRunner:
             mode = None
         return self._per_scheme((figure, mode), lambda: self._curves(figure, mode))[scheme]
 
+    def _cell_means(self) -> dict:  # each scheme's (means, better-cell flags)
+        return self._per_scheme(("means",), lambda: channel.cell_means(self.scenarios, self.grid))
+
     def _curves(self, figure: Figure, mode: MetricMode | None) -> list:
         if figure is Figure.RSS:
-            return [_rss_curves(*pair) for pair in channel.cell_means(self.scenarios, self.grid)]
+            return [_rss_curves(*pair) for pair in self._cell_means().values()]
         if figure is Figure.FAILURE:
             return analytics.failure_curve(self.scenarios, self.grid, mode)
         if figure is Figure.OCCURRENCE:

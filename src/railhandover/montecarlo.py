@@ -8,13 +8,15 @@ positions execute. Reductions run in index order. The pointwise and
 first-crossing keys name no scheme, so the two sweeps take every
 scenario of a run at once: each substream is drawn once and each
 scenario reads its prefix, the values it would draw alone, and a
-scenario whose links repeat another's reads that one's counts.
-Shadowing is drawn through `LinkTable.shadowed`. Both sweeps return
-`Estimate`s, arrays over positions: the pointwise sweep's hold the front
-antenna's trigger and failure and the scheme-level interruption (mean
-RSS: a column for the front antenna's and the combined trace, each
-scenario's rows reduced where it shadows them), the first-crossing
-sweep's the front antenna's first-trigger masses.
+scenario whose links repeat another's reads that one's counts. The
+sweeps read link tables only, drawing shadowing through
+`LinkTable.shadowed`, and integrate nothing. Both return `Estimate`s,
+arrays over positions: the pointwise sweep's hold the front antenna's
+trigger and failure and the scheme-level interruption (mean RSS, given
+the caller's better-cell flags: a column for the front antenna's and
+the combined trace, each scenario's rows reduced where it shadows
+them), the first-crossing sweep's the front antenna's first-trigger
+masses.
 `figures.FigureRunner.mc` reads each figure's estimate from them.
 """
 
@@ -27,7 +29,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channel, protocol
-from .analytics import comparands
 from .scenario import AntennaId, PositionGrid, Scenario
 
 # Substream domain tags; part of the documented seed derivation.
@@ -115,20 +116,22 @@ def _parallel_map(fn, count: int, jobs: int) -> list:
 # === Shared draws ===
 
 
-def _sources(scs: Sequence[Scenario],
-             grid: PositionGrid) -> tuple[list[channel.LinkTable], list[int]]:
+def _sources(scs: Sequence[Scenario], grid: PositionGrid, better: Sequence | None = None
+             ) -> tuple[list[channel.LinkTable], list[int]]:
     """The link tables of scs and, per scenario, the scenario whose draws it reads.
 
     Scenario k reads scenario m's results on m's first antennas (m = k:
     its own) when, on those antennas, the two tables hold equal mu,
-    sigma, cell_column and trigger_column (so equal cell means and
-    better-cell flags too) and the scenarios share hysteresis and
-    threshold. Wider tables are taken first, so the choice does not
-    depend on the order of scs.
+    sigma, cell_column and trigger_column and any better-cell flags
+    agree, and the scenarios share hysteresis and threshold. Wider
+    tables are taken first, so the choice does not depend on the order
+    of scs.
     """
     if len(scs) == 0:
         raise ValueError("at least one scenario is required")
     tables = [channel.link_table(sc, grid) for sc in scs]
+    if better is not None and [np.shape(b) for b in better] != [t.mu.shape[:2] for t in tables]:
+        raise ValueError("better must hold one (positions, antennas) array per scenario")
 
     def covers(m: int, k: int) -> bool:
         wide, narrow = tables[m], tables[k]
@@ -141,7 +144,8 @@ def _sources(scs: Sequence[Scenario],
         return (wide.trigger_column == narrow.trigger_column
                 and scs[m].hysteresis == scs[k].hysteresis
                 and scs[m].threshold == scs[k].threshold
-                and same("mu") and same("sigma") and same("cell_column"))
+                and same("mu") and same("sigma") and same("cell_column")
+                and (better is None or np.array_equal(better[m][:, :a], better[k])))
 
     source: dict[int, int] = {}
     for k in sorted(range(len(scs)), key=lambda k: -len(tables[k].antennas)):
@@ -190,7 +194,7 @@ def _row_stats(rows: np.ndarray) -> np.ndarray:
 
 def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
                        seed: SeedPolicy, jobs: int = 1,
-                       mean_rss: bool = False) -> tuple[PointwiseEstimate, ...]:
+                       better: Sequence | None = None) -> tuple[PointwiseEstimate, ...]:
     """Independent per-position estimates of the position-wise metrics, per scenario.
 
     Each position draws standard normals from its own substream once:
@@ -199,15 +203,14 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
     them, or reads the counts of a scenario that repeats its links
     (_sources). The same draws give the front antenna's trigger and
     failure (conditional on trigger, NaN where no trial triggered) and
-    the scheme-level interruption. Only if mean_rss does it add the
-    front antenna's mean best-cell RSS and the combined two-antenna trace
-    (linear power sum), since picking the better cell needs the
-    analytic cell means.
+    the scheme-level interruption. Only given better, per scenario the
+    (positions, antennas) flags that are True where an antenna's better
+    cell is the target (channel.cell_means'), does it add the front
+    antenna's mean best-cell RSS and the combined trace (linear power sum).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    better = [b for _, b in channel.cell_means(tuple(scs), grid)] if mean_rss else None
-    tables, source = _sources(scs, grid)
+    tables, source = _sources(scs, grid, better)
     shapes = [t.mu.shape[1:3] + (trials, t.mu.shape[3]) for t in tables]
     # shadowing scales in place: every scenario but the widest scales a copy
     # of its prefix, and the widest, last, scales the draw itself
@@ -226,7 +229,7 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
             cell, (serving, target) = tables[m].shadowed(
                 block if m == widest else block.copy(), slice(j, j + 1))
             counts[m][j] = _position_counts(scs[m], cell, serving, target)
-            if mean_rss:
+            if better is not None:
                 means[m][j] = _row_stats(_best_series(cell, better[m][j]))
 
     _parallel_map(one_position, n_pos, jobs)
@@ -235,7 +238,7 @@ def estimate_pointwise(scs: Sequence[Scenario], grid: PositionGrid, trials: int,
         a = len(t.antennas)  # a reader of scenario m's first a antennas
         fired, failed, every = counts[m][:, [0, 1, 1 + a]].T
         value, hw = np.moveaxis(means[m][:, :a], 2, 0)
-        rss = Estimate(value, hw, np.full(value.shape, trials)) if mean_rss else None
+        rss = Estimate(value, hw, np.full(value.shape, trials)) if better is not None else None
         base = np.full_like(fired, trials)
         estimates.append(PointwiseEstimate(_binomial(fired, base), _binomial(failed, fired),
                                            _binomial(every, base), rss))
@@ -260,8 +263,8 @@ def estimate_first_crossing(scs: Sequence[Scenario], grid: PositionGrid, trials:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rules = [comparands(sc, grid) for sc in scs]
-    source = _sources(scs, grid)[1]
+    tables, source = _sources(scs, grid)
+    rules = [t.comparands() for t in tables]
     shadowing = sorted(set(source))
     n_pos = len(grid.positions)
 

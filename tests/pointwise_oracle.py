@@ -57,10 +57,10 @@ def _estimate(rows: list) -> Estimate:
 
 
 def pointwise_sweep(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPolicy,
-                    mean_rss: bool = False) -> PointwiseEstimate:
-    """What estimate_pointwise returns, computed one scalar row at a time."""
+                    better: np.ndarray | None = None) -> PointwiseEstimate:
+    """What estimate_pointwise returns for sc and its better-cell flags,
+    computed one scalar row at a time."""
     table = channel.link_table(sc, grid)
-    target_better = channel.cell_means((sc,), grid)[0][1] if mean_rss else None
     fields: dict[str, list] = {"trigger": [], "failure": [], "interruption": [], "rss": []}
     for j in range(len(grid.positions)):
         rng = seed.stream(DOMAIN_POINTWISE, j)
@@ -76,8 +76,8 @@ def pointwise_sweep(sc: Scenario, grid: PositionGrid, trials: int, seed: SeedPol
         for (serving, _), (target, _) in draws:
             all_below &= np.maximum(serving, target) < sc.threshold
         fields["interruption"].append(_binomial_row(float(np.mean(all_below)), trials))
-        if mean_rss:
-            best = [draws[a][int(target_better[j, a])][0] for a in range(len(draws))]
+        if better is not None:
+            best = [draws[a][int(better[j, a])][0] for a in range(len(draws))]
             if len(best) == 2:
                 linear = sum(np.power(10.0, s / 10.0) for s in best)
                 best[1] = 10.0 * np.log10(linear)

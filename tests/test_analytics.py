@@ -21,7 +21,6 @@ from railhandover.analytics import (
     TRIGGER_FLOOR,
     MetricMode,
     PositionGrid,
-    comparands,
     failure_curve,
     first_crossing_masses,
     first_level_crossing,
@@ -222,7 +221,7 @@ def test_paper_failure_keeps_its_digits_in_the_far_tail(sc, scheme, positions):
     sc = sc.with_scheme(scheme)
     grid = PositionGrid(positions, sc.measurement_step)
     got = failure_curve((sc,), grid, mode=MetricMode.PAPER)[0]
-    rows = zip(*(c.tolist() for c in comparands(sc, grid)))
+    rows = zip(*(c.tolist() for c in channel.link_table(sc, grid).comparands()))
     for value, row in zip(got, rows):
         assert value == pytest.approx(
             _paper_failure_mpmath(*row, sc.hysteresis, sc.threshold), rel=1e-9, abs=0.0)

@@ -382,7 +382,6 @@ def test_link_table_matches_scalar_path():
 def test_link_table_is_cached_and_read_only(sc):
     grid = PositionGrid.over(3000.0, 500.0)
     channel.link_table.cache_clear()
-    channel.cell_means.cache_clear()
     table = channel.link_table(sc, grid)
     assert channel.link_table(sc, PositionGrid.over(3000.0, 500.0)) is table
     assert channel.link_table.cache_info().hits == 1
@@ -404,9 +403,8 @@ def test_cell_means_match_scalar_means(sc):
 
 
 def _four_scheme_means(sc, grid):
-    """channel.cell_means of the four schemes, computed afresh."""
-    scs = tuple(sc.with_scheme(scheme) for scheme in Scheme)
-    return channel.cell_means.__wrapped__(scs, grid)
+    """channel.cell_means of the four schemes."""
+    return channel.cell_means(tuple(sc.with_scheme(scheme) for scheme in Scheme), grid)
 
 
 @pytest.mark.parametrize("elements", [1, 10 ** 9], ids=["one-interval", "every-interval"])
@@ -650,7 +648,9 @@ def test_single_gaussian_cell_means_need_no_integral(monkeypatch):
 
 def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
     """Clearing the caches found on module attributes, as a benchmark does
-    before each cold operation, makes a rerun repeat every integral."""
+    before each cold operation, makes a rerun repeat every integral; a rerun
+    without clearing them repeats every integral too, as only the link
+    tables are cached across runs."""
     from railhandover.figures import RunConfig, compare_schemes
 
     config = RunConfig(scenario=Scenario(measurement_step=250.0), trials=200,
@@ -663,7 +663,7 @@ def test_cleared_caches_keep_compare_cold(tmp_path, monkeypatch):
         del calls[:]
         compare_schemes(config)
         counts.append(sum(calls))
-    assert counts[0] == counts[1] > counts[2]
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 def test_sample_cell_rss_is_the_component_maximum(sc):

@@ -25,8 +25,8 @@ from railhandover.statfun import NumericsError
 
 
 def test_empty_config_gives_defaults():
-    cfg = parse_config("")
-    assert cfg == RunConfig()
+    cfg, keys = parse_config("")
+    assert (cfg, keys) == (RunConfig(), set())
     assert cfg.trials == 100_000
     assert cfg.master_seed == 12345
     assert cfg.mode is MetricMode.REDERIVED
@@ -35,7 +35,7 @@ def test_empty_config_gives_defaults():
 
 
 def test_config_spacing_rule_follows_rau_count():
-    cfg = parse_config("n_raus = 8\nds = 3000")
+    cfg, _ = parse_config("n_raus = 8\nds = 3000")
     assert cfg.scenario.dr == 375.0
 
 
@@ -88,7 +88,8 @@ def test_config_parses_every_scenario_field_from_its_default(name):
     """Each Scenario field but scheme and each RunConfig field but scenario
     is a config key; the text of its default (the per-unit sigmas spelled
     out) gives the default configuration back."""
-    got = parse_config(f"{name} = {_default_text(name)}")
+    got, keys = parse_config(f"{name} = {_default_text(name)}")
+    assert keys == {name}
     if name == "shadow_sigma_per_rau":
         assert got.scenario.shadow_sigma_per_rau == (4.0,) * 4
         got = dataclasses.replace(got, scenario=dataclasses.replace(
@@ -130,16 +131,17 @@ def test_scheme_key_exits_2_pointing_at_schemes(tmp_path, capsys):
 
 
 def test_config_per_rau_sigma_list():
-    cfg = parse_config("shadow_sigma_per_rau = 4, 4, 4, 8")
+    cfg, _ = parse_config("shadow_sigma_per_rau = 4, 4, 4, 8")
     assert cfg.scenario.shadow_sigma_per_rau == (4.0, 4.0, 4.0, 8.0)
     assert cfg.scenario.rau_sigma(4) == 8.0
     assert cfg.scenario.rau_sigma(1) == 4.0
 
 
 def test_config_run_options():
-    cfg = parse_config(
+    cfg, keys = parse_config(
         "trials = 500\nmaster_seed = 3\nmode = paper\n"
         "schemes = traditional\noutput_dir = out/x\njobs = 2")
+    assert keys == {"trials", "master_seed", "mode", "schemes", "output_dir", "jobs"}
     assert cfg.trials == 500
     assert cfg.master_seed == 3
     assert cfg.mode is MetricMode.PAPER
@@ -268,10 +270,9 @@ def test_numeric_breakdown_names_stage_and_position(tmp_path, capsys, monkeypatc
     schemes whose trigger pairs agree)."""
     import re
 
-    from railhandover import channel, statfun
+    from railhandover import statfun
 
     monkeypatch.setattr(statfun, "_MAX_DEPTH", 0)
-    channel.cell_means.cache_clear()
     code = main(["run", "--figure", figure, *_base_args(tmp_path),
                  "--schemes", "das-single"])
     err = capsys.readouterr().err

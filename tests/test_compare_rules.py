@@ -90,7 +90,7 @@ def validate_transcript(config_text: str, workdir: Path) -> str:
     config.write_text(config_text)
     code, stdout = _cli(["validate", "--config", str(config)])
     parts = [f"$ validate -> exit {code}\n", stdout, "--- validate table\n"]
-    table, _ = validate_schemes(parse_config(config_text))
+    table, _ = validate_schemes(parse_config(config_text)[0])
     table.write(workdir / "validate.csv")
     parts.append((workdir / "validate.csv").read_text())
     return "".join(parts)
@@ -193,7 +193,7 @@ def test_monte_carlo_only_ordering_failures(analytic_fail, base_count, expected)
     """failure_order moves the worst position to the last MC failure, past
     an analytic one; interruption_lowest takes an MC failure only while no
     analytic failure has set the worst position."""
-    config = parse_config(BASE + "trials = 20\nschemes = proposed,traditional\n")
+    config, _ = parse_config(BASE + "trials = 20\nschemes = proposed,traditional\n")
     got = {a.assertion: (a.status, a.checked, a.failed, a.inconclusive, a.worst_position)
            for a in evaluate_assertions(_StubRunner(config, analytic_fail, base_count))
            if a.assertion in expected}
@@ -214,7 +214,7 @@ def test_status_of_the_counts_and_of_min_share(monkeypatch, marks, min_share, ex
                 lambda runner, figure, s: (range(len(marks)), marks),
                 lambda mark: mark, "", min_share=min_share)
     monkeypatch.setattr(figures, "RULES", (rule,))
-    config = parse_config(BASE + "trials = 20\nschemes = proposed\n")
+    config, _ = parse_config(BASE + "trials = 20\nschemes = proposed\n")
     [a] = evaluate_assertions(FigureRunner(config))
     assert (a.status, a.checked, a.failed) == expected
 

@@ -214,7 +214,7 @@ def test_binomial_quantile_matches_scipy_on_the_goldens_and_acceptance_runs():
     from railhandover.cli import parse_config
     from test_compare_rules import CASES
 
-    configs = [parse_config(text) for text in CASES.values()]
+    configs = [parse_config(text)[0] for text in CASES.values()]
     configs += [RunConfig(scenario=Scenario(measurement_step=step), trials=trials)
                 for step, trials in ((250.0, 200), (250.0, 2000), (50.0, 2000),
                                      (10.0, 100_000))]
@@ -351,9 +351,9 @@ def test_runner_sweeps_again_only_to_add_mean_rss(monkeypatch):
 
     flags, real_sweep = [], figures.estimate_pointwise
 
-    def counting(*args, mean_rss=False, **kwargs):
-        flags.append(mean_rss)
-        return real_sweep(*args, mean_rss=mean_rss, **kwargs)
+    def counting(*args, better=None, **kwargs):
+        flags.append(better is not None)
+        return real_sweep(*args, better=better, **kwargs)
 
     monkeypatch.setattr(figures, "estimate_pointwise", counting)
     cfg = _config(scenario=Scenario(measurement_step=250.0), trials=20, schemes=tuple(Scheme))
@@ -367,6 +367,26 @@ def test_runner_sweeps_again_only_to_add_mean_rss(monkeypatch):
     fresh.table(Figure.RSS)
     assert fresh.table(Figure.TRIGGER) == trigger
     assert flags == [False, True, True]
+
+
+def test_compare_integrates_the_cell_means_once_and_validate_never(tmp_path, monkeypatch):
+    """One compare run integrates the cell means once, for the rss curves and
+    the sweep's better-cell flags alike; validate has no rss figure."""
+    from railhandover import channel
+
+    calls, real = [], channel.cell_means
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "cell_means", counting)
+    cfg = _config(scenario=Scenario(measurement_step=250.0), trials=200, schemes=tuple(Scheme),
+                  output_dir=tmp_path)
+    compare_schemes(cfg)
+    assert len(calls) == 1
+    validate_schemes(cfg)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from railhandover import channel, montecarlo
+from railhandover import channel, montecarlo, statfun
 from railhandover.analytics import (
     PositionGrid,
     failure_curve,
@@ -84,11 +84,17 @@ def test_half_width_halves_when_trials_quadruple():
     assert 0.4 <= ratio <= 0.6
 
 
+def _better(scs, grid) -> list:
+    """channel.cell_means' better-cell flags of each scenario of scs."""
+    return [flags for _, flags in channel.cell_means(tuple(scs), grid)]
+
+
 def test_pointwise_parallel_runs_are_bitwise_identical():
     sc = Scenario()
     grid = PositionGrid.over(3000.0, 500.0)
-    serial = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=1, mean_rss=True)[0]
-    parallel = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=8, mean_rss=True)[0]
+    better = _better((sc,), grid)
+    serial = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=1, better=better)[0]
+    parallel = estimate_pointwise((sc,), grid, 400, SeedPolicy(9), jobs=8, better=better)[0]
     assert_sweeps_equal(parallel, serial)
 
 
@@ -115,7 +121,8 @@ def test_counts_do_not_depend_on_mean_rss(scheme):
     sc = Scenario().with_scheme(scheme)
     grid = PositionGrid.over(3000.0, 500.0)
     without = estimate_pointwise((sc,), grid, 300, SeedPolicy(9))[0]
-    with_rss = estimate_pointwise((sc,), grid, 300, SeedPolicy(9), mean_rss=True)[0]
+    with_rss = estimate_pointwise((sc,), grid, 300, SeedPolicy(9),
+                                  better=_better((sc,), grid))[0]
     assert without.rss is None
     # front and combined on two antennas, front alone on one
     assert with_rss.rss.value.shape == (len(grid.positions), 2 if scheme is Scheme.PROPOSED
@@ -136,7 +143,8 @@ def test_mean_rss_reduces_the_front_and_combined_rows_only(monkeypatch):
     monkeypatch.setattr(montecarlo, "_row_stats", counting)
     grid = PositionGrid.over(3000.0, 250.0)
     scs = tuple(Scenario().with_scheme(s) for s in Scheme)
-    sweeps = dict(zip(Scheme, estimate_pointwise(scs, grid, 50, SeedPolicy(3), mean_rss=True)))
+    sweeps = dict(zip(Scheme, estimate_pointwise(scs, grid, 50, SeedPolicy(3),
+                                                 better=_better(scs, grid))))
     assert reduced == [2] * 3 * len(grid.positions)
     assert {s: e.rss.value.shape[1] for s, e in sweeps.items()} == {
         Scheme.PROPOSED: 2, Scheme.DAS_BLANKET: 2, Scheme.DAS_SINGLE: 1, Scheme.TRADITIONAL: 2}
@@ -165,7 +173,8 @@ def test_pointwise_returns_the_columns_outputs_read():
 @st.composite
 def _sweep_case(draw) -> tuple:
     """The scenarios of one run, a scheme subset in any order, with a
-    trial count, mean_rss flag, job count and first-crossing block size."""
+    trial count, whether to ask for mean RSS, a job count and a first-crossing
+    block size."""
     n_raus = draw(st.integers(1, 8))
     per_rau = draw(st.one_of(st.none(), st.lists(st.sampled_from((0.5, 4.0, 8.0, 12.0)),
                                                  min_size=n_raus, max_size=n_raus).map(tuple)))
@@ -198,10 +207,12 @@ def test_pointwise_equals_the_scalar_oracle(case):
     where no trial triggered."""
     scs, trials, mean_rss, jobs, _ = case
     grid = PositionGrid.over(3000.0, 500.0)
-    got = estimate_pointwise(scs, grid, trials, SeedPolicy(31), jobs=jobs, mean_rss=mean_rss)
+    better = _better(scs, grid) if mean_rss else None
+    got = estimate_pointwise(scs, grid, trials, SeedPolicy(31), jobs=jobs, better=better)
     assert len(got) == len(scs)
-    for sweep, sc in zip(got, scs):
-        assert_sweeps_equal(sweep, pointwise_sweep(sc, grid, trials, SeedPolicy(31), mean_rss))
+    for k, (sweep, sc) in enumerate(zip(got, scs)):
+        assert_sweeps_equal(sweep, pointwise_sweep(sc, grid, trials, SeedPolicy(31),
+                                                   better[k] if better else None))
 
 
 @settings(max_examples=100)
@@ -225,14 +236,49 @@ def test_first_crossing_equals_the_single_scenario_oracle(case, sub_block):
         assert_crossings_equal(g, w)
 
 
-def test_sweep_without_mean_rss_needs_no_cell_means(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mean RSS not requested")
-
-    monkeypatch.setattr(channel, "max_means", refuse)
-    monkeypatch.setattr(channel, "cell_means", refuse)
+def test_pointwise_sweep_runs_no_quadrature(monkeypatch):
+    """The sweep reads link tables only: with the caller's better-cell flags
+    or without them it integrates nothing, and its mean-RSS rows are the
+    ones the scalar oracle forms from the same flags."""
     grid = PositionGrid.over(3000.0, 500.0)
-    estimate_pointwise((Scenario(),), grid, 50, SeedPolicy(2))
+    scs = tuple(Scenario().with_scheme(s) for s in Scheme)
+    better = _better(scs, grid)
+    want = [pointwise_sweep(sc, grid, 50, SeedPolicy(2), b) for sc, b in zip(scs, better)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran a quadrature")
+
+    for module, name in ((channel, "cell_means"), (channel, "max_means"),
+                         (channel, "integrate_rows"), (statfun, "integrate_rows")):
+        monkeypatch.setattr(module, name, refuse)
+    for got, w in zip(estimate_pointwise(scs, grid, 50, SeedPolicy(2), better=better), want):
+        assert_sweeps_equal(got, w)
+    for got, w in zip(estimate_pointwise(scs, grid, 50, SeedPolicy(2)), want):
+        assert_sweeps_equal(got, w._replace(rss=None))
+
+
+def test_a_scenario_reads_mean_rows_only_under_equal_flags():
+    """das-single repeats proposed's front links, but given other better-cell
+    flags it forms its own mean rows: each scenario's are the oracle's from
+    its own flags."""
+    grid = PositionGrid.over(3000.0, 500.0)
+    scs = (Scenario(), Scenario().with_scheme(Scheme.DAS_SINGLE))
+    n = len(grid.positions)
+    better = [np.ones((n, 2), dtype=bool), np.zeros((n, 1), dtype=bool)]
+    for sweep, sc, b in zip(estimate_pointwise(scs, grid, 64, SeedPolicy(5), better=better),
+                            scs, better):
+        assert_sweeps_equal(sweep, pointwise_sweep(sc, grid, 64, SeedPolicy(5), b))
+
+
+def test_pointwise_rejects_flags_of_the_wrong_count_or_shape():
+    """better holds one (positions, antennas) array per scenario, else ValueError."""
+    grid = PositionGrid.over(3000.0, 500.0)
+    scs = (Scenario(), Scenario().with_scheme(Scheme.DAS_SINGLE))
+    flags = _better(scs, grid)
+    for better in (flags[:1], flags + flags[:1], [flags[0], flags[0]], [flags[0].T, flags[1]],
+                   [flags[0][:-1], flags[1]], [flags[0], flags[1][:, 0]]):
+        with pytest.raises(ValueError, match=r"one \(positions, antennas\) array per scenario"):
+            estimate_pointwise(scs, grid, 10, SeedPolicy(1), better=better)
 
 
 def test_mean_pathloss_trigger_estimate_tracks_analytic():

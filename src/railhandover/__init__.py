@@ -9,12 +9,10 @@ from ._version import __version__
 from .analytics import (
     MetricMode,
     failure_curve,
-    first_crossing_masses,
     interruption_curve,
     occurrence_masses,
     trigger_curve,
 )
-from .channel import path_loss
 from .figures import Figure, ResultTable, RunConfig, compare_schemes, run_figure
 from .montecarlo import (
     SeedPolicy,
@@ -45,10 +43,8 @@ __all__ = [
     "estimate_pointwise",
     "estimate_protocol",
     "failure_curve",
-    "first_crossing_masses",
     "interruption_curve",
     "occurrence_masses",
-    "path_loss",
     "run_crossing",
     "run_figure",
     "transition",

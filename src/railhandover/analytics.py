@@ -63,32 +63,23 @@ def trigger_curve(sc: Scenario, grid: PositionGrid) -> np.ndarray:
 # === Occurrence probability ===
 
 
-def first_crossing_masses(trigger_probs: np.ndarray) -> np.ndarray:
-    """Probability that the first trigger lands on each grid index.
-
-    mass[k] = p[k] * prod_{j<k} (1 - p[j]); the masses are non-negative
-    and sum to at most one, the deficit being the no-trigger probability.
-    """
-    p = np.asarray(trigger_probs, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("trigger probabilities must lie in [0, 1]")
-    survival_before = np.concatenate(([1.0], np.cumprod(1.0 - p)[:-1]))
-    return p * survival_before
-
-
 def occurrence_masses(trigger_probs: np.ndarray, step: float,
                       mode: MetricMode = MetricMode.REDERIVED) -> np.ndarray:
     """Per-position handover occurrence masses from a trigger curve.
 
     REDERIVED is the first-crossing distribution of the trigger events
-    under position-independent shadowing. PAPER evaluates the printed
+    under position-independent shadowing: mass[k] = p[k] * prod_{j<k}
+    (1 - p[j]), non-negative masses summing to at most one, the deficit
+    being the no-trigger probability. PAPER evaluates the printed
     expression p[k] * (step * sum_{j<k} p[j]) verbatim; that curve is not
     a probability mass (it is not normalized and can exceed 1) and is
     emitted for comparison only.
     """
     p = np.asarray(trigger_probs, dtype=float)
     if mode is MetricMode.REDERIVED:
-        return first_crossing_masses(p)
+        if np.any(p < 0.0) or np.any(p > 1.0):
+            raise ValueError("trigger probabilities must lie in [0, 1]")
+        return p * np.concatenate(([1.0], np.cumprod(1.0 - p)[:-1]))
     running = np.concatenate(([0.0], np.cumsum(p)[:-1]))
     return p * (step * running)
 

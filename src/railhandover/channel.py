@@ -13,10 +13,10 @@ train antenna sees one RSS random variable per cell:
   Gaussian through linear-domain moment matching.
 * TRADITIONAL: a single base-station link at full power.
 
-`link_table` is the one producer of these statistics: it evaluates every
-link of a grid at once, as arrays, with the scalar `math.hypot` distance
-and `path_loss` kernels applied elementwise, and every analytic curve,
-Monte Carlo sweep and protocol run reads its (mu, sigma) arrays.
+`link_table` is the one producer of these statistics: it forms every
+link of a grid at once, as arrays, from the `Scenario` fields, with the
+scalar `math.hypot` and `math.log10` kernels applied elementwise, and every
+analytic curve, Monte Carlo sweep and protocol run reads its (mu, sigma) arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .scenario import (
 )
 from .statfun import STEP_SCALE, integrate_rows, lognormal_sum_approx
 
-# the scalar math.hypot distance and path_loss kernels, elementwise: numpy's
-# own hypot and log10 differ from math's in the last bit
+# the scalar math.hypot and math.log10 kernels of link_table's distance and
+# path loss, elementwise: numpy's own hypot and log10 differ from math's in the last bit
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _log10 = np.vectorize(math.log10, otypes=[float])
 
@@ -57,21 +57,6 @@ BETTER_CELL_MARGIN = 1e-9
 
 # dB values at or above this have a normal float power 10^(x/10)
 _POWER_SUM_FLOOR = -3000.0
-
-
-def path_loss(sc: Scenario, distance: float | np.ndarray) -> float | np.ndarray:
-    """Log-distance path loss in dB at the given link distance in meters,
-    elementwise over an array of distances."""
-    if not np.all(np.asarray(distance) > 0.0):
-        raise ValueError(f"path loss requires distance > 0, got {distance!r}")
-    return sc.pathloss_a + 10.0 * sc.pathloss_gamma * _log10(distance)
-
-
-def per_rau_power(sc: Scenario) -> float:
-    """Transmit power per RAU in dBm under the scenario's scheme."""
-    if sc.scheme is Scheme.DAS_BLANKET:
-        return sc.tx_power - 10.0 * math.log10(sc.n_raus)
-    return sc.tx_power
 
 
 def power_sum_db(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,6 +209,8 @@ def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
 
     Base stations stand at 0 and ds along the track, RAU n of a cell at
     (n - (n_raus+1)/2) * dr from its own, the rear antenna train_length behind.
+    A unit's link mean is its power minus pathloss_a + 10 pathloss_gamma log10(distance)
+    and its sigma its shadow_sigma_per_rau entry, else shadow_sigma.
 
     Raises ValueError naming the first bad link in (position, antenna,
     cell) order: a zero distance, else a unit link mean or blanket sum
@@ -237,13 +224,16 @@ def link_table(sc: Scenario, grid: PositionGrid) -> LinkTable:
         along, offset, sigmas = np.zeros(1), sc.d0, [sc.shadow_sigma]
     else:
         along = (np.arange(1, sc.n_raus + 1) - (sc.n_raus + 1) / 2.0) * sc.dr
-        offset, sigmas = sc.du, [sc.rau_sigma(n) for n in range(1, sc.n_raus + 1)]
+        offset, sigmas = sc.du, sc.shadow_sigma_per_rau or [sc.shadow_sigma]
+    power = (sc.tx_power - 10.0 * math.log10(sc.n_raus) if sc.scheme is Scheme.DAS_BLANKET
+             else sc.tx_power)
     at = grid.as_array()[:, np.newaxis] - [0.0, sc.train_length][:len(antennas)]
     # shape (positions, antennas, cells, units)
     distance = _hypot(along + [[0.0], [sc.ds]] - at[:, :, np.newaxis, np.newaxis], offset)
     near = ~(distance > 0.0)
     with np.errstate(all="ignore"):  # a link beyond the float range is named below
-        unit_mu = per_rau_power(sc) - path_loss(sc, np.where(near, 1.0, distance))
+        unit_mu = power - (sc.pathloss_a
+                           + 10.0 * sc.pathloss_gamma * _log10(np.where(near, 1.0, distance)))
         mu, sigma = unit_mu, np.broadcast_to(sigmas, unit_mu.shape).copy()
         if sc.scheme is Scheme.DAS_BLANKET:
             mu, sigma = (a[..., np.newaxis] for a in lognormal_sum_approx(

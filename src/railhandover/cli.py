@@ -2,12 +2,12 @@
 
 Verbs, the rows of `_VERBS`: `run` writes one figure table, `compare`
 writes all of them plus a summary of the cross-scheme assertions,
-`validate` sweeps analytic curves against their Monte Carlo estimators,
-`trace` prints or writes one seeded protocol trace of the first listed
-scheme only, which trials, mode and jobs do not change. Configuration is a
-flat key/value file. Its keys are the fields of Scenario but `scheme` and
-of RunConfig but `scenario`, each parsed by its annotated type, and others
-are rejected.
+`validate` prints how the rederived analytic curves, whatever the mode,
+agree with their Monte Carlo estimators and writes no file, `trace`
+prints or writes one seeded protocol trace of the first listed scheme
+only, which trials, mode and jobs do not change. Configuration is a flat
+key/value file whose keys, the fields of Scenario but `scheme` and of
+RunConfig but `scenario`, are parsed by their annotated types; others are rejected.
 
 Exit codes: 0 ok, 1 assertion failure, 2 configuration error or an
 output path that cannot be written, 3 numeric non-convergence.

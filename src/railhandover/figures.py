@@ -591,7 +591,8 @@ def _normal_gaps(runner: FigureRunner, analytic, mc) -> tuple:
 
 
 def validate_schemes(config: RunConfig) -> tuple[ResultTable, int]:
-    """Analytic-vs-Monte-Carlo agreement sweep for each configured scheme.
+    """Analytic-vs-Monte-Carlo agreement sweep for each configured scheme, of
+    the REDERIVED curves whatever config.mode says; it writes no file.
 
     Each check reports its position with the largest ratio of gap to
     limit. trigger, occurrence and interruption compare |analytic - mc|

@@ -44,9 +44,9 @@ _BLOCK = 8192
 # sub-blocks together hold the block's one draw.
 _SUB_BLOCK = 256
 
-# Crossings go through the protocol kernel in blocks of this size, which
-# bounds its memory; every crossing keeps its own substream, so the block
-# size does not change the estimate.
+# Crossings go through the protocol kernel in blocks of this size, each
+# block's attempt marks summed at once, which bounds its memory; every
+# crossing keeps its own substream, so the block size does not change the estimate.
 _PROTOCOL_BLOCK = 256
 
 
@@ -320,9 +320,10 @@ def estimate_protocol(sc: Scenario, grid: PositionGrid, trials: int,
 
     def one_block(b: int) -> protocol.CrossingArrays:
         first = b * _PROTOCOL_BLOCK
-        return protocol.run_crossings(sc, grid, [
+        out = protocol.run_crossings(sc, grid, [
             seed.stream(DOMAIN_PROTOCOL, t)
             for t in range(first, min(first + _PROTOCOL_BLOCK, trials))])
+        return out._replace(front_attempts=out.front_attempts.sum(axis=0, keepdims=True))
 
     blocks = _parallel_map(one_block, (trials + _PROTOCOL_BLOCK - 1) // _PROTOCOL_BLOCK,
                            jobs)

@@ -114,12 +114,6 @@ class Scenario:
             return (AntennaId.FRONT,)
         return (AntennaId.FRONT, AntennaId.REAR)
 
-    def rau_sigma(self, rau_index: int) -> float:
-        """Shadow sigma for RAU link rau_index (1-based), honoring overrides."""
-        if self.shadow_sigma_per_rau is None:
-            return self.shadow_sigma
-        return self.shadow_sigma_per_rau[rau_index - 1]
-
 
 def _require(cond: bool, key: str, constraint: str, value) -> None:
     if not cond:

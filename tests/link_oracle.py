@@ -3,11 +3,13 @@
 The package builds every link statistic once per grid in
 `channel.link_table` and evaluates every curve on those arrays. This
 module is the independent scalar route the table and the curves are
-checked against bitwise: its own node geometry from the `Scenario`
-fields, one `LinkStat` per link, one `RssDistribution` per (antenna,
-cell), and each metric at one position from plain floats through the
-same kernels (`math.hypot` and `math.log10` for the links,
-`statfun.ndtr` on one value at a time for the normal tails).
+checked against bitwise: its own node geometry, path loss, per-unit
+power and per-unit sigma from the `Scenario` fields, one `LinkStat` per
+link, one `RssDistribution` per (antenna, cell), and each metric at one
+position from plain floats through the same kernels (`math.hypot` and
+`math.log10` for the links, `statfun.ndtr` on one value at a time for
+the normal tails). Only the blanket moment match is the package's own
+`statfun.lognormal_sum_approx`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from railhandover import analytics, channel
 from railhandover.analytics import TRIGGER_FLOOR, MetricMode
-from railhandover.channel import path_loss, per_rau_power
 from railhandover.scenario import (
     SELECTION_SCHEMES,
     AntennaId,
@@ -64,6 +65,27 @@ def link_distance(antenna_along: float, node: Node) -> float:
 # === Link statistics ===
 
 
+def path_loss(sc: Scenario, distance: float) -> float:
+    """Log-distance path loss in dB at a link distance > 0 in meters."""
+    if not distance > 0.0:
+        raise ValueError(f"path loss requires distance > 0, got {distance!r}")
+    return sc.pathloss_a + 10.0 * sc.pathloss_gamma * math.log10(distance)
+
+
+def unit_power(sc: Scenario) -> float:
+    """Transmit power of one RAU in dBm: the cell's, split evenly under blanket transmission."""
+    if sc.scheme is Scheme.DAS_BLANKET:
+        return sc.tx_power - 10.0 * math.log10(sc.n_raus)
+    return sc.tx_power
+
+
+def unit_sigma(sc: Scenario, rau_index: int) -> float:
+    """Shadow sigma of RAU rau_index (1-based): its per-RAU override, else shadow_sigma."""
+    if sc.shadow_sigma_per_rau is None:
+        return sc.shadow_sigma
+    return sc.shadow_sigma_per_rau[rau_index - 1]
+
+
 @dataclass(frozen=True)
 class LinkStat:
     """Gaussian RSS statistics of one link: mean dBm, shadow sigma dB."""
@@ -104,7 +126,7 @@ def link_stat(sc: Scenario, front_x: float, rau_index: int, antenna: AntennaId,
         raise ValueError(f"rau_index must be in 1..{sc.n_raus}, got {rau_index}")
     node = rau_positions(sc, cell)[rau_index - 1]
     d = link_distance(antenna_x(sc, front_x, antenna), node)
-    return LinkStat(per_rau_power(sc) - path_loss(sc, d), sc.rau_sigma(rau_index))
+    return LinkStat(unit_power(sc) - path_loss(sc, d), unit_sigma(sc, rau_index))
 
 
 def _bs_link_stat(sc: Scenario, front_x: float, antenna: AntennaId, cell: CellId) -> LinkStat:

@@ -22,7 +22,6 @@ from railhandover.analytics import (
     MetricMode,
     PositionGrid,
     failure_curve,
-    first_crossing_masses,
     first_level_crossing,
     interruption_curve,
     occurrence_masses,
@@ -125,23 +124,23 @@ def test_trigger_in_unit_interval(scheme):
 
 
 def test_first_crossing_of_certain_trigger():
-    masses = first_crossing_masses(np.ones(5))
+    masses = occurrence_masses(np.ones(5), 1.0)
     assert masses[0] == 1.0
     assert np.all(masses[1:] == 0.0)
 
 
 def test_first_crossing_of_impossible_trigger():
-    assert np.all(first_crossing_masses(np.zeros(5)) == 0.0)
+    assert np.all(occurrence_masses(np.zeros(5), 1.0) == 0.0)
 
 
 def test_first_crossing_manual_chain():
-    masses = first_crossing_masses(np.array([0.2, 0.5, 1.0]))
+    masses = occurrence_masses(np.array([0.2, 0.5, 1.0]), 1.0)
     assert masses == pytest.approx([0.2, 0.8 * 0.5, 0.8 * 0.5 * 1.0])
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
 def test_first_crossing_masses_form_submeasure(probs):
-    masses = first_crossing_masses(np.array(probs))
+    masses = occurrence_masses(np.array(probs), 1.0)
     assert np.all(masses >= 0.0)
     assert masses.sum() <= 1.0 + 1e-12
 

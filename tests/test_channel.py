@@ -22,7 +22,6 @@ from scipy.special import ndtr
 
 from railhandover import channel, statfun
 from railhandover.analytics import MetricMode, PositionGrid, failure_curve, interruption_curve
-from railhandover.channel import path_loss, per_rau_power
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
 from link_oracle import (
     DistributionKind,
@@ -59,29 +58,40 @@ def _table(sc, *xs):
 
 
 def test_path_loss_reference_points(sc):
-    assert path_loss(sc, 1.0) == pytest.approx(31.5)
-    assert path_loss(sc, 100.0) == pytest.approx(101.5)
-    assert path_loss(sc, 1000.0) == pytest.approx(136.5)
+    """A traditional link at x = 0 spans d0: its mean is tx_power minus
+    31.5 + 35 log10(d0), 31.5, 101.5 and 136.5 dB at 1, 100 and 1000 m."""
+    for d0, loss in ((1.0, 31.5), (100.0, 101.5), (1000.0, 136.5)):
+        table = _table(replace(sc, d0=d0, scheme=Scheme.TRADITIONAL), 0.0)
+        assert 86.0 - table.mu[0, 0, 0, 0] == pytest.approx(loss)
 
 
-def test_path_loss_rejects_nonpositive_distance(sc):
-    with pytest.raises(ValueError):
-        path_loss(sc, 0.0)
-    with pytest.raises(ValueError):
-        path_loss(sc, -5.0)
+def test_path_loss_rejects_a_zero_distance_link():
+    """A base station on the track at x = 0 is a zero-distance link, which
+    the table names instead of taking the log of zero."""
+    sc = Scenario(d0=0.0, scheme=Scheme.TRADITIONAL)
+    with pytest.raises(ValueError, match=r"^link distance 0 m of traditional at x=0 m "
+                                         r"\(front antenna, serving cell\): "
+                                         r"path loss requires distance > 0$"):
+        _table(sc, 0.0)
 
 
-@given(st.floats(min_value=1.0, max_value=1e5), st.floats(min_value=1.0, max_value=2.0))
+@given(st.floats(min_value=1.0, max_value=1e5), st.floats(min_value=1.001, max_value=2.0))
 def test_path_loss_increases_with_distance(d, factor):
-    sc = Scenario()
-    assert path_loss(sc, d * factor) >= path_loss(sc, d)
+    """The traditional link mean at x = 0 falls strictly as d0 grows."""
+    near, far = (_table(Scenario(d0=d0, scheme=Scheme.TRADITIONAL), 0.0).mu[0, 0, 0, 0]
+                 for d0 in (d, d * factor))
+    assert far < near
 
 
 def test_per_rau_power_split(sc):
-    assert per_rau_power(sc) == 86.0
-    blanket = sc.with_scheme(Scheme.DAS_BLANKET)
-    assert per_rau_power(blanket) == pytest.approx(86.0 - 10.0 * math.log10(4.0))
-    assert per_rau_power(blanket) == pytest.approx(79.98, abs=0.01)
+    """Without fading the blanket cell mean is the power sum of the proposed
+    table's full-power unit links, each lowered by the split 10 log10(n_raus)."""
+    quiet = replace(sc, shadow_sigma=1e-9)
+    units = _table(quiet, 900.0).mu[0, 0, 0]
+    total = 10.0 * math.log10(sum(10.0 ** (m / 10.0) for m in units))
+    split = _table(quiet.with_scheme(Scheme.DAS_BLANKET), 900.0).mu[0, 0, 0, 0] - total
+    assert split == pytest.approx(-10.0 * math.log10(4.0), abs=1e-9)
+    assert 86.0 + split == pytest.approx(79.98, abs=0.01)
 
 
 def test_link_stat_anchors(sc):
@@ -160,7 +170,6 @@ def test_proposed_distribution_has_one_component_per_rau(sc):
 
 def test_traditional_uses_bs_offset(sc):
     table = _table(sc.with_scheme(Scheme.TRADITIONAL), 0.0)
-    assert table.mu[0, 0, 0, 0] == pytest.approx(86.0 - path_loss(sc, 100.0))
     assert table.mu[0, 0, 0, 0] == pytest.approx(-15.5)
 
 
@@ -191,7 +200,7 @@ def test_blanket_preserves_linear_mean_power(sc):
     blanket = sc.with_scheme(Scheme.DAS_BLANKET)
     table = _table(blanket, 900.0)
     mu, sigma = table.mu[0, 0, 0, 0], table.sigma[0, 0, 0, 0]
-    split = per_rau_power(blanket) - per_rau_power(sc)
+    split = -10.0 * math.log10(4.0)
     parts = _table(sc, 900.0)
     want = sum(math.exp(lam * (m + split) + 0.5 * (lam * s) ** 2)
                for m, s in zip(parts.mu[0, 0, 0], parts.sigma[0, 0, 0]))

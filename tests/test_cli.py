@@ -133,8 +133,6 @@ def test_scheme_key_exits_2_pointing_at_schemes(tmp_path, capsys):
 def test_config_per_rau_sigma_list():
     cfg, _ = parse_config("shadow_sigma_per_rau = 4, 4, 4, 8")
     assert cfg.scenario.shadow_sigma_per_rau == (4.0, 4.0, 4.0, 8.0)
-    assert cfg.scenario.rau_sigma(4) == 8.0
-    assert cfg.scenario.rau_sigma(1) == 4.0
 
 
 def test_config_run_options():

@@ -1,4 +1,5 @@
-"""Parameter model (defaults, validation) and the oracle's node placement."""
+"""Parameter model (defaults, validation), the oracle's node placement, and the
+per-RAU sigma override as the link table reads it."""
 
 from dataclasses import replace
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
+from railhandover import channel
+from railhandover.scenario import (
+    AntennaId,
+    CellId,
+    PositionGrid,
+    Scenario,
+    Scheme,
+    SelectionRule,
+)
 from link_oracle import Node, antenna_x, bs_position, link_distance, rau_positions
 
 
@@ -95,10 +104,14 @@ def test_antennas_per_scheme(sc):
 
 
 def test_rau_sigma_override(sc):
-    assert sc.rau_sigma(1) == 4.0
+    """The link table's sigma column of RAU n is its shadow_sigma_per_rau
+    entry, or shadow_sigma without the override."""
+    grid = PositionGrid((0.0, 1500.0), 1.0)
+    assert (channel.link_table(sc, grid).sigma == 4.0).all()
     tweaked = replace(sc, shadow_sigma_per_rau=(1.0, 2.0, 3.0, 4.0))
-    assert tweaked.rau_sigma(1) == 1.0
-    assert tweaked.rau_sigma(4) == 4.0
+    sigma = channel.link_table(tweaked, grid).sigma
+    assert sigma.shape == (2, 2, 2, 4)
+    assert (sigma == [1.0, 2.0, 3.0, 4.0]).all()
 
 
 def test_exactly_two_antenna_ids():

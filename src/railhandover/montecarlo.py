@@ -311,9 +311,9 @@ def estimate_protocol(sc: Scenario, grid: PositionGrid, trials: int,
                       seed: SeedPolicy, jobs: int = 1) -> ProtocolStats:
     """Run the crossing procedure trials times with per-trial substreams.
 
-    Crossing t draws from stream (DOMAIN_PROTOCOL, t), so its outcome is
-    the one run_crossing gives on that stream; protocol.run_crossings
-    computes it in blocks of crossings without walking the state machine.
+    Crossing t draws from stream (DOMAIN_PROTOCOL, t); protocol.run_crossings
+    decides it in blocks of crossings with the same array kernel that
+    gives run_crossing its outcome on that stream, walking no state machine.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -226,34 +226,29 @@ _RESPONSES = {
 
 def run_crossing(sc: Scenario, grid: PositionGrid,
                  rng: np.random.Generator) -> tuple[CrossingOutcome, list[TraceEntry]]:
-    """Walk the grid once and drive the handover procedure to completion.
+    """Draw one crossing, decide it with the array kernel, and trace it.
 
-    The environment responds to emitted messages within the same grid
-    step: requests are acked, commands make the named antenna attempt to
-    attach to the target cell (success iff the sampled target comparand
-    is at or above the threshold; on failure the antenna stays on its
-    previous cell and retries at the next triggering position), and the
-    dual-cast finish is acked by the core network.
-
-    An interruption interval is open while every antenna's sampled RSS
-    from its attached cell is below the threshold; intervals are reported
-    as (first, last) grid coordinates of each below-threshold run.
+    The outcome (attach positions, failures, interruption intervals as
+    (first, last) grid coordinates of each run) is the kernel's row on
+    this draw. The walk then drives the handover procedure through
+    `transition` to record the trace and the final state. The
+    environment responds to emitted messages within the same grid step:
+    requests are acked, a command makes the named antenna attach to the
+    target cell where the kernel says it attaches (elsewhere the attempt
+    fails and the antenna retries at its next triggering position), and
+    the dual-cast finish is acked by the core network.
     """
-    (cell,), (serving,), (target,), (triggers,), (usable,) = _draw_crossings(sc, grid, [rng])
-    # per antenna: the (serving, target) comparands at each position, whether
-    # the target comparand is usable, and per cell whether its RSS is below
-    reports = [list(zip(s, t)) for s, t in zip(serving.tolist(), target.tolist())]
-    usable, below = usable.tolist(), (cell < sc.threshold).tolist()
+    cell, serving, target, triggers, usable = _draw_crossings(sc, grid, [rng])
+    arrays = _crossing_outcomes(cell, triggers, usable, sc.threshold)
+    attach = (int(arrays.front_index[0]), int(arrays.rear_index[0]))
+    # per antenna: the (serving, target) comparands at each position
+    reports = [list(zip(s, t)) for s, t in zip(serving[0].tolist(), target[0].tolist())]
     # per phase whose measurement report has a row: at each position, whether
     # the row's antenna triggers
-    triggered = dict(zip(sc.antennas(), triggers.tolist()))
+    triggered = dict(zip(sc.antennas(), triggers[0].tolist()))
     acts = {phase: triggered[antenna] for phase, antenna in _REPORT_ANTENNA.items()}
     state = HandoverState()
     trace: list[TraceEntry] = []
-    ho_position: list[float | None] = [None, None]
-    failed = [False, False]
-    interrupted_runs: list[tuple[float, float]] = []
-    run_start: float | None = None
 
     def feed(event: ProtocolEvent) -> None:
         nonlocal state
@@ -271,11 +266,8 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             a, response = _RESPONSES[out.kind]
             if a is None:
                 feed(ProtocolEvent(response, out.position))
-            elif usable[a][j]:  # an attach attempt at the walk's grid index j
-                ho_position[a] = out.position
+            elif attach[a] == j:  # the kernel's attach index, at the walk's grid index j
                 feed(ProtocolEvent(response, out.position, out.antenna))
-            else:
-                failed[a] = True
 
     for j, (x, front, rear) in enumerate(zip(grid.positions, *reports)):
         report = ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear)
@@ -284,25 +276,13 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             feed(report)
         else:  # a report that cannot act leaves the phase as it is
             trace.append(TraceEntry(x, state.phase, report, state.phase))
-        # threshold check against each antenna's attached cell (index 1: target)
-        if (below[0][state.front_attached is _T][j]
-                and below[1][state.rear_attached is _T][j]):
-            run_start = x if run_start is None else run_start
-        elif run_start is not None:
-            interrupted_runs.append((run_start, grid.positions[j - 1]))
-            run_start = None
-    if run_start is not None:
-        interrupted_runs.append((run_start, grid.positions[-1]))
 
-    outcome = CrossingOutcome(
-        front_ho_position=ho_position[0],
-        rear_ho_position=ho_position[1],
-        front_failed=failed[0],
-        rear_failed=failed[1],
-        interruption_intervals=tuple(interrupted_runs),
-        final_state=state,
-    )
-    return outcome, trace
+    xs = grid.positions
+    front_at, rear_at = (None if j < 0 else xs[j] for j in attach)
+    return CrossingOutcome(
+        front_at, rear_at, bool(arrays.front_failed[0]), bool(arrays.rear_failed[0]),
+        tuple((xs[first], xs[last]) for _, first, last in arrays.interruptions.tolist()),
+        state), trace
 
 
 # === Array kernel ===
@@ -341,32 +321,38 @@ def _attach(triggered: np.ndarray, usable: np.ndarray,
     return first, attempts, (attempts & ~usable).any(axis=1)
 
 
-def run_crossings(sc: Scenario, grid: PositionGrid,
-                  rngs: list[np.random.Generator]) -> CrossingArrays:
-    """The outcomes run_crossing gives on each generator, as arrays.
+def _crossing_outcomes(cell: np.ndarray, triggered: np.ndarray, usable: np.ndarray,
+                       threshold: float) -> CrossingArrays:
+    """The procedure's outcome of each drawn crossing, from `_draw_crossings`' arrays.
 
-    Draws exactly what run_crossing draws, then applies the procedure's
-    rules to whole arrays instead of walking the state machine: the
+    The one place that decides attach, failure and interruption: the
     front antenna attempts at every trigger until the first one whose
     target comparand reaches the threshold; the rear antenna does the
     same from the position after the front attach, since the front
     attaches inside that position's own measurement report; each
-    antenna's RSS comes from the target cell from its attach on.
+    antenna's RSS comes from the target cell from its attach on, and an
+    interruption is a run of positions where both are below the threshold.
     """
-    cell, _, _, triggered, usable = _draw_crossings(sc, grid, rngs)
-    positions = np.arange(len(grid.positions))
+    positions = np.arange(cell.shape[-1])
     front, front_attempts, front_failed = _attach(triggered[:, 0], usable[:, 0], True)
     after_front = (front[:, np.newaxis] >= 0) & (positions > front[:, np.newaxis])
     rear, _, rear_failed = _attach(triggered[:, 1], usable[:, 1], after_front)
     attach = np.stack([front, rear], axis=1)[..., np.newaxis]
     on_target = (attach >= 0) & (positions >= attach)  # (crossings, antennas, positions)
     rss = np.where(on_target, cell[:, :, 1], cell[:, :, 0])
-    below = (rss < sc.threshold).all(axis=1).astype(np.int8)
+    below = (rss < threshold).all(axis=1).astype(np.int8)
     edges = np.diff(below, axis=1, prepend=0, append=0)
     last = np.nonzero(edges == -1)[1] - 1
     interruptions = np.column_stack([np.argwhere(edges == 1), last])
     return CrossingArrays(front, rear, front_failed, rear_failed, front_attempts,
                           interruptions)
+
+
+def run_crossings(sc: Scenario, grid: PositionGrid,
+                  rngs: list[np.random.Generator]) -> CrossingArrays:
+    """The outcomes run_crossing gives on each generator, as arrays."""
+    cell, _, _, triggered, usable = _draw_crossings(sc, grid, rngs)
+    return _crossing_outcomes(cell, triggered, usable, sc.threshold)
 
 
 # === Trace serialization ===

@@ -130,17 +130,16 @@ class PositionGrid:
     def __post_init__(self) -> None:
         # plain floats keep the grid hashable, so link tables can be cached by it
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if len(self.positions) < 1:
-            raise ValueError("grid needs at least one position")
+        _require(0.0 < self.step < math.inf, "step", "must be finite and > 0", self.step)
+        if not self.positions or not all(map(math.isfinite, self.positions)):
+            raise ValueError("grid positions must be one or more finite values")
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("grid positions must be strictly increasing")
 
     @classmethod
     def over(cls, length: float, step: float) -> "PositionGrid":
-        if not (length >= 0.0 and step > 0.0):
-            raise ValueError("length must be >= 0 and step > 0")
+        _require(0.0 <= length < math.inf, "length", "must be finite and >= 0", length)
+        _require(0.0 < step < math.inf, "step", "must be finite and > 0", step)
         count = int(math.floor(length / step + 1e-9))
         return cls(tuple(k * step for k in range(count + 1)), step)
 

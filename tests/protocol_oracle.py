@@ -1,11 +1,14 @@
-"""Reference aggregation of crossings through the state machine, used by tests only.
+"""Reference crossings through the state machine, used by tests only.
 
-`protocol_stats` walks `run_crossing` once per trial on the same keyed
-substreams as `estimate_protocol` and tallies its outcomes and traces
-event by event: the route the array kernel behind `estimate_protocol`
-is checked against. `format_stats` renders `ProtocolStats` as stable
-text for the golden file. `replay` re-runs a recorded trace through the
-transition table and checks every recorded phase and emission.
+`walk_crossing` is the state-machine walk that decides its own outcome:
+it attaches an antenna wherever an attempt's target comparand is usable
+and scans each position for an interruption, independently of the array
+kernel that decides `run_crossing`'s and `estimate_protocol`'s outcomes.
+`protocol_stats` walks it once per trial on the same keyed substreams as
+`estimate_protocol` and tallies its outcomes and traces event by event.
+`format_stats` renders `ProtocolStats` as stable text for the golden
+file. `replay` re-runs a recorded trace through the transition table and
+checks every recorded phase and emission.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ import numpy as np
 from railhandover.analytics import PositionGrid
 from railhandover.montecarlo import DOMAIN_PROTOCOL, ProtocolStats, SeedPolicy
 from railhandover.protocol import (
+    _REPORT_ANTENNA,
+    _RESPONSES,
+    _T,
     _TABLE,
+    CrossingOutcome,
     EventKind,
     HandoverState,
     Phase,
+    ProtocolEvent,
     TraceEntry,
-    run_crossing,
+    _draw_crossings,
     transition,
 )
 from railhandover.scenario import Scenario
@@ -31,6 +39,87 @@ _INPUT_KINDS = frozenset(kind for _, kind in _TABLE)
 STAT_FIELDS = ("trials", "completed", "front_failed_trials", "rear_failed_trials",
                "front_ho_hist", "rear_ho_hist", "front_attempt_hist",
                "front_failure_hist", "interruption_lengths")
+
+
+def walk_crossing(sc: Scenario, grid: PositionGrid,
+                  rng: np.random.Generator) -> tuple[CrossingOutcome, list[TraceEntry]]:
+    """Walk the grid once and drive the handover procedure to completion.
+
+    The environment responds to emitted messages within the same grid
+    step: requests are acked, commands make the named antenna attempt to
+    attach to the target cell (success iff the sampled target comparand
+    is at or above the threshold; on failure the antenna stays on its
+    previous cell and retries at the next triggering position), and the
+    dual-cast finish is acked by the core network.
+
+    An interruption interval is open while every antenna's sampled RSS
+    from its attached cell is below the threshold; intervals are reported
+    as (first, last) grid coordinates of each below-threshold run.
+    """
+    (cell,), (serving,), (target,), (triggers,), (usable,) = _draw_crossings(sc, grid, [rng])
+    # per antenna: the (serving, target) comparands at each position, whether
+    # the target comparand is usable, and per cell whether its RSS is below
+    reports = [list(zip(s, t)) for s, t in zip(serving.tolist(), target.tolist())]
+    usable, below = usable.tolist(), (cell < sc.threshold).tolist()
+    # per phase whose measurement report has a row: at each position, whether
+    # the row's antenna triggers
+    triggered = dict(zip(sc.antennas(), triggers.tolist()))
+    acts = {phase: triggered[antenna] for phase, antenna in _REPORT_ANTENNA.items()}
+    state = HandoverState()
+    trace: list[TraceEntry] = []
+    ho_position: list[float | None] = [None, None]
+    failed = [False, False]
+    interrupted_runs: list[tuple[float, float]] = []
+    run_start: float | None = None
+
+    def feed(event: ProtocolEvent) -> None:
+        nonlocal state
+        before = state.phase
+        state, emitted = transition(state, event, sc.hysteresis)
+        after = state.phase
+        trace.append(TraceEntry(event.position, before, event, after))
+        # record the whole emission batch before reacting, so a trace is a
+        # flat input-then-emissions sequence that a replay can verify
+        trace.extend(TraceEntry(out.position, after, out, after) for out in emitted)
+        # environment side: zero-latency responses within the grid step
+        for out in emitted:
+            if out.kind not in _RESPONSES:
+                continue
+            a, response = _RESPONSES[out.kind]
+            if a is None:
+                feed(ProtocolEvent(response, out.position))
+            elif usable[a][j]:  # an attach attempt at the walk's grid index j
+                ho_position[a] = out.position
+                feed(ProtocolEvent(response, out.position, out.antenna))
+            else:
+                failed[a] = True
+
+    for j, (x, front, rear) in enumerate(zip(grid.positions, *reports)):
+        report = ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear)
+        fires = acts.get(state.phase)
+        if fires is not None and fires[j]:
+            feed(report)
+        else:  # a report that cannot act leaves the phase as it is
+            trace.append(TraceEntry(x, state.phase, report, state.phase))
+        # threshold check against each antenna's attached cell (index 1: target)
+        if (below[0][state.front_attached is _T][j]
+                and below[1][state.rear_attached is _T][j]):
+            run_start = x if run_start is None else run_start
+        elif run_start is not None:
+            interrupted_runs.append((run_start, grid.positions[j - 1]))
+            run_start = None
+    if run_start is not None:
+        interrupted_runs.append((run_start, grid.positions[-1]))
+
+    outcome = CrossingOutcome(
+        front_ho_position=ho_position[0],
+        rear_ho_position=ho_position[1],
+        front_failed=failed[0],
+        rear_failed=failed[1],
+        interruption_intervals=tuple(interrupted_runs),
+        final_state=state,
+    )
+    return outcome, trace
 
 
 def protocol_stats(sc: Scenario, grid: PositionGrid, trials: int,
@@ -45,7 +134,7 @@ def protocol_stats(sc: Scenario, grid: PositionGrid, trials: int,
     completed = front_failed = rear_failed = 0
     lengths: list[float] = []
     for t in range(trials):
-        outcome, trace = run_crossing(sc, grid, seed.stream(DOMAIN_PROTOCOL, t))
+        outcome, trace = walk_crossing(sc, grid, seed.stream(DOMAIN_PROTOCOL, t))
         front_pos = outcome.front_ho_position
         if front_pos is not None:
             front_hist[index[front_pos]] += 1

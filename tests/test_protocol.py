@@ -28,7 +28,7 @@ from railhandover.protocol import (
     transition,
 )
 from railhandover.scenario import AntennaId, CellId, Scenario, Scheme, SelectionRule
-from protocol_oracle import replay
+from protocol_oracle import replay, walk_crossing
 
 
 def _mr(position, front_rss, rear_rss):
@@ -360,6 +360,24 @@ def test_trace_formatting_and_determinism():
     assert len(first.split("\t")) == 5
 
 
+def test_selection_rule_reaches_the_outcome_but_not_the_trace():
+    """The selection rule changes only the cell RSS behind interruptions:
+    the trigger comparands and attach checks read the boundary RAU under
+    both rules, so the trace, which prints protocol events only, is the
+    same, while the interruption intervals differ on some stream."""
+    policy = SeedPolicy(7)
+    grid = PositionGrid.for_scenario(Scenario())
+    rules = [Scenario(selection=rule) for rule in
+             (SelectionRule.MAX_RSS, SelectionRule.MEAN_PATHLOSS)]
+    differ = 0
+    for t in range(200):
+        (a, trace_a), (b, trace_b) = (
+            run_crossing(sc, grid, policy.stream(DOMAIN_PROTOCOL, t)) for sc in rules)
+        assert format_trace(trace_a) == format_trace(trace_b), t
+        differ += a.interruption_intervals != b.interruption_intervals
+    assert differ > 0
+
+
 def test_single_antenna_scheme_is_rejected():
     sc = Scenario().with_scheme(Scheme.DAS_SINGLE)
     with pytest.raises(ValueError, match="needs two antennas"):
@@ -377,8 +395,7 @@ def test_outcome_is_a_plain_record():
 # --- array kernel against the state machine ---
 
 
-def _machine_outcome(sc, grid, rng):
-    out, trace = run_crossing(sc, grid, rng)
+def _machine_outcome(out, trace):
     attempts = tuple(t.position for t in trace
                      if t.event.kind is EventKind.HO_COMMAND_FRONT)
     return (out.front_ho_position, out.rear_ho_position, out.front_failed,
@@ -404,11 +421,15 @@ def _kernel_outcomes(sc, grid, rngs):
 
 
 def _assert_kernel_matches_machine(sc, grid, seed, trials):
+    """The kernel's outcomes, and run_crossing's outcome and trace, equal
+    those of the reference walk, which decides each crossing itself."""
     policy = SeedPolicy(seed)
     kernel = _kernel_outcomes(
         sc, grid, [policy.stream(DOMAIN_PROTOCOL, t) for t in range(trials)])
     for t, got in enumerate(kernel):
-        assert got == _machine_outcome(sc, grid, policy.stream(DOMAIN_PROTOCOL, t)), t
+        walked = walk_crossing(sc, grid, policy.stream(DOMAIN_PROTOCOL, t))
+        assert got == _machine_outcome(*walked), t
+        assert run_crossing(sc, grid, policy.stream(DOMAIN_PROTOCOL, t)) == walked, t
 
 
 def test_kernel_matches_state_machine_at_default_scenario(sc, grid):

@@ -84,6 +84,30 @@ def test_validation_names_the_offending_key(kwargs, key):
         Scenario(**kwargs)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: PositionGrid.over(3000.0, INF), "step"),
+    (lambda: PositionGrid.over(3000.0, NAN), "step"),
+    (lambda: PositionGrid.over(3000.0, 0.0), "step"),
+    (lambda: PositionGrid.over(INF, 10.0), "length"),
+    (lambda: PositionGrid.over(NAN, 10.0), "length"),
+    (lambda: PositionGrid((0.0, 10.0), INF), "step"),
+    (lambda: PositionGrid((0.0, 10.0), NAN), "step"),
+    (lambda: PositionGrid((NAN,), 10.0), "positions"),
+    (lambda: PositionGrid((0.0, INF), 10.0), "positions"),
+    (lambda: PositionGrid((), 10.0), "positions"),
+], ids=["over-step-inf", "over-step-nan", "over-step-0", "over-length-inf",
+        "over-length-nan", "step-inf", "step-nan", "position-nan", "position-inf",
+        "no-position"])
+def test_grid_rejects_non_finite_input(build, field):
+    """A non-finite step, length or position is a ValueError that names
+    its field, never a NaN grid or an OverflowError."""
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_scenario_is_immutable(sc):
     with pytest.raises(AttributeError):
         sc.ds = 1.0

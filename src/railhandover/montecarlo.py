@@ -323,24 +323,24 @@ def estimate_protocol(sc: Scenario, grid: PositionGrid, trials: int,
         out = protocol.run_crossings(sc, grid, [
             seed.stream(DOMAIN_PROTOCOL, t)
             for t in range(first, min(first + _PROTOCOL_BLOCK, trials))])
-        return out._replace(front_attempts=out.front_attempts.sum(axis=0, keepdims=True))
+        return out._replace(attempts=out.attempts.sum(axis=0, keepdims=True))
 
     blocks = _parallel_map(one_block, (trials + _PROTOCOL_BLOCK - 1) // _PROTOCOL_BLOCK,
                            jobs)
     out = protocol.CrossingArrays(*map(np.concatenate, zip(*blocks)))
     n_pos = len(grid.positions)
-    front_hist = np.bincount(out.front_index[out.front_index >= 0], minlength=n_pos)
-    attempt_hist = out.front_attempts.sum(axis=0)
+    front_hist = np.bincount(out.index[out.index[:, 0] >= 0, 0], minlength=n_pos)
+    attempt_hist = out.attempts[:, 0].sum(axis=0)
     xs = grid.as_array()
     runs = out.interruptions  # the crossing's row in its block is not read
     lengths = (xs[runs[:, 2]] - xs[runs[:, 1]]) + grid.step
     return ProtocolStats(
         grid, trials,
-        completed=int(np.count_nonzero(out.rear_index >= 0)),
-        front_failed_trials=int(np.count_nonzero(out.front_failed)),
-        rear_failed_trials=int(np.count_nonzero(out.rear_failed)),
+        completed=int(np.count_nonzero(out.index[:, 1] >= 0)),
+        front_failed_trials=int(np.count_nonzero(out.failed[:, 0])),
+        rear_failed_trials=int(np.count_nonzero(out.failed[:, 1])),
         front_ho_hist=front_hist,
-        rear_ho_hist=np.bincount(out.rear_index[out.rear_index >= 0], minlength=n_pos),
+        rear_ho_hist=np.bincount(out.index[out.index[:, 1] >= 0, 1], minlength=n_pos),
         front_attempt_hist=attempt_hist,
         front_failure_hist=attempt_hist - front_hist,
         interruption_lengths=tuple(lengths.tolist()))

@@ -134,10 +134,6 @@ _TABLE = {
     (Phase.COMPLETING, EventKind.DUALCAST_FINISH_ACK): (None, Phase.DONE, ()),
 }
 
-# phase -> the antenna whose trigger rule lets a measurement report act there
-_REPORT_ANTENNA = {phase: antenna for (phase, kind), (antenna, _, _) in _TABLE.items()
-                   if kind is EventKind.MEASUREMENT_REPORT}
-
 
 def transition(state: HandoverState, event: ProtocolEvent,
                hysteresis: float) -> tuple[HandoverState, list[ProtocolEvent]]:
@@ -231,22 +227,18 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     The outcome (attach positions, failures, interruption intervals as
     (first, last) grid coordinates of each run) is the kernel's row on
     this draw. The walk then drives the handover procedure through
-    `transition` to record the trace and the final state. The
-    environment responds to emitted messages within the same grid step:
-    requests are acked, a command makes the named antenna attach to the
-    target cell where the kernel says it attaches (elsewhere the attempt
-    fails and the antenna retries at its next triggering position), and
-    the dual-cast finish is acked by the core network.
+    `transition` to record the trace and the final state; a measurement
+    report acts where the kernel marks an attempt. The environment
+    responds to emitted messages within the same grid step: requests are
+    acked, a command makes the named antenna attach to the target cell
+    where the kernel says it attaches, and the dual-cast finish is acked.
     """
     cell, serving, target, triggers, usable = _draw_crossings(sc, grid, [rng])
     arrays = _crossing_outcomes(cell, triggers, usable, sc.threshold)
-    attach = (int(arrays.front_index[0]), int(arrays.rear_index[0]))
+    attach = arrays.index[0].tolist()
+    acts = arrays.attempts[0].any(axis=0).tolist()
     # per antenna: the (serving, target) comparands at each position
     reports = [list(zip(s, t)) for s, t in zip(serving[0].tolist(), target[0].tolist())]
-    # per phase whose measurement report has a row: at each position, whether
-    # the row's antenna triggers
-    triggered = dict(zip(sc.antennas(), triggers[0].tolist()))
-    acts = {phase: triggered[antenna] for phase, antenna in _REPORT_ANTENNA.items()}
     state = HandoverState()
     trace: list[TraceEntry] = []
 
@@ -269,10 +261,9 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
             elif attach[a] == j:  # the kernel's attach index, at the walk's grid index j
                 feed(ProtocolEvent(response, out.position, out.antenna))
 
-    for j, (x, front, rear) in enumerate(zip(grid.positions, *reports)):
+    for j, (x, front, rear, act) in enumerate(zip(grid.positions, *reports, acts)):
         report = ProtocolEvent(EventKind.MEASUREMENT_REPORT, x, front_rss=front, rear_rss=rear)
-        fires = acts.get(state.phase)
-        if fires is not None and fires[j]:
+        if act:
             feed(report)
         else:  # a report that cannot act leaves the phase as it is
             trace.append(TraceEntry(x, state.phase, report, state.phase))
@@ -280,7 +271,7 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
     xs = grid.positions
     front_at, rear_at = (None if j < 0 else xs[j] for j in attach)
     return CrossingOutcome(
-        front_at, rear_at, bool(arrays.front_failed[0]), bool(arrays.rear_failed[0]),
+        front_at, rear_at, *arrays.failed[0].tolist(),
         tuple((xs[first], xs[last]) for _, first, last in arrays.interruptions.tolist()),
         state), trace
 
@@ -291,42 +282,40 @@ def run_crossing(sc: Scenario, grid: PositionGrid,
 class CrossingArrays(NamedTuple):
     """Outcomes of a batch of crossings, one row per crossing.
 
-    front_index and rear_index hold the grid index where each antenna
-    attached to the target cell, -1 where it never did; a crossing is
-    done exactly when its rear antenna attached. front_attempts marks
-    the positions of every front attach attempt. interruptions lists
-    each interruption run as (crossing's row, first index, last index),
-    by crossing, then position.
+    index, failed and attempts have an antenna axis next, front then
+    rear. index is the grid index where the antenna attached to the
+    target cell, -1 where it never did; a crossing is done exactly when
+    its rear antenna attached. attempts marks each attach attempt's
+    position, and failed whether any attempt failed. interruptions lists
+    each interruption run as (crossing's row, first index, last index).
     """
 
-    front_index: np.ndarray
-    rear_index: np.ndarray
-    front_failed: np.ndarray
-    rear_failed: np.ndarray
-    front_attempts: np.ndarray
+    index: np.ndarray
+    failed: np.ndarray
+    attempts: np.ndarray
     interruptions: np.ndarray
 
 
 def _attach(triggered: np.ndarray, usable: np.ndarray,
-            allowed: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            allowed: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray]:
     """Per crossing: the first allowed triggering index whose target
-    comparand is usable (-1 if none), the attempts up to and including
-    it, and whether any of those attempts failed."""
+    comparand is usable (-1 if none), and the attempts up to and
+    including it."""
     attempts = triggered & allowed
     hits = attempts & usable
     attached = hits.any(axis=1)
     first = np.where(attached, hits.argmax(axis=1), -1)
     last = np.where(attached, first, attempts.shape[1] - 1)
     attempts &= np.arange(attempts.shape[1]) <= last[:, np.newaxis]
-    return first, attempts, (attempts & ~usable).any(axis=1)
+    return first, attempts
 
 
 def _crossing_outcomes(cell: np.ndarray, triggered: np.ndarray, usable: np.ndarray,
                        threshold: float) -> CrossingArrays:
     """The procedure's outcome of each drawn crossing, from `_draw_crossings`' arrays.
 
-    The one place that decides attach, failure and interruption: the
-    front antenna attempts at every trigger until the first one whose
+    The one place that decides attempts, attach, failure and interruption:
+    the front antenna attempts at every trigger until the first one whose
     target comparand reaches the threshold; the rear antenna does the
     same from the position after the front attach, since the front
     attaches inside that position's own measurement report; each
@@ -334,18 +323,21 @@ def _crossing_outcomes(cell: np.ndarray, triggered: np.ndarray, usable: np.ndarr
     interruption is a run of positions where both are below the threshold.
     """
     positions = np.arange(cell.shape[-1])
-    front, front_attempts, front_failed = _attach(triggered[:, 0], usable[:, 0], True)
+    front, front_attempts = _attach(triggered[:, 0], usable[:, 0], True)
     after_front = (front[:, np.newaxis] >= 0) & (positions > front[:, np.newaxis])
-    rear, _, rear_failed = _attach(triggered[:, 1], usable[:, 1], after_front)
-    attach = np.stack([front, rear], axis=1)[..., np.newaxis]
+    rear, rear_attempts = _attach(triggered[:, 1], usable[:, 1], after_front)
+    index = np.stack([front, rear], axis=1)
+    attempts = np.stack([front_attempts, rear_attempts], axis=1)
+    attach = index[..., np.newaxis]
     on_target = (attach >= 0) & (positions >= attach)  # (crossings, antennas, positions)
     rss = np.where(on_target, cell[:, :, 1], cell[:, :, 0])
-    below = (rss < threshold).all(axis=1).astype(np.int8)
-    edges = np.diff(below, axis=1, prepend=0, append=0)
+    pad = np.zeros((len(cell), len(positions) + 2), np.int8)
+    pad[:, 1:-1] = (rss < threshold).all(axis=1)
+    edges = pad[:, 1:] - pad[:, :-1]
+    rows, first = np.nonzero(edges == 1)
     last = np.nonzero(edges == -1)[1] - 1
-    interruptions = np.column_stack([np.argwhere(edges == 1), last])
-    return CrossingArrays(front, rear, front_failed, rear_failed, front_attempts,
-                          interruptions)
+    return CrossingArrays(index, (attempts & ~usable).any(axis=2), attempts,
+                          np.stack([rows, first, last], axis=1))
 
 
 def run_crossings(sc: Scenario, grid: PositionGrid,

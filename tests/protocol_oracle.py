@@ -1,9 +1,13 @@
 """Reference crossings through the state machine, used by tests only.
 
 `walk_crossing` is the state-machine walk that decides its own outcome:
-it attaches an antenna wherever an attempt's target comparand is usable
+it lets a measurement report act where its phase's antenna triggers,
+attaches an antenna wherever an attempt's target comparand is usable
 and scans each position for an interruption, independently of the array
 kernel that decides `run_crossing`'s and `estimate_protocol`'s outcomes.
+It shares with `src` only the procedure (`_TABLE`, `transition`), the
+draw and the record types; its phase-to-antenna lookup and environment
+responses are its own.
 `protocol_stats` walks it once per trial on the same keyed substreams as
 `estimate_protocol` and tallies its outcomes and traces event by event.
 `format_stats` renders `ProtocolStats` as stable text for the golden
@@ -18,9 +22,6 @@ import numpy as np
 from railhandover.analytics import PositionGrid
 from railhandover.montecarlo import DOMAIN_PROTOCOL, ProtocolStats, SeedPolicy
 from railhandover.protocol import (
-    _REPORT_ANTENNA,
-    _RESPONSES,
-    _T,
     _TABLE,
     CrossingOutcome,
     EventKind,
@@ -31,10 +32,23 @@ from railhandover.protocol import (
     _draw_crossings,
     transition,
 )
-from railhandover.scenario import Scenario
+from railhandover.scenario import CellId, Scenario
 
 # Events fed into the machine; all other kinds are only ever emitted by it.
 _INPUT_KINDS = frozenset(kind for _, kind in _TABLE)
+
+# phase -> the antenna whose trigger rule lets a measurement report act there
+_REPORT_ANTENNA = {phase: antenna for (phase, kind), (antenna, _, _) in _TABLE.items()
+                   if kind is EventKind.MEASUREMENT_REPORT}
+
+# The environment's response to an emitted message: an ack, or an attach
+# attempt by the antenna at index a (front 0, rear 1) that reports success.
+_RESPONSES = {
+    EventKind.HO_REQUEST: (None, EventKind.HO_REQUEST_ACK),
+    EventKind.HO_COMMAND_FRONT: (0, EventKind.FRONT_ATTACHED),
+    EventKind.HO_COMMAND_REAR: (1, EventKind.REAR_ATTACHED),
+    EventKind.DUALCAST_FINISH: (None, EventKind.DUALCAST_FINISH_ACK),
+}
 
 STAT_FIELDS = ("trials", "completed", "front_failed_trials", "rear_failed_trials",
                "front_ho_hist", "rear_ho_hist", "front_attempt_hist",
@@ -102,8 +116,8 @@ def walk_crossing(sc: Scenario, grid: PositionGrid,
         else:  # a report that cannot act leaves the phase as it is
             trace.append(TraceEntry(x, state.phase, report, state.phase))
         # threshold check against each antenna's attached cell (index 1: target)
-        if (below[0][state.front_attached is _T][j]
-                and below[1][state.rear_attached is _T][j]):
+        if (below[0][state.front_attached is CellId.TARGET][j]
+                and below[1][state.rear_attached is CellId.TARGET][j]):
             run_start = x if run_start is None else run_start
         elif run_start is not None:
             interrupted_runs.append((run_start, grid.positions[j - 1]))

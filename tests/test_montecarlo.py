@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from railhandover import channel, montecarlo, statfun
 from railhandover.analytics import (
@@ -392,6 +393,7 @@ def test_protocol_degenerate_fading_gives_point_mass_histograms(grid):
     assert xs[k] == 1630.0
     assert stats.front_ho_hist[k] == 40
     assert stats.front_ho_hist.sum() == 40
+    assert np.array_equal(stats.front_ho_hist, 40 * _front_attach_law(sc, grid))
     k = int(np.argmax(stats.rear_ho_hist))
     assert xs[k] == 1830.0
     assert stats.rear_ho_hist[k] == 40
@@ -466,6 +468,31 @@ def test_protocol_modal_bin_failure_rate_matches_analytic(sc, grid):
     k = int(np.argmax(stats.front_attempt_hist))
     rate = stats.front_failure_hist[k] / stats.front_attempt_hist[k]
     assert abs(rate - failure_curve((sc,), grid)[0][k]) <= 0.02
+
+
+def _front_attach_law(sc, grid):
+    """The front antenna's attach-position law: shadowing is independent
+    across positions, so the antenna attaches at the first crossing of
+    q = trigger x (1 - failure), with q = 0 where failure is undefined."""
+    failure = failure_curve((sc,), grid)[0]
+    q = np.where(np.isnan(failure), 0.0, trigger_curve(sc, grid) * (1.0 - failure))
+    return occurrence_masses(q, grid.step)
+
+
+def test_protocol_front_attach_histogram_follows_the_closed_form_law(sc, grid):
+    """Pearson chi-square of the front attach histogram against the law,
+    20 000 crossings at a fixed seed, at a false-alarm rate of 1e-4. Each
+    bin expecting at least 5 crossings is a cell; the sparse bins and the
+    never-attached outcome pool into one last cell."""
+    trials = 20_000
+    observed = estimate_protocol(sc, grid, trials, SeedPolicy(12345), jobs=2).front_ho_hist
+    expected = trials * _front_attach_law(sc, grid)
+    kept = expected >= 5
+    observed = np.append(observed[kept], trials - observed[kept].sum())
+    expected = np.append(expected[kept], trials - expected[kept].sum())
+    assert expected[-1] >= 5
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    assert statistic <= chi2.isf(1e-4, len(expected) - 1)
 
 
 @pytest.mark.parametrize("estimator", [estimate_pointwise, estimate_first_crossing])

@@ -396,8 +396,8 @@ def test_outcome_is_a_plain_record():
 
 
 def _machine_outcome(out, trace):
-    attempts = tuple(t.position for t in trace
-                     if t.event.kind is EventKind.HO_COMMAND_FRONT)
+    attempts = tuple(tuple(t.position for t in trace if t.event.kind is kind)
+                     for kind in (EventKind.HO_COMMAND_FRONT, EventKind.HO_COMMAND_REAR))
     return (out.front_ho_position, out.rear_ho_position, out.front_failed,
             out.rear_failed, out.interruption_intervals,
             out.final_state.phase is Phase.DONE, attempts)
@@ -413,10 +413,10 @@ def _kernel_outcomes(sc, grid, rngs):
     def at(j):
         return None if j < 0 else xs[j]
 
-    return [(at(arrays.front_index[i]), at(arrays.rear_index[i]),
-             bool(arrays.front_failed[i]), bool(arrays.rear_failed[i]),
-             tuple(intervals[i]), bool(arrays.rear_index[i] >= 0),
-             tuple(xs[j] for j in np.flatnonzero(arrays.front_attempts[i])))
+    return [(at(arrays.index[i, 0]), at(arrays.index[i, 1]),
+             bool(arrays.failed[i, 0]), bool(arrays.failed[i, 1]),
+             tuple(intervals[i]), bool(arrays.index[i, 1] >= 0),
+             tuple(tuple(xs[j] for j in np.flatnonzero(marks)) for marks in arrays.attempts[i]))
             for i in range(len(rngs))]
 
 
